@@ -70,6 +70,7 @@ stress:
 # Fuzz the pager fault-policy decoder and retry path for a short burst.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPolicy -fuzztime 20s ./internal/pager/
+	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 20s ./internal/core/
 
 # Benchmark pass emitting the JSON snapshots that make hot-path regressions
 # reviewable in diffs (and enforceable via benchgate). Three suites:

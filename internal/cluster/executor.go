@@ -318,7 +318,7 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 		// Workers regenerate pristine datasets; a mutated coordinator copy
 		// cannot be served remotely. Serve the whole plan locally.
 		e.logf("epoch %d: serving all %d shards locally (%v)", q.Epoch, out.Shards, ErrSkew)
-		fp, err := core.SigGenShardedCtx(ctx, plan, ds, fam, 0)
+		fp, err := core.SigGenShardedCtx(ctx, plan, ds, fam, -1)
 		if err != nil {
 			return nil, out, err
 		}

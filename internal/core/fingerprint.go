@@ -6,7 +6,6 @@ import (
 
 	"skydiver/internal/budget"
 	"skydiver/internal/data"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
@@ -29,9 +28,9 @@ type Fingerprint struct {
 // dominators. Row identifiers are dataset indexes. I/O is charged as a
 // sequential scan of fixed-size records (d float64s plus a row id).
 //
-// The skyline points are pre-sorted by their L1 norm so that the dominance
-// scan can stop early: s ≺ p implies L1(s) < L1(p). This keeps the pass
-// exact while sparing some of the naive dominance checks.
+// Each row's dominators come from the prepared skyline's prefix-bitset
+// kernel (see skyPrep), and the row is hashed by stepping the previous
+// row's hash residues, since row ids arrive in order.
 func SigGenIF(ds *data.Dataset, sky []int, fam *minhash.Family) (*Fingerprint, error) {
 	return SigGenIFCtx(context.Background(), ds, sky, fam)
 }
@@ -48,20 +47,18 @@ func SigGenIFCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t := fam.Size()
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
 	counter := pager.NewSequentialCounter(8*ds.Dims() + 4)
 	pageQuantum := counter.RecordsPerPage()
 
-	prep := prepareSkyline(ds, sky)
+	pr := prepareSkyline(ds, sky).probe()
 	inSky := newBitset(ds.Len())
 	for _, s := range sky {
 		inSky.set(s)
 	}
 
-	sc := getSigScratch(t)
-	defer sc.release()
-	hv := sc.hv
+	rf := newRowFolder(fam, fp)
+	defer rf.release()
 	tracker := budget.From(ctx)
 	for i := 0; i < ds.Len(); i++ {
 		if i%pageQuantum == 0 {
@@ -81,15 +78,8 @@ func SigGenIFCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.
 		if inSky.get(i) || ds.Deleted(i) {
 			continue
 		}
-		p := ds.Point(i)
-		sc.cols = prep.dominators(sc.cols[:0], p, geom.L1(p))
-		if len(sc.cols) == 0 {
-			continue
-		}
-		minHv := fam.HashAllGroupMin(hv, uint64(i), sc.gm)
-		for _, c := range sc.cols {
-			fp.Matrix.UpdateColumnGrouped(int(c), hv, sc.gm, minHv)
-			fp.DomScore[c]++
+		if cols := pr.dominators(ds.Point(i)); len(cols) > 0 {
+			rf.fold(cols, uint64(i))
 		}
 	}
 	fp.IO = counter.Stats()
@@ -103,7 +93,8 @@ func SigGenIFCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.
 // without descending — while partially dominated entries are opened. Row
 // identifiers are assigned by a running counter in traversal order, exactly
 // as the pseudocode's rowcount; each physical point is consumed exactly
-// once, so signatures stay consistent across columns.
+// once, so signatures stay consistent across columns. The traversal is the
+// single-task case of SigGenIBParallel's subtree scanner.
 //
 // I/O is charged through the reader — the tree's own pool, or a per-query
 // rtree.Session for isolated accounting; either way callers typically start
@@ -125,76 +116,14 @@ func SigGenIBCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset, sky []i
 	if tr.Dims() != ds.Dims() {
 		return nil, fmt.Errorf("core: tree dims %d != dataset dims %d", tr.Dims(), ds.Dims())
 	}
-	t := fam.Size()
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
-	// The prepared skyline is sorted by L1 norm: both full and partial
-	// dominance of an entry require dominating its upper-right corner, and
-	// s ≺ x implies L1(s) < L1(x), so the scan over skyline points can stop
-	// at L1(Hi).
-	prep := prepareSkyline(ds, sky)
 	before := tr.Stats()
-
-	sc := getSigScratch(t)
+	sc := newIBScanner(prepareSkyline(ds, sky), fam, m)
 	defer sc.release()
-	hv := sc.hv
-	rowcount := uint64(0)
-	// updateFull folds `count` fresh row ids into the signatures of all
-	// skyline columns in full (Figure 4, UpdateFullDominance). The hash
-	// values of each row are computed once and reused across columns, and a
-	// row whose minimum hash cannot beat a column's worst slot skips that
-	// column's fold entirely (bit-identical; see UpdateColumnBounded).
-	updateFull := func(full []int32, count int) {
-		if len(full) == 0 {
-			rowcount += uint64(count)
-			return
-		}
-		for r := 0; r < count; r++ {
-			minHv := fam.HashAllGroupMin(hv, rowcount, sc.gm)
-			rowcount++
-			for _, c := range full {
-				fp.Matrix.UpdateColumnGrouped(int(c), hv, sc.gm, minHv)
-			}
-		}
-		for _, c := range full {
-			fp.DomScore[c] += float64(count)
-		}
+	if err := sc.runSubtree(ctx, tr, ibTask{page: tr.Root(), count: uint64(tr.Len())}); err != nil {
+		return nil, err
 	}
-
-	pq := []pager.PageID{tr.Root()}
-	for len(pq) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id := pq[len(pq)-1]
-		pq = pq[:len(pq)-1]
-		node, err := tr.ReadNode(id)
-		if err != nil {
-			return nil, err
-		}
-		for i := range node.Entries {
-			e := &node.Entries[i]
-			if node.Leaf {
-				// A point entry is either fully dominated by a column or not
-				// dominated at all; partial dominance cannot occur.
-				p := e.Point()
-				sc.cols = prep.dominators(sc.cols[:0], p, geom.L1(p))
-				updateFull(sc.cols, 1)
-				continue
-			}
-			fullCols, anyPartial := prep.classifyRect(sc.cols[:0], e.Rect)
-			sc.cols = fullCols
-			if anyPartial {
-				pq = append(pq, e.Child)
-				continue
-			}
-			updateFull(fullCols, int(e.Count))
-		}
-	}
-	if rowcount != uint64(tr.Len()) {
-		return nil, fmt.Errorf("core: SigGen-IB consumed %d rows of %d", rowcount, tr.Len())
-	}
-	fp.IO = tr.Stats().Sub(before)
-	return fp, nil
+	sc.fp.IO = tr.Stats().Sub(before)
+	return sc.fp, nil
 }
 
 // SigGenSets fingerprints explicit dominated sets: lists[j] holds the row

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"skydiver/internal/data"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
@@ -32,10 +31,10 @@ import (
 // per slot is commutative and associative, and domination scores are integer
 // counts whose float64 sums are exact. workers <= 0 uses GOMAXPROCS.
 //
-// The dominance-scan pruning structure (the multi-order sorted skyline, see
-// skyPrep) is built once and shared read-only by the planner and every
-// worker; each worker folds through the screened grouped updates into its
-// private matrix, exactly like the sequential pass.
+// The prepared skyline (see skyPrep) is built once and shared read-only by
+// the planner and every worker; each worker folds through its own row
+// folder into a private matrix, exactly like the sequential pass. Row ids
+// within a task are consecutive, so the hashes step from row to row.
 //
 // Concurrent node reads go through the reader's internally locked pool, so
 // sharing one per-query session across the subtree workers is race-free; the
@@ -56,71 +55,50 @@ type ibTask struct {
 }
 
 // ibScanner bundles the per-goroutine state of an index-based signature
-// pass: a private fingerprint, pooled hash/column scratch, and the shared
-// read-only skyline preparation and hash family.
+// pass: a probe of the shared prepared skyline, and a row folder into a
+// private fingerprint.
 type ibScanner struct {
-	prep *skyPrep
-	fam  *minhash.Family
-	fp   *Fingerprint
-	sc   *sigScratch
-	rows uint64 // running row-id counter (absolute)
+	probe *skyProbe
+	fold  *rowFolder
+	fp    *Fingerprint
+	rows  uint64   // running row-id counter (absolute)
+	stack []ibTask // traversal stack, reused across tasks
 }
 
 func newIBScanner(prep *skyPrep, fam *minhash.Family, m int) *ibScanner {
-	return &ibScanner{
-		prep: prep,
-		fam:  fam,
-		fp:   &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)},
-		sc:   getSigScratch(fam.Size()),
-	}
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
+	return &ibScanner{probe: prep.probe(), fold: newRowFolder(fam, fp), fp: fp}
 }
 
 // release returns the scanner's pooled scratch; the fingerprint stays valid.
-func (sc *ibScanner) release() { sc.sc.release() }
+func (sc *ibScanner) release() { sc.fold.release() }
 
-// updateFull folds count fresh row ids (starting at the scanner's counter)
-// into the signatures of the fully dominating columns, mirroring the
-// sequential updateFull exactly: hash values are computed once per row and
-// the screened grouped fold skips the slot groups a row cannot improve.
-func (sc *ibScanner) updateFull(full []int32, count int) {
-	if len(full) == 0 {
-		sc.rows += uint64(count)
-		return
-	}
-	for r := 0; r < count; r++ {
-		minHv := sc.fam.HashAllGroupMin(sc.sc.hv, sc.rows, sc.sc.gm)
-		sc.rows++
-		for _, c := range full {
-			sc.fp.Matrix.UpdateColumnGrouped(int(c), sc.sc.hv, sc.sc.gm, minHv)
-		}
-	}
-	for _, c := range full {
-		sc.fp.DomScore[c] += float64(count)
-	}
+// consume folds the next count row ids into the fully dominating columns
+// (Figure 4, UpdateFullDominance) and advances the counter past them.
+func (sc *ibScanner) consume(full []int32, count int) {
+	sc.fold.foldRun(full, sc.rows, count)
+	sc.rows += uint64(count)
 }
 
 // scanNode consumes one node's immediately processable entries in entry
-// order and returns the partially dominated children in entry order,
-// leaving sc.rows advanced past every consumed row.
-func (sc *ibScanner) scanNode(node *rtree.Node) []rtree.Entry {
-	var pending []rtree.Entry
+// order and appends the partially dominated children to pending in entry
+// order (page and count; the base is left to the caller), leaving sc.rows
+// advanced past every consumed row.
+func (sc *ibScanner) scanNode(node *rtree.Node, pending []ibTask) []ibTask {
 	for i := range node.Entries {
 		e := &node.Entries[i]
 		if node.Leaf {
 			// A point entry is either fully dominated by a column or not
 			// dominated at all; partial dominance cannot occur.
-			p := e.Point()
-			sc.sc.cols = sc.prep.dominators(sc.sc.cols[:0], p, geom.L1(p))
-			sc.updateFull(sc.sc.cols, 1)
+			sc.consume(sc.probe.dominators(e.Point()), 1)
 			continue
 		}
-		fullCols, anyPartial := sc.prep.classifyRect(sc.sc.cols[:0], e.Rect)
-		sc.sc.cols = fullCols
+		full, anyPartial := sc.probe.classifyRect(e.Rect)
 		if anyPartial {
-			pending = append(pending, *e)
+			pending = append(pending, ibTask{page: e.Child, count: uint64(e.Count)})
 			continue
 		}
-		sc.updateFull(fullCols, int(e.Count))
+		sc.consume(full, int(e.Count))
 	}
 	return pending
 }
@@ -129,7 +107,8 @@ func (sc *ibScanner) scanNode(node *rtree.Node) []rtree.Entry {
 // discipline, consuming exactly task.count row ids starting at task.base.
 func (sc *ibScanner) runSubtree(ctx context.Context, tr rtree.Reader, task ibTask) error {
 	sc.rows = task.base
-	stack := []ibTask{task}
+	stack := append(sc.stack[:0], task)
+	defer func() { sc.stack = stack[:0] }()
 	for len(stack) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -140,14 +119,10 @@ func (sc *ibScanner) runSubtree(ctx context.Context, tr rtree.Reader, task ibTas
 		if err != nil {
 			return err
 		}
-		pending := sc.scanNode(node)
 		// Partial children are pushed in entry order and popped in reverse,
 		// matching the sequential traversal; bases stay implicit because the
 		// scanner's counter advances through them in exactly that order.
-		stack = append(stack, make([]ibTask, len(pending))...)
-		for i := range pending {
-			stack[len(stack)-len(pending)+i] = ibTask{page: pending[i].Child}
-		}
+		stack = sc.scanNode(node, stack)
 	}
 	if got := sc.rows - task.base; got != task.count {
 		return fmt.Errorf("core: SigGen-IB subtree at page %d consumed %d rows of %d", task.page, got, task.count)
@@ -209,16 +184,15 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 		}
 		expansions++
 		planner.rows = tk.base
-		pending := planner.scanNode(node)
+		children := planner.scanNode(node, nil)
 		consumed := planner.rows - tk.base
 		// The sequential stack pops the partial children in reverse entry
 		// order, so the LAST child starts right after the node's immediate
 		// consumptions and each earlier child follows its successor's block.
 		base := tk.base + consumed
-		children := make([]ibTask, len(pending))
-		for i := len(pending) - 1; i >= 0; i-- {
-			children[i] = ibTask{page: pending[i].Child, base: base, count: uint64(pending[i].Count)}
-			base += uint64(pending[i].Count)
+		for i := len(children) - 1; i >= 0; i-- {
+			children[i].base = base
+			base += children[i].count
 		}
 		if base != tk.base+tk.count {
 			return nil, fmt.Errorf("core: SigGen-IB planner at page %d accounted %d rows of %d", tk.page, base-tk.base, tk.count)

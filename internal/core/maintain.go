@@ -69,7 +69,7 @@ type skyDeletion struct {
 	// positions in the NEW skyline, with their Γ fold sets.
 	promoted []promotion
 	// gammas memoizes Γ(sky[c]) for !wasSky columns that some fingerprint
-	// had to refold (computed lazily, shared across fingerprints).
+	// had to repair (computed lazily, shared across fingerprints).
 	gammas map[int][]int
 	tr     *rtree.Tree
 	ds     *data.Dataset
@@ -474,16 +474,16 @@ func patchInsert(fam *minhash.Family, fp *Fingerprint, hv []uint32, ins skyInser
 }
 
 // patchDelete repairs one fingerprint for a delete. A departed non-member
-// decrements its dominators' scores and refolds only the columns where its
-// hashes held a slot minimum (the conservative exact check); a departed
-// member's column is removed and each promoted row gains a freshly folded
-// column at its skyline position.
+// decrements its dominators' scores and, in every column where its hashes
+// held a slot minimum, recomputes just those slots over the column's
+// remaining rows; a departed member's column is removed and each promoted
+// row gains a freshly folded column at its skyline position.
 func patchDelete(fam *minhash.Family, fp *Fingerprint, hv []uint32, del *skyDeletion) error {
 	if !del.wasSky {
 		if len(del.domCols) == 0 {
 			return nil
 		}
-		fam.HashAllMin(hv, uint64(del.row))
+		fam.HashAll(hv, uint64(del.row))
 		for _, c := range del.domCols {
 			fp.DomScore[c]--
 			if !fp.Matrix.ColumnMatchesAny(c, hv) {
@@ -497,11 +497,7 @@ func patchDelete(fam *minhash.Family, fp *Fingerprint, hv []uint32, del *skyDele
 				}
 				del.gammas[c] = gamma
 			}
-			fp.Matrix.ResetColumn(c)
-			for _, r := range gamma {
-				mh := fam.HashAllMin(hv, uint64(r))
-				fp.Matrix.UpdateColumnBounded(c, hv, mh)
-			}
+			fp.Matrix.RemoveRow(c, hv, fam, gamma)
 		}
 		return nil
 	}

@@ -246,3 +246,57 @@ func TestMutationValidation(t *testing.T) {
 		t.Error("double delete succeeded")
 	}
 }
+
+// TestDeleteRepairsEveryMatchingColumn deletes a dominated row whose hashes
+// hold slot minima in both of its dominator columns, so both columns must be
+// repaired from their remaining rows. The check of the second column must
+// test the departed row's hashes, not those of a row hashed while the first
+// column was repaired.
+func TestDeleteRepairsEveryMatchingColumn(t *testing.T) {
+	ds, err := data.FromRows("refold", [][]float64{
+		{0.1, 0.5}, {0.5, 0.1}, // the skyline
+		{0.6, 0.6},             // row 2: dominated by both skyline points
+		{0.2, 0.9}, {0.3, 0.8}, // dominated by column 0 only
+		{0.9, 0.2}, {0.8, 0.3}, // dominated by column 1 only
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rtree.BulkLoad(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Reopen(0.2)
+	sky, err := skyline.ComputeBBS(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewFingerprintCache(8)
+	before := freshIF(t, ds, sky)
+	cache.Install(maintainKey(0), before)
+
+	fam, err := minhash.NewFamily(maintainT, maintainSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hv := make([]uint32, maintainT)
+	fam.HashAll(hv, 2)
+	matching := 0
+	for c := range sky {
+		if before.Matrix.ColumnMatchesAny(c, hv) {
+			matching++
+		}
+	}
+	if len(sky) != 2 || matching != 2 {
+		t.Fatalf("fixture: skyline %v, row 2 holds slot minima in %d columns; want 2 and 2", sky, matching)
+	}
+
+	if sky, err = ApplyDelete(ds, tr, sky, cache, 0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := cache.Peek(maintainKey(1))
+	if !ok {
+		t.Fatal("no migrated fingerprint at epoch 1")
+	}
+	sameFingerprint(t, 0, got, freshIF(t, ds, sky))
+}

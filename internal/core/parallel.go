@@ -10,7 +10,6 @@ import (
 
 	"skydiver/internal/budget"
 	"skydiver/internal/data"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 )
@@ -30,15 +29,16 @@ var workerTestHook func(worker int)
 //  1. Dominance scan, chunked by data rows: workers claim page-aligned row
 //     chunks through an atomic cursor (small chunks, so a worker that drew a
 //     dense region does not straggle) and record each dominated row's id and
-//     dominator columns. The sorted-skyline pruning structure is built once
-//     and shared read-only by every worker.
+//     dominator columns. The prepared skyline is built once and shared
+//     read-only by every worker.
 //  2. Signature fold, striped by hash slots: worker w owns the slot rows
-//     [w·t/W, (w+1)·t/W) of EVERY column and replays the recorded rows,
-//     evaluating only its own hash functions and min-folding into its
-//     stripe. Writes are disjoint by construction, so no synchronization and
-//     no merge; per-slot minima are independent, so striping cannot change
-//     any slot. Each worker screens with private stripe maxima (the striped
-//     analogue of the slot-max screen — exact, see UpdateColumnBounded).
+//     [w·t/W, (w+1)·t/W) of EVERY column and replays the recorded rows in
+//     ascending order, stepping only its own hash functions from row to
+//     row and min-folding into its stripe. Writes are disjoint by
+//     construction, so no synchronization and no merge; per-slot minima
+//     are independent, so striping cannot change any slot. Each worker
+//     screens with private stripe maxima (the striped analogue of the
+//     slot-max screen — exact, see UpdateColumnBounded).
 //
 // Total work across workers equals the sequential pass: each row's
 // dominators are computed once (phase 1) and each of its t hash values once
@@ -91,8 +91,8 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 	}
 	t := fam.Size()
 
-	// Hoisted once, shared read-only by all workers: the multi-order sorted
-	// skyline (L1 early exit and friends) and the skyline membership bitset.
+	// Hoisted once, shared read-only by all workers: the prepared skyline
+	// and the skyline membership bitset.
 	prep := prepareSkyline(ds, sky)
 	inSky := newBitset(n)
 	for _, s := range sky {
@@ -150,8 +150,7 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 			// Phase 1: claim row chunks until the cursor runs out.
 			score := make([]float64, m)
 			scores[w] = score
-			sc := getSigScratch(t)
-			defer sc.release()
+			pr := prep.probe()
 			tracker := budget.From(ctx)
 			for !failed.Load() {
 				k := int(cursor.Add(1)) - 1
@@ -182,15 +181,14 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 					if inSky.get(i) || ds.Deleted(i) {
 						continue
 					}
-					p := ds.Point(i)
-					sc.cols = prep.dominators(sc.cols[:0], p, geom.L1(p))
-					if len(sc.cols) == 0 {
+					cols := pr.dominators(ds.Point(i))
+					if len(cols) == 0 {
 						continue
 					}
 					ch.rows = append(ch.rows, int32(i))
-					ch.cnt = append(ch.cnt, int32(len(sc.cols)))
-					ch.cols = append(ch.cols, sc.cols...)
-					for _, c := range sc.cols {
+					ch.cnt = append(ch.cnt, int32(len(cols)))
+					ch.cols = append(ch.cols, cols...)
+					for _, c := range cols {
 						score[c]++
 					}
 				}
@@ -207,6 +205,7 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 				return
 			}
 			shv := make([]uint32, sHi-sLo)
+			st := fam.Stepper(sLo, sHi)
 			stripeMax := make([]uint32, m)
 			for c := range stripeMax {
 				stripeMax[c] = math.MaxUint32
@@ -222,7 +221,7 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 				for ri, row := range ch.rows {
 					cs := ch.cols[base : base+int(ch.cnt[ri])]
 					base += int(ch.cnt[ri])
-					minSv := fam.HashRange(shv, uint64(row), sLo, sHi)
+					minSv := st.HashMin(shv, uint64(row))
 					for _, c := range cs {
 						// Stripe-max screen: hash values never exceed
 						// MaxUint32−1, so a fresh column is always admitted.

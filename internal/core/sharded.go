@@ -216,9 +216,7 @@ func MergeShardSkylines(ds *data.Dataset, locals [][]int) []int {
 	if len(union) == 0 {
 		return []int{}
 	}
-	prep := prepareSkyline(ds, union)
-	sc := getSigScratch(1)
-	defer sc.release()
+	pr := prepareSkyline(ds, union).probe()
 
 	// Oldest-equal-twin filter: equal points share an L1 norm, so sorting
 	// candidate positions by (L1, id) confines the Equal checks to runs of
@@ -257,9 +255,7 @@ func MergeShardSkylines(ds *data.Dataset, locals [][]int) []int {
 		if twin[i] {
 			continue
 		}
-		p := ds.Point(id)
-		sc.cols = prep.dominators(sc.cols[:0], p, l1s[i])
-		if len(sc.cols) == 0 {
+		if !pr.dominatorSet(pr.set, ds.Point(id)) {
 			out = append(out, id)
 		}
 	}
@@ -314,9 +310,9 @@ func (plan *ShardPlan) buildTrees(ctx context.Context, ds *data.Dataset) error {
 	for _, s := range plan.Sky {
 		inSky.set(s)
 	}
-	var prep *skyPrep
+	var pr *skyProbe
 	if m > 0 {
-		prep = prepareSkyline(ds, plan.Sky)
+		pr = prepareSkyline(ds, plan.Sky).probe()
 	}
 	bounds := ds.Bounds()
 	for si := range plan.Shards {
@@ -353,10 +349,10 @@ func (plan *ShardPlan) buildTrees(ctx context.Context, ds *data.Dataset) error {
 			sorted[i] = zrows[p]
 		}
 		s.zrows = sorted
-		if len(s.zrows) == 0 || prep == nil {
+		if len(s.zrows) == 0 || pr == nil {
 			continue
 		}
-		tb := &treeBuilder{plan: plan, s: s, ds: ds, prep: prep, rect: geom.NewRect(d)}
+		tb := &treeBuilder{plan: plan, s: s, ds: ds, probe: pr, rect: geom.NewRect(d)}
 		tb.build(0, int32(len(s.zrows)), nil, 0)
 		s.scanned = tb.countScanned(0, false)
 		plan.scanned += s.scanned
@@ -373,16 +369,16 @@ type treeBuilder struct {
 	plan  *ShardPlan
 	s     *PlanShard
 	ds    *data.Dataset
-	prep  *skyPrep
+	probe *skyProbe
 	rect  geom.Rect
 	cands [][]int32
 }
 
 // build classifies zrows[lo:hi] against cand (nil at the root, meaning the
-// whole skyline via the prefix-cut classifier) and returns the node index.
-// Columns fully dominating the range's MBR are recorded here — the highest
-// node where they resolve; columns dominating nothing are dropped; the rest
-// descend. The recursion bottoms out when nothing is left to descend with,
+// whole skyline via the prefix-bitset classifier) and returns the node
+// index. Columns fully dominating the range's MBR are recorded here — the
+// highest node where they resolve; columns dominating nothing are dropped;
+// the rest descend. The recursion bottoms out when nothing is left to descend with,
 // or when resolving the survivors row by row is cheaper than splitting.
 func (tb *treeBuilder) build(lo, hi int32, cand []int32, depth int) int32 {
 	s := tb.s
@@ -398,7 +394,7 @@ func (tb *treeBuilder) build(lo, hi int32, cand []int32, depth int) int32 {
 	var part []int32
 	if cand == nil {
 		var full []int32
-		full, part = tb.prep.classifyRectSplit(tb.rect)
+		full, part = tb.probe.classifyRectSplit(tb.rect)
 		s.colStore = append(s.colStore, full...)
 	} else {
 		for len(tb.cands) <= depth {
@@ -447,7 +443,7 @@ func (tb *treeBuilder) resolvePairs(idx int32, part []int32) {
 	for i := nd.lo; i < nd.hi; i++ {
 		p := tb.ds.Point(int(s.zrows[i]))
 		for _, c := range part {
-			if dominatesFlat(tb.plan.skyPts[int(c)*d:(int(c)+1)*d], p) {
+			if geom.Dominates(tb.plan.skyPts[int(c)*d:(int(c)+1)*d], p) {
 				s.pairs = append(s.pairs, planPair{row: i, col: c})
 			}
 		}
@@ -487,38 +483,6 @@ func (tb *treeBuilder) countScanned(ni int32, anc bool) int {
 	return tb.countScanned(nd.left, needVec) + tb.countScanned(nd.right, needVec)
 }
 
-// classifyRectSplit is classifyRect keeping both sides: it returns the
-// columns fully dominating rect and those partially dominating it. The
-// remaining columns dominate nothing inside rect — and columns beyond the
-// candidate prefix cannot dominate rect.Hi, so they are DomNone too.
-func (sp *skyPrep) classifyRectSplit(rect geom.Rect) (full, part []int32) {
-	so, cut := sp.shortestPrefix(rect.Hi, geom.L1(rect.Hi))
-	d := sp.d
-	for e := 0; e < cut; e++ {
-		switch geom.DomRelation(so.pts[e*d:(e+1)*d], rect) {
-		case geom.DomFull:
-			full = append(full, so.col[e])
-		case geom.DomPartial:
-			part = append(part, so.col[e])
-		}
-	}
-	sort.Slice(full, func(a, b int) bool { return full[a] < full[b] })
-	sort.Slice(part, func(a, b int) bool { return part[a] < part[b] })
-	return full, part
-}
-
-// dominatesFlat is geom.Dominates over a flattened skyline point, with the
-// branch-free accumulation of the dominance kernels (each comparison is
-// close to a coin flip on the partial band). Results are identical.
-func dominatesFlat(s, p []float64) bool {
-	worse, better := 0, 0
-	for i := range s {
-		worse |= b2i(s[i] > p[i])
-		better |= b2i(s[i] < p[i])
-	}
-	return worse == 0 && better != 0
-}
-
 // SigGenSharded is SigGenShardedCtx without cancellation.
 func SigGenSharded(plan *ShardPlan, ds *data.Dataset, fam *minhash.Family, workers int) (*Fingerprint, error) {
 	return SigGenShardedCtx(context.Background(), plan, ds, fam, workers)
@@ -534,8 +498,9 @@ func SigGenSharded(plan *ShardPlan, ds *data.Dataset, fam *minhash.Family, worke
 // worker folds every shard straight into one shared matrix (whose screening
 // bounds tighten as shards accumulate, exactly like the unsharded fold),
 // while workers >1 processes shards concurrently into private matrices
-// merged afterwards by per-slot minima and score sums; <=0 uses GOMAXPROCS.
-// The context is polled as the tree traversal proceeds.
+// merged afterwards by per-slot minima and score sums. As for every
+// Workers setting, 0 or 1 is sequential and <0 uses GOMAXPROCS. The context
+// is polled as the tree traversal proceeds.
 //
 // I/O is charged as a sequential scan of the rows the fold actually hashes
 // — those under at least one resolved column or exact pair; rows provably
@@ -548,13 +513,7 @@ func SigGenShardedCtx(ctx context.Context, plan *ShardPlan, ds *data.Dataset, fa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(plan.Shards) {
-		workers = len(plan.Shards)
-	}
-
+	workers = shardWorkers(workers, len(plan.Shards))
 	t := fam.Size()
 	if workers <= 1 {
 		out := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
@@ -612,6 +571,16 @@ func SigGenShardedCtx(ctx context.Context, plan *ShardPlan, ds *data.Dataset, fa
 	}
 	plan.chargeIO(ds, out)
 	return out, nil
+}
+
+// shardWorkers resolves a Workers setting for a fold over shards shards:
+// 0 or 1 is sequential, <0 uses GOMAXPROCS, and no more workers run than
+// there are shards.
+func shardWorkers(workers, shards int) int {
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, shards))
 }
 
 // chargeIO stamps the synthesized sequential-scan accounting of the plan's
@@ -677,16 +646,14 @@ func ShardFingerprintLocal(ctx context.Context, ds *data.Dataset, sky []int, row
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	t := fam.Size()
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
-	prep := prepareSkyline(ds, sky)
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
+	pr := prepareSkyline(ds, sky).probe()
 	inSky := newBitset(ds.Len())
 	for _, s := range sky {
 		inSky.set(s)
 	}
-	sc := getSigScratch(t)
-	defer sc.release()
-	hv := sc.hv
+	rf := newRowFolder(fam, fp)
+	defer rf.release()
 	scanned := 0
 	for n, r := range rows {
 		if n&255 == 0 {
@@ -697,16 +664,9 @@ func ShardFingerprintLocal(ctx context.Context, ds *data.Dataset, sky []int, row
 		if inSky.get(r) || ds.Deleted(r) {
 			continue
 		}
-		p := ds.Point(r)
-		sc.cols = prep.dominators(sc.cols[:0], p, geom.L1(p))
-		if len(sc.cols) == 0 {
-			continue
-		}
-		scanned++
-		minHv := fam.HashAllGroupMin(hv, uint64(r), sc.gm)
-		for _, c := range sc.cols {
-			fp.Matrix.UpdateColumnGrouped(int(c), hv, sc.gm, minHv)
-			fp.DomScore[c]++
+		if cols := pr.dominators(ds.Point(r)); len(cols) > 0 {
+			scanned++
+			rf.fold(cols, uint64(r))
 		}
 	}
 	return fp, scanned, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -238,5 +239,25 @@ func TestGridPartition(t *testing.T) {
 	}
 	if _, err := (shard.Grid{}).Partition(data.Independent(10, 2, 1), 0); err == nil {
 		t.Error("Partition(0) succeeded")
+	}
+}
+
+// TestShardWorkersDefault pins the documented Workers semantics on the
+// sharded path: 0 or 1 folds sequentially, <0 uses GOMAXPROCS, and no more
+// workers run than there are shards.
+func TestShardWorkersDefault(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ workers, shards, want int }{
+		{0, 4, 1},
+		{1, 4, 1},
+		{3, 4, 3},
+		{8, 4, 4},
+		{-1, 64, min(procs, 64)},
+		{-1, 1, 1},
+		{0, 0, 1},
+	} {
+		if got := shardWorkers(c.workers, c.shards); got != c.want {
+			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.workers, c.shards, got, c.want)
+		}
 	}
 }

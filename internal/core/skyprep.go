@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -9,36 +11,60 @@ import (
 	"skydiver/internal/minhash"
 )
 
-// skyPrep is the prepared skyline every signature generator scans against.
-// The skyline points are materialized in d+1 sorted orders — by L1 norm and
-// by each single coordinate — each flattened into one contiguous float64
-// block with the original column index kept per entry.
+// skyPrep is the prepared skyline every signature generator tests rows
+// against. Dominance is answered with word-wide set operations over the
+// original skyline columns instead of one coordinate test per candidate.
 //
-// Every order yields a candidate prefix that provably contains all
-// dominators of a probe p: s ≺ p implies L1(s) < L1(p) and s[j] ≤ p[j] for
-// every dimension j. A dominance scan may therefore walk *any* one of the
-// prefixes and apply the exact test; per probe the shortest prefix is chosen
-// by d+1 binary searches. On independent data this cuts the scanned
-// candidates from ~m/2 (L1 only) to ~m/(d+1), and on correlated or
-// anticorrelated data the L1 order remains available where it is the
-// selective one. The reported dominator set is identical in all cases —
-// only the iteration order over a superset changes, and callers fold each
-// dominating column at most once per row. Shared by SigGen-IF/IB,
-// sequential and parallel.
+// For each coordinate j the skyline is sorted by that coordinate, and a
+// prefix table gives, for every k, the set of columns holding the k
+// smallest keys. For a probe p,
+//
+//	LE_j = {s : s_j ≤ p_j} = prefix_j(#keys ≤ p_j)
+//	LT_j = {s : s_j < p_j} = prefix_j(#keys < p_j)
+//
+// and the columns strictly dominating p — worse on no coordinate, better on
+// at least one, exactly geom.Dominates — are AND_j LE_j ∩ OR_j LT_j. The OR
+// term matters only when p ties some key on every coordinate: on a
+// coordinate where no key equals p_j, LE_j = LT_j already makes every member
+// of the AND strictly better there. Rectangles reuse the sets: a column
+// fully dominates r iff it dominates r.Lo, and partially iff it dominates
+// r.Hi but not r.Lo (geom.DomRelation), so D(Lo) and D(Hi) &^ D(Lo) classify
+// every column at once. Sets are read out in ascending column order.
+//
+// NaN follows geom.Dominates as well: a comparison with NaN is false both
+// ways, so a NaN key belongs to every LE_j and to no LT_j, and a NaN probe
+// coordinate admits every column to LE_j and none to LT_j. NaN keys sort
+// first, so they are prefix_j(nan_j) and LT_j = prefix_j(#keys < p_j) &^
+// prefix_j(nan_j).
+//
+// Each coordinate's table holds m/stride + 1 checkpoint rows of ⌈m/64⌉
+// words; row r is the prefix of r·stride entries, and a prefix between
+// checkpoints is the row below it plus fewer than stride bits. The stride is
+// the smallest that keeps a table within prefixTableWords (1 up to m ≈ 1000),
+// so memory stays bounded as the skyline grows. A skyPrep is immutable once
+// built and shared read-only by concurrent workers; per-goroutine scratch
+// lives in a skyProbe.
 type skyPrep struct {
-	d      int
-	m      int
-	orders []skyOrder // orders[0]: L1 norm; orders[1+j]: coordinate j
+	d, m   int
+	words  int // ⌈m/64⌉: the length of one column set
+	stride int // sorted entries between checkpoint rows
+	axes   []skyAxis
 }
 
-// skyOrder is one sorted materialization of the skyline.
-type skyOrder struct {
-	key []float64 // ascending sort key per entry (L1 norm or one coordinate)
-	pts []float64 // m×d coordinates, flattened in key order
-	col []int32   // original skyline column of each sorted entry
+// skyAxis is the skyline sorted by one coordinate.
+type skyAxis struct {
+	key  []uint64 // sortable coordinate values, ascending after the NaNs
+	col  []int32  // original skyline column of each sorted entry
+	nan  int      // number of NaN keys
+	rows []uint64 // checkpoint row r: columns of entries [0, r·stride)
 }
 
-// prepareSkyline sorts and flattens the skyline points of ds named by sky.
+// prefixTableWords bounds one coordinate's checkpoint table (128 KiB), so
+// the d tables of a skyline of a thousand points stay cache-resident.
+const prefixTableWords = 1 << 14
+
+// prepareSkyline builds the prepared skyline of the points of ds named by
+// sky.
 func prepareSkyline(ds *data.Dataset, sky []int) *skyPrep {
 	return prepareSkylineFrom(ds.Dims(), len(sky), func(j int) []float64 {
 		return ds.Point(sky[j])
@@ -48,169 +74,256 @@ func prepareSkyline(ds *data.Dataset, sky []int) *skyPrep {
 // prepareSkylineFrom builds the prepared skyline from an arbitrary accessor
 // over m d-dimensional skyline points — the hook through which the streaming
 // pipeline, which has no materialized Dataset, preps the skyline points it
-// buffered during the BNL pass. The accessor is called repeatedly per point
-// and must be cheap (an index into resident storage).
+// buffered during the BNL pass.
 func prepareSkylineFrom(d, m int, point func(j int) []float64) *skyPrep {
-	sp := &skyPrep{d: d, m: m, orders: make([]skyOrder, d+1)}
-	keys := make([]float64, m) // scratch: key of skyline point j under the current order
-	order := make([]int, m)
-	for o := range sp.orders {
-		for j := 0; j < m; j++ {
-			if o == 0 {
-				keys[j] = geom.L1(point(j))
+	w := (m + 63) / 64
+	stride := 1
+	for (m/stride+1)*w > prefixTableWords {
+		stride++
+	}
+	sp := &skyPrep{d: d, m: m, words: w, stride: stride, axes: make([]skyAxis, d)}
+	keys := make([]uint64, m)
+	cur := make([]uint64, w)
+	for j := range sp.axes {
+		ax := &sp.axes[j]
+		ax.col = make([]int32, m)
+		for c := range keys {
+			ax.col[c] = int32(c)
+			if v := point(c)[j]; v == v {
+				keys[c] = sortable(v)
 			} else {
-				keys[j] = point(j)[o-1]
+				keys[c] = 0
+				ax.nan++
 			}
 		}
-		for j := range order {
-			order[j] = j
+		// NaN first, then ascending; the order among equal keys is
+		// irrelevant because every prefix taken covers whole runs of ties.
+		isNaN := func(c int32) bool { v := point(int(c))[j]; return v != v }
+		sort.Slice(ax.col, func(a, b int) bool {
+			na, nb := isNaN(ax.col[a]), isNaN(ax.col[b])
+			if na != nb {
+				return na
+			}
+			return keys[ax.col[a]] < keys[ax.col[b]]
+		})
+		ax.key = make([]uint64, m)
+		for e, c := range ax.col {
+			ax.key[e] = keys[c]
 		}
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-		so := skyOrder{
-			key: make([]float64, m),
-			pts: make([]float64, m*d),
-			col: make([]int32, m),
+		ax.rows = make([]uint64, (m/stride+1)*w)
+		clear(cur)
+		for e := 0; e <= m; e++ {
+			if e%stride == 0 {
+				copy(ax.rows[e/stride*w:], cur)
+			}
+			if e < m {
+				c := ax.col[e]
+				cur[c>>6] |= 1 << (uint32(c) & 63)
+			}
 		}
-		for e, j := range order {
-			so.key[e] = keys[j]
-			so.col[e] = int32(j)
-			copy(so.pts[e*d:(e+1)*d], point(j))
-		}
-		sp.orders[o] = so
 	}
 	return sp
 }
 
-// len returns the number of skyline points.
-func (sp *skyPrep) len() int { return sp.m }
-
-// shortestPrefix returns the order holding the fewest candidate dominators
-// of a probe with the given coordinates and L1 norm, and that prefix's
-// length. The L1 prefix is strict (s ≺ p ⇒ L1(s) < L1(p)); the coordinate
-// prefixes include equal keys (s[j] ≤ p[j]).
-func (sp *skyPrep) shortestPrefix(p []float64, l1 float64) (*skyOrder, int) {
-	best := &sp.orders[0]
-	bestCut := sort.SearchFloat64s(best.key, l1)
-	for j := 0; j < sp.d; j++ {
-		o := &sp.orders[1+j]
-		x := p[j]
-		cut := sort.Search(sp.m, func(i int) bool { return o.key[i] > x })
-		if cut < bestCut {
-			best, bestCut = o, cut
-		}
+// prefix returns the columns of the first k entries of ax: a checkpoint row
+// of the table, or that row plus the entries after it, built in tmp.
+func (sp *skyPrep) prefix(ax *skyAxis, k int, tmp []uint64) []uint64 {
+	w := sp.words
+	if sp.stride == 1 {
+		return ax.rows[k*w : (k+1)*w]
 	}
-	return best, bestCut
+	r := k / sp.stride
+	row := ax.rows[r*w : (r+1)*w]
+	base := r * sp.stride
+	if base == k {
+		return row
+	}
+	copy(tmp, row)
+	for _, c := range ax.col[base:k] {
+		tmp[c>>6] |= 1 << (uint32(c) & 63)
+	}
+	return tmp
 }
 
-// b2i converts a comparison result to 0/1 without a data-dependent branch;
-// the compiler lowers it to a flag materialization. The dominance scans
-// accumulate per-dimension comparisons with it because each comparison is
-// close to a coin flip — the worst case for branchy code.
-func b2i(b bool) int {
-	if b {
-		return 1
+// sortable maps a non-NaN float64 to a uint64 of the same order, with -0
+// and +0 mapped alike, so the searches below compare integers. No image is
+// 0, so the number of keys < k is the number of keys ≤ k−1.
+func sortable(f float64) uint64 {
+	u := math.Float64bits(f)
+	if u == 1<<63 {
+		u = 0 // -0 == +0
 	}
-	return 0
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
 }
 
-// dominators appends to dst the original columns of every skyline point that
-// strictly dominates p (whose L1 norm the caller supplies) and returns the
-// extended slice. The comparisons mirror geom.Dominates exactly — worse on
-// no dimension, better on at least one — so the reported set is
-// bit-identical to scanning with it.
-func (sp *skyPrep) dominators(dst []int32, p []float64, l1 float64) []int32 {
-	so, cut := sp.shortestPrefix(p, l1)
-	col := so.col
-	// Reslicing the flattened block to the prefix gives the compiler one
-	// loop bound and eliminates the per-entry bounds checks.
-	pts := so.pts[:cut*sp.d]
-	switch sp.d {
-	case 2:
-		p0, p1 := p[0], p[1]
-		e := 0
-		for base := 0; base+2 <= len(pts); base += 2 {
-			s0, s1 := pts[base], pts[base+1]
-			worse := b2i(s0 > p0) | b2i(s1 > p1)
-			better := b2i(s0 < p0) | b2i(s1 < p1)
-			if worse == 0 && better != 0 {
-				dst = append(dst, col[e])
+// countLE returns the number of keys ≤ x in ascending keys. The search is
+// branch-free — each step is close to a coin flip, the worst case for a
+// branch — and the compiler keeps a conditional move out of a loop whose
+// value feeds a load address, so the step is masked with the borrow of an
+// integer subtraction instead.
+func countLE(keys []uint64, x uint64) int {
+	n := len(keys)
+	if n == 0 {
+		return 0
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		_, xLess := bits.Sub64(x, keys[base+half], 0)
+		base += half & (int(xLess) - 1)
+		n -= half
+	}
+	_, xLess := bits.Sub64(x, keys[base], 0)
+	return base + 1 - int(xLess)
+}
+
+// skyProbe is one goroutine's handle on a shared skyPrep: the dominance
+// kernels plus their scratch sets and column list.
+type skyProbe struct {
+	*skyPrep
+	lt             []int // per coordinate: #keys < p_j
+	set, lo        []uint64
+	strict, t1, t2 []uint64
+	cols           []int32
+}
+
+// probe returns a new probe of sp for the calling goroutine.
+func (sp *skyPrep) probe() *skyProbe {
+	w := sp.words
+	buf := make([]uint64, 5*w)
+	return &skyProbe{
+		skyPrep: sp,
+		lt:      make([]int, sp.d),
+		set:     buf[0*w : 1*w : 1*w],
+		lo:      buf[1*w : 2*w : 2*w],
+		strict:  buf[2*w : 3*w : 3*w],
+		t1:      buf[3*w : 4*w : 4*w],
+		t2:      buf[4*w : 5*w : 5*w],
+	}
+}
+
+// dominatorSet writes into dst the set of columns strictly dominating p and
+// reports whether that set is non-empty.
+func (pr *skyProbe) dominatorSet(dst []uint64, p []float64) bool {
+	sp := pr.skyPrep
+	if sp.d == 0 || sp.m == 0 {
+		clear(dst)
+		return false
+	}
+	tieFree := false // some coordinate has LE_j = LT_j
+	for j := range sp.axes {
+		ax := &sp.axes[j]
+		le, lt := sp.m, ax.nan
+		if x := p[j]; x == x {
+			k := sortable(x)
+			le = ax.nan + countLE(ax.key[ax.nan:], k)
+			lt = le
+			if le > ax.nan && ax.key[le-1] == k {
+				lt = ax.nan + countLE(ax.key[ax.nan:], k-1)
 			}
-			e++
 		}
-	case 3:
-		p0, p1, p2 := p[0], p[1], p[2]
-		e := 0
-		for base := 0; base+3 <= len(pts); base += 3 {
-			s0, s1, s2 := pts[base], pts[base+1], pts[base+2]
-			worse := b2i(s0 > p0) | b2i(s1 > p1) | b2i(s2 > p2)
-			better := b2i(s0 < p0) | b2i(s1 < p1) | b2i(s2 < p2)
-			if worse == 0 && better != 0 {
-				dst = append(dst, col[e])
-			}
-			e++
+		if le == 0 {
+			clear(dst)
+			return false
 		}
-	case 4:
-		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
-		e := 0
-		for base := 0; base+4 <= len(pts); base += 4 {
-			s0, s1, s2, s3 := pts[base], pts[base+1], pts[base+2], pts[base+3]
-			worse := b2i(s0 > p0) | b2i(s1 > p1) | b2i(s2 > p2) | b2i(s3 > p3)
-			better := b2i(s0 < p0) | b2i(s1 < p1) | b2i(s2 < p2) | b2i(s3 < p3)
-			if worse == 0 && better != 0 {
-				dst = append(dst, col[e])
+		row := sp.prefix(ax, le, pr.t1)
+		if j == 0 {
+			copy(dst, row)
+		} else {
+			for i := range dst {
+				dst[i] &= row[i]
 			}
-			e++
 		}
-	case 5:
-		p0, p1, p2, p3, p4 := p[0], p[1], p[2], p[3], p[4]
-		e := 0
-		for base := 0; base+5 <= len(pts); base += 5 {
-			s0, s1, s2, s3, s4 := pts[base], pts[base+1], pts[base+2], pts[base+3], pts[base+4]
-			worse := b2i(s0 > p0) | b2i(s1 > p1) | b2i(s2 > p2) | b2i(s3 > p3) | b2i(s4 > p4)
-			better := b2i(s0 < p0) | b2i(s1 < p1) | b2i(s2 < p2) | b2i(s3 < p3) | b2i(s4 < p4)
-			if worse == 0 && better != 0 {
-				dst = append(dst, col[e])
+		pr.lt[j] = lt
+		tieFree = tieFree || le == lt && ax.nan == 0
+	}
+	if !tieFree {
+		strict := pr.strict
+		clear(strict)
+		for j := range sp.axes {
+			ax := &sp.axes[j]
+			row := sp.prefix(ax, pr.lt[j], pr.t1)
+			if ax.nan == 0 {
+				for i := range strict {
+					strict[i] |= row[i]
+				}
+				continue
 			}
-			e++
+			nan := sp.prefix(ax, ax.nan, pr.t2)
+			for i := range strict {
+				strict[i] |= row[i] &^ nan[i]
+			}
 		}
-	default:
-		d := sp.d
-		for e := 0; e < cut; e++ {
-			if geom.Dominates(so.pts[e*d:(e+1)*d], p) {
-				dst = append(dst, col[e])
-			}
+		for i := range dst {
+			dst[i] &= strict[i]
+		}
+	}
+	var nonEmpty uint64
+	for _, v := range dst {
+		nonEmpty |= v
+	}
+	return nonEmpty != 0
+}
+
+// appendCols appends the members of set to dst in ascending order.
+func appendCols(dst []int32, set []uint64) []int32 {
+	for w, word := range set {
+		for word != 0 {
+			dst = append(dst, int32(w<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 	return dst
 }
 
-// classifyRect fills dst with the columns fully dominating rect and reports
-// whether any column partially dominates it (in which case dst's contents
-// are meaningless and the subtree must be opened). Both relations require
-// dominating the rectangle's upper-right corner, so the candidate prefix is
-// chosen for Hi. The returned slice always carries dst's storage forward.
-func (sp *skyPrep) classifyRect(dst []int32, rect geom.Rect) ([]int32, bool) {
-	so, cut := sp.shortestPrefix(rect.Hi, geom.L1(rect.Hi))
-	d := sp.d
-	for e := 0; e < cut; e++ {
-		switch geom.DomRelation(so.pts[e*d:(e+1)*d], rect) {
-		case geom.DomFull:
-			dst = append(dst, so.col[e])
-		case geom.DomPartial:
-			return dst, true
-		}
+// dominators returns, ascending, the columns of every skyline point that
+// strictly dominates p (exactly those geom.Dominates accepts). The slice is
+// the probe's scratch, valid until its next call.
+func (pr *skyProbe) dominators(p []float64) []int32 {
+	pr.cols = pr.cols[:0]
+	if pr.dominatorSet(pr.set, p) {
+		pr.cols = appendCols(pr.cols, pr.set)
 	}
-	return dst, false
+	return pr.cols
 }
 
-// sigScratch bundles the per-row scratch of a signature generator: the hash
-// vector of the current row, its per-group minima, and the columns
-// dominating it. Pooled so the serving path does not allocate a fresh set
-// per query.
+// classifyRect returns, ascending, the columns fully dominating rect and
+// reports whether any column partially dominates it, in which case the
+// column list is meaningless and the subtree must be opened. The relations
+// are exactly geom.DomRelation's. The slice is the probe's scratch.
+func (pr *skyProbe) classifyRect(rect geom.Rect) ([]int32, bool) {
+	pr.cols = pr.cols[:0]
+	pr.dominatorSet(pr.set, rect.Hi)
+	pr.dominatorSet(pr.lo, rect.Lo)
+	for i, v := range pr.set {
+		if v&^pr.lo[i] != 0 {
+			return pr.cols, true
+		}
+	}
+	pr.cols = appendCols(pr.cols, pr.lo)
+	return pr.cols, false
+}
+
+// classifyRectSplit is classifyRect keeping both sides: it returns,
+// ascending and in fresh slices, the columns fully dominating rect and
+// those partially dominating it. The remaining columns dominate nothing
+// inside rect.
+func (pr *skyProbe) classifyRectSplit(rect geom.Rect) (full, part []int32) {
+	pr.dominatorSet(pr.set, rect.Hi)
+	pr.dominatorSet(pr.lo, rect.Lo)
+	full = appendCols(nil, pr.lo)
+	for i, v := range pr.lo {
+		pr.set[i] &^= v
+	}
+	return full, appendCols(nil, pr.set)
+}
+
+// sigScratch bundles the per-row hash scratch of a signature generator: the
+// hash vector of the current row and its per-group minima. Pooled so the
+// serving path does not allocate a fresh set per query.
 type sigScratch struct {
-	hv   []uint32
-	gm   []uint32
-	cols []int32
+	hv []uint32
+	gm []uint32
 }
 
 var sigScratchPool = sync.Pool{New: func() any { return new(sigScratch) }}
@@ -228,9 +341,51 @@ func getSigScratch(t int) *sigScratch {
 		s.gm = make([]uint32, g)
 	}
 	s.gm = s.gm[:g]
-	s.cols = s.cols[:0]
 	return s
 }
 
 // release returns the scratch to the pool.
 func (s *sigScratch) release() { sigScratchPool.Put(s) }
+
+// rowFolder is the fold half of the Phase-1 row kernel, shared by every
+// generator that scans rows: it hashes a dominated row once — stepping the
+// hash residues while row ids arrive consecutively — folds it into all of
+// its dominating columns with one screened call, and counts the domination
+// scores. Not safe for concurrent use.
+type rowFolder struct {
+	fp *Fingerprint
+	st *minhash.Stepper
+	sc *sigScratch
+}
+
+// newRowFolder returns a folder into fp hashing with fam.
+func newRowFolder(fam *minhash.Family, fp *Fingerprint) *rowFolder {
+	return &rowFolder{fp: fp, st: fam.Stepper(0, fam.Size()), sc: getSigScratch(fam.Size())}
+}
+
+// release returns the folder's pooled scratch; the fingerprint stays valid.
+func (f *rowFolder) release() { f.sc.release() }
+
+// fold folds row id row into the columns cols.
+func (f *rowFolder) fold(cols []int32, row uint64) {
+	minHv := f.st.HashGroupMin(f.sc.hv, row, f.sc.gm)
+	f.fp.Matrix.FoldRow(cols, f.sc.hv, f.sc.gm, minHv)
+	for _, c := range cols {
+		f.fp.DomScore[c]++
+	}
+}
+
+// foldRun folds the count consecutive row ids base, base+1, … into the
+// columns cols, all of which dominate every one of them.
+func (f *rowFolder) foldRun(cols []int32, base uint64, count int) {
+	if len(cols) == 0 {
+		return
+	}
+	for r := uint64(0); r < uint64(count); r++ {
+		minHv := f.st.HashGroupMin(f.sc.hv, base+r, f.sc.gm)
+		f.fp.Matrix.FoldRow(cols, f.sc.hv, f.sc.gm, minHv)
+	}
+	for _, c := range cols {
+		f.fp.DomScore[c] += float64(count)
+	}
+}

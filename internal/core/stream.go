@@ -7,7 +7,6 @@ import (
 
 	"skydiver/internal/budget"
 	"skydiver/internal/data"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 )
@@ -42,16 +41,14 @@ func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [
 	if err := src.Reset(); err != nil {
 		return nil, err
 	}
-	t := fam.Size()
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
 	counter := pager.NewSequentialCounter(8*src.Dims() + 4)
 	pageQuantum := counter.RecordsPerPage()
 
-	prep := prepareSkylineFrom(src.Dims(), m, func(j int) []float64 { return skyPts[j] })
+	pr := prepareSkylineFrom(src.Dims(), m, func(j int) []float64 { return skyPts[j] }).probe()
 
-	sc := getSigScratch(t)
-	defer sc.release()
-	hv := sc.hv
+	rf := newRowFolder(fam, fp)
+	defer rf.release()
 	tracker := budget.From(ctx)
 	// skyCursor walks the ascending skyline ids in lockstep with the scan:
 	// the streaming replacement for the in-memory bitset.
@@ -83,14 +80,8 @@ func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [
 			skyCursor++
 			continue
 		}
-		sc.cols = prep.dominators(sc.cols[:0], p, geom.L1(p))
-		if len(sc.cols) == 0 {
-			continue
-		}
-		minHv := fam.HashAllGroupMin(hv, uint64(i), sc.gm)
-		for _, c := range sc.cols {
-			fp.Matrix.UpdateColumnGrouped(int(c), hv, sc.gm, minHv)
-			fp.DomScore[c]++
+		if cols := pr.dominators(p); len(cols) > 0 {
+			rf.fold(cols, uint64(i))
 		}
 	}
 	fp.IO = counter.Stats()

@@ -1,6 +1,7 @@
 package minhash
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,9 +11,10 @@ import (
 // change a single slot, for any update sequence, signature size, or column
 // count.
 
-// TestGroupedFoldMatchesPlain: folding through UpdateColumnGrouped and
-// UpdateColumnBounded produces matrices bit-identical to UpdateColumn, with
-// HashAllGroupMin/HashAllMin agreeing with HashAll on the way.
+// TestGroupedFoldMatchesPlain: folding through UpdateColumnGrouped,
+// FoldRow and UpdateColumnBounded produces matrices bit-identical to
+// UpdateColumn, with HashAllGroupMin/HashAllMin agreeing with HashAll on the
+// way.
 func TestGroupedFoldMatchesPlain(t *testing.T) {
 	sizes := []int{1, 2, 3, 7, 8, 9, 15, 16, 31, 100, 163}
 	for _, size := range sizes {
@@ -22,6 +24,7 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 			plain := NewMatrix(size, cols)
 			bounded := NewMatrix(size, cols)
 			grouped := NewMatrix(size, cols)
+			rowFold := NewMatrix(size, cols)
 			hv := make([]uint32, size)
 			hvMin := make([]uint32, size)
 			hvGrp := make([]uint32, size)
@@ -45,11 +48,12 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 				plain.UpdateColumn(c, hv)
 				bounded.UpdateColumnBounded(c, hvMin, minHv)
 				grouped.UpdateColumnGrouped(c, hvGrp, gm, grpMin)
+				rowFold.FoldRow([]int32{int32(c)}, hvGrp, gm, grpMin)
 			}
 			for c := 0; c < cols; c++ {
-				pc, bc, gc := plain.Column(c), bounded.Column(c), grouped.Column(c)
+				pc, bc, gc, rc := plain.Column(c), bounded.Column(c), grouped.Column(c), rowFold.Column(c)
 				for i := range pc {
-					if pc[i] != bc[i] || pc[i] != gc[i] {
+					if pc[i] != bc[i] || pc[i] != gc[i] || pc[i] != rc[i] {
 						return false
 					}
 				}
@@ -117,5 +121,49 @@ func TestBoundsStayExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRemoveRowMatchesRefold removes rows from random column sets and checks
+// the repaired column — slots and screen bounds — against a fresh fold of
+// the rows that remain, including a removal that empties the set.
+func TestRemoveRowMatchesRefold(t *testing.T) {
+	f := func(rows []uint16, drop uint8) bool {
+		const size = 40
+		fam, _ := NewFamily(size, 5)
+		if len(rows) == 0 {
+			rows = []uint16{7}
+		}
+		set := make([]int, 0, len(rows))
+		for _, r := range rows {
+			set = append(set, int(r))
+		}
+		gone := set[int(drop)%len(set)]
+		var rest []int
+		for _, r := range set {
+			if r != gone {
+				rest = append(rest, r)
+			}
+		}
+		m, want := NewMatrix(size, 1), NewMatrix(size, 1)
+		hv := make([]uint32, size)
+		for _, r := range set {
+			fam.HashAll(hv, uint64(r))
+			m.UpdateColumn(0, hv)
+		}
+		for _, r := range rest {
+			fam.HashAll(hv, uint64(r))
+			want.UpdateColumn(0, hv)
+		}
+		fam.HashAll(hv, uint64(gone))
+		m.RemoveRow(0, hv, fam, rest)
+		return slices.Equal(m.Column(0), want.Column(0)) && m.colMax[0] == want.colMax[0] &&
+			slices.Equal(m.groupMax, want.groupMax)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if !f([]uint16{3}, 0) {
+		t.Error("removing the only row did not empty the column")
 	}
 }

@@ -136,16 +136,70 @@ func (f *Family) HashAllGroupMinAccum(dst []uint32, x uint64, gm []uint32, acc [
 	return minv
 }
 
-// HashRange evaluates hash functions [lo, hi) on row id x, writing the
-// values into dst[:hi−lo], and returns their minimum (MaxUint32 when the
-// range is empty). The parallel signature generators stripe the hash family
-// across workers with it: each worker evaluates only the slot rows it owns,
-// so the total hash work across workers equals one HashAll per data row.
-func (f *Family) HashRange(dst []uint32, x uint64, lo, hi int) uint32 {
+// Hash evaluates hash function i on row id x.
+func (f *Family) Hash(i int, x uint64) uint32 {
+	return hashOne(f.a[i], f.b[i], x)
+}
+
+// Stepper evaluates hash functions [lo, hi) of a family on row ids that
+// mostly arrive in ascending consecutive order, as they do in every
+// row-scanning signature generator. Since h_i(x+1) = h_i(x) + a_i mod P,
+// it carries the residues (a_i·x + b_i) mod P from row to row: the next
+// consecutive row costs one addition and one conditional subtraction per
+// slot instead of a 128-bit multiply, and any other row id seeks with one
+// mulmod61 per slot. Every value equals Family.Hash exactly. A Stepper is
+// not safe for concurrent use.
+type Stepper struct {
+	a, b   []uint64 // coefficients of the stepper's hash functions
+	res    []uint64 // res[i] = (a[i]·x + b[i]) mod P at row x
+	x      uint64
+	live   bool  // res holds row x
+	bounds []int // slot-group boundaries of HashGroupMin, GroupsFor(hi−lo)+1
+}
+
+// Stepper returns a stepper over hash functions [lo, hi).
+func (f *Family) Stepper(lo, hi int) *Stepper {
+	n := hi - lo
+	g := GroupsFor(n)
+	bounds := make([]int, g+1)
+	for k := 1; k <= g; k++ {
+		bounds[k] = k * n / g
+	}
+	return &Stepper{a: f.a[lo:hi:hi], b: f.b[lo:hi:hi], res: make([]uint64, n), bounds: bounds}
+}
+
+// advance moves the residues to row x: a step when x follows the current
+// row, a seek otherwise.
+func (s *Stepper) advance(x uint64) {
+	res := s.res[:len(s.a)]
+	if s.live && x == s.x+1 {
+		for i, a := range s.a {
+			r := res[i] + a
+			if r >= mersenne61 {
+				r -= mersenne61
+			}
+			res[i] = r
+		}
+	} else {
+		b := s.b[:len(s.a)]
+		for i, a := range s.a {
+			res[i] = residue(a, b[i], x)
+		}
+	}
+	s.x, s.live = x, true
+}
+
+// HashMin writes the stepper's hash values of row x into dst[:hi−lo] and
+// returns their minimum (MaxUint32 when the range is empty). The parallel
+// signature generator stripes the family across workers with it: each
+// worker evaluates only the slot rows it owns.
+func (s *Stepper) HashMin(dst []uint32, x uint64) uint32 {
+	s.advance(x)
+	dst = dst[:len(s.res)]
 	minv := uint32(math.MaxUint32)
-	for i := lo; i < hi; i++ {
-		v := hashOne(f.a[i], f.b[i], x)
-		dst[i-lo] = v
+	for i, r := range s.res {
+		v := fold32(r)
+		dst[i] = v
 		if v < minv {
 			minv = v
 		}
@@ -153,23 +207,53 @@ func (f *Family) HashRange(dst []uint32, x uint64, lo, hi int) uint32 {
 	return minv
 }
 
-// Hash evaluates hash function i on row id x.
-func (f *Family) Hash(i int, x uint64) uint32 {
-	return hashOne(f.a[i], f.b[i], x)
+// HashGroupMin is HashAllGroupMin for a stepper spanning the whole family:
+// it writes the hash values of row x into dst, the per-group minima into gm
+// (len GroupsFor(len(dst))), and returns the overall minimum.
+func (s *Stepper) HashGroupMin(dst []uint32, x uint64, gm []uint32) uint32 {
+	s.advance(x)
+	minv := uint32(math.MaxUint32)
+	for k := range gm {
+		lo, hi := s.bounds[k], s.bounds[k+1]
+		out := dst[lo:hi]
+		gv := uint32(math.MaxUint32)
+		for i, r := range s.res[lo:hi] {
+			v := fold32(r)
+			out[i] = v
+			if v < gv {
+				gv = v
+			}
+		}
+		gm[k] = gv
+		if gv < minv {
+			minv = gv
+		}
+	}
+	return minv
 }
 
-// hashOne computes (a·x + b) mod P folded to 32 bits. Values are uniform in
-// [0, P), so keeping the low 32 bits preserves uniformity — except that the
-// all-ones word is reserved: it is the emptySlot ∞ sentinel, and a row
-// legitimately hashing there would make its column indistinguishable from
-// "dominates nothing", skewing EstimateJs for near-empty columns. Such a
-// value is clamped to MaxUint32−1 (a 2⁻³² bias, well below the estimator's
-// own variance).
+// hashOne computes (a·x + b) mod P folded to 32 bits.
 func hashOne(a, b, x uint64) uint32 {
+	return fold32(residue(a, b, x))
+}
+
+// residue returns (a·x + b) mod P for b < P.
+func residue(a, b, x uint64) uint64 {
 	v := mulmod61(a, x) + b
 	if v >= mersenne61 {
 		v -= mersenne61
 	}
+	return v
+}
+
+// fold32 folds a residue in [0, P) to its 32-bit slot value. Residues are
+// uniform in [0, P), so keeping the low 32 bits preserves uniformity —
+// except that the all-ones word is reserved: it is the emptySlot ∞
+// sentinel, and a row legitimately hashing there would make its column
+// indistinguishable from "dominates nothing", skewing EstimateJs for
+// near-empty columns. Such a value is clamped to MaxUint32−1 (a 2⁻³² bias,
+// well below the estimator's own variance).
+func fold32(v uint64) uint32 {
 	h := uint32(v)
 	if h == emptySlot {
 		h--
@@ -332,6 +416,26 @@ func (m *Matrix) UpdateColumnGrouped(c int, hv []uint32, gm []uint32, minHv uint
 	if minHv >= m.colMax[c] {
 		return
 	}
+	m.foldGroups(c, hv, gm)
+}
+
+// FoldRow folds one row's hash values into every column of cols with one
+// call: each column is screened against its slot maximum and only admitted
+// columns take the grouped fold. The result is bit-identical to calling
+// UpdateColumnGrouped once per column; since the screen rejects most
+// columns once their signatures have filled, a call per column would be
+// mostly call overhead.
+func (m *Matrix) FoldRow(cols []int32, hv []uint32, gm []uint32, minHv uint32) {
+	colMax := m.colMax
+	for _, c := range cols {
+		if minHv < colMax[c] {
+			m.foldGroups(int(c), hv, gm)
+		}
+	}
+}
+
+// foldGroups is the grouped fold of a row admitted by the column screen.
+func (m *Matrix) foldGroups(c int, hv []uint32, gm []uint32) {
 	t, groups := m.t, m.groups
 	col := m.sig[c*t : (c+1)*t]
 	gmax := m.groupMax[c*groups : (c+1)*groups]
@@ -503,6 +607,28 @@ func (m *Matrix) ColumnMatchesAny(c int, hv []uint32) bool {
 		}
 	}
 	return false
+}
+
+// RemoveRow repairs column c after a row left the column's set: hv holds
+// the departed row's hash values and rest the ids of the rows that remain.
+// Only the slots the row held (where the column equals hv) can change — any
+// other slot's minimum belongs to a remaining row — and each is recomputed
+// as the minimum of its hash function over rest. The column ends up exactly
+// as a refold of rest would leave it, at |rest| hashes per held slot
+// instead of t.
+func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
+	col := m.sig[c*m.t : (c+1)*m.t]
+	for i, v := range hv {
+		if col[i] != v {
+			continue
+		}
+		nv := uint32(emptySlot)
+		for _, r := range rest {
+			nv = min(nv, fam.Hash(i, uint64(r)))
+		}
+		col[i] = nv
+	}
+	m.refreshBounds(c)
 }
 
 // slotBlock is the number of signature slots the batched estimator streams

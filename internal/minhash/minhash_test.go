@@ -3,6 +3,7 @@ package minhash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,91 @@ func TestHashConsistency(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if got := f.Hash(i, 999); got != all[i] {
 			t.Errorf("Hash(%d) = %d, HashAll gave %d", i, got, all[i])
+		}
+	}
+}
+
+// TestStepperMatchesHash pins stepped hashing to Family.Hash on the row-id
+// patterns the generators produce — consecutive runs, gaps, repeats, reverse
+// order — and on ids above 2³², over the whole family and over stripes.
+func TestStepperMatchesHash(t *testing.T) {
+	const size = 100
+	fam, _ := NewFamily(size, 3)
+	run := func(lo, n uint64) []uint64 {
+		xs := make([]uint64, n)
+		for i := range xs {
+			xs[i] = lo + uint64(i)
+		}
+		return xs
+	}
+	var gaps []uint64
+	for x := uint64(0); x < 5000; x += 1 + x%7/5*(x%13) {
+		gaps = append(gaps, x)
+	}
+	reverse := run(0, 1000)
+	slices.Reverse(reverse)
+	patterns := map[string][]uint64{
+		"consecutive": run(0, 2000),
+		"gaps":        gaps,
+		"repeats":     {5, 5, 6, 6, 6, 7, 9, 9},
+		"reverse":     reverse,
+		"above 2^32":  append(append(run(1<<32-3, 600), run(1<<40+7, 300)...), 1<<60, 1<<60+1, 1<<61-2, 1<<61-1, 1<<61),
+	}
+	hv, want := make([]uint32, size), make([]uint32, size)
+	gm, wantGm := make([]uint32, GroupsFor(size)), make([]uint32, GroupsFor(size))
+	stripe := make([]uint32, size)
+	for name, xs := range patterns {
+		st := fam.Stepper(0, size)
+		stripes := [][2]int{{0, 33}, {33, 34}, {34, size}, {50, 50}}
+		steppers := make([]*Stepper, len(stripes))
+		for i, sr := range stripes {
+			steppers[i] = fam.Stepper(sr[0], sr[1])
+		}
+		for _, x := range xs {
+			minv := st.HashGroupMin(hv, x, gm)
+			wantMin := fam.HashAllGroupMin(want, x, wantGm)
+			for i := range want {
+				if want[i] != fam.Hash(i, x) || hv[i] != want[i] {
+					t.Fatalf("%s: row %d slot %d: stepped %d, Hash %d", name, x, i, hv[i], fam.Hash(i, x))
+				}
+			}
+			if minv != wantMin || !slices.Equal(gm, wantGm) {
+				t.Fatalf("%s: row %d: minima %d %v, want %d %v", name, x, minv, gm, wantMin, wantGm)
+			}
+			for i, sr := range stripes {
+				smin := steppers[i].HashMin(stripe, x)
+				wmin := uint32(math.MaxUint32)
+				for s := sr[0]; s < sr[1]; s++ {
+					if stripe[s-sr[0]] != want[s] {
+						t.Fatalf("%s: row %d stripe %v slot %d: %d, want %d", name, x, sr, s, stripe[s-sr[0]], want[s])
+					}
+					wmin = min(wmin, want[s])
+				}
+				if smin != wmin {
+					t.Fatalf("%s: row %d stripe %v: min %d, want %d", name, x, sr, smin, wmin)
+				}
+			}
+		}
+	}
+}
+
+// TestStepperClamp steps onto the emptySlot sentinel: slot 0 reaches
+// 2³²−1 at row 1 and must be clamped like hashOne clamps it, while slots 1
+// and 2 (a = P−1) wrap modulo P on every step, slot 2 landing exactly on P
+// at row 1.
+func TestStepperClamp(t *testing.T) {
+	fam := &Family{a: []uint64{1, mersenne61 - 1, mersenne61 - 1}, b: []uint64{emptySlot - 1, 5, 1}}
+	st := fam.Stepper(0, 3)
+	hv, gm := make([]uint32, 3), make([]uint32, GroupsFor(3))
+	for x := uint64(0); x < 4; x++ {
+		st.HashGroupMin(hv, x, gm)
+		for i := range hv {
+			if hv[i] != fam.Hash(i, x) {
+				t.Fatalf("row %d slot %d: stepped %d, Hash %d", x, i, hv[i], fam.Hash(i, x))
+			}
+		}
+		if x == 1 && (hv[0] != emptySlot-1 || hv[1] != 4 || hv[2] != 0) {
+			t.Fatalf("row 1: %v, want [%d 4 0]", hv, uint32(emptySlot-1))
 		}
 	}
 }

@@ -3,8 +3,11 @@ package skydiver
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"skydiver/internal/data"
 )
 
 // liveRows returns the live points of d in row order plus the mapping from
@@ -401,5 +404,54 @@ func BenchmarkDatasetInsert(b *testing.B) {
 		if _, err := d.Insert(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCachedAnswerSurvivesDominatedDeletes replays, through the public API,
+// the write sequence that exposed stale signature columns after a delete of
+// a dominated row: ANT-20K-4D with a resident MinHash fingerprint, then
+// inserts of fresh anticorrelated points alternating with deletes of random
+// rows. Its 62nd write, Delete(6139), removes a row outside the skyline
+// whose hashes hold slot minima in several dominator columns; the
+// maintained answer must still equal an uncached recompute.
+func TestCachedAnswerSurvivesDominatedDeletes(t *testing.T) {
+	ds, err := Generate(Anticorrelated, 20000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	opts := Options{K: 10, SignatureSize: 100, Seed: 1597969999, Algorithm: MinHash}
+	if _, err := ds.Diversify(opts); err != nil {
+		t.Fatal(err)
+	}
+	inserts := data.Anticorrelated(8192, 4, 1)
+	deletes := rand.New(rand.NewSource(1)).Perm(20000)
+	if deletes[30] != 6139 {
+		t.Fatalf("fixture: the 31st delete is row %d, want 6139", deletes[30])
+	}
+	for n := 0; n < 62; n++ {
+		if n%2 == 0 {
+			_, err = ds.Insert(inserts.Point(n / 2))
+		} else {
+			err = ds.Delete(deletes[n/2])
+		}
+		if err != nil {
+			t.Fatalf("write %d: %v", n+1, err)
+		}
+	}
+	cached, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoCache = true
+	fresh, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached.FingerprintCached {
+		t.Fatal("the resident fingerprint did not survive the writes")
+	}
+	if !slices.Equal(cached.Indexes, fresh.Indexes) {
+		t.Fatalf("maintained answer %v, recompute %v", cached.Indexes, fresh.Indexes)
 	}
 }
