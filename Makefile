@@ -67,10 +67,12 @@ cluster-smoke:
 stress:
 	$(GO) run ./cmd/skystress
 
-# Fuzz the pager fault-policy decoder and retry path for a short burst.
+# Fuzz the pager fault-policy decoder and retry path, the dominance kernel
+# and the lazy greedy selection (against the eager loop) for a short burst.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPolicy -fuzztime 20s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesEager -fuzztime 20s ./internal/dispersion/
 
 # Benchmark pass emitting the JSON snapshots that make hot-path regressions
 # reviewable in diffs (and enforceable via benchgate). Three suites:
@@ -104,7 +106,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'EstimateJs|HashAll' -benchmem -benchtime=10000x -count=1 ./internal/minhash ; \
 	  $(GO) test -run '^$$' -bench 'SigGen' -benchmem -benchtime=1x -count=1 ./internal/core ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_phase1.json
-	$(GO) test -run '^$$' -bench 'SelectParallel|SelectSequential|SelectDiverseSet' \
+	$(GO) test -run '^$$' -bench 'SelectSequential|SelectDiverseSet' \
 		-benchmem -benchtime=1x -count=1 ./internal/dispersion . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_select.json
 	$(GO) test -run '^$$' -bench 'ConcurrentServing' -benchmem -benchtime=3x -count=1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_serving.json

@@ -37,7 +37,9 @@ type Budget struct {
 	// deadline passed". 0 = no cap.
 	MaxWall time.Duration
 	// MaxEstimations caps pairwise distance evaluations (MinHash estimates,
-	// Hamming distances, exact Jaccard oracle calls). 0 = no cap.
+	// Hamming distances, exact Jaccard oracle calls), counted as the
+	// selection makes them: the lazy greedy loop skips the ones that cannot
+	// change its picks. 0 = no cap.
 	MaxEstimations int64
 }
 

@@ -355,6 +355,30 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	}
 }
 
+// TestWorkerBoundsRequestSizes: a shard count above the spec's row count and
+// a signature size whose fingerprint would exceed the cap are rejected with
+// 400 before the worker allocates per-shard or per-slot state.
+func TestWorkerBoundsRequestSizes(t *testing.T) {
+	_, urls := startWorkers(t, 1)
+	post := func(path string, body any) int {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(urls[0]+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	spec := testSpec()
+	if code := post(PathSkyline, ShardRequest{Spec: spec, Shards: 2_000_000_000, Shard: 0}); code != http.StatusBadRequest {
+		t.Errorf("shards above the row count: status %d, want 400", code)
+	}
+	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 2_000_000_000, HashSeed: 1, Sky: []int{0, 1, 2}}); code != http.StatusBadRequest {
+		t.Errorf("oversized signature: status %d, want 400", code)
+	}
+}
+
 // TestWorkerRejectsBadRequests pins the worker's client-error surface: bad
 // epoch → 409, malformed addressing → 400, wrong method → 405.
 func TestWorkerRejectsBadRequests(t *testing.T) {

@@ -65,6 +65,9 @@ func (r ShardRequest) Validate() error {
 	if r.Shards < 1 {
 		return fmt.Errorf("cluster: non-positive shard count %d", r.Shards)
 	}
+	if r.Shards > r.Spec.N {
+		return fmt.Errorf("cluster: shard count %d exceeds the %d rows", r.Shards, r.Spec.N)
+	}
 	if r.Shard < 0 || r.Shard >= r.Shards {
 		return fmt.Errorf("cluster: shard index %d out of [0, %d)", r.Shard, r.Shards)
 	}

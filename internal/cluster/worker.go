@@ -408,6 +408,11 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: sigfold request carries no skyline"))
 		return
 	}
+	if !minhash.FingerprintFits(req.T, len(req.Sky)) {
+		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: signature size %d over %d skyline points exceeds the %d MiB fingerprint cap",
+			req.T, len(req.Sky), minhash.MaxFingerprintBytes>>20))
+		return
+	}
 	fam, err := minhash.NewFamily(req.T, req.HashSeed)
 	if err != nil {
 		w.writeError(rw, http.StatusBadRequest, err)

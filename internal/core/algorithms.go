@@ -49,12 +49,12 @@ type Config struct {
 	// LSHBuckets is B, the buckets per zone; used by SkyDiverLSH only
 	// (default 20).
 	LSHBuckets int
-	// Workers parallelizes the CPU-bound stages across goroutines: the
-	// fingerprint pass (index-free shard scans, or index-based subtree
-	// traversals) and the greedy selection's per-round distance updates
-	// (0 or 1 = sequential; <0 = GOMAXPROCS). Output is bit-for-bit
-	// identical to the sequential run for any value; in IndexBased mode the
-	// hit/fault split of the I/O counters may vary with scheduling.
+	// Workers parallelizes the fingerprint pass across goroutines
+	// (index-free row chunks, index-based subtree traversals, or shard
+	// folds; 0 or 1 = sequential; <0 = GOMAXPROCS). The selection always
+	// runs the sequential lazy greedy loop. Output is bit-for-bit identical
+	// to the sequential run for any value; in IndexBased mode the hit/fault
+	// split of the I/O counters may vary with scheduling.
 	Workers int
 	// NoCache bypasses the fingerprint cache for this run: Phase 1 always
 	// executes, and its result is not stored. The knob for measuring cold
@@ -210,36 +210,20 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 	return fp, false, nil
 }
 
-// selectDiverse dispatches the greedy selection: sequential for 0/1 workers,
-// sharded otherwise (bit-identical either way).
-func selectDiverse(ctx context.Context, m, k int, dist dispersion.DistFunc, distMany dispersion.DistManyFunc, score []float64, workers int) ([]int, error) {
-	if workers == 0 || workers == 1 {
-		return dispersion.SelectDiverseSetCtx(ctx, m, k, dist, score)
-	}
-	return dispersion.SelectDiverseSetParallelCtx(ctx, m, k, dist, distMany, score, workers)
-}
-
-// chargeEstimations wraps the distance callbacks with budget accounting when
+// chargeEstimations wraps the distance callback with budget accounting when
 // the context carries a tracker, so MaxEstimations bounds Phase-2 work at the
-// same Err-poll granularity as cancellation. Without a tracker the callbacks
-// are returned unchanged, keeping the unbudgeted hot path free of atomics.
-func chargeEstimations(ctx context.Context, dist dispersion.DistFunc, distMany dispersion.DistManyFunc) (dispersion.DistFunc, dispersion.DistManyFunc) {
+// same Err-poll granularity as cancellation and counts the estimates the
+// selection actually makes. Without a tracker the callback is returned
+// unchanged, keeping the unbudgeted hot path free of atomics.
+func chargeEstimations(ctx context.Context, dist dispersion.DistFunc) dispersion.DistFunc {
 	tr := budget.From(ctx)
 	if tr == nil {
-		return dist, distMany
+		return dist
 	}
-	charged := func(i, j int) float64 {
+	return func(i, j int) float64 {
 		tr.ChargeEstimations(1)
 		return dist(i, j)
 	}
-	var chargedMany dispersion.DistManyFunc
-	if distMany != nil {
-		chargedMany = func(i int, js []int, out []float64) {
-			tr.ChargeEstimations(int64(len(js)))
-			distMany(i, js, out)
-		}
-	}
-	return charged, chargedMany
 }
 
 // partialResult packages the anytime prefix of a cancelled run: the greedy
@@ -290,10 +274,8 @@ func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	}
 
 	start = time.Now()
-	dist, distMany := chargeEstimations(ctx,
-		func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) },
-		fp.Matrix.EstimateJdMany)
-	selected, err := selectDiverse(ctx, len(in.Sky), cfg.K, dist, distMany, fp.DomScore, cfg.Workers)
+	dist := chargeEstimations(ctx, func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) })
+	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, dist, fp.DomScore)
 	selTime := time.Since(start)
 	stats := Stats{
 		Fingerprint:       fpTime,
@@ -355,10 +337,8 @@ func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) 
 	}
 
 	start = time.Now()
-	dist, distMany := chargeEstimations(ctx,
-		func(i, j int) float64 { return float64(vectors.Hamming(i, j)) },
-		vectors.HammingMany)
-	selected, err := selectDiverse(ctx, len(in.Sky), cfg.K, dist, distMany, fp.DomScore, cfg.Workers)
+	dist := chargeEstimations(ctx, func(i, j int) float64 { return float64(vectors.Hamming(i, j)) })
+	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, dist, fp.DomScore)
 	selTime := time.Since(start)
 	stats := Stats{
 		Fingerprint:       fpTime,
@@ -418,15 +398,17 @@ func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error)
 	// cancels the selection: greedy stops within one check stride instead of
 	// grinding on (and charging I/O for) corrupted comparisons.
 	var firstErr error
-	dist, _ := chargeEstimations(ctx, func(i, j int) float64 {
+	dist := chargeEstimations(ctx, func(i, j int) float64 {
 		d, err := oracle.Jd(i, j)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		return d
-	}, nil)
+	})
 	selCtx := &abortCtx{Context: ctx, failed: &firstErr}
-	selected, err := dispersion.SelectDiverseSetCtx(selCtx, len(in.Sky), cfg.K, dist, scores)
+	// The eager loop, not the lazy one: the paper charges this baseline k·m
+	// exact probes, and its I/O is pinned to their order and number.
+	selected, err := dispersion.SelectDiverseSetEagerCtx(selCtx, len(in.Sky), cfg.K, dist, scores)
 	stats := Stats{
 		Select: time.Since(start),
 		IO:     r.Stats().Sub(before),
@@ -517,7 +499,7 @@ func BruteForceCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 			dmat[j*m+i] = d
 		}
 	}
-	dist, _ := chargeEstimations(ctx, func(i, j int) float64 { return dmat[i*m+j] }, nil)
+	dist := chargeEstimations(ctx, func(i, j int) float64 { return dmat[i*m+j] })
 	selected, obj, err := dispersion.BruteForceCtx(ctx, m, cfg.K, dist, dispersion.MaxMin)
 	if err != nil {
 		if ctx.Err() != nil {

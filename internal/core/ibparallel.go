@@ -202,7 +202,9 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 
 	// Workers drain the task list through an atomic cursor; each folds its
 	// subtrees into a private fingerprint. Assignment order is irrelevant —
-	// every task's row ids are absolute.
+	// every task's row ids are absolute. A worker beyond the task count would
+	// only allocate its private t×m matrix, so none is started.
+	workers = min(workers, len(tasks))
 	shards := make([]*Fingerprint, workers)
 	taskErrs := make([]error, len(tasks))
 	var next atomic.Int64

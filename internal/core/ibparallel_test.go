@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"skydiver/internal/data"
@@ -56,6 +58,44 @@ func TestSigGenIBParallelMatchesSequential(t *testing.T) {
 				t.Errorf("workers=%d: %d page reads, want %d", workers, got.IO.Reads, want.IO.Reads)
 			}
 		}
+	}
+}
+
+// TestSigGenIBParallelWorkerCountBounded: a worker count far above the
+// planner's task count (a request parameter of the serving daemon) still
+// yields the sequential fingerprint, and only workers with a task are
+// started, so the allocation follows the task count, not the worker count.
+// Uncapped, each of the 1<<16 workers would allocate its own t×m matrix.
+func TestSigGenIBParallelWorkerCountBounded(t *testing.T) {
+	ds := data.Independent(2000, 3, 7)
+	in := testInput(t, ds)
+	fam, err := minhash.NewFamily(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SigGenIB(in.Tree, ds, in.Sky, fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 1 << 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, workers)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < want.Matrix.Cols(); c++ {
+		if fmt.Sprint(got.Matrix.Column(c)) != fmt.Sprint(want.Matrix.Column(c)) || got.DomScore[c] != want.DomScore[c] {
+			t.Fatalf("column %d differs from the sequential fingerprint", c)
+		}
+	}
+	// The tree has a few dozen nodes, so at most that many tasks; allow a
+	// generous 256 matrices' worth against the 65536 an uncapped run takes.
+	perWorker := uint64(4 * want.Matrix.T() * want.Matrix.Cols())
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 256*perWorker+(1<<20) {
+		t.Errorf("allocated %d bytes for %d workers; the task count, not the worker count, should bound it (%d bytes per worker matrix)",
+			grown, workers, perWorker)
 	}
 }
 

@@ -110,6 +110,9 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 	}
 	numChunks := (n + rowsPerChunk - 1) / rowsPerChunk
 	chunks := make([]ifChunk, numChunks)
+	// Every worker allocates an m-entry score vector; one beyond the chunk
+	// count would scan nothing, so none is started.
+	workers = min(workers, numChunks)
 
 	out := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
 	scores := make([][]float64, workers)

@@ -2,13 +2,46 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
+	"skydiver/internal/pager"
 )
+
+// TestSigGenIFParallelWorkerCountBounded: a worker count far above the
+// row-chunk count (a request parameter of the serving daemon) starts at
+// most one worker per chunk, each with its own m-entry score vector, and
+// still yields the sequential fingerprint.
+func TestSigGenIFParallelWorkerCountBounded(t *testing.T) {
+	ds := data.Independent(2000, 3, 7)
+	in := testInput(t, ds)
+	fam, _ := minhash.NewFamily(64, 1)
+	want, err := SigGenIF(ds, in.Sky, fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started atomic.Int32
+	workerTestHook = func(int) { started.Add(1) }
+	defer func() { workerTestHook = nil }()
+	got, err := SigGenIFParallel(ds, in.Sky, fam, 1<<16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range in.Sky {
+		if fmt.Sprint(got.Matrix.Column(c)) != fmt.Sprint(want.Matrix.Column(c)) || got.DomScore[c] != want.DomScore[c] {
+			t.Fatalf("column %d differs from the sequential fingerprint", c)
+		}
+	}
+	perPage := pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage()
+	if chunks := (ds.Len() + perPage - 1) / perPage; int(started.Load()) > chunks {
+		t.Errorf("started %d workers for %d row chunks", started.Load(), chunks)
+	}
+}
 
 func TestParallelWorkerPanicContained(t *testing.T) {
 	ds := data.Independent(4000, 3, 2)

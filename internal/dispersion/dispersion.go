@@ -50,8 +50,8 @@ func (o Objective) String() string {
 // distance to the chosen set, breaking ties by score. It returns the chosen
 // item indexes in selection order.
 //
-// The minimum distance of every unselected item to the chosen set is
-// maintained incrementally, so the oracle is invoked O(k·m) times. The
+// The oracle is invoked at most once per (item, pick) pair, so O(k·m) times
+// in the worst case and usually far fewer (see SelectDiverseSetCtx). The
 // result is a 2-approximation of the optimal k-MMDP value (Lemma 4).
 func SelectDiverseSet(m, k int, dist DistFunc, score []float64) ([]int, error) {
 	return SelectDiverseSetCtx(context.Background(), m, k, dist, score)
@@ -63,32 +63,108 @@ func SelectDiverseSet(m, k int, dist DistFunc, score []float64) ([]int, error) {
 // context's error — callers keep the partial answer instead of losing the
 // whole run. The context is checked at least once per greedy round and every
 // cancelCheckStride distance evaluations within a round.
+//
+// Evaluation is lazy, by the argument of CELF (Leskovec et al., KDD 2007): an
+// item's minimum distance to the chosen set can only shrink as the set grows,
+// so the last minimum computed for it bounds its current one from above.
+// Each round first brings the item with the best bound up to date, then
+// refreshes only the items whose bound still ranks before the best exact
+// value so far, each only until its bound falls behind. An item left behind
+// cannot win the round, so for NaN-free distances and scores the picks and
+// their order are exactly those of SelectDiverseSetEagerCtx, with each
+// (item, pick) distance evaluated at most once and never more often in
+// total.
 func SelectDiverseSetCtx(ctx context.Context, m, k int, dist DistFunc, score []float64) ([]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("dispersion: non-positive k %d", k)
-	}
-	if k > m {
-		return nil, fmt.Errorf("dispersion: k %d exceeds item count %d", k, m)
-	}
-	if score != nil && len(score) != m {
-		return nil, fmt.Errorf("dispersion: score vector has %d entries for %d items", len(score), m)
+	if err := validateGreedy(m, k, score); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return []int{}, err
 	}
-	sc := func(i int) float64 {
-		if score == nil {
-			return 0
-		}
-		return score[i]
+	selected := make([]int, 0, k)
+	selected = append(selected, maxScore(m, score))
+	// ub[i] is item i's minimum distance to selected[:seen[i]] (+Inf before
+	// the first), an upper bound of its distance to the chosen set that is
+	// exact when seen[i] == len(selected). Chosen items have seen = -1.
+	ub := make([]float64, m)
+	seen := make([]int32, m)
+	for i := range ub {
+		ub[i] = math.Inf(1)
 	}
-	// Seed: maximum score (Figure 6, line 3).
-	first := 0
-	for i := 1; i < m; i++ {
-		if sc(i) > sc(first) {
-			first = i
+	seen[selected[0]] = -1
+	evals := 0
+	best, bd, bs := -1, 0.0, 0.0 // the round's best item, its distance and score
+	// refresh folds the picks item i has not seen into its bound, in
+	// selection order. With cutoff it stops once the bound no longer
+	// outranks the round's best: the item cannot win this round, and the
+	// bound stays valid for later ones.
+	refresh := func(i int, cutoff bool) error {
+		s := int(seen[i])
+		for s < len(selected) {
+			if d := dist(i, selected[s]); d < ub[i] {
+				ub[i] = d
+			}
+			s++
+			if evals++; evals%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			if cutoff && !outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
+				break
+			}
 		}
+		seen[i] = int32(s)
+		return nil
 	}
+	for len(selected) < k {
+		if err := ctx.Err(); err != nil {
+			return selected, err
+		}
+		// Pass 1: the best bound, brought up to date.
+		best = -1
+		for i := 0; i < m; i++ {
+			if seen[i] >= 0 && (best == -1 || outranks(ub[i], scoreAt(score, i), i, ub[best], scoreAt(score, best), best)) {
+				best = i
+			}
+		}
+		if err := refresh(best, false); err != nil {
+			return selected, err
+		}
+		// Pass 2: only an item whose bound still ranks before the best exact
+		// value can win; refresh it and take it if it still does.
+		bd, bs = ub[best], scoreAt(score, best)
+		for i := 0; i < m; i++ {
+			if seen[i] < 0 || i == best || !outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
+				continue
+			}
+			if err := refresh(i, true); err != nil {
+				return selected, err
+			}
+			if outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
+				best, bd, bs = i, ub[i], scoreAt(score, i)
+			}
+		}
+		selected = append(selected, best)
+		seen[best] = -1
+	}
+	return selected, nil
+}
+
+// SelectDiverseSetEagerCtx is the greedy loop of Figure 6 as printed: after
+// every pick it re-evaluates the distance from every remaining item to the
+// newest pick, about k·m oracle calls in a fixed order. It returns the same
+// selection as SelectDiverseSetCtx. Simple-Greedy keeps it because the paper
+// charges that baseline exactly this sequence of exact range-count probes;
+// the tests use it as the oracle for the lazy loop.
+func SelectDiverseSetEagerCtx(ctx context.Context, m, k int, dist DistFunc, score []float64) ([]int, error) {
+	if err := validateGreedy(m, k, score); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return []int{}, err
+	}
+	first := maxScore(m, score)
 	selected := make([]int, 0, k)
 	selected = append(selected, first)
 	inSet := make([]bool, m)
@@ -111,11 +187,7 @@ func SelectDiverseSetCtx(ctx context.Context, m, k int, dist DistFunc, score []f
 		}
 		best := -1
 		for i := 0; i < m; i++ {
-			if inSet[i] {
-				continue
-			}
-			if best == -1 || minDist[i] > minDist[best] ||
-				(minDist[i] == minDist[best] && sc(i) > sc(best)) {
+			if !inSet[i] && (best == -1 || outranks(minDist[i], scoreAt(score, i), i, minDist[best], scoreAt(score, best), best)) {
 				best = i
 			}
 		}
@@ -135,6 +207,48 @@ func SelectDiverseSetCtx(ctx context.Context, m, k int, dist DistFunc, score []f
 		}
 	}
 	return selected, nil
+}
+
+// validateGreedy checks the arguments of the greedy selection loops.
+func validateGreedy(m, k int, score []float64) error {
+	if k < 1 {
+		return fmt.Errorf("dispersion: non-positive k %d", k)
+	}
+	if k > m {
+		return fmt.Errorf("dispersion: k %d exceeds item count %d", k, m)
+	}
+	if score != nil && len(score) != m {
+		return fmt.Errorf("dispersion: score vector has %d entries for %d items", len(score), m)
+	}
+	return nil
+}
+
+// scoreAt is item i's score in the greedy loops: score[i], or 0 for every
+// item when score is nil.
+func scoreAt(score []float64, i int) float64 {
+	if score == nil {
+		return 0
+	}
+	return score[i]
+}
+
+// maxScore returns the greedy seed (Figure 6, line 3): the item of maximum
+// score, the lowest index among ties.
+func maxScore(m int, score []float64) int {
+	first := 0
+	for i := 1; i < m; i++ {
+		if scoreAt(score, i) > scoreAt(score, first) {
+			first = i
+		}
+	}
+	return first
+}
+
+// outranks reports whether item i with distance d and score s ranks before
+// item b with bd and bs under the greedy scan's rule: larger distance, then
+// larger score, then lower index.
+func outranks(d, s float64, i int, bd, bs float64, b int) bool {
+	return d > bd || d == bd && (s > bs || s == bs && i < b)
 }
 
 // SelectDiverseSetFarthestSeed is the classic 2-approximation heuristic of

@@ -1,6 +1,7 @@
 package dispersion
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -24,14 +25,20 @@ func TestObjectiveString(t *testing.T) {
 
 func TestSelectDiverseSetValidation(t *testing.T) {
 	d := euclid([][2]float64{{0, 0}, {1, 1}})
-	if _, err := SelectDiverseSet(2, 0, d, nil); err == nil {
-		t.Error("expected error for k=0")
-	}
-	if _, err := SelectDiverseSet(2, 3, d, nil); err == nil {
-		t.Error("expected error for k>m")
-	}
-	if _, err := SelectDiverseSet(2, 2, d, []float64{1}); err == nil {
-		t.Error("expected error for short score vector")
+	for name, sel := range map[string]func(context.Context, int, int, DistFunc, []float64) ([]int, error){
+		"lazy":  SelectDiverseSetCtx,
+		"eager": SelectDiverseSetEagerCtx,
+	} {
+		ctx := context.Background()
+		if _, err := sel(ctx, 2, 0, d, nil); err == nil {
+			t.Errorf("%s: expected error for k=0", name)
+		}
+		if _, err := sel(ctx, 2, 3, d, nil); err == nil {
+			t.Errorf("%s: expected error for k>m", name)
+		}
+		if _, err := sel(ctx, 2, 2, d, []float64{1}); err == nil {
+			t.Errorf("%s: expected error for short score vector", name)
+		}
 	}
 }
 

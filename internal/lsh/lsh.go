@@ -195,23 +195,6 @@ func (bv *BitVectors) Hamming(i, j int) int {
 	return d
 }
 
-// HammingMany writes the Hamming distance between point i and every point in
-// js into out (len(out) must be at least len(js)), as float64 for direct use
-// as a batched selection-phase distance oracle. Point i's vector stays in
-// registers/L1 across all candidates. Each out[c] equals
-// float64(Hamming(i, js[c])) exactly (popcounts are integers).
-func (bv *BitVectors) HammingMany(i int, js []int, out []float64) {
-	a := bv.words[i*bv.wordsPerCol : (i+1)*bv.wordsPerCol]
-	for c, j := range js {
-		b := bv.words[j*bv.wordsPerCol : (j+1)*bv.wordsPerCol]
-		d := 0
-		for w := range a {
-			d += bits.OnesCount64(a[w] ^ b[w])
-		}
-		out[c] = float64(d)
-	}
-}
-
 // OnesCount returns the number of set bits of point c's vector (always ζ).
 func (bv *BitVectors) OnesCount(c int) int {
 	n := 0

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// kernels_test.go pins the estimator micro-kernels — the 8-way unrolled
-// EstimateJs and the slot-blocked EstimateJsMany — to the scalar reference
-// implementation, including signature sizes that straddle the unroll width
-// and the streaming block boundary, and benchmarks the speedup.
+// kernels_test.go pins the estimator micro-kernel — the SWAR EstimateJs —
+// to the scalar reference implementation, including signature sizes that
+// straddle the unroll width, and benchmarks the speedup.
 
 // randomMatrix builds a t×cols matrix whose columns share enough hashed rows
 // that similarities span (0, 1) rather than clustering at the extremes.
@@ -48,51 +47,6 @@ func TestEstimateJsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestEstimateJsManyMatchesScalar checks the batched kernel on block-layout
-// edge cases: signatures smaller than, equal to, one past, and several times
-// the streaming slot block — the row-blocked layout must change nothing but
-// the access order.
-func TestEstimateJsManyMatchesScalar(t *testing.T) {
-	for _, tt := range []int{3, 100, slotBlock - 1, slotBlock, slotBlock + 1, 3*slotBlock + 7} {
-		m := randomMatrix(tt, 10, int64(tt))
-		js := []int{0, 3, 3, 9, 1, 5}
-		out := make([]float64, len(js))
-		for i := 0; i < m.Cols(); i++ {
-			m.EstimateJsMany(i, js, out)
-			for c, j := range js {
-				if want := m.estimateJsScalar(i, j); out[c] != want {
-					t.Fatalf("t=%d: EstimateJsMany(%d)[%d→%d] = %v, scalar %v", tt, i, c, j, out[c], want)
-				}
-			}
-		}
-	}
-}
-
-// TestEstimateJdManyMatchesPairwise pins the distance form to the pairwise
-// EstimateJd, bit for bit.
-func TestEstimateJdManyMatchesPairwise(t *testing.T) {
-	m := randomMatrix(100, 20, 42)
-	js := make([]int, m.Cols())
-	for j := range js {
-		js[j] = j
-	}
-	out := make([]float64, len(js))
-	for i := 0; i < m.Cols(); i++ {
-		m.EstimateJdMany(i, js, out)
-		for c, j := range js {
-			if want := m.EstimateJd(i, j); out[c] != want {
-				t.Fatalf("EstimateJdMany(%d)[%d] = %v, want %v", i, j, out[c], want)
-			}
-		}
-	}
-}
-
-// TestEstimateJsManyEmpty checks the no-candidate edge case.
-func TestEstimateJsManyEmpty(t *testing.T) {
-	m := randomMatrix(100, 4, 1)
-	m.EstimateJsMany(0, nil, nil) // must not panic
-}
-
 // --- benchmarks -----------------------------------------------------------
 
 // benchMatrix is a selection-phase-shaped workload: the paper's default
@@ -127,34 +81,6 @@ func BenchmarkEstimateJsScalar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.estimateJsScalar(i%64, (i+17)%64)
-	}
-}
-
-// BenchmarkEstimateJsMany measures one full one-against-many update round —
-// the selection phase's inner loop — with the blocked batch kernel.
-func BenchmarkEstimateJsMany(b *testing.B) {
-	m := benchMatrix(400, 512)
-	js := make([]int, m.Cols()-1)
-	for j := range js {
-		js[j] = j + 1
-	}
-	out := make([]float64, len(js))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.EstimateJsMany(0, js, out)
-	}
-}
-
-// BenchmarkEstimateJsManyScalarLoop is the same round as a loop of scalar
-// estimates, the shape the selection phase had before the batch kernel.
-func BenchmarkEstimateJsManyScalarLoop(b *testing.B) {
-	m := benchMatrix(400, 512)
-	out := make([]float64, m.Cols()-1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 1; j < m.Cols(); j++ {
-			out[j-1] = m.estimateJsScalar(0, j)
-		}
 	}
 }
 

@@ -631,13 +631,6 @@ func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
 	m.refreshBounds(c)
 }
 
-// slotBlock is the number of signature slots the batched estimator streams
-// per pass: one block of the probe column stays cache-hot while it is
-// compared against every candidate column, so a long signature (t in the
-// hundreds) never evicts its own working set between candidates. 512 slots
-// are 2 KiB — half an L1 way on anything current.
-const slotBlock = 512
-
 // EstimateJs returns the estimated Jaccard similarity between columns i and
 // j: the fraction of slots on which their signatures agree. Two slots that
 // are both empty (neither point dominates anything hashed so far) agree —
@@ -729,46 +722,17 @@ func (m *Matrix) EstimateJd(i, j int) float64 {
 	return 1 - m.EstimateJs(i, j)
 }
 
-// EstimateJsMany estimates the Jaccard similarity of column i against every
-// column in js, writing the results into out (len(out) must be at least
-// len(js)). The probe column is streamed one slot block at a time against all
-// candidates, so column i's block is read once per block instead of once per
-// pair — the cache-conscious layout for the selection phase's
-// one-against-many distance updates. Each out[c] equals EstimateJs(i, js[c])
-// exactly.
-func (m *Matrix) EstimateJsMany(i int, js []int, out []float64) {
-	a := m.Column(i)
-	t := m.t
-	if t <= slotBlock {
-		// Single block: the probe column fits the streaming window whole.
-		for c, j := range js {
-			out[c] = float64(countEqual(a, m.Column(j))) / float64(t)
-		}
-		return
-	}
-	counts := make([]int, len(js))
-	for lo := 0; lo < t; lo += slotBlock {
-		hi := lo + slotBlock
-		if hi > t {
-			hi = t
-		}
-		ab := a[lo:hi]
-		for c, j := range js {
-			counts[c] += countEqual(ab, m.Column(j)[lo:hi])
-		}
-	}
-	for c, eq := range counts {
-		out[c] = float64(eq) / float64(t)
-	}
-}
+// MaxFingerprintBytes caps the memory one requested fingerprint may take.
+// Signature size is a request parameter of the serving daemons, so without a
+// cap one request could ask for a t×m matrix larger than the host.
+const MaxFingerprintBytes = 256 << 20
 
-// EstimateJdMany is EstimateJsMany in distance form: out[c] = 1 − Js(i,
-// js[c]), each bit-identical to EstimateJd(i, js[c]).
-func (m *Matrix) EstimateJdMany(i int, js []int, out []float64) {
-	m.EstimateJsMany(i, js, out)
-	for c := range js {
-		out[c] = 1 - out[c]
-	}
+// FingerprintFits reports whether a t-slot fingerprint of m columns stays
+// within MaxFingerprintBytes, measured as 4·t·(m+4) bytes: the t×m matrix at
+// 4 bytes a slot plus the family's 2·t 64-bit coefficients. Non-positive t
+// always fits; NewFamily rejects it.
+func FingerprintFits(t, m int) bool {
+	return t <= MaxFingerprintBytes/(4*(m+4))
 }
 
 // MemoryBytes returns the signature storage footprint (4 bytes per slot),

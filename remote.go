@@ -136,11 +136,8 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if opts.K < 1 {
-		return nil, fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
-	}
-	if opts.K > len(sky) {
-		return nil, fmt.Errorf("%w: K = %d exceeds skyline size %d", ErrInvalidOptions, opts.K, len(sky))
+	if err := d.validateQuery(opts, len(sky)); err != nil {
+		return nil, err
 	}
 	plan, err := d.ensureShardPlan(ctx, sh, shards, sky)
 	if err != nil {

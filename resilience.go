@@ -263,11 +263,8 @@ func (d *Dataset) diversifyBudgeted(ctx context.Context, opts Options, tracker *
 	if err != nil {
 		return nil, wrapCtxErr(err)
 	}
-	if opts.K < 1 {
-		return nil, fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
-	}
-	if opts.K > len(sky) {
-		return nil, fmt.Errorf("%w: K = %d exceeds skyline size %d", ErrInvalidOptions, opts.K, len(sky))
+	if err := d.validateQuery(opts, len(sky)); err != nil {
+		return nil, err
 	}
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Fingerprint: fp, Epoch: d.epoch}
 	cfg := coreConfig(opts)

@@ -37,6 +37,7 @@ import (
 	"skydiver/internal/core"
 	"skydiver/internal/data"
 	"skydiver/internal/geom"
+	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
 	"skydiver/internal/shard"
@@ -131,11 +132,12 @@ type Options struct {
 	LSHBuckets int
 	// Seed drives all hashing; runs are deterministic per seed.
 	Seed int64
-	// Workers parallelizes the CPU-bound stages — fingerprinting (index-free
-	// shard scans or index-based subtree traversals) and the greedy
-	// selection's distance updates — across goroutines (0 or 1 = sequential,
-	// <0 = all CPUs). The selected points are identical to the sequential
-	// run for any value.
+	// Workers parallelizes fingerprinting (index-free row chunks,
+	// index-based subtree traversals, or shard folds) across goroutines (0
+	// or 1 = sequential, <0 = all CPUs). The greedy selection is sequential
+	// for any value: it evaluates lazily, refreshing only the candidates
+	// that can still win a round. The selected points are identical to the
+	// sequential run for any value.
 	Workers int
 	// NoCache bypasses the dataset's fingerprint cache: Phase 1 always runs
 	// and its result is not stored. Use it to measure cold-start costs, or
@@ -784,11 +786,8 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if opts.K < 1 {
-		return nil, fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
-	}
-	if opts.K > len(sky) {
-		return nil, fmt.Errorf("%w: K = %d exceeds skyline size %d", ErrInvalidOptions, opts.K, len(sky))
+	if err := d.validateQuery(opts, len(sky)); err != nil {
+		return nil, err
 	}
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch}
 	if opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH) {
@@ -806,6 +805,33 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 		return nil, wrapCtxErr(err)
 	}
 	return d.publicResult(res), nil
+}
+
+// validateQuery checks the options of a query over a skyline of m points
+// before any allocation they size. Besides K it bounds what a client could
+// otherwise turn into an out-of-memory crash: a fingerprint (t×m matrix plus
+// hash family) beyond minhash.MaxFingerprintBytes, and a shard count above
+// the live row count (the partitioner allocates per shard). Callers hold
+// qmu, so the row count is the one the query runs on.
+func (d *Dataset) validateQuery(opts Options, m int) error {
+	if opts.K < 1 {
+		return fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
+	}
+	if opts.K > m {
+		return fmt.Errorf("%w: K = %d exceeds skyline size %d", ErrInvalidOptions, opts.K, m)
+	}
+	t := opts.SignatureSize
+	if t == 0 {
+		t = core.DefaultSignatureSize
+	}
+	if !minhash.FingerprintFits(t, m) {
+		return fmt.Errorf("%w: SignatureSize %d over %d skyline points exceeds the %d MiB fingerprint cap",
+			ErrInvalidOptions, t, m, minhash.MaxFingerprintBytes>>20)
+	}
+	if live := d.original.LiveLen(); opts.Shards > live {
+		return fmt.Errorf("%w: Shards = %d exceeds the %d live rows", ErrInvalidOptions, opts.Shards, live)
+	}
+	return nil
 }
 
 // coreConfig translates public Options into the core pipeline config.

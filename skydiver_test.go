@@ -2,6 +2,7 @@ package skydiver
 
 import (
 	"bytes"
+	"errors"
 	"sort"
 	"testing"
 )
@@ -136,6 +137,30 @@ func TestDiversifyValidation(t *testing.T) {
 	}
 	if _, err := ds.Diversify(Options{K: 2, Algorithm: Algorithm(42)}); err == nil {
 		t.Error("expected unknown algorithm error")
+	}
+}
+
+// TestQuerySizeBounds: options that size an allocation — a fingerprint
+// beyond the cap, a shard count above the live row count — fail with
+// ErrInvalidOptions on the plain, resilient and remote paths alike.
+func TestQuerySizeBounds(t *testing.T) {
+	_, urls := startShardWorkers(t, 1)
+	ds, err := Generate(Independent, 2000, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{K: 3, SignatureSize: 1 << 30},
+		{K: 3, SignatureSize: 1 << 30, AllowDegraded: true},
+		{K: 3, SignatureSize: 1 << 30, Remote: &RemoteOptions{Workers: urls}},
+		{K: 3, Shards: ds.LiveLen() + 1},
+		{K: 3, Shards: ds.LiveLen() + 1, Budget: Budget{MaxEstimations: 1 << 20}},
+		{K: 3, Shards: ds.LiveLen() + 1, Remote: &RemoteOptions{Workers: urls}},
+	} {
+		if _, err := ds.Diversify(opts); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("t=%d shards=%d degraded=%v remote=%v: err = %v, want ErrInvalidOptions",
+				opts.SignatureSize, opts.Shards, opts.AllowDegraded, opts.Remote != nil, err)
+		}
 	}
 }
 
