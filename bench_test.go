@@ -186,17 +186,17 @@ func benchConcurrentSameQuery(b *testing.B, noCache bool) {
 	})
 }
 
-// BenchmarkShardedServing is the shard-scaling ladder: the same end-to-end
-// uncached MinHash query on IND-100K-4D at fixed shard counts, all at max
-// workers. "s1" is the monolithic path (Shards ≤ 1 bypasses partitioned
-// execution entirely), so s4/s1 is the partitioned layer's end-to-end
-// speedup — the plan's cell-level dominance classification replaces the
-// per-point full-skyline scan of the unsharded pass. "smax" follows the
-// wmax convention: a machine-dependent value (GOMAXPROCS, floored at 2 so
-// the sharded path is always exercised) behind a machine-independent name.
-// The shard plan is dataset state like the R*-tree, so each sub-benchmark
-// warms it before the timer; NoCache still forces the full Phase-1
-// signature fold every iteration.
+// BenchmarkShardedServing is the shard ladder: the same end-to-end uncached
+// MinHash query on IND-100K-4D at fixed shard counts, all at max workers.
+// "s1" is the unsharded route; in process s2…smax run the same fold — the
+// index-free range fold at GOMAXPROCS workers — charged as a scan of the
+// folded rows instead of the whole file. The ladder is flat by
+// construction, and the gate keeps any shard count from growing a cost of
+// its own. "smax" follows the wmax convention: a
+// machine-dependent value (GOMAXPROCS, floored at 2 so the sharded route is
+// always exercised) behind a machine-independent name. Each sub-benchmark
+// warms the index and skyline before the timer; NoCache still forces the
+// full Phase-1 fold every iteration.
 func BenchmarkShardedServing(b *testing.B) {
 	smax := maxWorkers()
 	if smax < 2 {
@@ -235,7 +235,7 @@ func maxWorkers() int {
 
 // BenchmarkRemoteServing prices the network hop of multi-node shard
 // execution: the same end-to-end uncached 2-shard MinHash query on
-// IND-100K-4D served by the in-process partitioned path ("local") and by a
+// IND-100K-4D served by the in-process sharded route ("local") and by a
 // two-worker in-process HTTP fleet ("remote"). The fleet pays JSON framing,
 // checksummed matrix transfer and the coordinator's skyline cross-check;
 // the gap between the two numbers is that overhead, and the regression
@@ -262,9 +262,9 @@ func BenchmarkRemoteServing(b *testing.B) {
 	}
 	for _, r := range runs {
 		b.Run(r.label, func(b *testing.B) {
-			// Warm the shard plan (and, remotely, the workers' regenerated
-			// dataset replicas) outside the timer; NoCache still forces the
-			// full Phase-1 fold every iteration.
+			// Warm the index and skyline (and, remotely, the shard plan and
+			// the workers' regenerated dataset replicas) outside the timer;
+			// NoCache still forces the full Phase-1 fold every iteration.
 			if _, err := ds.Diversify(r.opts); err != nil {
 				b.Fatal(err)
 			}

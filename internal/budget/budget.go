@@ -211,8 +211,8 @@ func From(ctx context.Context) *Tracker {
 	return t
 }
 
-func (c *budgetCtx) Deadline() (time.Time, bool)     { return c.inner.Deadline() }
-func (c *budgetCtx) Done() <-chan struct{}           { return c.inner.Done() }
+func (c *budgetCtx) Deadline() (time.Time, bool) { return c.inner.Deadline() }
+func (c *budgetCtx) Done() <-chan struct{}       { return c.inner.Done() }
 
 func (c *budgetCtx) Err() error {
 	if err := c.parent.Err(); err != nil {

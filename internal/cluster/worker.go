@@ -390,10 +390,8 @@ func (w *Worker) handleSkyline(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleSigFold computes one shard's signature contribution against the
-// request's merged skyline. When that skyline matches the worker's own plan
-// (the always-true case for exact coordination), the fold runs over the
-// cached classification tree; otherwise it falls back to the direct
-// tree-free fold, which serves any skyline.
+// request's merged skyline: the row fold of the shard's rows
+// (core.ShardFingerprintLocal), which serves any skyline.
 func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 	req, ctx, cancel, ok := w.decodeShardRequest(rw, r)
 	if !ok {
@@ -423,16 +421,7 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 		w.shardError(rw, ctx, err)
 		return
 	}
-	var (
-		fp      *core.Fingerprint
-		scanned int
-	)
-	if equalRows(req.Sky, plan.Sky) {
-		fp, err = plan.ShardFingerprint(ctx, req.Shard, fam)
-		scanned = plan.ShardScanned(req.Shard)
-	} else {
-		fp, scanned, err = core.ShardFingerprintLocal(ctx, ds, req.Sky, plan.Shards[req.Shard].Rows, fam)
-	}
+	fp, scanned, err := core.ShardFingerprintLocal(ctx, ds, req.Sky, plan.Shards[req.Shard].Rows, fam)
 	if err != nil {
 		w.shardError(rw, ctx, err)
 		return

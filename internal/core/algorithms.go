@@ -50,11 +50,11 @@ type Config struct {
 	// (default 20).
 	LSHBuckets int
 	// Workers parallelizes the fingerprint pass across goroutines
-	// (index-free row chunks, index-based subtree traversals, or shard
-	// folds; 0 or 1 = sequential; <0 = GOMAXPROCS). The selection always
-	// runs the sequential lazy greedy loop. Output is bit-for-bit identical
-	// to the sequential run for any value; in IndexBased mode the hit/fault
-	// split of the I/O counters may vary with scheduling.
+	// (index-free row ranges or index-based subtree traversals; 0 or 1 =
+	// sequential; <0 = GOMAXPROCS). The selection always runs the
+	// sequential lazy greedy loop. Output is bit-for-bit identical to the
+	// sequential run for any value; in IndexBased mode the hit/fault split
+	// of the I/O counters may vary with scheduling.
 	Workers int
 	// NoCache bypasses the fingerprint cache for this run: Phase 1 always
 	// executes, and its result is not stored. The knob for measuring cold
@@ -116,20 +116,18 @@ type Input struct {
 	// query's budget is spent. Its Matrix.T() must match the config's
 	// SignatureSize for pipelines that band signatures (LSH).
 	Fingerprint *Fingerprint
-	// Plan, when non-nil, routes Phase 1 through the partitioned execution
-	// layer: signatures are generated shard-by-shard from the plan's
-	// pre-classified cells and merged. The plan's merged skyline must equal
-	// Sky and its epoch must equal Epoch (the library layer guarantees
-	// both). Sharded signatures hash global row ids — the index-free
+	// Sharded routes Phase 1 through the sharded route: the index-free
+	// range fold (SigGenShardedCtx), charged as a scan of the rows it
+	// folds. Sharded signatures hash global row ids — the index-free
 	// universe — so they are cached under IndexFree regardless of the
 	// configured mode, and are bit-identical to an unsharded IF pass.
-	Plan *ShardPlan
+	Sharded bool
 	// Builder, when non-nil, replaces the built-in Phase-1 generators: the
 	// cache (when enabled) calls it to build the fingerprint on a miss, so
 	// singleflight and epoch-keying still apply. The cluster executor uses
 	// it to source signatures from remote shard workers. Builder output
-	// must be in the index-free universe (global row ids, like Plan), and
-	// is keyed as such.
+	// must be in the index-free universe (global row ids, like Sharded),
+	// and is keyed as such.
 	Builder func(ctx context.Context) (*Fingerprint, error)
 }
 
@@ -170,8 +168,8 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		if in.Builder != nil {
 			return in.Builder(ctx)
 		}
-		if in.Plan != nil {
-			return SigGenShardedCtx(ctx, in.Plan, in.Data, fam, cfg.Workers)
+		if in.Sharded {
+			return sigGenSharded(ctx, in.Data, in.Sky, fam, cfg.Workers)
 		}
 		if cfg.Mode == IndexBased {
 			if in.Tree == nil {
@@ -192,7 +190,7 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		return fp, false, err
 	}
 	key := FingerprintKey{Epoch: in.Epoch, Mode: cfg.Mode, T: cfg.SignatureSize, Seed: cfg.Seed}
-	if in.Plan != nil || in.Builder != nil {
+	if in.Sharded || in.Builder != nil {
 		// Sharded output is IF content (global row ids): key it as such so
 		// it shares cache lines with — and never masquerades as — an
 		// index-based build.

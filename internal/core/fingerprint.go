@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"skydiver/internal/budget"
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
@@ -30,7 +29,8 @@ type Fingerprint struct {
 //
 // Each row's dominators come from the prepared skyline's prefix-bitset
 // kernel (see skyPrep), and the row is hashed by stepping the previous
-// row's hash residues, since row ids arrive in order.
+// row's hash residues, since row ids arrive in order. The pass is the range
+// fold of [0, n) (see foldAll).
 func SigGenIF(ds *data.Dataset, sky []int, fam *minhash.Family) (*Fingerprint, error) {
 	return SigGenIFCtx(context.Background(), ds, sky, fam)
 }
@@ -40,50 +40,7 @@ func SigGenIF(ds *data.Dataset, sky []int, fam *minhash.Family) (*Fingerprint, e
 // signatures are discarded (a half-scanned signature matrix would silently
 // underestimate Jaccard distances).
 func SigGenIFCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family) (*Fingerprint, error) {
-	m := len(sky)
-	if m == 0 {
-		return nil, fmt.Errorf("core: empty skyline")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
-	counter := pager.NewSequentialCounter(8*ds.Dims() + 4)
-	pageQuantum := counter.RecordsPerPage()
-
-	pr := prepareSkyline(ds, sky).probe()
-	inSky := newBitset(ds.Len())
-	for _, s := range sky {
-		inSky.set(s)
-	}
-
-	rf := newRowFolder(fam, fp)
-	defer rf.release()
-	tracker := budget.From(ctx)
-	for i := 0; i < ds.Len(); i++ {
-		if i%pageQuantum == 0 {
-			// Charge the page the scan is about to consume, then poll: a query
-			// whose page budget just ran out stops at this boundary and the
-			// partial signatures are discarded, never silently merged.
-			if tracker != nil {
-				tracker.ChargePages(1)
-			}
-			if i > 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		counter.Touch(i)
-		if inSky.get(i) || ds.Deleted(i) {
-			continue
-		}
-		if cols := pr.dominators(ds.Point(i)); len(cols) > 0 {
-			rf.fold(cols, uint64(i))
-		}
-	}
-	fp.IO = counter.Stats()
-	return fp, nil
+	return SigGenIFParallelCtx(ctx, ds, sky, fam, 1)
 }
 
 // SigGenIB is the index-based signature generator (Figure 4). It traverses

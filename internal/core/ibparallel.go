@@ -133,17 +133,19 @@ func (sc *ibScanner) runSubtree(ctx context.Context, tr rtree.Reader, task ibTas
 // SigGenIBParallelCtx is SigGenIBParallel with cancellation (checked before
 // every node read) and worker panic containment; error selection is
 // deterministic (first failed task by task index). An aborted or failed run
-// discards all partial signatures.
+// discards all partial signatures. The planner and every worker fold into
+// private fingerprints, so the worker count is capped to keep them together
+// within minhash.MaxFingerprintBytes, like the index-free fold's.
 func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 {
-		return SigGenIBCtx(ctx, tr, ds, sky, fam)
-	}
 	m := len(sky)
 	if m == 0 {
 		return nil, fmt.Errorf("core: empty skyline")
+	}
+	if workers = min(workers, privateFingerprints(fam.Size(), m)-1); workers <= 1 {
+		return SigGenIBCtx(ctx, tr, ds, sky, fam)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -213,6 +215,9 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			if workerTestHook != nil {
+				workerTestHook(w)
+			}
 			sc := newIBScanner(prep, fam, m)
 			defer sc.release()
 			shards[w] = sc.fp

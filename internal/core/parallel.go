@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"skydiver/internal/budget"
 	"skydiver/internal/data"
@@ -14,258 +12,195 @@ import (
 	"skydiver/internal/pager"
 )
 
+// This file holds the one index-free Phase-1 fold. SigGen-IF (Figure 3)
+// folds each dominated row's hash values into its dominators' slots by
+// per-slot minimum; the minimum commutes, so any split of the rows into
+// private fingerprints min-merges to the same signatures, and the
+// domination scores — integer counts in float64 — sum exactly in any order.
+// Every index-free generator is therefore a caller of one primitive,
+// rowFold.fold over a row set:
+//
+//   - SigGen-IF folds the range [0, n);
+//   - SigGenIFParallel folds W page-aligned contiguous ranges concurrently
+//     and min-merges them (the paper's parallelization future-work item,
+//     Section 6);
+//   - the sharded route runs the same fold and charges the synthetic scan
+//     of the rows it folded;
+//   - a cluster shard folds its own row list (ShardFingerprintLocal).
+
 // workerTestHook, when non-nil, is invoked by every parallel fingerprinting
-// worker as it starts. Tests use it to inject panics and verify containment;
-// it is never set in production code.
+// worker as it starts. Tests use it to inject panics and count workers; it is
+// never set in production code.
 var workerTestHook func(worker int)
 
-// SigGenIFParallel is the parallel variant of SigGen-IF, addressing the
-// paper's "parallelization aspects" future-work item (Section 6). The result
-// is bit-for-bit identical to the sequential SigGen-IF for any worker count.
-//
-// The pass runs in two phases over one shared signature matrix — there are
-// no shard-private matrices and no merge step:
-//
-//  1. Dominance scan, chunked by data rows: workers claim page-aligned row
-//     chunks through an atomic cursor (small chunks, so a worker that drew a
-//     dense region does not straggle) and record each dominated row's id and
-//     dominator columns. The prepared skyline is built once and shared
-//     read-only by every worker.
-//  2. Signature fold, striped by hash slots: worker w owns the slot rows
-//     [w·t/W, (w+1)·t/W) of EVERY column and replays the recorded rows in
-//     ascending order, stepping only its own hash functions from row to
-//     row and min-folding into its stripe. Writes are disjoint by
-//     construction, so no synchronization and no merge; per-slot minima
-//     are independent, so striping cannot change any slot. Each worker
-//     screens with private stripe maxima (the striped analogue of the
-//     slot-max screen — exact, see UpdateColumnBounded).
-//
-// Total work across workers equals the sequential pass: each row's
-// dominators are computed once (phase 1) and each of its t hash values once
-// (phase 2, split across stripes). Domination scores accumulate per worker
-// and sum at the end — integer-valued float64 additions, exact in any order.
-//
-// workers <= 0 uses GOMAXPROCS. I/O is accounted as the same single
-// sequential pass (each page is still read exactly once across chunks).
-func SigGenIFParallel(ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
-	return SigGenIFParallelCtx(context.Background(), ds, sky, fam, workers)
+// rowFold is what every index-free fold over one skyline shares read-only:
+// the dataset, the prepared skyline, the skyline membership bitset and the
+// hash family. Concurrent folds each take their own probe and row folder.
+type rowFold struct {
+	ds    *data.Dataset
+	prep  *skyPrep
+	inSky bitset
+	fam   *minhash.Family
+	page  int // records per data page: the budget-charge and poll quantum
 }
 
-// ifChunk records the phase-1 output of one row chunk: the rows that have at
-// least one dominator, how many dominators each has, and the concatenated
-// dominator columns. Written by exactly one phase-1 worker, read by every
-// phase-2 worker after the phase barrier (which publishes the writes).
-type ifChunk struct {
-	rows []int32 // dominated row ids, in scan order
-	cnt  []int32 // cnt[i] dominators for rows[i]
-	cols []int32 // concatenated dominator columns, len = Σ cnt
-}
-
-// SigGenIFParallelCtx is SigGenIFParallel with cancellation and worker panic
-// containment. Each worker checks the context once per data page during the
-// scan and once per chunk during the fold, so a cancelled pass returns
-// promptly; a panicking worker is recovered into an error instead of
-// crashing the process.
-//
-// Error handling is deterministic: the error reported is the first errored
-// worker's (by worker index, not by completion time), and when any worker
-// fails the entire fingerprint is discarded — a partially folded matrix is
-// never returned.
-func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
-	m := len(sky)
-	if m == 0 {
-		return nil, fmt.Errorf("core: empty skyline")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := ds.Len()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return SigGenIFCtx(ctx, ds, sky, fam)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t := fam.Size()
-
-	// Hoisted once, shared read-only by all workers: the prepared skyline
-	// and the skyline membership bitset.
-	prep := prepareSkyline(ds, sky)
-	inSky := newBitset(n)
+func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
+	inSky := newBitset(ds.Len())
 	for _, s := range sky {
 		inSky.set(s)
 	}
-
-	// Page-aligned chunks: a chunk boundary is always a page boundary, so the
-	// per-chunk budget charges add up to exactly the sequential page count.
-	// Several chunks per worker smooth out load imbalance from dense regions.
-	pageQuantum := pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage()
-	rowsPerChunk := (n + 8*workers - 1) / (8 * workers)
-	rowsPerChunk = ((rowsPerChunk + pageQuantum - 1) / pageQuantum) * pageQuantum
-	if rowsPerChunk < pageQuantum {
-		rowsPerChunk = pageQuantum
+	return &rowFold{
+		ds:    ds,
+		prep:  prepareSkyline(ds, sky),
+		inSky: inSky,
+		fam:   fam,
+		page:  pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage(),
 	}
-	numChunks := (n + rowsPerChunk - 1) / rowsPerChunk
-	chunks := make([]ifChunk, numChunks)
-	// Every worker allocates an m-entry score vector; one beyond the chunk
-	// count would scan nothing, so none is started.
-	workers = min(workers, numChunks)
+}
 
-	out := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
-	scores := make([][]float64, workers)
-	errs := make([]error, workers)
-	var (
-		cursor atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		scanWg sync.WaitGroup // phase barrier: all scans done before any fold
-	)
-	scanWg.Add(workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			released := false
-			release := func() {
-				if !released {
-					released = true
-					scanWg.Done()
-				}
+// fold folds the live rows of one row set into a fresh private fingerprint
+// with the Phase-1 row kernel and returns it with the number of rows it
+// folded: those with at least one dominating skyline column. The set is list
+// when it is non-nil, the range [lo, hi) otherwise; skyline members and
+// tombstones are skipped. Each page of the set charges the query budget one
+// page, and every page after the first polls ctx, so a cancelled fold stops
+// within one page and its partial fingerprint is dropped. For a range with a
+// page-aligned start the charges are exactly the data pages it covers.
+func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprint, int, error) {
+	m := f.prep.m
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(f.fam.Size(), m), DomScore: make([]float64, m)}
+	pr := f.prep.probe()
+	rf := newRowFolder(f.fam, fp)
+	defer rf.release()
+	tracker := budget.From(ctx)
+	if list != nil {
+		lo, hi = 0, len(list)
+	}
+	ds, inSky := f.ds, f.inSky
+	folded := 0
+	for p := lo; p < hi; p += f.page {
+		if tracker != nil {
+			tracker.ChargePages(1)
+		}
+		if p > lo {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
 			}
+		}
+		for k, end := p, min(p+f.page, hi); k < end; k++ {
+			r := k
+			if list != nil {
+				r = list[k]
+			}
+			if inSky.get(r) || ds.Deleted(r) {
+				continue
+			}
+			if cols := pr.dominators(ds.Point(r)); len(cols) > 0 {
+				rf.fold(cols, uint64(r))
+				folded++
+			}
+		}
+	}
+	return fp, folded, nil
+}
+
+// foldAll is the index-free pass over every row of ds: the range fold of
+// [0, n) on the calling goroutine, or, with workers ≥ 2, on that many
+// page-aligned contiguous ranges concurrently, min-merged. It returns the
+// fingerprint, without I/O stats, and the number of rows folded.
+//
+// The worker count is capped by the data pages (one range per page at
+// most) and so that the private fingerprints together stay within
+// minhash.MaxFingerprintBytes: the count is a request parameter of the
+// serving daemons. A panicking worker is recovered into an error; when
+// workers fail, the error reported is the first by worker index, and no
+// fingerprint is returned.
+func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, int, error) {
+	m := len(sky)
+	if m == 0 {
+		return nil, 0, fmt.Errorf("core: empty skyline")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	f := newRowFold(ds, sky, fam)
+	n := ds.Len()
+	pages := (n + f.page - 1) / f.page
+	workers = min(workers, pages, privateFingerprints(fam.Size(), m))
+	if workers <= 1 {
+		return f.fold(ctx, 0, n, nil)
+	}
+	span := (pages + workers - 1) / workers * f.page
+	workers = (n + span - 1) / span
+
+	parts := make([]*Fingerprint, workers)
+	folded := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			// Contain panics: one bad worker must never crash a serving
-			// process — it surfaces as this worker's error instead. The
-			// barrier is released on every exit path or phase 2 would
-			// deadlock waiting for the failed scan.
+			// process — it surfaces as this worker's error instead.
 			defer func() {
 				if r := recover(); r != nil {
 					errs[w] = fmt.Errorf("core: fingerprint worker %d panicked: %v", w, r)
-					failed.Store(true)
 				}
-				release()
 			}()
 			if workerTestHook != nil {
 				workerTestHook(w)
 			}
-
-			// Phase 1: claim row chunks until the cursor runs out.
-			score := make([]float64, m)
-			scores[w] = score
-			pr := prep.probe()
-			tracker := budget.From(ctx)
-			for !failed.Load() {
-				k := int(cursor.Add(1)) - 1
-				if k >= numChunks {
-					break
-				}
-				lo := k * rowsPerChunk
-				hi := lo + rowsPerChunk
-				if hi > n {
-					hi = n
-				}
-				ch := &chunks[k]
-				for i := lo; i < hi; i++ {
-					if (i-lo)%pageQuantum == 0 {
-						// Budget accounting mirrors the sequential pass: each
-						// chunk charges the pages it scans, and chunk starts
-						// are page-aligned, so the total equals the
-						// sequential charge.
-						if tracker != nil {
-							tracker.ChargePages(1)
-						}
-						if err := ctx.Err(); err != nil {
-							errs[w] = err
-							failed.Store(true)
-							return
-						}
-					}
-					if inSky.get(i) || ds.Deleted(i) {
-						continue
-					}
-					cols := pr.dominators(ds.Point(i))
-					if len(cols) == 0 {
-						continue
-					}
-					ch.rows = append(ch.rows, int32(i))
-					ch.cnt = append(ch.cnt, int32(len(cols)))
-					ch.cols = append(ch.cols, cols...)
-					for _, c := range cols {
-						score[c]++
-					}
-				}
-			}
-			release()
-			scanWg.Wait()
-			if failed.Load() {
-				return
-			}
-
-			// Phase 2: fold this worker's slot stripe of every recorded row.
-			sLo, sHi := w*t/workers, (w+1)*t/workers
-			if sLo >= sHi {
-				return
-			}
-			shv := make([]uint32, sHi-sLo)
-			st := fam.Stepper(sLo, sHi)
-			stripeMax := make([]uint32, m)
-			for c := range stripeMax {
-				stripeMax[c] = math.MaxUint32
-			}
-			for k := range chunks {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				ch := &chunks[k]
-				base := 0
-				for ri, row := range ch.rows {
-					cs := ch.cols[base : base+int(ch.cnt[ri])]
-					base += int(ch.cnt[ri])
-					minSv := st.HashMin(shv, uint64(row))
-					for _, c := range cs {
-						// Stripe-max screen: hash values never exceed
-						// MaxUint32−1, so a fresh column is always admitted.
-						if minSv >= stripeMax[c] {
-							continue
-						}
-						if nm, changed := out.Matrix.FoldStripe(int(c), sLo, sHi, shv); changed {
-							stripeMax[c] = nm
-						}
-					}
-				}
-			}
-		}(w)
+			parts[w], folded[w], errs[w] = f.fold(ctx, w*span, min((w+1)*span, n), nil)
+		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	out, total := parts[0], folded[0]
+	for w := 1; w < workers; w++ {
+		for c := range m {
+			out.Matrix.UpdateColumn(c, parts[w].Matrix.Column(c))
+			out.DomScore[c] += parts[w].DomScore[c]
+		}
+		total += folded[w]
+	}
+	return out, total, nil
+}
 
-	// First error by worker index wins, regardless of which worker failed
-	// first in wall-clock time, so runs are reproducible.
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-	}
-	for _, score := range scores {
-		if score == nil {
-			continue
-		}
-		for c, v := range score {
-			out.DomScore[c] += v
-		}
-	}
-	// The striped folds bypassed the matrix's screen bookkeeping; restore it
-	// so later folds into this matrix screen correctly.
-	out.Matrix.RefreshBounds()
+// privateFingerprints returns how many t-slot fingerprints of m columns fit
+// together within minhash.MaxFingerprintBytes, measured as FingerprintFits
+// measures one: the bound on the private matrices of one parallel fold.
+func privateFingerprints(t, m int) int {
+	return minhash.MaxFingerprintBytes / (4 * (m + 4)) / t
+}
 
-	// The physical pass over the file is unchanged: one sequential read.
-	counter := pager.NewSequentialCounter(8*ds.Dims() + 4)
-	out.IO = pager.Stats{
-		Reads:  int64(n),
-		Faults: int64(counter.PagesForRecords(n)),
-		Hits:   int64(n - counter.PagesForRecords(n)),
+// SigGenIFParallel is the parallel variant of SigGen-IF: the rows are split
+// into page-aligned contiguous ranges, one per worker, each folded into a
+// private fingerprint, and the fingerprints are min-merged with their
+// scores summed. The result is bit-for-bit identical to the sequential
+// SigGen-IF for any worker count, I/O accounting included: the physical pass
+// over the file is still one sequential read.
+//
+// workers <= 0 uses GOMAXPROCS.
+func SigGenIFParallel(ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
+	return SigGenIFParallelCtx(context.Background(), ds, sky, fam, workers)
+}
+
+// SigGenIFParallelCtx is SigGenIFParallel with cancellation, polled once
+// per data page by every worker, and worker panic containment (see
+// foldAll). A failed or cancelled pass returns no fingerprint.
+func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return out, nil
+	fp, _, err := foldAll(ctx, ds, sky, fam, workers)
+	if err != nil {
+		return nil, err
+	}
+	fp.IO = SyntheticScanStats(ds.Dims(), ds.Len())
+	return fp, nil
 }

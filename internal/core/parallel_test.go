@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"skydiver/internal/data"
+	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 )
@@ -159,4 +164,246 @@ func (c *countdownTestCtx) Err() error {
 	}
 	c.remaining--
 	return nil
+}
+
+// TestParallelFoldMemoryCapped drives both parallel folds with 1<<16
+// workers over a fingerprint large enough that one private matrix per data
+// page (index-free) or per planner task (index-based) would pass
+// minhash.MaxFingerprintBytes. The private matrices a fold starts — one per
+// worker, plus the index-based planner's — must stay within the cap, more
+// than one worker must still run, and the answers must equal the
+// sequential passes'.
+func TestParallelFoldMemoryCapped(t *testing.T) {
+	// A 2-D staircase of m skyline points, each dominating one of the
+	// extra rows: a 73 MiB fingerprint over a 15-page file with little to
+	// fold. Three such fingerprints fit under the cap, fifteen do not.
+	const m, size, extra = 2400, 8000, 600
+	rows := make([][]float64, 0, m+extra)
+	for i := range m {
+		x := float64(i) / m
+		rows = append(rows, []float64{x, 1 - x})
+	}
+	for i := range extra {
+		x := float64(i*m/extra) / m
+		rows = append(rows, []float64{x + 0.25/m, 1 - x + 0.25/m})
+	}
+	ds, err := data.FromRows("staircase", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInput(t, ds)
+	if len(in.Sky) != m {
+		t.Fatalf("skyline has %d points, want %d", len(in.Sky), m)
+	}
+	fam, _ := minhash.NewFamily(size, 3)
+	perPage := pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage()
+	pages := (ds.Len() + perPage - 1) / perPage
+	matrix := int64(4 * size * m)
+	if int64(pages)*matrix <= minhash.MaxFingerprintBytes {
+		t.Fatalf("%d pages of %d-byte matrices fit the cap; the test needs more", pages, matrix)
+	}
+
+	var started atomic.Int32
+	workerTestHook = func(int) { started.Add(1) }
+	defer func() { workerTestHook = nil }()
+	runs := []struct {
+		name      string
+		private   int32 // private matrices besides the workers'
+		par, want func() (*Fingerprint, error)
+	}{
+		{"IF", 0,
+			func() (*Fingerprint, error) { return SigGenIFParallel(ds, in.Sky, fam, 1<<16) },
+			func() (*Fingerprint, error) { return SigGenIF(ds, in.Sky, fam) }},
+		{"IB", 1,
+			func() (*Fingerprint, error) { return SigGenIBParallel(in.Tree, ds, in.Sky, fam, 1<<16) },
+			func() (*Fingerprint, error) { return SigGenIB(in.Tree, ds, in.Sky, fam) }},
+	}
+	for _, r := range runs {
+		started.Store(0)
+		got, err := r.par()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		n := started.Load()
+		if n < 2 || int64(n+r.private)*matrix > minhash.MaxFingerprintBytes {
+			t.Errorf("%s: %d workers with %d-byte private matrices against a %d-byte cap",
+				r.name, n, matrix, minhash.MaxFingerprintBytes)
+		}
+		// Drop the merged-away matrices before the reference pass allocates.
+		runtime.GC()
+		want, err := r.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range in.Sky {
+			if !slices.Equal(got.Matrix.Column(c), want.Matrix.Column(c)) || got.DomScore[c] != want.DomScore[c] {
+				t.Fatalf("%s: column %d differs from the sequential fingerprint", r.name, c)
+			}
+		}
+		got, want = nil, nil
+		runtime.GC()
+	}
+}
+
+// FuzzFoldPartitions is the oracle of the one index-free fold. The fuzz
+// bytes decode to up to 256 rows of d ≤ 4 coordinates quantized to four
+// levels (so ties and equal twins are common), each with a control byte
+// carrying a tombstone bit and either a cut point or a part number (at most
+// four parts), plus t ≤ 16 and a hash seed. Every fold must match the
+// reference model — the naive skyline, dominated sets found by a naive
+// geom.Dominates scan and per-slot minima of the hash family — and so
+// SigGen-IF: the private folds of the parts (row ranges or row lists),
+// min-merged with their scores and folded-row counts summed, and the
+// range-parallel fold at 1, 2 and 3 workers.
+func FuzzFoldPartitions(f *testing.F) {
+	f.Add(uint8(1), uint8(2), uint8(7), int64(1), false, []byte{0, 1, 0x40, 1, 0, 0, 2, 2, 0x40, 2, 2, 0x80, 3, 3, 1, 1, 1, 0})
+	f.Add(uint8(2), uint8(3), uint8(15), int64(5), true, []byte{0, 1, 2, 1, 1, 1, 1, 2, 2, 2, 0, 3, 3, 3, 3, 0x81, 0, 0, 3, 2, 1, 2, 3, 3})
+	f.Add(uint8(3), uint8(1), uint8(3), int64(-2), true, bytes.Repeat([]byte{3, 1, 2, 0, 0x45, 2, 0, 0, 1, 0x82}, 60))
+	f.Fuzz(func(t *testing.T, dims, parts, size uint8, seed int64, assign bool, raw []byte) {
+		d, nParts, slots := 1+int(dims%4), 1+int(parts%4), 1+int(size%16)
+		n := min(len(raw)/(d+1), 256)
+		if n == 0 {
+			return
+		}
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			for j := range rows[i] {
+				rows[i][j] = float64(raw[i*(d+1)+j] % 4)
+			}
+		}
+		ds, err := data.FromRows("fuzz", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl := func(i int) byte { return raw[i*(d+1)+d] }
+		for i := range n {
+			if ctrl(i)&0x80 != 0 {
+				ds.MarkDeleted(i)
+			}
+		}
+		sky := naiveSkyline(ds)
+		if len(sky) == 0 {
+			return
+		}
+		fam, _ := minhash.NewFamily(slots, seed)
+
+		// The reference model.
+		wantCol := make([][]uint32, len(sky))
+		wantScore := make([]float64, len(sky))
+		hv := make([][]uint32, n) // row r's hash values once it is dominated
+		for c, s := range sky {
+			wantCol[c] = make([]uint32, slots)
+			for i := range wantCol[c] {
+				wantCol[c][i] = math.MaxUint32
+			}
+			for r := range n {
+				if ds.Deleted(r) || !geom.Dominates(ds.Point(s), ds.Point(r)) {
+					continue
+				}
+				if hv[r] == nil {
+					hv[r] = make([]uint32, slots)
+					fam.HashAll(hv[r], uint64(r))
+				}
+				wantScore[c]++
+				for i, v := range hv[r] {
+					wantCol[c][i] = min(wantCol[c][i], v)
+				}
+			}
+		}
+		wantFolded := 0
+		for _, h := range hv {
+			if h != nil {
+				wantFolded++
+			}
+		}
+		check := func(name string, fp *Fingerprint, folded int) {
+			t.Helper()
+			for c := range sky {
+				if !slices.Equal(fp.Matrix.Column(c), wantCol[c]) || fp.DomScore[c] != wantScore[c] {
+					t.Fatalf("%s: column %d = %v (score %v), reference %v (score %v)",
+						name, c, fp.Matrix.Column(c), fp.DomScore[c], wantCol[c], wantScore[c])
+				}
+			}
+			if folded != wantFolded {
+				t.Fatalf("%s: folded %d rows, naive scan finds %d dominated", name, folded, wantFolded)
+			}
+		}
+
+		ifp, err := SigGenIF(ds, sky, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("SigGen-IF", ifp, wantFolded)
+
+		// Private folds of the parts, min-merged.
+		rf := newRowFold(ds, sky, fam)
+		var pieces []func() (*Fingerprint, int, error)
+		if assign {
+			lists := make([][]int, nParts)
+			for i := range n {
+				p := int(ctrl(i)&0x3f) % nParts
+				lists[p] = append(lists[p], i)
+			}
+			for _, l := range lists {
+				pieces = append(pieces, func() (*Fingerprint, int, error) { return rf.fold(context.Background(), 0, 0, l) })
+			}
+		} else {
+			cuts := []int{0}
+			for i := 1; i < n && len(cuts) < nParts; i++ {
+				if ctrl(i)&0x40 != 0 {
+					cuts = append(cuts, i)
+				}
+			}
+			cuts = append(cuts, n)
+			for k := range len(cuts) - 1 {
+				lo, hi := cuts[k], cuts[k+1]
+				pieces = append(pieces, func() (*Fingerprint, int, error) { return rf.fold(context.Background(), lo, hi, nil) })
+			}
+		}
+		merged := &Fingerprint{Matrix: minhash.NewMatrix(slots, len(sky)), DomScore: make([]float64, len(sky))}
+		folded := 0
+		for _, piece := range pieces {
+			fp, k, err := piece()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := range sky {
+				merged.Matrix.UpdateColumn(c, fp.Matrix.Column(c))
+				merged.DomScore[c] += fp.DomScore[c]
+			}
+			folded += k
+		}
+		check(fmt.Sprintf("%d merged parts", len(pieces)), merged, folded)
+
+		for w := 1; w <= 3; w++ {
+			fp, k, err := foldAll(context.Background(), ds, sky, fam, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("range fold, %d workers", w), fp, k)
+		}
+	})
+}
+
+// naiveSkyline is the reference skyline of the live rows: those no live row
+// dominates, keeping only the lowest row id of equal twins.
+func naiveSkyline(ds *data.Dataset) []int {
+	var sky []int
+	for i := 0; i < ds.Len(); i++ {
+		if ds.Deleted(i) {
+			continue
+		}
+		kept := true
+		for k := 0; k < ds.Len() && kept; k++ {
+			if ds.Deleted(k) {
+				continue
+			}
+			kept = !geom.Dominates(ds.Point(k), ds.Point(i)) && !(k < i && geom.Equal(ds.Point(k), ds.Point(i)))
+		}
+		if kept {
+			sky = append(sky, i)
+		}
+	}
+	return sky
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
+	"skydiver/internal/pager"
 	"skydiver/internal/shard"
 	"skydiver/internal/skyline"
 )
@@ -132,8 +135,9 @@ func TestSigGenShardedIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedPipelineIdentical runs the full MH pipeline with and without a
-// plan and requires identical selections.
+// TestShardedPipelineIdentical runs the full MH pipeline with and without
+// the sharded route, at several worker counts, and requires identical
+// selections.
 func TestShardedPipelineIdentical(t *testing.T) {
 	ds := data.Independent(3000, 3, 4)
 	in := testInput(t, ds)
@@ -142,19 +146,15 @@ func TestShardedPipelineIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range shardCounts[1:] {
-		plan, err := BuildShardPlan(context.Background(), ds, shard.Grid{}, n, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sin := in
-		sin.Plan = plan
-		got, err := SkyDiverMH(sin, cfg)
+	for _, workers := range []int{0, 2, 4, -1} {
+		sin, wcfg := in, cfg
+		sin.Sharded, wcfg.Workers = true, workers
+		got, err := SkyDiverMH(sin, wcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !equalIntSlices(got.Selected, want.Selected) {
-			t.Errorf("n=%d: sharded selection %v, want %v", n, got.Selected, want.Selected)
+			t.Errorf("workers=%d: sharded selection %v, want %v", workers, got.Selected, want.Selected)
 		}
 	}
 }
@@ -242,22 +242,51 @@ func TestGridPartition(t *testing.T) {
 	}
 }
 
-// TestShardWorkersDefault pins the documented Workers semantics on the
-// sharded path: 0 or 1 folds sequentially, <0 uses GOMAXPROCS, and no more
-// workers run than there are shards.
-func TestShardWorkersDefault(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ workers, shards, want int }{
-		{0, 4, 1},
-		{1, 4, 1},
-		{3, 4, 3},
-		{8, 4, 4},
-		{-1, 64, min(procs, 64)},
-		{-1, 1, 1},
-		{0, 0, 1},
+// TestShardedFoldWorkers pins the documented Workers semantics on the
+// sharded route: 0 or 1 folds sequentially on the calling goroutine, <0
+// uses GOMAXPROCS, and no more workers start than the data has pages, one
+// page-aligned range each.
+func TestShardedFoldWorkers(t *testing.T) {
+	ds := data.Independent(2000, 3, 7)
+	sky := skyline.Compute(ds, skyline.SFS)
+	fam, _ := minhash.NewFamily(16, 1)
+	want, err := SigGenIF(ds, sky, fam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPage := pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage()
+	pages := (ds.Len() + perPage - 1) / perPage
+	// ranges is the number of page-aligned ranges w workers split the pages
+	// into; a single range runs on the calling goroutine.
+	ranges := func(w int) int {
+		if w = min(w, pages); w <= 1 {
+			return 0
+		}
+		span := (pages + w - 1) / w
+		return (pages + span - 1) / span
+	}
+	var started atomic.Int32
+	workerTestHook = func(int) { started.Add(1) }
+	defer func() { workerTestHook = nil }()
+	for _, c := range []struct{ workers, want int }{
+		{0, 0},
+		{1, 0},
+		{3, 3},
+		{-1, ranges(runtime.GOMAXPROCS(0))},
+		{1 << 16, pages},
 	} {
-		if got := shardWorkers(c.workers, c.shards); got != c.want {
-			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.workers, c.shards, got, c.want)
+		started.Store(0)
+		got, err := sigGenSharded(context.Background(), ds, sky, fam, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int(started.Load()); n != c.want {
+			t.Errorf("workers=%d: started %d workers, want %d", c.workers, n, c.want)
+		}
+		for col := range sky {
+			if !slices.Equal(got.Matrix.Column(col), want.Matrix.Column(col)) || got.DomScore[col] != want.DomScore[col] {
+				t.Fatalf("workers=%d: column %d differs from SigGen-IF", c.workers, col)
+			}
 		}
 	}
 }

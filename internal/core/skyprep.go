@@ -187,7 +187,9 @@ type skyProbe struct {
 	cols           []int32
 }
 
-// probe returns a new probe of sp for the calling goroutine.
+// probe returns a new probe of sp for the calling goroutine. The column
+// list is sized for the whole skyline up front, so reading out a dominator
+// set never grows it.
 func (sp *skyPrep) probe() *skyProbe {
 	w := sp.words
 	buf := make([]uint64, 5*w)
@@ -199,6 +201,7 @@ func (sp *skyPrep) probe() *skyProbe {
 		strict:  buf[2*w : 3*w : 3*w],
 		t1:      buf[3*w : 4*w : 4*w],
 		t2:      buf[4*w : 5*w : 5*w],
+		cols:    make([]int32, 0, sp.m),
 	}
 }
 
@@ -302,20 +305,6 @@ func (pr *skyProbe) classifyRect(rect geom.Rect) ([]int32, bool) {
 	}
 	pr.cols = appendCols(pr.cols, pr.lo)
 	return pr.cols, false
-}
-
-// classifyRectSplit is classifyRect keeping both sides: it returns,
-// ascending and in fresh slices, the columns fully dominating rect and
-// those partially dominating it. The remaining columns dominate nothing
-// inside rect.
-func (pr *skyProbe) classifyRectSplit(rect geom.Rect) (full, part []int32) {
-	pr.dominatorSet(pr.set, rect.Hi)
-	pr.dominatorSet(pr.lo, rect.Lo)
-	full = appendCols(nil, pr.lo)
-	for i, v := range pr.lo {
-		pr.set[i] &^= v
-	}
-	return full, appendCols(nil, pr.set)
 }
 
 // sigScratch bundles the per-row hash scratch of a signature generator: the

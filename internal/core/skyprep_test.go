@@ -67,10 +67,6 @@ func checkKernel(t *testing.T, tag string, pr *skyProbe, cols, probes [][]float6
 		if partial != (len(wantPart) > 0) || !partial && !slices.Equal(append([]int32{}, full...), wantFull) {
 			t.Fatalf("%s: classifyRect(%v) = %v, %v; want full %v, partial %v", tag, r, full, partial, wantFull, wantPart)
 		}
-		full, part := pr.classifyRectSplit(r)
-		if !slices.Equal(append([]int32{}, full...), wantFull) || !slices.Equal(append([]int32{}, part...), wantPart) {
-			t.Fatalf("%s: classifyRectSplit(%v) = %v, %v; want %v, %v", tag, r, full, part, wantFull, wantPart)
-		}
 	}
 }
 
@@ -212,23 +208,7 @@ func TestSigGenIFMatchesBruteForceOnTies(t *testing.T) {
 		for i := 0; i < ds.Len(); i += 7 {
 			ds.MarkDeleted(i)
 		}
-		var sky []int
-		for i := 0; i < ds.Len(); i++ {
-			if ds.Deleted(i) {
-				continue
-			}
-			kept := true
-			for k := 0; k < ds.Len() && kept; k++ {
-				if ds.Deleted(k) {
-					continue
-				}
-				// Of equal twins only the lowest row id is a skyline point.
-				kept = !geom.Dominates(ds.Point(k), ds.Point(i)) && !(k < i && geom.Equal(ds.Point(k), ds.Point(i)))
-			}
-			if kept {
-				sky = append(sky, i)
-			}
-		}
+		sky := naiveSkyline(ds)
 		lists := make([][]int, len(sky))
 		for c, s := range sky {
 			for i := 0; i < ds.Len(); i++ {

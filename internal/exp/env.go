@@ -11,7 +11,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"skydiver/internal/data"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
-	"skydiver/internal/shard"
 	"skydiver/internal/skyline"
 )
 
@@ -40,10 +38,9 @@ type Env struct {
 	// (m·(m-1)/2 range-query pairs) exceeds the cap; reported as DNF (the
 	// paper's BF runs for k=5 "have not finished yet").
 	BFPairCap int
-	// Shards ≥ 2 runs the MH/LSH pipeline cells through the partitioned
-	// execution layer: Prepare also builds a grid shard plan and the
-	// signature pass folds per shard. BF/SG cells (no signatures) are
-	// unaffected. 0/1 is the monolithic path.
+	// Shards ≥ 2 runs the MH/LSH pipeline cells through the sharded route:
+	// the index-free fold, charged as a scan of the rows it folds. BF/SG
+	// cells (no signatures) are unaffected. 0/1 is the monolithic path.
 	Shards int
 	// Verbose emits progress lines through Logf.
 	Logf func(format string, args ...any)
@@ -81,18 +78,18 @@ func (e *Env) scaled(paperN int) int {
 }
 
 // Prepared bundles a generated dataset with its aggregate R*-tree and
-// skyline, ready for pipeline runs. Plan is non-nil only when Env.Shards
-// requested partitioned execution.
+// skyline, ready for pipeline runs. Sharded is set when Env.Shards
+// requested the sharded route.
 type Prepared struct {
-	Data *data.Dataset
-	Tree *rtree.Tree
-	Sky  []int
-	Plan *core.ShardPlan
+	Data    *data.Dataset
+	Tree    *rtree.Tree
+	Sky     []int
+	Sharded bool
 }
 
 // Input converts to a core.Input.
 func (p *Prepared) Input() core.Input {
-	return core.Input{Data: p.Data, Sky: p.Sky, Tree: p.Tree, Plan: p.Plan}
+	return core.Input{Data: p.Data, Sky: p.Sky, Tree: p.Tree, Sharded: p.Sharded}
 }
 
 // Dataset identifies one of the paper's workloads.
@@ -168,14 +165,7 @@ func (e *Env) Prepare(kind datasetKind, paperN, dims int) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Data: ds, Tree: tr, Sky: sky}
-	if e.Shards >= 2 {
-		plan, err := core.BuildShardPlan(context.Background(), ds, shard.Grid{}, e.Shards, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		p.Plan = plan
-	}
+	p := &Prepared{Data: ds, Tree: tr, Sky: sky, Sharded: e.Shards >= 2}
 	e.cache[key] = p
 	e.logf("prepared %s: n=%d d=%d m=%d pages=%d (%v)",
 		ds.Name(), ds.Len(), ds.Dims(), len(sky), tr.NumPages(), time.Since(start).Round(time.Millisecond))

@@ -11,9 +11,9 @@ import (
 // change a single slot, for any update sequence, signature size, or column
 // count.
 
-// TestGroupedFoldMatchesPlain: folding through UpdateColumnGrouped,
-// FoldRow and UpdateColumnBounded produces matrices bit-identical to
-// UpdateColumn, with HashAllGroupMin/HashAllMin agreeing with HashAll on the
+// TestGroupedFoldMatchesPlain: folding through FoldRow (the grouped fold)
+// and UpdateColumnBounded produces matrices bit-identical to UpdateColumn,
+// with HashAllMin and a stepper's HashGroupMin agreeing with HashAll on the
 // way.
 func TestGroupedFoldMatchesPlain(t *testing.T) {
 	sizes := []int{1, 2, 3, 7, 8, 9, 15, 16, 31, 100, 163}
@@ -23,12 +23,12 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 			fam, _ := NewFamily(size, int64(size))
 			plain := NewMatrix(size, cols)
 			bounded := NewMatrix(size, cols)
-			grouped := NewMatrix(size, cols)
 			rowFold := NewMatrix(size, cols)
+			st := fam.Stepper(0, size)
 			hv := make([]uint32, size)
 			hvMin := make([]uint32, size)
 			hvGrp := make([]uint32, size)
-			gm := make([]uint32, grouped.Groups())
+			gm := make([]uint32, rowFold.Groups())
 			for k, r := range rows {
 				c := 0
 				if k < len(colPick) {
@@ -36,7 +36,7 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 				}
 				fam.HashAll(hv, uint64(r))
 				minHv := fam.HashAllMin(hvMin, uint64(r))
-				grpMin := fam.HashAllGroupMin(hvGrp, uint64(r), gm)
+				grpMin := st.HashGroupMin(hvGrp, uint64(r), gm)
 				for i := range hv {
 					if hv[i] != hvMin[i] || hv[i] != hvGrp[i] {
 						return false
@@ -47,13 +47,12 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 				}
 				plain.UpdateColumn(c, hv)
 				bounded.UpdateColumnBounded(c, hvMin, minHv)
-				grouped.UpdateColumnGrouped(c, hvGrp, gm, grpMin)
 				rowFold.FoldRow([]int32{int32(c)}, hvGrp, gm, grpMin)
 			}
 			for c := 0; c < cols; c++ {
-				pc, bc, gc, rc := plain.Column(c), bounded.Column(c), grouped.Column(c), rowFold.Column(c)
+				pc, bc, rc := plain.Column(c), bounded.Column(c), rowFold.Column(c)
 				for i := range pc {
-					if pc[i] != bc[i] || pc[i] != gc[i] || pc[i] != rc[i] {
+					if pc[i] != bc[i] || pc[i] != rc[i] {
 						return false
 					}
 				}
@@ -74,11 +73,12 @@ func TestBoundsStayExact(t *testing.T) {
 		const size, cols = 24, 2
 		fam, _ := NewFamily(size, 11)
 		m := NewMatrix(size, cols)
+		st := fam.Stepper(0, size)
 		hv := make([]uint32, size)
 		gm := make([]uint32, m.Groups())
 		for k, r := range rows {
 			c := int(r) % cols
-			minHv := fam.HashAllGroupMin(hv, uint64(r), gm)
+			minHv := st.HashGroupMin(hv, uint64(r), gm)
 			mode := uint8(2)
 			if k < len(path) {
 				mode = path[k] % 3
@@ -89,7 +89,7 @@ func TestBoundsStayExact(t *testing.T) {
 			case 1:
 				m.UpdateColumnBounded(c, hv, minHv)
 			default:
-				m.UpdateColumnGrouped(c, hv, gm, minHv)
+				m.FoldRow([]int32{int32(c)}, hv, gm, minHv)
 			}
 		}
 		for c := 0; c < cols; c++ {

@@ -84,17 +84,9 @@ func BenchmarkEstimateJsScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkHashAllGroupMin and BenchmarkStepperGroupMin hash consecutive
-// row ids at t = 100, the Phase-1 default: one 128-bit multiply per slot
-// against one stepped addition per slot.
-func BenchmarkHashAllGroupMin(b *testing.B) {
-	fam, _ := NewFamily(100, 1)
-	hv, gm := make([]uint32, 100), make([]uint32, GroupsFor(100))
-	for i := 0; i < b.N; i++ {
-		fam.HashAllGroupMin(hv, uint64(i), gm)
-	}
-}
-
+// BenchmarkStepperGroupMin hashes consecutive row ids at t = 100, the
+// Phase-1 default, one stepped addition per slot; BenchmarkHashAll100 is the
+// same work at one 128-bit multiply per slot.
 func BenchmarkStepperGroupMin(b *testing.B) {
 	fam, _ := NewFamily(100, 1)
 	st := fam.Stepper(0, 100)

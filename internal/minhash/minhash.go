@@ -81,61 +81,6 @@ func (f *Family) HashAllMin(dst []uint32, x uint64) uint32 {
 	return minv
 }
 
-// HashAllGroupMin is HashAllMin additionally writing the per-group minima of
-// the slot groups defined by GroupsFor into gm (whose length must be
-// GroupsFor(Size())). UpdateColumnGrouped uses them to skip not just whole
-// folds but every slot group the row cannot improve.
-func (f *Family) HashAllGroupMin(dst []uint32, x uint64, gm []uint32) uint32 {
-	t := len(f.a)
-	g := len(gm)
-	minv := uint32(math.MaxUint32)
-	for k := 0; k < g; k++ {
-		lo, hi := k*t/g, (k+1)*t/g
-		gv := uint32(math.MaxUint32)
-		for i := lo; i < hi; i++ {
-			v := hashOne(f.a[i], f.b[i], x)
-			dst[i] = v
-			if v < gv {
-				gv = v
-			}
-		}
-		gm[k] = gv
-		if gv < minv {
-			minv = gv
-		}
-	}
-	return minv
-}
-
-// HashAllGroupMinAccum is HashAllGroupMin that additionally folds each hash
-// value into a running per-slot minimum vector acc. Fusing the fold into
-// the hashing loop spares a second pass over dst per row; the sharded
-// generator leans on it to accumulate range minima while hashing.
-func (f *Family) HashAllGroupMinAccum(dst []uint32, x uint64, gm []uint32, acc []uint32) uint32 {
-	t := len(f.a)
-	g := len(gm)
-	minv := uint32(math.MaxUint32)
-	for k := 0; k < g; k++ {
-		lo, hi := k*t/g, (k+1)*t/g
-		gv := uint32(math.MaxUint32)
-		for i := lo; i < hi; i++ {
-			v := hashOne(f.a[i], f.b[i], x)
-			dst[i] = v
-			if v < gv {
-				gv = v
-			}
-			if v < acc[i] {
-				acc[i] = v
-			}
-		}
-		gm[k] = gv
-		if gv < minv {
-			minv = gv
-		}
-	}
-	return minv
-}
-
 // Hash evaluates hash function i on row id x.
 func (f *Family) Hash(i int, x uint64) uint32 {
 	return hashOne(f.a[i], f.b[i], x)
@@ -189,27 +134,10 @@ func (s *Stepper) advance(x uint64) {
 	s.x, s.live = x, true
 }
 
-// HashMin writes the stepper's hash values of row x into dst[:hi−lo] and
-// returns their minimum (MaxUint32 when the range is empty). The parallel
-// signature generator stripes the family across workers with it: each
-// worker evaluates only the slot rows it owns.
-func (s *Stepper) HashMin(dst []uint32, x uint64) uint32 {
-	s.advance(x)
-	dst = dst[:len(s.res)]
-	minv := uint32(math.MaxUint32)
-	for i, r := range s.res {
-		v := fold32(r)
-		dst[i] = v
-		if v < minv {
-			minv = v
-		}
-	}
-	return minv
-}
-
-// HashGroupMin is HashAllGroupMin for a stepper spanning the whole family:
-// it writes the hash values of row x into dst, the per-group minima into gm
-// (len GroupsFor(len(dst))), and returns the overall minimum.
+// HashGroupMin writes the stepper's hash values of row x into dst, the
+// minima of the slot groups defined by GroupsFor into gm (len
+// GroupsFor(len(dst))), and returns the overall minimum. FoldRow uses the
+// group minima to skip every slot group the row cannot improve.
 func (s *Stepper) HashGroupMin(dst []uint32, x uint64, gm []uint32) uint32 {
 	s.advance(x)
 	minv := uint32(math.MaxUint32)
@@ -294,9 +222,9 @@ type Matrix struct {
 	// later row is rejected by this single comparison.
 	colMax []uint32
 	// groupMax refines colMax to GroupsFor(t) slot groups per column
-	// (groupMax[c*groups+g] bounds group g), letting UpdateColumnGrouped skip
-	// the groups a row cannot improve even when the whole-column screen
-	// passes. colMax[c] is always the maximum of column c's group maxima.
+	// (groupMax[c*groups+g] bounds group g), letting FoldRow skip the groups
+	// a row cannot improve even when the whole-column screen passes.
+	// colMax[c] is always the maximum of column c's group maxima.
 	groupMax []uint32
 }
 
@@ -307,7 +235,7 @@ type Matrix struct {
 const maxUpdateGroups = 8
 
 // GroupsFor returns the number of slot groups the grouped update screen
-// uses for signature size t (callers size HashAllGroupMin's gm with it).
+// uses for signature size t (callers size HashGroupMin's gm with it).
 func GroupsFor(t int) int {
 	if t < maxUpdateGroups {
 		return t
@@ -407,24 +335,14 @@ func (m *Matrix) UpdateColumnBounded(c int, hv []uint32, minHv uint32) {
 	m.UpdateColumn(c, hv)
 }
 
-// UpdateColumnGrouped is the finest-grained fold: given the per-group minima
-// gm of hv (from HashAllGroupMin) it skips every slot group the row cannot
-// improve, touching only the groups where an update is possible. len(gm)
-// must equal Groups(). The result is bit-identical to UpdateColumn: a
-// skipped group satisfies min(hv[group]) ≥ groupMax ≥ every slot in it.
-func (m *Matrix) UpdateColumnGrouped(c int, hv []uint32, gm []uint32, minHv uint32) {
-	if minHv >= m.colMax[c] {
-		return
-	}
-	m.foldGroups(c, hv, gm)
-}
-
 // FoldRow folds one row's hash values into every column of cols with one
-// call: each column is screened against its slot maximum and only admitted
-// columns take the grouped fold. The result is bit-identical to calling
-// UpdateColumnGrouped once per column; since the screen rejects most
-// columns once their signatures have filled, a call per column would be
-// mostly call overhead.
+// call, given the per-group minima gm of hv (from HashGroupMin; len(gm)
+// must equal Groups()): each column is screened against its slot maximum,
+// and an admitted column folds only the slot groups the row can improve.
+// The result is bit-identical to UpdateColumn once per column: a skipped
+// group satisfies min(hv[group]) ≥ groupMax ≥ every slot in it. Since the
+// screen rejects most columns once their signatures have filled, a call
+// per column would be mostly call overhead.
 func (m *Matrix) FoldRow(cols []int32, hv []uint32, gm []uint32, minHv uint32) {
 	colMax := m.colMax
 	for _, c := range cols {
@@ -474,48 +392,6 @@ func (m *Matrix) foldGroups(c int, hv []uint32, gm []uint32) {
 		}
 	}
 	m.colMax[c] = colMax
-}
-
-// FoldStripe folds hv (whose length must be hi−lo) into slots [lo, hi) of
-// column c by per-slot minima, WITHOUT refreshing the column's screen
-// bounds. It reports whether any slot changed and, when one did, the new
-// maximum of the stripe's slots.
-//
-// This is the write primitive of the slot-striped parallel generators: each
-// worker owns a disjoint slot range of every column, so concurrent
-// FoldStripe calls on the same column never touch the same memory. The
-// matrix's colMax/groupMax screens are stale until the caller invokes
-// RefreshBounds — the striped pass keeps its own per-worker stripe maxima
-// instead (screening with them is exact for the same reason as
-// UpdateColumnBounded, restricted to the stripe).
-func (m *Matrix) FoldStripe(c, lo, hi int, hv []uint32) (stripeMax uint32, changed bool) {
-	col := m.sig[c*m.t+lo : c*m.t+hi]
-	for i, v := range hv {
-		if v < col[i] {
-			col[i] = v
-			changed = true
-		}
-	}
-	if !changed {
-		return 0, false
-	}
-	for _, v := range col {
-		if v > stripeMax {
-			stripeMax = v
-		}
-	}
-	return stripeMax, true
-}
-
-// RefreshBounds recomputes every column's slot-max screen bounds from the
-// current slots. Callers that bypassed the bound bookkeeping with FoldStripe
-// must invoke it before the matrix is used with the screened folds again;
-// afterwards the matrix is indistinguishable from one built through
-// UpdateColumn alone.
-func (m *Matrix) RefreshBounds() {
-	for c := 0; c < m.cols; c++ {
-		m.refreshBounds(c)
-	}
 }
 
 // Clone returns a deep copy of the matrix: the incremental-maintenance path

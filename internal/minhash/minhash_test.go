@@ -82,7 +82,7 @@ func TestStepperMatchesHash(t *testing.T) {
 	}
 	hv, want := make([]uint32, size), make([]uint32, size)
 	gm, wantGm := make([]uint32, GroupsFor(size)), make([]uint32, GroupsFor(size))
-	stripe := make([]uint32, size)
+	stripe, stripeGm := make([]uint32, size), make([]uint32, GroupsFor(size))
 	for name, xs := range patterns {
 		st := fam.Stepper(0, size)
 		stripes := [][2]int{{0, 33}, {33, 34}, {34, size}, {50, 50}}
@@ -92,7 +92,12 @@ func TestStepperMatchesHash(t *testing.T) {
 		}
 		for _, x := range xs {
 			minv := st.HashGroupMin(hv, x, gm)
-			wantMin := fam.HashAllGroupMin(want, x, wantGm)
+			fam.HashAll(want, x)
+			wantMin := uint32(math.MaxUint32)
+			for k := range wantGm {
+				wantGm[k] = slices.Min(want[k*size/len(wantGm) : (k+1)*size/len(wantGm)])
+				wantMin = min(wantMin, wantGm[k])
+			}
 			for i := range want {
 				if want[i] != fam.Hash(i, x) || hv[i] != want[i] {
 					t.Fatalf("%s: row %d slot %d: stepped %d, Hash %d", name, x, i, hv[i], fam.Hash(i, x))
@@ -102,7 +107,7 @@ func TestStepperMatchesHash(t *testing.T) {
 				t.Fatalf("%s: row %d: minima %d %v, want %d %v", name, x, minv, gm, wantMin, wantGm)
 			}
 			for i, sr := range stripes {
-				smin := steppers[i].HashMin(stripe, x)
+				smin := steppers[i].HashGroupMin(stripe, x, stripeGm[:GroupsFor(sr[1]-sr[0])])
 				wmin := uint32(math.MaxUint32)
 				for s := sr[0]; s < sr[1]; s++ {
 					if stripe[s-sr[0]] != want[s] {

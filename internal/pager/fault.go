@@ -41,10 +41,11 @@ type FaultPolicy struct {
 
 // Validate checks the policy's numeric ranges.
 func (p FaultPolicy) Validate() error {
-	if p.Rate < 0 || p.Rate > 1 {
+	// Written so that NaN, which fails every comparison, is out of range.
+	if !(p.Rate >= 0 && p.Rate <= 1) {
 		return fmt.Errorf("pager: fault rate %v out of [0,1]", p.Rate)
 	}
-	if p.PermanentRate < 0 || p.PermanentRate > 1 {
+	if !(p.PermanentRate >= 0 && p.PermanentRate <= 1) {
 		return fmt.Errorf("pager: permanent fault rate %v out of [0,1]", p.PermanentRate)
 	}
 	if p.Latency < 0 {

@@ -35,7 +35,7 @@ func TestParseFaultPolicyErrors(t *testing.T) {
 	for _, in := range []string{
 		"", "rate", "rate=x", "rate=2", "rate=-0.1", "permanent=1.5",
 		"latency=fast", "latency=-1ms,rate=0.1", "seed=1.5", "bogus=1",
-		"rate=0.1,rate=0.2",
+		"rate=0.1,rate=0.2", "rate=NaN", "rate=0.1,permanent=nan",
 	} {
 		if _, err := ParseFaultPolicy(in); err == nil {
 			t.Errorf("ParseFaultPolicy(%q): expected error", in)

@@ -16,7 +16,7 @@ import (
 func TestCorruptPageSurfacesError(t *testing.T) {
 	ds := data.Independent(5000, 3, 1)
 	tr := mustBulkLoad(t, ds)
-	tr.Reopen(0.2)          // cold cache so the corrupted page is actually re-read
+	tr.Reopen(0.2)           // cold cache so the corrupted page is actually re-read
 	tr.SetDecodeCache(false) // byte-level corruption below bypasses writeNode, which would
 	// otherwise keep serving the node decoded at build time; the point here is
 	// the decode-error path itself

@@ -102,13 +102,13 @@ func TestReadFromCorruptTaxonomy(t *testing.T) {
 			return h
 		}()},
 		{"zero dims", corruptHeader(0, 0, 1, 1, 1)},
-		{"oversized dims", corruptHeader(1 << 20, 0, 1, 1, 1)},
+		{"oversized dims", corruptHeader(1<<20, 0, 1, 1, 1)},
 		{"zero height", corruptHeader(2, 0, 0, 1, 1)},
 		{"implausible height", corruptHeader(2, 0, 1000, 1, 1)},
 		{"zero pages", corruptHeader(2, 0, 1, 1, 0)},
 		{"root out of range", corruptHeader(2, 7, 1, 1, 3)},
 		{"fewer pages than levels", corruptHeader(2, 0, 5, 1, 3)},
-		{"size exceeds capacity", corruptHeader(2, 0, 1, 1 << 40, 2)},
+		{"size exceeds capacity", corruptHeader(2, 0, 1, 1<<40, 2)},
 	}
 	for _, tc := range cases {
 		_, err := ReadFrom(bytes.NewReader(tc.hdr))

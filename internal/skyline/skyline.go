@@ -204,9 +204,9 @@ func (h bbsHeap) Less(i, j int) bool {
 	}
 	return h[i].rowID < h[j].rowID
 }
-func (h bbsHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *bbsHeap) Push(x any)        { *h = append(*h, x.(bbsItem)) }
-func (h *bbsHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (h bbsHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *bbsHeap) Push(x any)   { *h = append(*h, x.(bbsItem)) }
+func (h *bbsHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
 
 // ComputeBBS runs branch-and-bound skyline over the aggregate R*-tree. It
 // expands entries in ascending L1-mindist order, discarding any entry whose

@@ -228,3 +228,55 @@ func TestShardedConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestShardedBuildsNoPlan: in process, a sharded query runs the index-free
+// fold and caches no shard plan — before and after a write — while
+// answering like the unsharded query; a remote query still caches the plan
+// its skyline cross-check needs.
+func TestShardedBuildsNoPlan(t *testing.T) {
+	ds, err := Generate(Independent, 3000, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := func(d *Dataset) int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.plans)
+	}
+	check := func(stage string) {
+		want, err := ds.Diversify(Options{K: 4, Seed: 2, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 4} {
+			res, err := ds.Diversify(Options{K: 4, Seed: 2, Shards: shards, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) || res.ObjectiveValue != want.ObjectiveValue {
+				t.Errorf("%s, s%d: indexes %v (objective %v), unsharded %v (%v)",
+					stage, shards, res.Indexes, res.ObjectiveValue, want.Indexes, want.ObjectiveValue)
+			}
+		}
+		if n := plans(ds); n != 0 {
+			t.Errorf("%s: %d shard plans cached by in-process sharded queries", stage, n)
+		}
+	}
+	check("before insert")
+	if _, err := ds.Insert([]float64{0.001, 0.002, 0.003}); err != nil {
+		t.Fatal(err)
+	}
+	check("after insert")
+
+	_, urls := startShardWorkers(t, 2)
+	remote, err := Generate(Independent, 3000, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.Diversify(Options{K: 4, Seed: 2, Shards: 2, Remote: &RemoteOptions{Workers: urls}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := plans(remote); n != 1 {
+		t.Errorf("remote query cached %d shard plans, want 1", n)
+	}
+}

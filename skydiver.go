@@ -132,11 +132,14 @@ type Options struct {
 	LSHBuckets int
 	// Seed drives all hashing; runs are deterministic per seed.
 	Seed int64
-	// Workers parallelizes fingerprinting (index-free row chunks,
-	// index-based subtree traversals, or shard folds) across goroutines (0
-	// or 1 = sequential, <0 = all CPUs). The greedy selection is sequential
-	// for any value: it evaluates lazily, refreshing only the candidates
-	// that can still win a round. The selected points are identical to the
+	// Workers parallelizes fingerprinting across goroutines (0 or 1 =
+	// sequential, <0 = all CPUs): index-free passes fold that many
+	// page-aligned row ranges into private signature matrices and
+	// min-merge them; index-based passes traverse R*-tree subtrees. The
+	// count is capped so the private matrices together stay within the
+	// fingerprint memory cap. The greedy selection is sequential for any
+	// value: it evaluates lazily, refreshing only the candidates that can
+	// still win a round. The selected points are identical to the
 	// sequential run for any value.
 	Workers int
 	// NoCache bypasses the dataset's fingerprint cache: Phase 1 always runs
@@ -155,16 +158,18 @@ type Options struct {
 	// partial prefix. Degraded answers set Result.Degraded and a
 	// machine-readable Result.DegradedReason.
 	AllowDegraded bool
-	// Shards, when at least 2, routes the query through the partitioned
-	// execution layer: the dataset is carved into that many shards by an
-	// equi-depth grid over its widest axes, each shard computes its local
-	// skyline and signature contribution in its own isolated I/O session,
-	// and a merge operator recombines them. Results are bit-identical to
-	// the unsharded path — same skyline, same signatures, same selection —
-	// for any shard count; only the cost profile changes. The partitioned
-	// state (shard indexes, local skylines, cell classifications) is built
-	// once per (shard count, mutation epoch) and cached on the Dataset, so
-	// repeated sharded queries pay only the signature fold and selection.
+	// Shards, when at least 2, routes the query through the sharded
+	// route. In process the shard count does not change the work: the
+	// dataset's skyline is already resident, so Phase 1 is the index-free
+	// fold (parallelized by Workers, not by Shards), charged as a
+	// sequential scan of the rows it folds rather than of the whole file,
+	// and its signatures are cached under the index-free key. With Remote
+	// set, Shards is the number of partitions the dataset is carved into
+	// (an equi-depth grid over its widest axes by default): each shard
+	// computes its local skyline and signature contribution on a worker,
+	// and the coordinator merges and cross-checks them. Results are
+	// bit-identical to the unsharded path — same skyline, same
+	// signatures, same selection — for any shard count.
 	//
 	// 0 or 1 serve unsharded (the single-shard path); negative values are
 	// rejected with ErrInvalidOptions. Sharded signatures live in the
@@ -296,8 +301,8 @@ type Dataset struct {
 	// where possible and drop the rest.
 	fpCache *core.FingerprintCache
 
-	// plans caches partitioned-execution state per (sharder, shard count),
-	// built lazily on the first sharded query. Every entry is
+	// plans caches remote-execution shard plans per (sharder, shard
+	// count), built lazily on the first remote query. Every entry is
 	// epoch-stamped; mutations drop the map and a lookup whose epoch is
 	// stale rebuilds. Guarded by mu.
 	plans map[string]*core.ShardPlan
@@ -516,7 +521,7 @@ func (d *Dataset) skylineWith(ctx context.Context, sess *rtree.Session) ([]int, 
 	return sky, nil
 }
 
-// ensureShardPlan returns the partitioned-execution plan for n shards at
+// ensureShardPlan returns the remote-execution shard plan for n shards at
 // the dataset's current epoch, building and caching it on first use. sky is
 // the unsharded skyline of the same epoch; the freshly merged sharded
 // skyline is cross-checked against it so a partitioning defect can never
@@ -789,14 +794,8 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 	if err := d.validateQuery(opts, len(sky)); err != nil {
 		return nil, err
 	}
-	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch}
-	if opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH) {
-		plan, err := d.ensureShardPlan(ctx, shard.Grid{}, opts.Shards, sky)
-		if err != nil {
-			return nil, wrapCtxErr(err)
-		}
-		in.Plan = plan
-	}
+	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch,
+		Sharded: opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH)}
 	res, err := runPipeline(ctx, opts.Algorithm, in, coreConfig(opts))
 	if err != nil {
 		if res != nil && res.Partial {
@@ -954,8 +953,8 @@ func ParseFaultPolicy(s string) (FaultPolicy, error) {
 
 // InjectFaults installs the fault policy on the dataset's index storage
 // (building the index first if necessary), and on every shard index of the
-// cached partitioned-execution plans, so sharded queries fault like
-// unsharded ones. A zero-rate policy removes the injector everywhere.
+// cached remote-execution plans, so their shard skylines fault like the
+// main index. A zero-rate policy removes the injector everywhere.
 // Transient faults are retried transparently with exponential backoff;
 // permanent faults surface as errors wrapping ErrPermanentFault from
 // whichever operation touched the dead page — never as panics.
