@@ -74,13 +74,14 @@ stress:
 
 # Fuzz the pager fault-policy decoder and retry path, the dominance kernel,
 # the index-free fold over random row partitions (against the reference
-# model) and the lazy greedy selection (against the eager loop) for a short
-# burst.
+# model), the lazy greedy selection (against the eager loop) and the /query
+# parser for a short burst.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultPolicy -fuzztime 20s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzFoldPartitions -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesEager -fuzztime 20s ./internal/dispersion/
+	$(GO) test -run '^$$' -fuzz FuzzParseQueryOptions -fuzztime 20s ./internal/server/
 
 # Benchmark pass emitting the JSON snapshots that make hot-path regressions
 # reviewable in diffs (and enforceable via benchgate). Three suites:

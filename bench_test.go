@@ -158,19 +158,26 @@ func BenchmarkConcurrentServing(b *testing.B) {
 // the ratio of the two ns/op values is the cache's serving speedup (the
 // acceptance bar is ≥ 2×).
 func BenchmarkConcurrentServingCached(b *testing.B) {
-	benchConcurrentSameQuery(b, false)
+	benchConcurrentSameQuery(b, Options{K: 10, Seed: 7})
+}
+
+// BenchmarkConcurrentServingCachedLSH is the LSH twin of
+// BenchmarkConcurrentServingCached: every query reuses the resident
+// fingerprint and the LSH bit-vectors memoized with it, so a query that
+// rebuilt the vectors instead would cost several times its ns/op.
+func BenchmarkConcurrentServingCachedLSH(b *testing.B) {
+	benchConcurrentSameQuery(b, Options{K: 10, Seed: 7, Algorithm: LSH})
 }
 
 // BenchmarkConcurrentServingNoCache is the cache-bypassed baseline for
 // BenchmarkConcurrentServingCached.
 func BenchmarkConcurrentServingNoCache(b *testing.B) {
-	benchConcurrentSameQuery(b, true)
+	benchConcurrentSameQuery(b, Options{K: 10, Seed: 7, NoCache: true})
 }
 
-func benchConcurrentSameQuery(b *testing.B, noCache bool) {
+func benchConcurrentSameQuery(b *testing.B, opts Options) {
 	b.Helper()
 	ds := benchDataset(b, Independent, 20000, 4)
-	opts := Options{K: 10, Seed: 7, NoCache: noCache}
 	// Warm once so the cached variant measures steady-state hits, not the
 	// one-time build.
 	if _, err := ds.Diversify(opts); err != nil {

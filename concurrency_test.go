@@ -3,6 +3,8 @@ package skydiver
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -174,5 +176,83 @@ func TestSkylineContextReturnsCopy(t *testing.T) {
 	// The diversification path still sees valid skyline indexes.
 	if _, err := ds.Diversify(Options{K: 2}); err != nil {
 		t.Fatalf("Diversify after mutating a returned skyline: %v", err)
+	}
+}
+
+// TestConcurrentLSHReadsAndWrites races LSH readers of one resident
+// fingerprint against a writer that alternates inserts and deletes. The
+// readers start together, so the first ones race the memo's first store of
+// the bit-vectors; every write then carries the memoized vectors to the new
+// epoch. Afterwards the cached LSH answer must equal an uncached recompute,
+// MemoryBytes included.
+func TestConcurrentLSHReadsAndWrites(t *testing.T) {
+	const n, readers, reads, writes = 3000, 4, 12, 16
+	ds, err := Generate(Anticorrelated, n, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	opts := Options{K: 5, Seed: 4, Algorithm: LSH}
+	// A MinHash query builds the shared fingerprint but no vectors.
+	if _, err := ds.Diversify(Options{K: 5, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	errs := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < reads; i++ {
+				if _, err := ds.Diversify(opts); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		r := rand.New(rand.NewSource(5))
+		deletes := r.Perm(n)
+		for i := 0; i < writes; i++ {
+			var err error
+			if i%2 == 0 {
+				_, err = ds.Insert([]float64{r.Float64(), r.Float64(), r.Float64()})
+			} else {
+				err = ds.Delete(deletes[i])
+			}
+			if err != nil {
+				errs <- fmt.Errorf("write %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	cached, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoCache = true
+	fresh, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached.FingerprintCached {
+		t.Fatal("the resident fingerprint did not survive the writes")
+	}
+	if !slices.Equal(cached.Indexes, fresh.Indexes) || cached.MemoryBytes != fresh.MemoryBytes {
+		t.Fatalf("cached answer %v (%d bytes), recompute %v (%d bytes)",
+			cached.Indexes, cached.MemoryBytes, fresh.Indexes, fresh.MemoryBytes)
 	}
 }

@@ -2,6 +2,7 @@ package skydiver
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -178,5 +179,42 @@ func TestNoCacheBypassesCache(t *testing.T) {
 	}
 	if s := ds.FingerprintCacheStats(); s.Builds != 1 {
 		t.Errorf("builds = %d, want 1", s.Builds)
+	}
+}
+
+// TestLSHBucketsAlternateOnOneKey alternates two LSHBuckets values on one
+// resident fingerprint, with an insert between rounds. The entry memoizes
+// one banding at a time, so a read either reuses the memoized vectors or
+// rebuilds and replaces them; every answer must equal an uncached
+// recompute, MemoryBytes included.
+func TestLSHBucketsAlternateOnOneKey(t *testing.T) {
+	ds, err := Generate(Anticorrelated, 3000, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	for round := 0; round < 3; round++ {
+		for _, b := range []int{20, 7} {
+			opts := Options{K: 5, Seed: 2, Algorithm: LSH, LSHBuckets: b}
+			uncached := opts
+			uncached.NoCache = true
+			fresh, err := ds.Diversify(uncached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < 2; rep++ {
+				cached, err := ds.Diversify(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(cached.Indexes, fresh.Indexes) || cached.MemoryBytes != fresh.MemoryBytes {
+					t.Fatalf("round %d B=%d read %d: cached %v (%d bytes), recompute %v (%d bytes)",
+						round, b, rep, cached.Indexes, cached.MemoryBytes, fresh.Indexes, fresh.MemoryBytes)
+				}
+			}
+		}
+		if _, err := ds.Insert([]float64{0.1 * float64(round), 0.3, 0.2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -377,6 +377,11 @@ func TestWorkerBoundsRequestSizes(t *testing.T) {
 	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 2_000_000_000, HashSeed: 1, Sky: []int{0, 1, 2}}); code != http.StatusBadRequest {
 		t.Errorf("oversized signature: status %d, want 400", code)
 	}
+	wide := spec
+	wide.Dims = 1 << 30
+	if code := post(PathSkyline, ShardRequest{Spec: wide, Shards: 1, Shard: 0}); code != http.StatusBadRequest {
+		t.Errorf("dimensionality 2^30: status %d, want 400", code)
+	}
 }
 
 // TestWorkerRejectsBadRequests pins the worker's client-error surface: bad

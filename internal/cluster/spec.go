@@ -65,6 +65,9 @@ func (s DatasetSpec) Validate() error {
 	if s.Dims < 1 {
 		return fmt.Errorf("cluster: non-positive dimensionality %d", s.Dims)
 	}
+	if !data.GeneratedFits(s.N, s.Dims) {
+		return fmt.Errorf("cluster: n·d = %d×%d exceeds the %d generated coordinates cap", s.N, s.Dims, data.MaxGeneratedValues)
+	}
 	return nil
 }
 

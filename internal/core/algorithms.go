@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"skydiver/internal/budget"
@@ -78,6 +79,13 @@ func (c Config) withDefaults() Config {
 		c.LSHBuckets = 20
 	}
 	return c
+}
+
+// LSHParams returns the banding SkyDiverLSH runs with: lsh.ChooseParams of
+// the signature size, ξ and B, defaults filled in.
+func (c Config) LSHParams() (lsh.Params, error) {
+	c = c.withDefaults()
+	return lsh.ChooseParams(c.SignatureSize, c.LSHThreshold, c.LSHBuckets)
 }
 
 func (c Config) validate(m int) error {
@@ -189,6 +197,13 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		fp, err := build()
 		return fp, false, err
 	}
+	cacheBuild := func() (*Fingerprint, error) {
+		fp, err := build()
+		if fp != nil {
+			fp.lsh = new(atomic.Pointer[lshVectors])
+		}
+		return fp, err
+	}
 	key := FingerprintKey{Epoch: in.Epoch, Mode: cfg.Mode, T: cfg.SignatureSize, Seed: cfg.Seed}
 	if in.Sharded || in.Builder != nil {
 		// Sharded output is IF content (global row ids): key it as such so
@@ -196,14 +211,15 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		// index-based build.
 		key.Mode = IndexFree
 	}
-	fp, cached, err := in.Cache.Get(ctx, key, build)
+	fp, cached, err := in.Cache.Get(ctx, key, cacheBuild)
 	if err != nil {
 		return nil, false, err
 	}
 	if cached {
-		// Share the (immutable) signatures but report no I/O: this query
-		// never touched the data file or the index for Phase 1.
-		return &Fingerprint{Matrix: fp.Matrix, DomScore: fp.DomScore}, true, nil
+		// Share the (immutable) signatures and the entry's LSH memo, but
+		// report no I/O: this query never touched the data file or the index
+		// for Phase 1.
+		return &Fingerprint{Matrix: fp.Matrix, DomScore: fp.DomScore, lsh: fp.lsh}, true, nil
 	}
 	return fp, false, nil
 }
@@ -301,7 +317,8 @@ func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 
 // SkyDiverLSH is the LSH pipeline (Section 4.2.2): fingerprint, band the
 // signatures into bucket bit-vectors, then select greedily under the
-// Hamming distance of the bit-vectors.
+// Hamming distance of the bit-vectors. A fingerprint from the cache reuses
+// the bit-vectors memoized with it when the banding and seed match.
 func SkyDiverLSH(in Input, cfg Config) (*Result, error) {
 	return SkyDiverLSHCtx(context.Background(), in, cfg)
 }
@@ -321,11 +338,11 @@ func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) 
 		}
 		return nil, err
 	}
-	params, err := lsh.ChooseParams(cfg.SignatureSize, cfg.LSHThreshold, cfg.LSHBuckets)
+	params, err := cfg.LSHParams()
 	if err != nil {
 		return nil, err
 	}
-	vectors, err := lsh.BuildCtx(ctx, fp.Matrix, params, cfg.Seed+1)
+	vectors, err := fp.bitVectors(ctx, params, cfg.Seed+1)
 	fpTime := time.Since(start)
 	if err != nil {
 		if ctx.Err() != nil {

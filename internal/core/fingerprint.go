@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"skydiver/internal/data"
+	"skydiver/internal/lsh"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
@@ -19,6 +21,43 @@ type Fingerprint struct {
 	DomScore []float64
 	// IO is the I/O incurred while generating the signatures.
 	IO pager.Stats
+	// lsh memoizes the LSH bit-vectors of Matrix (Sec. 4.2.2) for a
+	// fingerprint the cache holds; it is nil for every other fingerprint.
+	// Cache hits share it with the entry, and a write that migrates the
+	// entry carries its vectors to the patched matrix (migrateFingerprints).
+	lsh *atomic.Pointer[lshVectors]
+}
+
+// lshVectors is one immutable memo value: the bit-vectors of a fingerprint's
+// matrix under one banding and zone seed.
+type lshVectors struct {
+	params  lsh.Params
+	seed    int64
+	vectors *lsh.BitVectors
+}
+
+// lshMemo returns fp's memoized LSH bit-vectors, or nil.
+func (fp *Fingerprint) lshMemo() *lshVectors {
+	if fp.lsh == nil {
+		return nil
+	}
+	return fp.lsh.Load()
+}
+
+// bitVectors returns the LSH bit-vectors of fp's matrix under params and
+// zone seed: the memoized vectors when their key matches, else a fresh
+// build, which then replaces the memo. Queries hold only the dataset's read
+// lock, so two readers may build at once; both builds are bit-identical
+// and either store may win.
+func (fp *Fingerprint) bitVectors(ctx context.Context, params lsh.Params, seed int64) (*lsh.BitVectors, error) {
+	if v := fp.lshMemo(); v != nil && v.params == params && v.seed == seed {
+		return v.vectors, nil
+	}
+	vectors, err := lsh.BuildCtx(ctx, fp.Matrix, params, seed)
+	if err == nil && fp.lsh != nil {
+		fp.lsh.Store(&lshVectors{params: params, seed: seed, vectors: vectors})
+	}
+	return vectors, err
 }
 
 // SigGenIF is the index-free signature generator (Figure 3): a single

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"skydiver/internal/data"
 	"skydiver/internal/geom"
@@ -104,7 +105,7 @@ func ApplyInsert(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Fingerprint
 		}
 		return nil, row, err
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, newSky, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
 		patchInsert(fam, fp, hv, ins)
 		return nil
 	})
@@ -149,7 +150,7 @@ func ApplyInsertBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 		rows = append(rows, row)
 		patches = append(patches, ins)
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
 		for _, ins := range patches {
 			patchInsert(fam, fp, hv, ins)
 		}
@@ -252,7 +253,7 @@ func ApplyDelete(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Fingerprint
 		}
 		return nil, err
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, newSky, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
 		return patchDelete(fam, fp, hv, del)
 	})
 	return newSky, nil
@@ -284,7 +285,7 @@ func ApplyDeleteBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 		cur = next
 		patches = append(patches, del)
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
 		for _, del := range patches {
 			if err := patchDelete(fam, fp, hv, del); err != nil {
 				return err
@@ -410,10 +411,16 @@ func miniSkylineRows(ds *data.Dataset, cands []int) []int {
 // unreachable and are dropped too. A patch that fails (a refold's range
 // query hit a storage fault) just drops its entry — a cache miss is safe,
 // a half-patched matrix would not be.
-func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, patch func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error) {
+//
+// An entry's memoized LSH bit-vectors are carried to the patched matrix
+// (lsh.BitVectors.Carry): the patched column of row newSky[j] descends from
+// the old column holding the same row, if any, so unchanged zones keep their
+// buckets and only changed zones and joined columns are hashed.
+func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, oldSky, newSky []int, patch func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error) {
 	if cache == nil {
 		return
 	}
+	var from []int // column origins, computed for the first carry
 	for _, key := range cache.CompletedEntries() {
 		if key.Epoch != oldEpoch || key.Mode != IndexFree {
 			cache.Drop(key)
@@ -432,10 +439,19 @@ func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, pat
 			Matrix:   fp.Matrix.Clone(),
 			DomScore: append([]float64(nil), fp.DomScore...),
 			IO:       fp.IO,
+			lsh:      new(atomic.Pointer[lshVectors]),
 		}
 		hv := make([]uint32, key.T)
 		if err := patch(fam, patched, hv); err != nil {
 			continue
+		}
+		if v := fp.lshMemo(); v != nil {
+			if from == nil {
+				from = columnOrigins(oldSky, newSky)
+			}
+			if vectors, err := v.vectors.Carry(fp.Matrix, patched.Matrix, from); err == nil {
+				patched.lsh.Store(&lshVectors{params: v.params, seed: v.seed, vectors: vectors})
+			}
 		}
 		newKey := key
 		newKey.Epoch = newEpoch
@@ -443,6 +459,25 @@ func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, pat
 	}
 	// In-flight builds at the old epoch publish to their waiters and age out
 	// of the LRU; they can never be hit again because Get keys on the epoch.
+}
+
+// columnOrigins maps each column of newSky to the column of oldSky that
+// holds the same row, or -1 for a row that joined the skyline. Both lists
+// are ascending row ids, so one merge covers single writes and batches,
+// demotions and promotions alike.
+func columnOrigins(oldSky, newSky []int) []int {
+	from := make([]int, len(newSky))
+	i := 0
+	for j, row := range newSky {
+		for i < len(oldSky) && oldSky[i] < row {
+			i++
+		}
+		from[j] = -1
+		if i < len(oldSky) && oldSky[i] == row {
+			from[j] = i
+		}
+	}
+	return from
 }
 
 // patchInsert repairs one fingerprint for an insert: an excluded point folds

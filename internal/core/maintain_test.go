@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"skydiver/internal/data"
+	"skydiver/internal/lsh"
 	"skydiver/internal/minhash"
 	"skydiver/internal/rtree"
 	"skydiver/internal/skyline"
@@ -63,13 +66,40 @@ func sameInts(t *testing.T, step int, what string, got, want []int) {
 	}
 }
 
-// TestApplyMutationsMatchWholesale drives a random insert/delete sequence
-// through ApplyInsert/ApplyDelete and checks after every step that the
-// maintained skyline equals a from-scratch SFS pass and that the patched
+// sameVectors checks carried LSH bit-vectors against a fresh build over the
+// wholesale fingerprint: every zone's bucket and every Hamming pair.
+func sameVectors(t *testing.T, step int, got *lsh.BitVectors, want *Fingerprint, p lsh.Params, seed int64) {
+	t.Helper()
+	fresh, err := lsh.Build(want.Matrix, p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cols() != fresh.Cols() || got.MemoryBytes() != fresh.MemoryBytes() {
+		t.Fatalf("step %d: %d vectors of %d bytes, want %d of %d", step, got.Cols(), got.MemoryBytes(), fresh.Cols(), fresh.MemoryBytes())
+	}
+	for c := 0; c < fresh.Cols(); c++ {
+		for z := 0; z < p.Zones; z++ {
+			if g, w := got.Bucket(c, z), fresh.Bucket(c, z); g != w {
+				t.Fatalf("step %d: column %d zone %d in bucket %d, want %d", step, c, z, g, w)
+			}
+		}
+		for j := 0; j < c; j++ {
+			if g, w := got.Hamming(c, j), fresh.Hamming(c, j); g != w {
+				t.Fatalf("step %d: Hamming(%d, %d) = %d, want %d", step, c, j, g, w)
+			}
+		}
+	}
+}
+
+// TestApplyMutationsMatchWholesale drives a random sequence of single and
+// batched inserts and deletes through ApplyInsert/ApplyDelete and
+// ApplyInsertBatch/ApplyDeleteBatch, and checks after every step that the
+// maintained skyline equals a from-scratch SFS pass, that the patched
 // cached fingerprint is bit-identical to a from-scratch SigGen-IF pass —
-// including matching domination scores. Quantized coordinates force plenty
-// of duplicates (equal-twin tie-breaks), dominance chains (demotions) and
-// skyline-member deletions (promotions).
+// including matching domination scores — and that the LSH bit-vectors
+// carried with it equal a fresh build over that pass. Quantized coordinates
+// force plenty of duplicates (equal-twin tie-breaks), dominance chains
+// (demotions) and skyline-member deletions (promotions).
 func TestApplyMutationsMatchWholesale(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const dims, levels, start, steps = 3, 6, 250, 140
@@ -98,26 +128,62 @@ func TestApplyMutationsMatchWholesale(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warm the cache so every step patches rather than rebuilds.
+	// Warm the cache so every step patches rather than rebuilds, and give
+	// the entry LSH bit-vectors (t = 64: ζ = 16 zones of 4 slots) so every
+	// step carries them.
 	cache := NewFingerprintCache(8)
 	epoch := uint64(0)
-	cache.Install(maintainKey(epoch), freshIF(t, ds, sky))
+	params, err := lsh.ChooseParams(maintainT, 0.2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const zoneSeed = maintainSeed + 1
+	warm := freshIF(t, ds, sky)
+	warm.lsh = new(atomic.Pointer[lshVectors])
+	if _, err := warm.bitVectors(context.Background(), params, zoneSeed); err != nil {
+		t.Fatal(err)
+	}
+	cache.Install(maintainKey(epoch), warm)
 
 	var live []int
 	for i := 0; i < ds.Len(); i++ {
 		live = append(live, i)
 	}
+	takeLive := func() int {
+		i := r.Intn(len(live))
+		row := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		return row
+	}
+	batch := rand.New(rand.NewSource(12)) // batch choices, apart from the point stream
 	for step := 0; step < steps; step++ {
-		if r.Intn(2) == 0 && len(live) > 1 {
-			i := r.Intn(len(live))
-			row := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			sky, err = ApplyDelete(ds, tr, sky, cache, epoch, epoch+1, row)
-		} else {
+		n := 1
+		if batch.Intn(4) == 0 {
+			n = 2 + batch.Intn(4)
+		}
+		if r.Intn(2) == 0 && len(live) > n {
+			if n == 1 {
+				sky, err = ApplyDelete(ds, tr, sky, cache, epoch, epoch+1, takeLive())
+			} else {
+				del := make([]int, n)
+				for i := range del {
+					del[i] = takeLive()
+				}
+				sky, err = ApplyDeleteBatch(ds, tr, sky, cache, epoch, epoch+1, del)
+			}
+		} else if n == 1 {
 			var row int
 			sky, row, err = ApplyInsert(ds, tr, sky, cache, epoch, epoch+1, randPoint())
 			live = append(live, row)
+		} else {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = randPoint()
+			}
+			var added []int
+			sky, added, err = ApplyInsertBatch(ds, tr, sky, cache, epoch, epoch+1, pts, nil)
+			live = append(live, added...)
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -129,7 +195,13 @@ func TestApplyMutationsMatchWholesale(t *testing.T) {
 		if !ok {
 			t.Fatalf("step %d: no migrated fingerprint at epoch %d", step, epoch)
 		}
-		sameFingerprint(t, step, got, freshIF(t, ds, sky))
+		want := freshIF(t, ds, sky)
+		sameFingerprint(t, step, got, want)
+		v := got.lshMemo()
+		if v == nil || v.params != params || v.seed != zoneSeed {
+			t.Fatalf("step %d: the migrated entry carries no vectors for %+v seed %d", step, params, zoneSeed)
+		}
+		sameVectors(t, step, v.vectors, want, params, zoneSeed)
 		if tr.Len() != len(live) {
 			t.Fatalf("step %d: tree holds %d rows, want %d", step, tr.Len(), len(live))
 		}

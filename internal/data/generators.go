@@ -17,6 +17,20 @@ import (
 // seeded rand stream in the same row-major order, a streamed pass and a
 // materialized dataset are bit-identical — which the golden tests pin.
 
+// MaxGeneratedValues caps n·d, the coordinates one generated dataset may
+// hold: 2²⁶ float64s, 512 MiB. The serving daemons generate datasets from
+// request parameters (skyserved's POST /datasets, skyshardd's dataset
+// specs), so without a cap one request could ask for more memory than the
+// host has.
+const MaxGeneratedValues = 1 << 26
+
+// GeneratedFits reports whether an n×dims generated dataset stays within
+// MaxGeneratedValues. Non-positive sizes always fit; the decoders reject
+// them on their own.
+func GeneratedFits(n, dims int) bool {
+	return n <= MaxGeneratedValues/max(dims, 1)
+}
+
 // Independent generates n points whose coordinates are drawn independently
 // and uniformly from [0, 1). Skyline cardinality grows as O((ln n)^(d-1)).
 func Independent(n, dims int, seed int64) *Dataset {

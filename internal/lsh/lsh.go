@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"skydiver/internal/minhash"
 )
@@ -67,7 +68,7 @@ func ChooseParams(t int, xi float64, buckets int) (Params, error) {
 	if t < 2 {
 		return Params{}, fmt.Errorf("lsh: signature size %d too small to band", t)
 	}
-	if xi <= 0 || xi >= 1 {
+	if !(xi > 0 && xi < 1) { // NaN fails both comparisons
 		return Params{}, fmt.Errorf("lsh: threshold %v out of (0,1)", xi)
 	}
 	if buckets <= 0 {
@@ -93,9 +94,9 @@ type BitVectors struct {
 	cols        int
 	wordsPerCol int
 	words       []uint64
-	// zoneBucket[c*Zones+z] caches the bucket point c hashed to in zone z,
-	// which the tests use to cross-check the bit encoding.
-	zoneBucket []int32
+	// zoneKeys[z] is zone z's 64-bit mixing key, drawn from the build seed;
+	// Carry hashes changed zones with the same keys.
+	zoneKeys []uint64
 }
 
 // buildCheckStride is how many columns Build encodes between two context
@@ -118,21 +119,13 @@ func BuildCtx(ctx context.Context, m *minhash.Matrix, p Params, seed int64) (*Bi
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bitsPerCol := p.Zones * p.Buckets
-	wordsPerCol := (bitsPerCol + 63) / 64
-	bv := &BitVectors{
-		params:      p,
-		cols:        m.Cols(),
-		wordsPerCol: wordsPerCol,
-		words:       make([]uint64, wordsPerCol*m.Cols()),
-		zoneBucket:  make([]int32, p.Zones*m.Cols()),
-	}
 	// One 64-bit mixing key per zone.
 	r := rand.New(rand.NewSource(seed))
 	zoneKeys := make([]uint64, p.Zones)
 	for z := range zoneKeys {
 		zoneKeys[z] = r.Uint64()
 	}
+	bv := newBitVectors(p, zoneKeys, m.Cols())
 	for c := 0; c < m.Cols(); c++ {
 		if c%buildCheckStride == 0 && c > 0 {
 			if err := ctx.Err(); err != nil {
@@ -141,14 +134,73 @@ func BuildCtx(ctx context.Context, m *minhash.Matrix, p Params, seed int64) (*Bi
 		}
 		sig := m.Column(c)
 		for z := 0; z < p.Zones; z++ {
-			frag := sig[z*p.Rows : (z+1)*p.Rows]
-			bucket := int(hashFragment(frag, zoneKeys[z]) % uint64(p.Buckets))
-			bv.zoneBucket[c*p.Zones+z] = int32(bucket)
-			bit := z*p.Buckets + bucket
-			bv.words[c*wordsPerCol+bit/64] |= 1 << (bit % 64)
+			bv.setZone(c, z, sig)
 		}
 	}
 	return bv, nil
+}
+
+// newBitVectors allocates all-zero vectors for cols points.
+func newBitVectors(p Params, zoneKeys []uint64, cols int) *BitVectors {
+	wordsPerCol := (p.Zones*p.Buckets + 63) / 64
+	return &BitVectors{
+		params:      p,
+		cols:        cols,
+		wordsPerCol: wordsPerCol,
+		words:       make([]uint64, wordsPerCol*cols),
+		zoneKeys:    zoneKeys,
+	}
+}
+
+// setZone hashes zone z's fragment of signature sig into its bucket and
+// sets that bucket's bit in point c's vector. It is the one per-zone
+// hashing routine of BuildCtx and Carry.
+func (bv *BitVectors) setZone(c, z int, sig []uint32) {
+	p := bv.params
+	frag := sig[z*p.Rows : (z+1)*p.Rows]
+	bit := z*p.Buckets + int(hashFragment(frag, bv.zoneKeys[z])%uint64(p.Buckets))
+	bv.words[c*bv.wordsPerCol+bit/64] |= 1 << (bit % 64)
+}
+
+// Carry returns the bit vectors of next, a patched successor of prev, the
+// matrix bv encodes: next's column j holds the signature that prev's column
+// from[j] was patched into, or a new one where from[j] < 0. A zone's bucket
+// is a function of its fragment and zone key alone, so a zone whose
+// fragment did not change keeps its bucket; only changed zones and new
+// columns are hashed. Every kept zone is compared first, so the result is
+// bit-identical to BuildCtx of next with bv's parameters and seed.
+func (bv *BitVectors) Carry(prev, next *minhash.Matrix, from []int) (*BitVectors, error) {
+	if prev.Cols() != bv.cols || next.T() != prev.T() || len(from) != next.Cols() {
+		return nil, fmt.Errorf("lsh: carry from %d columns of t=%d to %d columns of t=%d with %d origins",
+			prev.Cols(), prev.T(), next.Cols(), next.T(), len(from))
+	}
+	p := bv.params
+	out := newBitVectors(p, bv.zoneKeys, next.Cols())
+	w := bv.wordsPerCol
+	for j, i := range from {
+		sig := next.Column(j)
+		if i < 0 {
+			for z := 0; z < p.Zones; z++ {
+				out.setZone(j, z, sig)
+			}
+			continue
+		}
+		copy(out.words[j*w:(j+1)*w], bv.words[i*w:(i+1)*w])
+		if next.ColumnEqual(j, prev, i) {
+			continue
+		}
+		old := prev.Column(i)
+		for z := 0; z < p.Zones; z++ {
+			lo, hi := z*p.Rows, (z+1)*p.Rows
+			if slices.Equal(sig[lo:hi], old[lo:hi]) {
+				continue
+			}
+			bit := z*p.Buckets + out.Bucket(j, z)
+			out.words[j*w+bit/64] &^= 1 << (bit % 64)
+			out.setZone(j, z, sig)
+		}
+	}
+	return out, nil
 }
 
 // hashFragment mixes a signature fragment with a zone key (FNV-1a over the
@@ -177,9 +229,21 @@ func (bv *BitVectors) Params() Params { return bv.params }
 // Cols returns the number of encoded points.
 func (bv *BitVectors) Cols() int { return bv.cols }
 
-// Bucket returns the bucket point c hashed to in zone z.
+// Bucket returns the bucket point c hashed to in zone z: the position of
+// the one set bit among the zone's B bits (-1 if the zone has none, which a
+// built vector never has).
 func (bv *BitVectors) Bucket(c, z int) int {
-	return int(bv.zoneBucket[c*bv.params.Zones+z])
+	row := bv.words[c*bv.wordsPerCol : (c+1)*bv.wordsPerCol]
+	lo, hi := z*bv.params.Buckets, (z+1)*bv.params.Buckets
+	for bit := lo; bit < hi; bit = (bit/64 + 1) * 64 {
+		if w := row[bit/64] >> (bit % 64); w != 0 {
+			if b := bit + bits.TrailingZeros64(w); b < hi {
+				return b - lo
+			}
+			return -1
+		}
+	}
+	return -1
 }
 
 // Hamming returns the Hamming distance between the bit vectors of points i
@@ -207,3 +271,12 @@ func (bv *BitVectors) OnesCount(c int) int {
 // MemoryBytes returns the bit-vector storage footprint, the LSH side of
 // Figure 13(a)-(b).
 func (bv *BitVectors) MemoryBytes() int { return 8 * len(bv.words) }
+
+// VectorsFit reports whether the bit-vectors of m points under p stay within
+// minhash.MaxFingerprintBytes, measured as m·ζ·B/8 bytes. The bucket count
+// is a request parameter of the serving daemons, so without a cap one query
+// could ask for vectors larger than the host. p must have positive zones;
+// non-positive m always fits.
+func VectorsFit(p Params, m int) bool {
+	return p.Buckets <= minhash.MaxFingerprintBytes*8/(p.Zones*max(m, 1))
+}

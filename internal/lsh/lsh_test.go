@@ -78,6 +78,9 @@ func TestChooseParamsErrors(t *testing.T) {
 	if _, err := ChooseParams(100, 1, 10); err == nil {
 		t.Error("expected error for xi=1")
 	}
+	if _, err := ChooseParams(100, math.NaN(), 10); err == nil {
+		t.Error("expected error for xi=NaN")
+	}
 	if _, err := ChooseParams(100, 0.2, 0); err == nil {
 		t.Error("expected error for buckets=0")
 	}

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestServerBoundsRequestSizes: query parameters that size an allocation —
-// the signature size t (a t×m matrix plus 2·t hash coefficients) and the
-// shard count (per-shard partition slices) — are rejected with 400 before
-// anything of that size is allocated, on the plain and on the resilient
-// path.
+// TestServerBoundsRequestSizes: request parameters that size an allocation
+// — the signature size t (a t×m matrix plus 2·t hash coefficients), the
+// shard count (per-shard partition slices) and a generated dataset's n·d
+// coordinates — are rejected with 400 before anything of that size is
+// allocated, on the plain and on the resilient query path.
 func TestServerBoundsRequestSizes(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, 3000)
 	c := ts.Client()
@@ -31,6 +31,16 @@ func TestServerBoundsRequestSizes(t *testing.T) {
 		resp := get(t, c, ts.URL+u, &eb)
 		if resp.StatusCode != http.StatusBadRequest || eb.Class != ClassBadRequest {
 			t.Errorf("%s: status=%d class=%q, want 400 bad_request", u, resp.StatusCode, eb.Class)
+		}
+	}
+	for _, u := range []string{
+		"/datasets?name=huge&gen=ind&n=2000000000",
+		"/datasets?name=wide&gen=ind&d=1000000000",
+	} {
+		var eb errorBody
+		resp := doJSON(t, c, http.MethodPost, ts.URL+u, &eb)
+		if resp.StatusCode != http.StatusBadRequest || eb.Class != ClassBadRequest {
+			t.Errorf("POST %s: status=%d class=%q, want 400 bad_request", u, resp.StatusCode, eb.Class)
 		}
 	}
 	runtime.ReadMemStats(&after)

@@ -21,6 +21,7 @@ import (
 
 	"skydiver"
 	"skydiver/internal/admission"
+	"skydiver/internal/data"
 	"skydiver/internal/httpx"
 )
 
@@ -625,6 +626,10 @@ func buildDataset(q map[string][]string) (*skydiver.Dataset, error) {
 	d, err := strconv.Atoi(get("d", "4"))
 	if err != nil || d < 2 {
 		return nil, fmt.Errorf("%w: d=%q, want an integer >= 2", skydiver.ErrInvalidOptions, get("d", ""))
+	}
+	if !data.GeneratedFits(n, d) {
+		return nil, fmt.Errorf("%w: n·d = %d×%d exceeds the %d generated coordinates cap",
+			skydiver.ErrInvalidOptions, n, d, data.MaxGeneratedValues)
 	}
 	seed, err := strconv.ParseInt(get("seed", "1"), 10, 64)
 	if err != nil {

@@ -384,6 +384,17 @@ func FuzzDatasetMutations(f *testing.F) {
 // counters. The dataset is pre-warmed with a query so the fingerprint
 // migration path (not just the skyline test) is on the measured path.
 func BenchmarkDatasetInsert(b *testing.B) {
+	benchDatasetInsert(b, MinHash)
+}
+
+// BenchmarkDatasetInsertLSH is BenchmarkDatasetInsert with the warm-up
+// query run by LSH, so the resident fingerprint carries bit-vectors and
+// every insert also pays their carry to the new epoch.
+func BenchmarkDatasetInsertLSH(b *testing.B) {
+	benchDatasetInsert(b, LSH)
+}
+
+func benchDatasetInsert(b *testing.B, algo Algorithm) {
 	r := rand.New(rand.NewSource(42))
 	pts := make([][]float64, 20000)
 	for i := range pts {
@@ -394,7 +405,7 @@ func BenchmarkDatasetInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Diversify(Options{K: 5, SignatureSize: 64, Seed: 1}); err != nil {
+	if _, err := d.Diversify(Options{K: 5, SignatureSize: 64, Seed: 1, Algorithm: algo}); err != nil {
 		b.Fatal(err)
 	}
 	p := make([]float64, 3)
@@ -409,49 +420,59 @@ func BenchmarkDatasetInsert(b *testing.B) {
 
 // TestCachedAnswerSurvivesDominatedDeletes replays, through the public API,
 // the write sequence that exposed stale signature columns after a delete of
-// a dominated row: ANT-20K-4D with a resident MinHash fingerprint, then
-// inserts of fresh anticorrelated points alternating with deletes of random
-// rows. Its 62nd write, Delete(6139), removes a row outside the skyline
-// whose hashes hold slot minima in several dominator columns; the
-// maintained answer must still equal an uncached recompute.
+// a dominated row: ANT-20K-4D with a resident fingerprint, then inserts of
+// fresh anticorrelated points alternating with deletes of random rows. Its
+// 62nd write, Delete(6139), removes a row outside the skyline whose hashes
+// hold slot minima in several dominator columns; the maintained answer must
+// still equal an uncached recompute. The LSH run also carries the entry's
+// bit-vectors across every write, so its answer and MemoryBytes must match
+// the recompute's too.
 func TestCachedAnswerSurvivesDominatedDeletes(t *testing.T) {
-	ds, err := Generate(Anticorrelated, 20000, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	opts := Options{K: 10, SignatureSize: 100, Seed: 1597969999, Algorithm: MinHash}
-	if _, err := ds.Diversify(opts); err != nil {
-		t.Fatal(err)
-	}
-	inserts := data.Anticorrelated(8192, 4, 1)
-	deletes := rand.New(rand.NewSource(1)).Perm(20000)
-	if deletes[30] != 6139 {
-		t.Fatalf("fixture: the 31st delete is row %d, want 6139", deletes[30])
-	}
-	for n := 0; n < 62; n++ {
-		if n%2 == 0 {
-			_, err = ds.Insert(inserts.Point(n / 2))
-		} else {
-			err = ds.Delete(deletes[n/2])
-		}
-		if err != nil {
-			t.Fatalf("write %d: %v", n+1, err)
-		}
-	}
-	cached, err := ds.Diversify(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.NoCache = true
-	fresh, err := ds.Diversify(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached.FingerprintCached {
-		t.Fatal("the resident fingerprint did not survive the writes")
-	}
-	if !slices.Equal(cached.Indexes, fresh.Indexes) {
-		t.Fatalf("maintained answer %v, recompute %v", cached.Indexes, fresh.Indexes)
+	for _, algo := range []Algorithm{MinHash, LSH} {
+		t.Run(algo.String(), func(t *testing.T) {
+			ds, err := Generate(Anticorrelated, 20000, 4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ds.Close()
+			opts := Options{K: 10, SignatureSize: 100, Seed: 1597969999, Algorithm: algo}
+			if _, err := ds.Diversify(opts); err != nil {
+				t.Fatal(err)
+			}
+			inserts := data.Anticorrelated(8192, 4, 1)
+			deletes := rand.New(rand.NewSource(1)).Perm(20000)
+			if deletes[30] != 6139 {
+				t.Fatalf("fixture: the 31st delete is row %d, want 6139", deletes[30])
+			}
+			for n := 0; n < 62; n++ {
+				if n%2 == 0 {
+					_, err = ds.Insert(inserts.Point(n / 2))
+				} else {
+					err = ds.Delete(deletes[n/2])
+				}
+				if err != nil {
+					t.Fatalf("write %d: %v", n+1, err)
+				}
+			}
+			cached, err := ds.Diversify(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.NoCache = true
+			fresh, err := ds.Diversify(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cached.FingerprintCached {
+				t.Fatal("the resident fingerprint did not survive the writes")
+			}
+			if !slices.Equal(cached.Indexes, fresh.Indexes) {
+				t.Fatalf("maintained answer %v, recompute %v", cached.Indexes, fresh.Indexes)
+			}
+			if cached.MemoryBytes != fresh.MemoryBytes || cached.ObjectiveValue != fresh.ObjectiveValue {
+				t.Fatalf("maintained MemoryBytes %d objective %v, recompute %d %v",
+					cached.MemoryBytes, cached.ObjectiveValue, fresh.MemoryBytes, fresh.ObjectiveValue)
+			}
+		})
 	}
 }

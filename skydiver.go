@@ -37,6 +37,7 @@ import (
 	"skydiver/internal/core"
 	"skydiver/internal/data"
 	"skydiver/internal/geom"
+	"skydiver/internal/lsh"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
@@ -126,9 +127,12 @@ type Options struct {
 	// UseIndex switches fingerprinting to SigGen-IB over the R*-tree;
 	// otherwise SigGen-IF scans the data once (the default).
 	UseIndex bool
-	// LSHThreshold is the banding similarity threshold ξ (default 0.2).
+	// LSHThreshold is the banding similarity threshold ξ, in (0, 1)
+	// (default 0.2).
 	LSHThreshold float64
-	// LSHBuckets is the bucket count per zone B (default 20).
+	// LSHBuckets is the bucket count per zone B (default 20). The LSH
+	// bit-vectors take m·ζ·B/8 bytes over m skyline points and ζ zones, and
+	// must stay within the 256 MiB fingerprint cap.
 	LSHBuckets int
 	// Seed drives all hashing; runs are deterministic per seed.
 	Seed int64
@@ -809,9 +813,10 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 // validateQuery checks the options of a query over a skyline of m points
 // before any allocation they size. Besides K it bounds what a client could
 // otherwise turn into an out-of-memory crash: a fingerprint (t×m matrix plus
-// hash family) beyond minhash.MaxFingerprintBytes, and a shard count above
-// the live row count (the partitioner allocates per shard). Callers hold
-// qmu, so the row count is the one the query runs on.
+// hash family) or LSH bit-vectors (m·ζ·B bits) beyond
+// minhash.MaxFingerprintBytes, and a shard count above the live row count
+// (the partitioner allocates per shard). Callers hold qmu, so the row count
+// is the one the query runs on.
 func (d *Dataset) validateQuery(opts Options, m int) error {
 	if opts.K < 1 {
 		return fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
@@ -826,6 +831,16 @@ func (d *Dataset) validateQuery(opts Options, m int) error {
 	if !minhash.FingerprintFits(t, m) {
 		return fmt.Errorf("%w: SignatureSize %d over %d skyline points exceeds the %d MiB fingerprint cap",
 			ErrInvalidOptions, t, m, minhash.MaxFingerprintBytes>>20)
+	}
+	if opts.Algorithm == LSH {
+		p, err := coreConfig(opts).LSHParams()
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		}
+		if !lsh.VectorsFit(p, m) {
+			return fmt.Errorf("%w: LSH bit-vectors of %d zones × %d buckets over %d skyline points exceed the %d MiB fingerprint cap",
+				ErrInvalidOptions, p.Zones, p.Buckets, m, minhash.MaxFingerprintBytes>>20)
+		}
 	}
 	if live := d.original.LiveLen(); opts.Shards > live {
 		return fmt.Errorf("%w: Shards = %d exceeds the %d live rows", ErrInvalidOptions, opts.Shards, live)

@@ -3,6 +3,7 @@ package skydiver
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sort"
 	"testing"
 )
@@ -140,9 +141,11 @@ func TestDiversifyValidation(t *testing.T) {
 	}
 }
 
-// TestQuerySizeBounds: options that size an allocation — a fingerprint
-// beyond the cap, a shard count above the live row count — fail with
-// ErrInvalidOptions on the plain, resilient and remote paths alike.
+// TestQuerySizeBounds: options that size an allocation — a fingerprint or
+// LSH bit-vectors beyond the cap, a shard count above the live row count —
+// and LSH parameters out of range (a negative bucket count, a threshold
+// outside (0, 1) or NaN) fail with ErrInvalidOptions on the plain,
+// resilient and remote paths alike.
 func TestQuerySizeBounds(t *testing.T) {
 	_, urls := startShardWorkers(t, 1)
 	ds, err := Generate(Independent, 2000, 3, 1)
@@ -156,10 +159,22 @@ func TestQuerySizeBounds(t *testing.T) {
 		{K: 3, Shards: ds.LiveLen() + 1},
 		{K: 3, Shards: ds.LiveLen() + 1, Budget: Budget{MaxEstimations: 1 << 20}},
 		{K: 3, Shards: ds.LiveLen() + 1, Remote: &RemoteOptions{Workers: urls}},
+		{K: 3, Algorithm: LSH, LSHBuckets: 1 << 40},
+		{K: 3, Algorithm: LSH, LSHBuckets: 1 << 40, AllowDegraded: true},
+		{K: 3, Algorithm: LSH, LSHBuckets: 1 << 40, Remote: &RemoteOptions{Workers: urls}},
+		{K: 3, Algorithm: LSH, LSHBuckets: -1},
+		{K: 3, Algorithm: LSH, LSHBuckets: -1, AllowDegraded: true},
+		{K: 3, Algorithm: LSH, LSHBuckets: -1, Remote: &RemoteOptions{Workers: urls}},
+		{K: 3, Algorithm: LSH, LSHThreshold: math.NaN()},
+		{K: 3, Algorithm: LSH, LSHThreshold: math.NaN(), AllowDegraded: true},
+		{K: 3, Algorithm: LSH, LSHThreshold: math.NaN(), Remote: &RemoteOptions{Workers: urls}},
+		{K: 3, Algorithm: LSH, LSHThreshold: 1.5},
+		{K: 3, Algorithm: LSH, LSHThreshold: -0.2, AllowDegraded: true},
+		{K: 3, Algorithm: LSH, LSHThreshold: 1, Remote: &RemoteOptions{Workers: urls}},
 	} {
 		if _, err := ds.Diversify(opts); !errors.Is(err, ErrInvalidOptions) {
-			t.Errorf("t=%d shards=%d degraded=%v remote=%v: err = %v, want ErrInvalidOptions",
-				opts.SignatureSize, opts.Shards, opts.AllowDegraded, opts.Remote != nil, err)
+			t.Errorf("t=%d shards=%d ξ=%v B=%d degraded=%v remote=%v: err = %v, want ErrInvalidOptions",
+				opts.SignatureSize, opts.Shards, opts.LSHThreshold, opts.LSHBuckets, opts.AllowDegraded, opts.Remote != nil, err)
 		}
 	}
 }
