@@ -38,9 +38,11 @@ concurrency:
 	$(GO) test -race -shuffle=on -run 'Concurrent|Session|BufferPool|Golden' . ./internal/rtree ./internal/pager ./internal/core
 
 # The resilience suite on its own: race-enabled admission-control waves,
-# breaker trip/recovery, budget exhaustion and the degradation ladder.
+# breaker trip/recovery (the state machine in internal/retry, the read-path
+# classification in internal/pager), budget exhaustion and the degradation
+# ladder.
 resilience:
-	$(GO) test -race -shuffle=on -run 'Admission|Breaker|Budget|Degrade|Overload' . ./internal/admission ./internal/budget ./internal/pager
+	$(GO) test -race -shuffle=on -run 'Admission|Breaker|Budget|Degrade|Overload' . ./internal/admission ./internal/budget ./internal/pager ./internal/retry
 
 # The serving-tier suite on its own: registry lifecycle/eviction races,
 # taxonomy mapping, drain semantics, panic recovery, /stats reconciliation.
@@ -72,16 +74,18 @@ cluster-smoke:
 stress:
 	$(GO) run ./cmd/skystress
 
-# Fuzz the pager fault-policy decoder and retry path, the dominance kernel,
-# the index-free fold over random row partitions (against the reference
-# model), the lazy greedy selection (against the eager loop) and the /query
-# parser for a short burst.
+# Run every Fuzz* target of the main module for FUZZTIME each. The targets
+# are listed per package with `go test -list`, so a new one is picked up
+# without editing this file.
+FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzFaultPolicy -fuzztime 20s ./internal/pager/
-	$(GO) test -run '^$$' -fuzz FuzzDominators -fuzztime 20s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzFoldPartitions -fuzztime 20s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzSelectMatchesEager -fuzztime 20s ./internal/dispersion/
-	$(GO) test -run '^$$' -fuzz FuzzParseQueryOptions -fuzztime 20s ./internal/server/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Benchmark pass emitting the JSON snapshots that make hot-path regressions
 # reviewable in diffs (and enforceable via benchgate). Three suites:

@@ -101,7 +101,10 @@ func checkPartial(t *testing.T, ds *Dataset, res *Result, k int) {
 // TestCancellationAtEveryStage cancels each algorithm at a spread of its
 // cancellation points — early (skyline / fingerprinting), middle, and just
 // before completion — and checks that every interruption yields a prompt
-// context.Canceled plus a well-formed anytime prefix.
+// context.Canceled plus a well-formed anytime prefix. Every case also runs
+// under a budget that never triggers, whose context the I/O session
+// observes: a read refused because the query was cancelled must still end
+// in the anytime prefix.
 func TestCancellationAtEveryStage(t *testing.T) {
 	const k = 6
 	// NoCache keeps every run's cancellation-point count identical to the
@@ -120,9 +123,15 @@ func TestCancellationAtEveryStage(t *testing.T) {
 		{"exact", Options{K: 3, Algorithm: Exact, SignatureSize: 32, Seed: 1, NoCache: true}},
 	}
 	for _, tc := range cases {
+		budgeted := tc
+		budgeted.name += "-budgeted"
+		budgeted.opts.Budget = Budget{MaxWall: time.Hour}
+		cases = append(cases, budgeted)
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := cancelTestDataset(t)
-			if tc.name == "exact" {
+			if tc.opts.Algorithm == Exact {
 				// Brute force needs a small skyline; shrink the input.
 				var err error
 				ds, err = Generate(Anticorrelated, 2000, 2, 1)

@@ -15,9 +15,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"skydiver/internal/fault"
 )
 
 // ErrExceeded marks a query that ran out of its resource budget. Errors
@@ -47,6 +48,31 @@ type Budget struct {
 func (b Budget) Enabled() bool {
 	return b.MaxPageReads > 0 || b.MaxWall > 0 || b.MaxEstimations > 0
 }
+
+func (b *Budget) fields() []fault.Field {
+	return []fault.Field{
+		fault.Count("pages", &b.MaxPageReads),
+		fault.Duration("wall", &b.MaxWall),
+		fault.Count("est", &b.MaxEstimations),
+	}
+}
+
+// Parse decodes a comma-separated key=value budget description in the
+// internal/fault grammar, e.g. "pages=256,wall=50ms,est=1000000". Keys: pages
+// (max page reads), wall (max wall-clock, a Go duration), est (max distance
+// estimations), each non-negative. Omitted keys stay unlimited; an empty
+// string is the zero (unlimited) budget.
+func Parse(s string) (Budget, error) {
+	var b Budget
+	if err := fault.Parse(s, b.fields()...); err != nil {
+		return Budget{}, fmt.Errorf("skydiver: budget: %w", err)
+	}
+	return b, nil
+}
+
+// String renders the budget in Parse's format, leaving out unlimited
+// dimensions; the zero budget renders as "".
+func (b Budget) String() string { return fault.Format(true, b.fields()...) }
 
 // Dimension names, as reported in Error.Dimension and degradation reasons.
 const (
@@ -86,11 +112,8 @@ type Tracker struct {
 	maxPages atomic.Int64
 	maxEst   atomic.Int64
 
-	pages atomic.Int64 // directly charged pages (sequential scans)
+	pages atomic.Int64
 	est   atomic.Int64
-
-	mu      sync.Mutex
-	sources []func() int64 // live page-read sources (session buffer pools)
 }
 
 // NewTracker creates a tracker for b, starting its wall clock now.
@@ -102,38 +125,19 @@ func NewTracker(b Budget) *Tracker {
 	return t
 }
 
-// AddPageSource registers a live page-read counter (typically a per-query
-// buffer pool's Reads) that Exceeded polls in addition to directly charged
-// pages.
-func (t *Tracker) AddPageSource(fn func() int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sources = append(t.sources, fn)
-}
-
-// ChargePages records n sequentially scanned pages.
+// ChargePages records n page reads: a session's buffer-pool reads, pushed
+// as they happen (rtree.Session.ObserveReads), and the pages a sequential
+// data scan touches.
 func (t *Tracker) ChargePages(n int64) { t.pages.Add(n) }
 
 // ChargeEstimations records n distance evaluations.
 func (t *Tracker) ChargeEstimations(n int64) { t.est.Add(n) }
 
-// PageReads returns the pages consumed so far: direct charges plus every
-// registered source.
-func (t *Tracker) PageReads() int64 {
-	total := t.pages.Load()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, fn := range t.sources {
-		total += fn()
-	}
-	return total
-}
+// PageReads returns the pages charged so far.
+func (t *Tracker) PageReads() int64 { return t.pages.Load() }
 
 // Estimations returns the distance evaluations consumed so far.
 func (t *Tracker) Estimations() int64 { return t.est.Load() }
-
-// Wall returns the wall-clock time consumed so far.
-func (t *Tracker) Wall() time.Duration { return time.Since(t.start) }
 
 // WallDeadline returns the absolute wall-budget expiry and whether one is
 // set.

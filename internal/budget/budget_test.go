@@ -58,24 +58,6 @@ func TestBudgetTrackerEstimations(t *testing.T) {
 	}
 }
 
-func TestBudgetTrackerPageSources(t *testing.T) {
-	tr := NewTracker(Budget{MaxPageReads: 100})
-	var reads int64
-	tr.AddPageSource(func() int64 { return reads })
-	tr.ChargePages(40)
-	reads = 59
-	if got := tr.PageReads(); got != 99 {
-		t.Fatalf("PageReads = %d, want 99", got)
-	}
-	if err := tr.Exceeded(); err != nil {
-		t.Fatalf("99 of 100: %v", err)
-	}
-	reads = 60
-	if err := tr.Exceeded(); !errors.Is(err, ErrExceeded) {
-		t.Fatalf("100 of 100 via source: err = %v, want ErrExceeded", err)
-	}
-}
-
 func TestBudgetTrackerWaive(t *testing.T) {
 	tr := NewTracker(Budget{MaxPageReads: 1, MaxEstimations: 1})
 	tr.ChargePages(5)

@@ -14,7 +14,7 @@ import (
 	"skydiver/internal/core"
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
-	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 )
 
 func testSpec() DatasetSpec {
@@ -330,7 +330,7 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	ex, err := New(Config{
 		Workers:    []string{dead.URL},
 		MaxRetries: 0,
-		Breaker:    pager.BreakerPolicy{Window: 4, MinSamples: 2, TripRatio: 0.5, Cooldown: time.Minute, Probes: 1},
+		Breaker:    retry.BreakerPolicy{Window: 4, MinSamples: 2, TripRatio: 0.5, Cooldown: time.Minute, Probes: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -508,13 +508,16 @@ func TestMatrixWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseWireFaultPolicyRoundTrip pins the policy string format.
+// TestParseWireFaultPolicyRoundTrip pins the policy string format and the
+// shared grammar's rejects.
 func TestParseWireFaultPolicyRoundTrip(t *testing.T) {
 	for _, s := range []string{
 		"",
 		"drop=0.1",
 		"drop=0.1,fail=0.2,corrupt=0.05,delay=20ms,seed=7",
 		"delay=1s,delayrate=0.5",
+		"seed=7",
+		"DROP=0.5,Fail=0.5",
 	} {
 		p, err := ParseWireFaultPolicy(s)
 		if err != nil {
@@ -528,7 +531,11 @@ func TestParseWireFaultPolicyRoundTrip(t *testing.T) {
 			t.Fatalf("%q: round-trip %+v != %+v", s, back, p)
 		}
 	}
-	for _, s := range []string{"drop=2", "nope=1", "drop", "delay=xyz"} {
+	for _, s := range []string{
+		"drop=2", "nope=1", "drop", "delay=xyz",
+		"drop=NaN", "fail=nan", "delay=1ms,delayrate=NaN", "drop=0.1,drop=0.9",
+		"delay=-5ms", "drop=0.7,fail=0.7", "drop=0.1,",
+	} {
 		if _, err := ParseWireFaultPolicy(s); err == nil {
 			t.Fatalf("%q: want error", s)
 		}

@@ -13,10 +13,10 @@
 //     with the partial fold, and the caller decides whether a degraded
 //     answer is acceptable.
 //
-// Per-node three-state circuit breakers (the pager's state machine, driven
-// through RecordOutcome) sit in front of every call, so a dead worker costs
-// one fast-fail per shard instead of a full retry budget, and recovers via
-// half-open probes once it returns.
+// Per-node three-state circuit breakers (retry.Breaker, the state machine
+// that also guards the pager's reads) sit in front of every call, so a dead
+// worker costs one fast-fail per shard instead of a full retry budget, and
+// recovers via half-open probes once it returns.
 package cluster
 
 import (
@@ -37,7 +37,6 @@ import (
 	"skydiver/internal/core"
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
-	"skydiver/internal/pager"
 	"skydiver/internal/retry"
 )
 
@@ -76,9 +75,9 @@ type Config struct {
 	// stays off for a node until enough samples exist. Negative disables
 	// hedging.
 	HedgeAfter time.Duration
-	// Breaker configures the per-node circuit breakers (zero = the pager's
-	// default policy).
-	Breaker pager.BreakerPolicy
+	// Breaker configures the per-node circuit breakers (zero =
+	// retry.DefaultBreakerPolicy).
+	Breaker retry.BreakerPolicy
 	// NoLocalFallback removes rung 4: a shard whose replicas all fail is
 	// reported missing instead of silently recomputed by the coordinator.
 	// The exact-answer guarantee then depends on the fleet.
@@ -102,8 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 10 * time.Second
 	}
-	if c.Breaker == (pager.BreakerPolicy{}) {
-		c.Breaker = pager.DefaultBreakerPolicy()
+	if c.Breaker == (retry.BreakerPolicy{}) {
+		c.Breaker = retry.DefaultBreakerPolicy()
 	}
 	return c
 }
@@ -184,7 +183,7 @@ type Stats struct {
 // node is one worker endpoint with its breaker and latency window.
 type node struct {
 	base string
-	br   *pager.Breaker
+	br   *retry.Breaker
 
 	mu     sync.Mutex
 	lat    []time.Duration // ring of recent successful-call latencies
@@ -244,7 +243,7 @@ func New(cfg Config) (*Executor, error) {
 		e.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	for _, w := range cfg.Workers {
-		br, err := pager.NewBreaker(cfg.Breaker)
+		br, err := retry.NewBreaker(cfg.Breaker)
 		if err != nil {
 			return nil, err
 		}
@@ -517,7 +516,7 @@ func (e *Executor) doOnce(ctx context.Context, n *node, path string, body []byte
 		return fmt.Errorf("%s: %w", n.base, err)
 	}
 	err := e.roundTrip(ctx, n, path, body, resp)
-	n.br.RecordOutcome(err != nil && retryableErr(err))
+	n.br.Record(retryableErr(err))
 	return err
 }
 
@@ -688,7 +687,7 @@ func retryableErr(err error) bool {
 	if errors.As(err, &se) {
 		return true
 	}
-	if errors.Is(err, ErrChecksum) || errors.Is(err, pager.ErrCircuitOpen) {
+	if errors.Is(err, ErrChecksum) || errors.Is(err, retry.ErrCircuitOpen) {
 		return true
 	}
 	// Anything carrying a *url.Error is a transport failure (refused,

@@ -1,5 +1,6 @@
 // wirefault.go injects transport-level faults into a worker's shard
-// endpoints — the network twin of the pager's storage FaultPolicy. Policies
+// endpoints — the network twin of the pager's storage FaultPolicy, written
+// in the same key=value grammar (internal/fault). Policies
 // are set per worker at runtime (POST /faults), so a chaos harness can make
 // one node drop connections, delay, corrupt response bytes or fail with 5xx
 // mid-wave and watch the coordinator's retry/hedge/failover envelope absorb
@@ -10,12 +11,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"skydiver/internal/fault"
 	"skydiver/internal/retry"
 )
 
@@ -37,40 +37,31 @@ type WireFaultPolicy struct {
 	Seed int64
 }
 
+func (p *WireFaultPolicy) fields() []fault.Field {
+	return []fault.Field{
+		fault.Prob("drop", &p.Drop),
+		fault.Prob("fail", &p.Fail),
+		fault.Prob("corrupt", &p.Corrupt),
+		fault.Duration("delay", &p.Delay),
+		fault.Prob("delayrate", &p.DelayRate),
+		fault.Int("seed", &p.Seed),
+	}
+}
+
 // ParseWireFaultPolicy decodes a comma-separated key=value wire-fault
-// description, e.g. "drop=0.1,fail=0.2,corrupt=0.1,delay=20ms,seed=7".
-// Keys: drop, fail, corrupt, delay, delayrate, seed. An empty string is the
+// description in the internal/fault grammar, e.g.
+// "drop=0.1,fail=0.2,corrupt=0.1,delay=20ms,seed=7". Keys: drop, fail,
+// corrupt, delayrate (probabilities), delay (a Go duration), seed. Since one
+// draw screens drop, fail and corrupt cumulatively, their sum may not exceed
+// 1. A delay without a rate fires on every request. An empty string is the
 // zero (disabled) policy.
 func ParseWireFaultPolicy(s string) (WireFaultPolicy, error) {
 	var p WireFaultPolicy
-	if strings.TrimSpace(s) == "" {
-		return p, nil
+	if err := fault.Parse(s, p.fields()...); err != nil {
+		return WireFaultPolicy{}, fmt.Errorf("cluster: wire fault policy: %w", err)
 	}
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return p, fmt.Errorf("cluster: bad fault field %q, want key=value", kv)
-		}
-		var err error
-		switch strings.ToLower(strings.TrimSpace(k)) {
-		case "drop":
-			p.Drop, err = parseProb(v)
-		case "fail":
-			p.Fail, err = parseProb(v)
-		case "corrupt":
-			p.Corrupt, err = parseProb(v)
-		case "delay":
-			p.Delay, err = time.ParseDuration(strings.TrimSpace(v))
-		case "delayrate":
-			p.DelayRate, err = parseProb(v)
-		case "seed":
-			p.Seed, err = strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		default:
-			return p, fmt.Errorf("cluster: unknown fault key %q", k)
-		}
-		if err != nil {
-			return p, fmt.Errorf("cluster: fault field %q: %v", kv, err)
-		}
+	if sum := p.Drop + p.Fail + p.Corrupt; sum > 1 {
+		return WireFaultPolicy{}, fmt.Errorf("cluster: wire fault policy: drop+fail+corrupt = %v exceeds 1", sum)
 	}
 	if p.Delay > 0 && p.DelayRate == 0 {
 		p.DelayRate = 1
@@ -78,46 +69,18 @@ func ParseWireFaultPolicy(s string) (WireFaultPolicy, error) {
 	return p, nil
 }
 
-func parseProb(v string) (float64, error) {
-	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 || f > 1 {
-		return 0, fmt.Errorf("probability %v out of [0, 1]", f)
-	}
-	return f, nil
-}
-
 // Enabled reports whether any fault kind can fire.
 func (p WireFaultPolicy) Enabled() bool {
 	return p.Drop > 0 || p.Fail > 0 || p.Corrupt > 0 || (p.Delay > 0 && p.DelayRate > 0)
 }
 
-// String renders the policy in ParseWireFaultPolicy's format.
+// String renders the policy in ParseWireFaultPolicy's format, leaving out
+// zero fields and a delay's default rate of 1.
 func (p WireFaultPolicy) String() string {
-	if !p.Enabled() {
-		return ""
+	if p.Delay > 0 && p.DelayRate == 1 {
+		p.DelayRate = 0
 	}
-	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	add("drop", p.Drop)
-	add("fail", p.Fail)
-	add("corrupt", p.Corrupt)
-	if p.Delay > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%v", p.Delay))
-		if p.DelayRate != 1 {
-			add("delayrate", p.DelayRate)
-		}
-	}
-	if p.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", p.Seed))
-	}
-	return strings.Join(parts, ",")
+	return fault.Format(true, p.fields()...)
 }
 
 // WireFaultStats counts injected faults by kind.

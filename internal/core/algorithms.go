@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -393,6 +394,10 @@ func SimpleGreedy(in Input, cfg Config) (*Result, error) {
 // selected so far as a Partial result. An oracle failure (e.g. a dead page
 // under fault injection) aborts the selection immediately and surfaces the
 // oracle's error — never a Partial result silently built on bogus distances.
+// A read that a session bound to ctx refused because ctx ended is expiry,
+// not an oracle failure: the loop appends a pick before it evaluates that
+// pick's distances and stops at the next poll, so no pick it returns ever
+// depended on the refused read.
 func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(len(in.Sky)); err != nil {
@@ -404,9 +409,15 @@ func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error)
 	r := in.reader()
 	before := r.Stats()
 	start := time.Now()
+	stats := func() Stats {
+		return Stats{Select: time.Since(start), IO: r.Stats().Sub(before), Model: pager.DefaultCostModel()}
+	}
 	oracle := NewExactOracle(r, in.Data, in.Sky)
 	scores, err := oracle.DomScores()
 	if err != nil {
+		if expired(ctx, err) {
+			return partialResult(in, nil, nil, stats()), ctx.Err()
+		}
 		return nil, err
 	}
 	// A failed oracle call poisons every later distance, so the first error
@@ -424,29 +435,26 @@ func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error)
 	// The eager loop, not the lazy one: the paper charges this baseline k·m
 	// exact probes, and its I/O is pinned to their order and number.
 	selected, err := dispersion.SelectDiverseSetEagerCtx(selCtx, len(in.Sky), cfg.K, dist, scores)
-	stats := Stats{
-		Select: time.Since(start),
-		IO:     r.Stats().Sub(before),
-		Model:  pager.DefaultCostModel(),
-	}
-	if firstErr != nil {
+	if firstErr != nil && !expired(ctx, firstErr) {
 		// Checked before the context: a partial prefix whose distances came
 		// from a failing oracle is not a valid anytime answer.
 		return nil, firstErr
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return partialResult(in, selected, dist, stats), ctx.Err()
+			return partialResult(in, selected, dist, stats()), ctx.Err()
 		}
 		return nil, err
 	}
+	// The selected pairs' distances are memoized by the oracle, so this
+	// issues no reads.
 	obj := dispersion.MinPairwise(selected, dist)
 
 	return &Result{
 		Selected:       selected,
 		DataIndexes:    in.dataIndexes(selected),
 		ObjectiveValue: obj,
-		Stats:          stats,
+		Stats:          stats(),
 	}, nil
 }
 
@@ -467,6 +475,13 @@ func (c *abortCtx) Err() error {
 	return c.Context.Err()
 }
 
+// expired reports whether err is a read refused because ctx ended:
+// cancelled, past its deadline or out of budget.
+func expired(ctx context.Context, err error) bool {
+	return ctx.Err() != nil && (errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, budget.ErrExceeded))
+}
+
 // BruteForce is the exhaustive baseline of Section 3.2: all pairwise exact
 // Jaccard distances, then enumeration of all C(m, k) subsets for the optimal
 // k-MMDP value. Exponential in k; only run it on small skylines.
@@ -478,7 +493,8 @@ func BruteForce(in Input, cfg Config) (*Result, error) {
 // per distance-matrix row and periodically during subset enumeration. On
 // expiry mid-enumeration the best subset found so far is returned as a
 // Partial result (anytime, but without the optimality guarantee); expiry
-// during matrix construction yields an empty Partial result.
+// during matrix construction, including a read refused because ctx ended,
+// yields an empty Partial result.
 func BruteForceCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(len(in.Sky)); err != nil {
@@ -508,6 +524,9 @@ func BruteForceCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		for j := i + 1; j < m; j++ {
 			d, err := oracle.Jd(i, j)
 			if err != nil {
+				if expired(ctx, err) {
+					return partialResult(in, nil, nil, stats()), ctx.Err()
+				}
 				return nil, err
 			}
 			dmat[i*m+j] = d

@@ -8,6 +8,7 @@ import (
 
 	"skydiver/internal/data"
 	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 	"skydiver/internal/rtree"
 	"skydiver/internal/skyline"
 )
@@ -47,7 +48,7 @@ func TestSimpleGreedyReportsRetries(t *testing.T) {
 	tr.Store().SetFaultInjector(fi)
 	defer tr.Store().SetFaultInjector(nil)
 	// Keep the default retry budget but drop the backoff sleeps.
-	in.Session.SetRetryPolicy(pager.RetryPolicy{MaxRetries: 4})
+	in.Session.SetRetryPolicy(retry.Policy{MaxRetries: 4})
 
 	res, err := SimpleGreedy(in, Config{K: 4, Seed: 7})
 	if err != nil {
@@ -120,7 +121,7 @@ func TestSimpleGreedySurfacesSelectionOracleFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr3.Store().SetFaultInjector(fi)
-	in3.Session.SetRetryPolicy(pager.RetryPolicy{MaxRetries: 4})
+	in3.Session.SetRetryPolicy(retry.Policy{MaxRetries: 4})
 
 	res, err := SimpleGreedy(in3, Config{K: 4, Seed: 7})
 	if err == nil {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"skydiver/internal/minhash"
 )
 
 // equivalencePair builds two monitors with identical parameters, one on the
@@ -43,12 +45,19 @@ func compareMonitors(t *testing.T, step int, inc, whole *Monitor) {
 			t.Fatalf("step %d: skyline[%d] seq %d vs %d", step, i, iSky[i].Seq, wSky[i].Seq)
 		}
 	}
-	// White-box: maintained signature state must match slot for slot.
+	// White-box: maintained signature state must match slot for slot. An
+	// empty window holds no matrix, which compares as zero columns.
 	im, wm := inc.matrix, whole.matrix
-	if im.Cols() != wm.Cols() || im.Cols() != len(iSky) {
-		t.Fatalf("step %d: matrix cols %d vs %d (skyline %d)", step, im.Cols(), wm.Cols(), len(iSky))
+	cols := func(m *minhash.Matrix) int {
+		if m == nil {
+			return 0
+		}
+		return m.Cols()
 	}
-	for c := 0; c < im.Cols(); c++ {
+	if cols(im) != cols(wm) || cols(im) != len(iSky) {
+		t.Fatalf("step %d: matrix cols %d vs %d (skyline %d)", step, cols(im), cols(wm), len(iSky))
+	}
+	for c := 0; c < cols(im); c++ {
 		ic, wc := im.Column(c), wm.Column(c)
 		for s := range ic {
 			if ic[s] != wc[s] {
@@ -131,9 +140,12 @@ func FuzzMonitorEquivalence(f *testing.F) {
 	f.Add(uint8(1), []byte{0x42, 0x42, 0x42, 0x24, 0x24})
 	f.Add(uint8(16), []byte("skyline diversification over sliding windows"))
 	f.Add(uint8(7), []byte{0x80, 0x08, 0x81, 0x18, 0x80, 0x08, 0x99, 0x00, 0xf0, 0x0f})
+	// An empty window, and a window of one point (k cannot exceed it).
+	f.Add(uint8(3), []byte{})
+	f.Add(uint8(0), []byte("0"))
 	f.Fuzz(func(t *testing.T, capacity uint8, data []byte) {
 		cap := 1 + int(capacity)%24
-		inc, whole := equivalencePair(t, 2, cap, 2, 32, 99)
+		inc, whole := equivalencePair(t, 2, cap, min(2, cap), 32, 99)
 		for i, b := range data {
 			p := []float64{float64(b & 0xF), float64(b >> 4)}
 			if _, err := inc.Add(p); err != nil {

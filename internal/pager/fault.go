@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"skydiver/internal/fault"
 	"skydiver/internal/retry"
 )
 
@@ -54,61 +54,29 @@ func (p FaultPolicy) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the policy can inject anything at all.
-func (p FaultPolicy) Enabled() bool { return p.Rate > 0 }
-
-// String encodes the policy in the key=value form ParseFaultPolicy accepts,
-// e.g. "rate=0.01,permanent=0.1,latency=2ms,seed=7".
-func (p FaultPolicy) String() string {
-	return fmt.Sprintf("rate=%s,permanent=%s,latency=%s,seed=%d",
-		strconv.FormatFloat(p.Rate, 'g', -1, 64),
-		strconv.FormatFloat(p.PermanentRate, 'g', -1, 64),
-		p.Latency, p.Seed)
+func (p *FaultPolicy) fields() []fault.Field {
+	return []fault.Field{
+		fault.Prob("rate", &p.Rate),
+		fault.Prob("permanent", &p.PermanentRate),
+		fault.Duration("latency", &p.Latency),
+		fault.Int("seed", &p.Seed),
+	}
 }
 
-// ParseFaultPolicy decodes a comma-separated key=value policy description.
-// Keys: rate, permanent, latency (a Go duration), seed. Unknown keys,
-// duplicate keys, malformed values and out-of-range numbers are errors.
+// String encodes the policy in the key=value form ParseFaultPolicy accepts,
+// every field included, e.g. "rate=0.01,permanent=0.1,latency=2ms,seed=7".
+func (p FaultPolicy) String() string { return fault.Format(false, p.fields()...) }
+
+// ParseFaultPolicy decodes a comma-separated key=value policy description in
+// the internal/fault grammar. Keys: rate, permanent (probabilities),
+// latency (a Go duration), seed. An empty description is an error.
 func ParseFaultPolicy(s string) (FaultPolicy, error) {
 	var p FaultPolicy
 	if strings.TrimSpace(s) == "" {
 		return p, errors.New("pager: empty fault policy")
 	}
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return FaultPolicy{}, fmt.Errorf("pager: fault policy field %q is not key=value", part)
-		}
-		key = strings.TrimSpace(strings.ToLower(key))
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return FaultPolicy{}, fmt.Errorf("pager: duplicate fault policy key %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "rate":
-			p.Rate, err = strconv.ParseFloat(val, 64)
-		case "permanent":
-			p.PermanentRate, err = strconv.ParseFloat(val, 64)
-		case "latency":
-			p.Latency, err = time.ParseDuration(val)
-		case "seed":
-			p.Seed, err = strconv.ParseInt(val, 10, 64)
-		default:
-			return FaultPolicy{}, fmt.Errorf("pager: unknown fault policy key %q", key)
-		}
-		if err != nil {
-			return FaultPolicy{}, fmt.Errorf("pager: fault policy %s: %w", key, err)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return FaultPolicy{}, err
+	if err := fault.Parse(s, p.fields()...); err != nil {
+		return FaultPolicy{}, fmt.Errorf("pager: fault policy: %w", err)
 	}
 	return p, nil
 }
@@ -147,9 +115,6 @@ func NewFaultInjector(policy FaultPolicy) (*FaultInjector, error) {
 		dead:   make(map[PageID]bool),
 	}, nil
 }
-
-// Policy returns the injector's configuration.
-func (fi *FaultInjector) Policy() FaultPolicy { return fi.policy }
 
 // Stats returns a copy of the injection counters.
 func (fi *FaultInjector) Stats() FaultStats {
@@ -206,28 +171,10 @@ func (fi *FaultInjector) DeadPages() []PageID {
 	return out
 }
 
-// RetryPolicy bounds the transient-fault retry loop of the read path:
-// attempt n (0-based) sleeps BaseDelay·2ⁿ, capped at MaxDelay.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-reads after the initial attempt.
-	MaxRetries int
-	// BaseDelay is the first backoff step (0 disables sleeping).
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth.
-	MaxDelay time.Duration
-}
-
-// DefaultRetryPolicy returns the read path's default: 4 retries starting at
-// 100 µs and capped at 5 ms — enough to ride out low transient fault rates
-// without stalling on dead pages.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: 5 * time.Millisecond}
-}
-
-// Backoff returns the sleep before retry attempt (0-based). The arithmetic
-// lives in internal/retry, shared with the admission queue wait and the
-// cluster RPC envelope; the read path keeps it un-jittered so per-query I/O
-// timing stays deterministic under injected faults.
-func (r RetryPolicy) Backoff(attempt int) time.Duration {
-	return retry.Policy{MaxRetries: r.MaxRetries, BaseDelay: r.BaseDelay, MaxDelay: r.MaxDelay}.Backoff(attempt)
+// DefaultRetryPolicy returns the read path's transient-fault retry policy:
+// 4 retries starting at 100 µs and capped at 5 ms — enough to ride out low
+// transient fault rates without stalling on dead pages. It is un-jittered,
+// so per-query I/O timing stays deterministic under injected faults.
+func DefaultRetryPolicy() retry.Policy {
+	return retry.Policy{MaxRetries: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: 5 * time.Millisecond}
 }

@@ -2,6 +2,8 @@ package pager
 
 import (
 	"testing"
+
+	"skydiver/internal/retry"
 )
 
 // FuzzFaultPolicy exercises the policy decoder and the injected-fault retry
@@ -43,8 +45,8 @@ func FuzzFaultPolicy(f *testing.F) {
 		ids := []PageID{store.Allocate(), store.Allocate(), store.Allocate()}
 		store.SetFaultInjector(fi)
 		pool := NewBufferPool(store, 2)
-		retry := RetryPolicy{MaxRetries: 3}
-		pool.SetRetryPolicy(retry)
+		rp := retry.Policy{MaxRetries: 3}
+		pool.SetRetryPolicy(rp)
 		decode := func(raw []byte) (any, error) { return len(raw), nil }
 		var before int64
 		for i := 0; i < 32; i++ {
@@ -55,8 +57,8 @@ func FuzzFaultPolicy(f *testing.F) {
 			}
 			spent := pool.Stats().Retries - before
 			before = pool.Stats().Retries
-			if spent > int64(retry.MaxRetries) {
-				t.Fatalf("read %d used %d retries, policy allows %d", i, spent, retry.MaxRetries)
+			if spent > int64(rp.MaxRetries) {
+				t.Fatalf("read %d used %d retries, policy allows %d", i, spent, rp.MaxRetries)
 			}
 		}
 		_ = fi.Stats()

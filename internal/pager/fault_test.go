@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"skydiver/internal/retry"
 )
 
 func TestParseFaultPolicyRoundTrip(t *testing.T) {
@@ -98,7 +100,7 @@ func TestBufferPoolRetriesTransientFaults(t *testing.T) {
 	store.SetFaultInjector(fi)
 	decode := func(raw []byte) (any, error) { return len(raw), nil }
 	pool := NewBufferPool(store, 1)
-	pool.SetRetryPolicy(RetryPolicy{MaxRetries: 50})
+	pool.SetRetryPolicy(retry.Policy{MaxRetries: 50})
 	for i := 0; i < 100; i++ {
 		pool.Clear()
 		v, err := pool.Get(id, decode)
@@ -123,7 +125,7 @@ func TestBufferPoolSurfacesPermanentFaults(t *testing.T) {
 	}
 	store.SetFaultInjector(fi)
 	pool := NewBufferPool(store, 1)
-	pool.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
+	pool.SetRetryPolicy(retry.Policy{MaxRetries: 3})
 	_, err = pool.Get(id, func(raw []byte) (any, error) { return nil, nil })
 	if !errors.Is(err, ErrPermanentFault) {
 		t.Fatalf("got %v, want permanent fault", err)
@@ -145,7 +147,7 @@ func TestBufferPoolRetryExhaustion(t *testing.T) {
 	}
 	store.SetFaultInjector(fi)
 	pool := NewBufferPool(store, 1)
-	pool.SetRetryPolicy(RetryPolicy{MaxRetries: 3})
+	pool.SetRetryPolicy(retry.Policy{MaxRetries: 3})
 	_, err = pool.Get(id, func(raw []byte) (any, error) { return nil, nil })
 	if !errors.Is(err, ErrTransientFault) {
 		t.Fatalf("got %v, want transient fault after exhausted retries", err)
@@ -155,16 +157,68 @@ func TestBufferPoolRetryExhaustion(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyBackoff pins the read path's default schedule: capped
+// doubling from 100 µs without jitter, so per-query I/O timing stays
+// deterministic under injected faults.
 func TestRetryPolicyBackoff(t *testing.T) {
-	r := RetryPolicy{MaxRetries: 10, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-	want := []time.Duration{1, 2, 4, 4, 4}
+	r := DefaultRetryPolicy()
+	if r.MaxRetries != 4 || r.FullJitter {
+		t.Fatalf("default policy %+v, want 4 un-jittered retries", r)
+	}
+	want := []time.Duration{100, 200, 400, 800, 1600, 3200, 5000, 5000}
 	for i, w := range want {
-		if got := r.Backoff(i); got != w*time.Millisecond {
-			t.Errorf("Backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
+		if got := r.Delay(i); got != w*time.Microsecond {
+			t.Errorf("Delay(%d) = %v, want %v", i, got, w*time.Microsecond)
 		}
 	}
-	zero := RetryPolicy{MaxRetries: 2}
-	if zero.Backoff(0) != 0 || zero.Backoff(5) != 0 {
-		t.Error("zero base delay must not sleep")
+}
+
+// TestBreakerIgnoresHealthyTraffic pins the read path's one classification
+// for the store's breaker: a transient fault counts as a fault and a success
+// as healthy, while a dead page (a permanent fault, not evidence that the
+// device is sick) or an unrelated store error is not recorded at all.
+func TestBreakerIgnoresHealthyTraffic(t *testing.T) {
+	store := NewPageStore()
+	dead, live := store.Allocate(), store.Allocate()
+	// One recorded fault in a one-sample window would trip it.
+	br, err := retry.NewBreaker(retry.BreakerPolicy{Window: 8, MinSamples: 1, TripRatio: 0.5, Cooldown: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetBreaker(br)
+	fi, err := NewFaultInjector(FaultPolicy{Rate: 1, PermanentRate: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetFaultInjector(fi)
+	pool := NewBufferPool(store, 1)
+	decode := func(raw []byte) (any, error) { return len(raw), nil }
+	for i := 0; i < 16; i++ {
+		if _, err := pool.Get(dead, decode); !errors.Is(err, ErrPermanentFault) {
+			t.Fatalf("read %d of the dead page: %v, want ErrPermanentFault", i, err)
+		}
+	}
+	if _, err := pool.Get(PageID(99), decode); err == nil || errors.Is(err, ErrPermanentFault) {
+		t.Fatalf("read of an unallocated page: %v, want a plain store error", err)
+	}
+	if s := br.Stats(); s.State != retry.BreakerClosed || s.WindowSamples != 0 {
+		t.Fatalf("dead-page and store errors entered the breaker: %+v", s)
+	}
+	store.SetFaultInjector(nil)
+	if _, err := pool.Get(live, decode); err != nil {
+		t.Fatal(err)
+	}
+	if s := br.Stats(); s.WindowSamples != 1 || s.WindowFaults != 0 {
+		t.Fatalf("a clean read recorded as %+v, want one healthy sample", s)
+	}
+	// A transient fault is the one outcome that trips it.
+	fi, err = NewFaultInjector(FaultPolicy{Rate: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetFaultInjector(fi)
+	pool.Clear()
+	if _, err := pool.Get(live, decode); !errors.Is(err, retry.ErrCircuitOpen) {
+		t.Fatalf("transient faults past the trip ratio: %v, want ErrCircuitOpen", err)
 	}
 }

@@ -30,6 +30,7 @@ var ErrStoreClosed = errors.New("pager: file store is closed")
 // holds a ReadPage slice is a use-after-free. Callers (the serving registry,
 // the CLIs) quiesce queries before closing.
 type FileStore struct {
+	hooks
 	mu      sync.RWMutex
 	f       *os.File
 	path    string
@@ -39,8 +40,6 @@ type FileStore struct {
 	mapped  []byte
 	closed  bool
 	sticky  error // first grow/map failure; surfaced by later ops
-	faults  *FaultInjector
-	breaker *Breaker
 }
 
 // CreateFileStore creates (truncating) a page file at path. An empty path
@@ -131,14 +130,9 @@ func (fs *FileStore) ReadPage(id PageID) ([]byte, error) {
 	}
 	off := int(id) * PageSize
 	if off+PageSize <= len(fs.mapped) {
-		raw, fi := fs.mapped[off:off+PageSize:off+PageSize], fs.faults
+		raw := fs.mapped[off : off+PageSize : off+PageSize]
 		fs.mu.RUnlock()
-		if fi != nil {
-			if err := fi.check(id); err != nil {
-				return nil, err
-			}
-		}
-		return raw, nil
+		return fs.screen(id, raw)
 	}
 	fs.mu.RUnlock()
 	return fs.readSlow(id)
@@ -160,30 +154,19 @@ func (fs *FileStore) readSlow(id PageID) ([]byte, error) {
 	fs.remapLocked()
 	off := int(id) * PageSize
 	if off+PageSize <= len(fs.mapped) {
-		raw, fi := fs.mapped[off:off+PageSize:off+PageSize], fs.faults
+		raw := fs.mapped[off : off+PageSize : off+PageSize]
 		fs.mu.Unlock()
-		if fi != nil {
-			if err := fi.check(id); err != nil {
-				return nil, err
-			}
-		}
-		return raw, nil
+		return fs.screen(id, raw)
 	}
 	// No mapping (unsupported platform or mmap failure): pread into a fresh
 	// buffer. One allocation per fallback read keeps concurrent readers safe.
 	buf := make([]byte, PageSize)
-	f, fi := fs.f, fs.faults
+	f := fs.f
 	fs.mu.Unlock()
-	_, err := f.ReadAt(buf, int64(off))
-	if err != nil {
+	if _, err := f.ReadAt(buf, int64(off)); err != nil {
 		return nil, fmt.Errorf("pager: read page %d from %s: %w", id, fs.path, err)
 	}
-	if fi != nil {
-		if err := fi.check(id); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return fs.screen(id, buf)
 }
 
 // remapLocked (re)maps the file read-only over every sized page. Mapping
@@ -273,34 +256,4 @@ func (fs *FileStore) brokenLocked() error {
 		return ErrStoreClosed
 	}
 	return fs.sticky
-}
-
-// SetFaultInjector installs (or, with nil, removes) a fault injector on the
-// store's physical read path.
-func (fs *FileStore) SetFaultInjector(fi *FaultInjector) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.faults = fi
-}
-
-// FaultInjector returns the installed injector, or nil.
-func (fs *FileStore) FaultInjector() *FaultInjector {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.faults
-}
-
-// SetBreaker installs (or, with nil, removes) a storage circuit breaker on
-// the store's physical read path.
-func (fs *FileStore) SetBreaker(b *Breaker) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.breaker = b
-}
-
-// Breaker returns the installed circuit breaker, or nil.
-func (fs *FileStore) Breaker() *Breaker {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.breaker
 }

@@ -114,10 +114,9 @@ func (c CostModel) IOTime(s Stats) time.Duration {
 // FaultPolicy, so storage-level robustness is testable without a real
 // flaky disk.
 type PageStore struct {
-	mu      sync.RWMutex
-	pages   [][]byte
-	faults  *FaultInjector
-	breaker *Breaker
+	hooks
+	mu    sync.RWMutex
+	pages [][]byte
 }
 
 // NewPageStore creates an empty store.
@@ -138,37 +137,6 @@ func (ps *PageStore) Allocate() PageID {
 	return PageID(len(ps.pages) - 1)
 }
 
-// SetFaultInjector installs (or, with nil, removes) a fault injector on the
-// store's physical read path.
-func (ps *PageStore) SetFaultInjector(fi *FaultInjector) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.faults = fi
-}
-
-// FaultInjector returns the installed injector, or nil.
-func (ps *PageStore) FaultInjector() *FaultInjector {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return ps.faults
-}
-
-// SetBreaker installs (or, with nil, removes) a storage circuit breaker on
-// the store's physical read path. Buffer pools over this store consult it
-// before every physical read; cache hits are never gated.
-func (ps *PageStore) SetBreaker(b *Breaker) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.breaker = b
-}
-
-// Breaker returns the installed circuit breaker, or nil.
-func (ps *PageStore) Breaker() *Breaker {
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	return ps.breaker
-}
-
 // ReadPage returns the raw contents of page id. The returned slice aliases
 // the store; callers must treat it as read-only. With a fault injector
 // installed, the read may fail with an error wrapping ErrTransientFault or
@@ -180,14 +148,9 @@ func (ps *PageStore) ReadPage(id PageID) ([]byte, error) {
 		ps.mu.RUnlock()
 		return nil, fmt.Errorf("pager: read of unallocated page %d (have %d)", id, n)
 	}
-	raw, fi := ps.pages[id], ps.faults
+	raw := ps.pages[id]
 	ps.mu.RUnlock()
-	if fi != nil {
-		if err := fi.check(id); err != nil {
-			return nil, err
-		}
-	}
-	return raw, nil
+	return ps.screen(id, raw)
 }
 
 // WritePage replaces the contents of page id. The buffer must be exactly
@@ -220,7 +183,7 @@ func (ps *PageStore) WritePage(id PageID, buf []byte) error {
 type BufferPool struct {
 	store    Store
 	capacity int
-	retry    RetryPolicy
+	retry    retry.Policy
 
 	mu      sync.Mutex
 	stats   Stats
@@ -301,24 +264,18 @@ func (bp *BufferPool) SetReadObserver(fn func(n int64)) {
 	bp.onRead = fn
 }
 
-// SetRetryPolicy replaces the pool's transient-fault retry policy.
-func (bp *BufferPool) SetRetryPolicy(r RetryPolicy) {
+// SetRetryPolicy replaces the pool's transient-fault retry policy
+// (DefaultRetryPolicy until set).
+func (bp *BufferPool) SetRetryPolicy(r retry.Policy) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	bp.retry = r
 }
 
-// RetryPolicy returns the pool's transient-fault retry policy.
-func (bp *BufferPool) RetryPolicy() RetryPolicy {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return bp.retry
-}
-
 // Get returns the decoded payload of page id, consulting the cache first.
 // On a miss it reads the raw page from the store, invokes decode, caches the
 // result and counts a fault. Injected transient read faults are retried with
-// exponential backoff up to the pool's RetryPolicy; permanent faults and
+// exponential backoff up to the pool's retry policy; permanent faults and
 // exhausted retries surface as errors. Get never gives up early; use GetCtx
 // when the caller can be cancelled.
 func (bp *BufferPool) Get(id PageID, decode func(raw []byte) (any, error)) (any, error) {
@@ -330,7 +287,7 @@ func (bp *BufferPool) Get(id PageID, decode func(raw []byte) (any, error)) (any,
 // physical read is issued. Cache hits are always served regardless of ctx. If
 // the store has a circuit breaker, every physical read attempt is screened by
 // it first — an open breaker fails the read fast with an error wrapping
-// ErrCircuitOpen and aborts any remaining retries.
+// retry.ErrCircuitOpen and aborts any remaining retries.
 func (bp *BufferPool) GetCtx(ctx context.Context, id PageID, decode func(raw []byte) (any, error)) (any, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -371,6 +328,11 @@ func (bp *BufferPool) GetCtx(ctx context.Context, id PageID, decode func(raw []b
 // readPhysical performs the store read with breaker screening and ctx-aware
 // retry backoff. bp.mu must be held (the sleeps deliberately serialize the
 // pool, preserving the per-query I/O session discipline).
+//
+// The breaker sees one classification: a transient fault counts as a fault
+// and a success as healthy, while a permanent fault (a dead page, not
+// evidence that the whole device is sick, and never retried) or any other
+// error is not recorded.
 func (bp *BufferPool) readPhysical(ctx context.Context, id PageID) ([]byte, error) {
 	br := bp.store.Breaker()
 	read := func() ([]byte, error) {
@@ -381,17 +343,17 @@ func (bp *BufferPool) readPhysical(ctx context.Context, id PageID) ([]byte, erro
 		}
 		raw, err := bp.store.ReadPage(id)
 		if br != nil {
-			br.Record(err)
+			if transient := errors.Is(err, ErrTransientFault); transient || err == nil {
+				br.Record(transient)
+			}
 		}
 		return raw, err
 	}
 	raw, err := read()
 	for attempt := 0; err != nil && errors.Is(err, ErrTransientFault) && attempt < bp.retry.MaxRetries; attempt++ {
 		bp.stats.Retries++
-		if d := bp.retry.Backoff(attempt); d > 0 {
-			if serr := retry.Sleep(ctx, d); serr != nil {
-				return nil, serr
-			}
+		if serr := bp.retry.Wait(ctx, attempt); serr != nil {
+			return nil, serr
 		}
 		raw, err = read()
 	}

@@ -1,5 +1,11 @@
 package pager
 
+import (
+	"sync/atomic"
+
+	"skydiver/internal/retry"
+)
+
 // Store is the page-granular storage contract shared by the simulated
 // in-memory PageStore and the disk-backed FileStore. Everything above the
 // pager — buffer pools, the R*-tree, persistence — speaks this interface, so
@@ -29,10 +35,34 @@ type Store interface {
 	FaultInjector() *FaultInjector
 	// SetBreaker installs (nil removes) a storage circuit breaker consulted
 	// before every physical read.
-	SetBreaker(b *Breaker)
+	SetBreaker(b *retry.Breaker)
 	// Breaker returns the installed circuit breaker, or nil.
-	Breaker() *Breaker
+	Breaker() *retry.Breaker
 }
 
 var _ Store = (*PageStore)(nil)
 var _ Store = (*FileStore)(nil)
+
+// hooks holds the fault injector and circuit breaker of one store's physical
+// read path; both stores embed it. The pointers are atomic, so a read
+// consults them without the store's lock.
+type hooks struct {
+	faults  atomic.Pointer[FaultInjector]
+	breaker atomic.Pointer[retry.Breaker]
+}
+
+func (h *hooks) SetFaultInjector(fi *FaultInjector) { h.faults.Store(fi) }
+func (h *hooks) FaultInjector() *FaultInjector      { return h.faults.Load() }
+func (h *hooks) SetBreaker(b *retry.Breaker)        { h.breaker.Store(b) }
+func (h *hooks) Breaker() *retry.Breaker            { return h.breaker.Load() }
+
+// screen returns raw, the contents of page id, unless the installed fault
+// injector fails the read.
+func (h *hooks) screen(id PageID, raw []byte) ([]byte, error) {
+	if fi := h.faults.Load(); fi != nil {
+		if err := fi.check(id); err != nil {
+			return nil, err
+		}
+	}
+	return raw, nil
+}

@@ -1,10 +1,12 @@
 // Package retry is the one backoff implementation the repository's retry
-// loops share: the pager's transient-fault re-reads, the admission queue's
-// bounded wait, and the cluster executor's RPC envelope all sleep through
-// this package. Centralizing the arithmetic keeps the semantics uniform
-// (capped exponential growth, optional full jitter) and gives every owner
-// the same test hooks — a deterministic random source and a fake sleeper —
-// so backoff behavior is assertable without wall-clock waits.
+// loops share, and the circuit breaker that guards them: the pager's
+// transient-fault re-reads, the admission queue's bounded wait, and the
+// cluster executor's RPC envelope all sleep through this package, and the
+// pager and the executor screen their calls with its Breaker. Centralizing
+// the arithmetic keeps the semantics uniform (capped exponential growth,
+// optional full jitter) and gives every owner the same test hooks — a
+// deterministic random source, a fake sleeper and a breaker clock — so
+// backoff and breaker behavior is assertable without wall-clock waits.
 package retry
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"skydiver/internal/data"
 	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 )
 
 // nodecache_test.go pins the contract of the shared decoded-node cache: it
@@ -102,7 +103,7 @@ func TestDecodeCacheFaultAccountingGolden(t *testing.T) {
 		}
 		tr.Store().SetFaultInjector(fi)
 		sess := tr.NewSession(pager.DefaultCacheFraction)
-		sess.SetRetryPolicy(pager.RetryPolicy{MaxRetries: 8})
+		sess.SetRetryPolicy(retry.Policy{MaxRetries: 8})
 		_, stats := cacheWorkload(t, ds, sess)
 		return stats, fi.Stats().Injected()
 	}

@@ -10,6 +10,7 @@ import (
 	"skydiver/internal/data"
 	"skydiver/internal/geom"
 	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 )
 
 func TestPersistRoundTrip(t *testing.T) {
@@ -238,7 +239,7 @@ func faultWorkload(t *testing.T, tr *Tree, decodeCache bool) pager.Stats {
 	rng := rand.New(rand.NewSource(9))
 	for q := 0; q < 20; q++ {
 		s := tr.NewSession(pager.DefaultCacheFraction)
-		s.SetRetryPolicy(pager.RetryPolicy{MaxRetries: 6}) // no backoff: fast and deterministic
+		s.SetRetryPolicy(retry.Policy{MaxRetries: 6}) // no backoff: fast and deterministic
 		p := make([]float64, tr.Dims())
 		for d := range p {
 			p[d] = rng.Float64()

@@ -5,6 +5,7 @@ import (
 
 	"skydiver/internal/geom"
 	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 )
 
 // Reader is the read-only query surface shared by *Tree (queries through the
@@ -124,4 +125,4 @@ func (s *Session) ObserveReads(fn func(n int64)) { s.pool.SetReadObserver(fn) }
 func (s *Session) ResetStats() { s.pool.ResetStats() }
 
 // SetRetryPolicy replaces the session pool's transient-fault retry policy.
-func (s *Session) SetRetryPolicy(r pager.RetryPolicy) { s.pool.SetRetryPolicy(r) }
+func (s *Session) SetRetryPolicy(r retry.Policy) { s.pool.SetRetryPolicy(r) }

@@ -184,13 +184,7 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 		cfg.NoCache = true
 	}
 	res, err := runPipeline(ctx, opts.Algorithm, in, cfg)
-	if err != nil {
-		if res != nil && res.Partial {
-			return d.remoteResult(res, outcome, degraded), wrapCtxErr(err)
-		}
-		return nil, wrapCtxErr(err)
-	}
-	return d.remoteResult(res, outcome, degraded), nil
+	return finish(res, err, func(res *core.Result) *Result { return d.remoteResult(res, outcome, degraded) })
 }
 
 func (d *Dataset) remoteResult(res *core.Result, out *cluster.Outcome, degraded bool) *Result {

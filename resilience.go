@@ -8,15 +8,12 @@ package skydiver
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
 
 	"skydiver/internal/admission"
 	"skydiver/internal/budget"
 	"skydiver/internal/core"
 	"skydiver/internal/pager"
+	"skydiver/internal/retry"
 	"skydiver/internal/skyline"
 )
 
@@ -34,7 +31,7 @@ var (
 	// ErrCircuitOpen marks a read rejected by the dataset's open storage
 	// circuit breaker: the page store has been faulting above the trip
 	// threshold and reads fail fast instead of burning retry backoff.
-	ErrCircuitOpen = pager.ErrCircuitOpen
+	ErrCircuitOpen = retry.ErrCircuitOpen
 )
 
 // Budget bounds the resources a single Diversify call may consume. The zero
@@ -51,23 +48,23 @@ type AdmissionPolicy = admission.Policy
 type AdmissionStats = admission.Stats
 
 // BreakerPolicy configures the dataset's storage circuit breaker.
-type BreakerPolicy = pager.BreakerPolicy
+type BreakerPolicy = retry.BreakerPolicy
 
 // BreakerState is the breaker's state (closed / open / half-open).
-type BreakerState = pager.BreakerState
+type BreakerState = retry.BreakerState
 
 // Breaker states, re-exported for switch statements on BreakerStats.State.
 const (
-	BreakerClosed   = pager.BreakerClosed
-	BreakerOpen     = pager.BreakerOpen
-	BreakerHalfOpen = pager.BreakerHalfOpen
+	BreakerClosed   = retry.BreakerClosed
+	BreakerOpen     = retry.BreakerOpen
+	BreakerHalfOpen = retry.BreakerHalfOpen
 )
 
 // DefaultBreakerPolicy returns the library's default breaker configuration.
-func DefaultBreakerPolicy() BreakerPolicy { return pager.DefaultBreakerPolicy() }
+func DefaultBreakerPolicy() BreakerPolicy { return retry.DefaultBreakerPolicy() }
 
 // BreakerStats reports the breaker's state and counters.
-type BreakerStats = pager.BreakerStats
+type BreakerStats = retry.BreakerStats
 
 // Machine-readable degradation reasons reported in Result.DegradedReason.
 const (
@@ -90,48 +87,12 @@ const (
 
 // ParseBudget decodes a comma-separated key=value budget description, e.g.
 // "pages=256,wall=50ms,est=1000000". Keys: pages (max page reads), wall (max
-// wall-clock, a Go duration), est (max distance estimations). Omitted keys
-// stay unlimited; an empty string is the zero (unlimited) budget.
-func ParseBudget(s string) (Budget, error) {
-	var b Budget
-	if strings.TrimSpace(s) == "" {
-		return b, nil
-	}
-	for _, term := range strings.Split(s, ",") {
-		term = strings.TrimSpace(term)
-		if term == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(term, "=")
-		if !ok {
-			return Budget{}, fmt.Errorf("skydiver: budget term %q, want key=value", term)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		switch k {
-		case "pages":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				return Budget{}, fmt.Errorf("skydiver: budget pages %q, want a non-negative integer", v)
-			}
-			b.MaxPageReads = n
-		case "wall":
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return Budget{}, fmt.Errorf("skydiver: budget wall %q, want a non-negative duration", v)
-			}
-			b.MaxWall = d
-		case "est":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n < 0 {
-				return Budget{}, fmt.Errorf("skydiver: budget est %q, want a non-negative integer", v)
-			}
-			b.MaxEstimations = n
-		default:
-			return Budget{}, fmt.Errorf("skydiver: unknown budget key %q (want pages, wall or est)", k)
-		}
-	}
-	return b, nil
-}
+// wall-clock, a Go duration), est (max distance estimations, an integer).
+// Omitted keys stay unlimited; an empty string is the zero (unlimited)
+// budget. The grammar is the one every policy string shares: keys are
+// case-insensitive, and unknown, duplicate, malformed or negative terms are
+// rejected.
+func ParseBudget(s string) (Budget, error) { return budget.Parse(s) }
 
 // SetAdmissionPolicy installs admission control on the dataset: at most
 // MaxInFlight Diversify calls run concurrently, up to MaxQueue more wait in
@@ -195,7 +156,7 @@ func (d *Dataset) SetBreakerPolicy(p BreakerPolicy) error {
 		tr.Store().SetBreaker(nil)
 		return nil
 	}
-	br, err := pager.NewBreaker(p)
+	br, err := retry.NewBreaker(p)
 	if err != nil {
 		return err
 	}
@@ -218,64 +179,6 @@ func (d *Dataset) BreakerStats() (BreakerStats, bool) {
 		return BreakerStats{}, false
 	}
 	return br.Stats(), true
-}
-
-// diversifyResilient is the budget/degradation-aware serving path, entered
-// only when Options.Budget or Options.AllowDegraded is set (the plain path
-// stays byte-for-byte the historical one).
-func (d *Dataset) diversifyResilient(ctx context.Context, opts Options) (*Result, error) {
-	var tracker *budget.Tracker
-	qctx, cancel := ctx, context.CancelFunc(func() {})
-	if opts.Budget.Enabled() {
-		tracker = budget.NewTracker(opts.Budget)
-		qctx, cancel = budget.WithContext(ctx, tracker)
-	}
-	defer cancel()
-	res, err := d.diversifyBudgeted(qctx, opts, tracker, nil)
-	if err == nil {
-		return res, nil
-	}
-	if !opts.AllowDegraded {
-		return res, err
-	}
-	return d.degrade(qctx, opts, tracker, res, err)
-}
-
-// diversifyBudgeted runs one pipeline attempt with the query's tracker wired
-// into the I/O session (every page the session reads counts against the page
-// budget) and, when fp is non-nil, with that fingerprint injected in place of
-// Phase 1. It mirrors DiversifyContext's error shape: a non-nil Partial
-// result may accompany a non-nil error.
-func (d *Dataset) diversifyBudgeted(ctx context.Context, opts Options, tracker *budget.Tracker, fp *core.Fingerprint) (*Result, error) {
-	sess, err := d.newSession()
-	if err != nil {
-		return nil, err
-	}
-	if tracker != nil {
-		// Push-based accounting: every logical read the session performs is
-		// charged as it happens. A pull-based source (polling Session.Stats)
-		// would deadlock — the pool polls ctx.Err() while holding its mutex,
-		// and Stats needs that same mutex.
-		sess.ObserveReads(tracker.ChargePages)
-	}
-	sess = sess.Bind(ctx)
-	sky, err := d.skylineWith(ctx, sess)
-	if err != nil {
-		return nil, wrapCtxErr(err)
-	}
-	if err := d.validateQuery(opts, len(sky)); err != nil {
-		return nil, err
-	}
-	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Fingerprint: fp, Epoch: d.epoch}
-	cfg := coreConfig(opts)
-	res, err := runPipeline(ctx, opts.Algorithm, in, cfg)
-	if err != nil {
-		if res != nil && res.Partial {
-			return d.publicResult(res), wrapCtxErr(err)
-		}
-		return nil, wrapCtxErr(err)
-	}
-	return d.publicResult(res), nil
 }
 
 // skylineInMemory returns the dataset's skyline, computing it with the exact
@@ -302,25 +205,22 @@ func (d *Dataset) skylineInMemory() []int {
 //  3. index-free — index pages unavailable but the data file is resident:
 //     regenerate signatures with the sequential scan.
 //
-// Anything else — cancellations, deadline expiries, logic errors — is not
-// degradable and passes through unchanged.
+// Rungs 2 and 3 rerun the same attempt as the first try. Anything else —
+// cancellations, deadline expiries, logic errors — is not degradable and
+// passes through unchanged.
 func (d *Dataset) degrade(ctx context.Context, opts Options, tracker *budget.Tracker, res *Result, cause error) (*Result, error) {
+	if budgetPartial(res, cause) {
+		return stampDegraded(res, DegradedBudgetPartial)
+	}
 	var bErr *budget.Error
 	budgeted := errors.As(cause, &bErr)
-	if budgeted && res != nil && res.Partial && len(res.Indexes) > 0 {
-		res.Degraded = true
-		res.DegradedReason = DegradedBudgetPartial
-		return res, nil
-	}
-	storageSick := errors.Is(cause, pager.ErrCircuitOpen) ||
+	storageSick := errors.Is(cause, retry.ErrCircuitOpen) ||
 		errors.Is(cause, pager.ErrTransientFault) ||
 		errors.Is(cause, pager.ErrPermanentFault)
-	if !budgeted && !storageSick {
-		return res, cause
-	}
-	if opts.Algorithm != MinHash && opts.Algorithm != LSH {
-		// Greedy and Exact evaluate distances against the index itself;
-		// there is nothing cheaper to serve them from.
+	if (!budgeted && !storageSick) || (opts.Algorithm != MinHash && opts.Algorithm != LSH) {
+		// Only storage failures and spent budgets degrade, and only for
+		// MinHash and LSH: Greedy and Exact evaluate distances against the
+		// index itself, so there is nothing cheaper to serve them from.
 		return res, cause
 	}
 	if budgeted && tracker != nil {
@@ -344,68 +244,62 @@ func (d *Dataset) degrade(ctx context.Context, opts Options, tracker *budget.Tra
 	// state: after a mutation, a stale-epoch signature's columns belong to a
 	// different skyline and would be wrong, not merely approximate.
 	want := core.FingerprintKey{Epoch: d.epoch, Mode: mode, T: t, Seed: opts.Seed}
+	var (
+		fp  *core.Fingerprint
+		key core.FingerprintKey
+		ok  bool
+	)
 	if !opts.NoCache {
-		if fp, key, ok := d.fpCache.Substitute(want); ok {
-			sub := opts
-			sub.SignatureSize = fp.Matrix.T()
-			sub.UseIndex = key.Mode == core.IndexBased
-			reason := DegradedCachedFingerprint
-			if key.Mode != want.Mode || key.T != want.T {
-				reason = DegradedReducedSignature
-			}
-			return finishDegraded(d.diversifyBudgeted(ctx, sub, tracker, fp))(reason)
+		fp, key, ok = d.fpCache.Substitute(want)
+	}
+	sub, reason := opts, DegradedIndexFree
+	if ok {
+		sub.SignatureSize = fp.Matrix.T()
+		sub.UseIndex = key.Mode == core.IndexBased
+		reason = DegradedCachedFingerprint
+		if key.Mode != want.Mode || key.T != want.T {
+			reason = DegradedReducedSignature
+		}
+	} else {
+		// Last rung: regenerate without the resource that failed. Storage
+		// failures drop the index — the skyline was already rebuilt in
+		// memory above, and SigGen-IF scans the resident data file, never
+		// the faulting page store. Budget exhaustion additionally shrinks the
+		// signature to a quarter (clamped to [16, t]) so the rerun is
+		// materially cheaper than the attempt that died.
+		sub.UseIndex = false
+		if budgeted {
+			sub.SignatureSize = min(max(t/4, 16), t)
+			reason = DegradedReducedSignature
+		}
+		if tracker != nil {
+			// The fallback does no storage I/O at all, and the page budget
+			// exists to protect storage, so it does not apply to this rung
+			// even when a different dimension (or the breaker) triggered the
+			// degradation. Wall and estimation caps still do.
+			tracker.Waive(budget.DimPages)
 		}
 	}
-	// Last rung: regenerate without the resource that failed. Storage
-	// failures drop the index — the skyline was already rebuilt in memory
-	// above, and SigGen-IF scans the resident data file, never the faulting
-	// page store. Budget exhaustion additionally shrinks the signature so the
-	// rerun is materially cheaper than the attempt that died.
-	sub := opts
-	sub.UseIndex = false
-	reason := DegradedIndexFree
-	if budgeted {
-		sub.SignatureSize = reducedSignature(t)
-		reason = DegradedReducedSignature
+	res, err := d.attempt(ctx, sub, tracker, fp)
+	if budgetPartial(res, err) {
+		// The rerun itself ran out of budget mid-selection.
+		reason, err = DegradedBudgetPartial, nil
 	}
-	if tracker != nil {
-		// The fallback scans the resident data file — no storage I/O at all —
-		// and the page budget exists to protect storage, so it does not apply
-		// to this rung even when a different dimension (or the breaker)
-		// triggered the degradation. Wall and estimation caps still do.
-		tracker.Waive(budget.DimPages)
-	}
-	return finishDegraded(d.diversifyBudgeted(ctx, sub, tracker, nil))(reason)
-}
-
-// reducedSignature is the signature size the last ladder rung regenerates
-// with: a quarter of the request, clamped to [16, t].
-func reducedSignature(t int) int {
-	r := t / 4
-	if r < 16 {
-		r = 16
-	}
-	if r > t {
-		r = t
-	}
-	return r
-}
-
-// finishDegraded stamps a successful ladder rerun with its reason; a rerun
-// that itself ran out of budget mid-selection downgrades to budget-partial,
-// and any other failure surfaces unchanged.
-func finishDegraded(res *Result, err error) func(reason string) (*Result, error) {
-	return func(reason string) (*Result, error) {
-		if err == nil {
-			res.Degraded = true
-			res.DegradedReason = reason
-			return res, nil
-		}
-		if errors.Is(err, budget.ErrExceeded) && res != nil && res.Partial && len(res.Indexes) > 0 {
-			res.Degraded = true
-			res.DegradedReason = DegradedBudgetPartial
-			return res, nil
-		}
+	if err != nil {
 		return res, err
 	}
+	return stampDegraded(res, reason)
+}
+
+// budgetPartial reports whether a failed attempt ran out of budget after
+// selecting a non-empty prefix, which the ladder serves as budget-partial.
+func budgetPartial(res *Result, err error) bool {
+	return errors.Is(err, budget.ErrExceeded) && res != nil && res.Partial && len(res.Indexes) > 0
+}
+
+// stampDegraded labels a result served by the ladder with its rung.
+func stampDegraded(res *Result, reason string) (*Result, error) {
+	res.Degraded = true
+	res.DegradedReason = reason
+	return res, nil
 }

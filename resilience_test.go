@@ -429,10 +429,16 @@ func TestParseBudgetSpec(t *testing.T) {
 		{"pages=512", Budget{MaxPageReads: 512}, true},
 		{"pages=512,wall=50ms,est=1000", Budget{MaxPageReads: 512, MaxWall: 50 * time.Millisecond, MaxEstimations: 1000}, true},
 		{" wall = 2s ", Budget{MaxWall: 2 * time.Second}, true},
+		{"PAGES=5", Budget{MaxPageReads: 5}, true},
+		{"est=1000000", Budget{MaxEstimations: 1000000}, true},
 		{"pages=-1", Budget{}, false},
 		{"pages=abc", Budget{}, false},
 		{"bogus=1", Budget{}, false},
 		{"pages", Budget{}, false},
+		{"pages=1,pages=2", Budget{}, false},
+		{"wall=5ms,wall=1h", Budget{}, false},
+		{"wall=-1ms", Budget{}, false},
+		{"est=1e6", Budget{}, false},
 	}
 	for _, tc := range cases {
 		got, err := ParseBudget(tc.in)
@@ -440,8 +446,14 @@ func TestParseBudgetSpec(t *testing.T) {
 			t.Errorf("ParseBudget(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
 			continue
 		}
-		if tc.ok && got != tc.want {
+		if !tc.ok {
+			continue
+		}
+		if got != tc.want {
 			t.Errorf("ParseBudget(%q) = %+v, want %+v", tc.in, got, tc.want)
+		}
+		if back, err := ParseBudget(got.String()); err != nil || back != got {
+			t.Errorf("round trip of %+v via %q = %+v, %v", got, got.String(), back, err)
 		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"skydiver/internal/admission"
+	"skydiver/internal/budget"
 	"skydiver/internal/cluster"
 	"skydiver/internal/core"
 	"skydiver/internal/data"
@@ -154,6 +155,9 @@ type Options struct {
 	// estimations). The zero value is unlimited. Exhaustion surfaces as an
 	// error wrapping ErrBudgetExceeded together with the anytime partial
 	// prefix when the selection had started — never a silent truncation.
+	// A budgeted query runs the same attempt as a plain one, so every
+	// algorithm keeps its anytime prefix on cancellation too. Not supported
+	// with Remote.
 	Budget Budget
 	// AllowDegraded lets the call walk the graceful-degradation ladder
 	// instead of failing when storage is unavailable (circuit breaker open,
@@ -179,8 +183,8 @@ type Options struct {
 	// rejected with ErrInvalidOptions. Sharded signatures live in the
 	// index-free universe (global row ids), so UseIndex does not change
 	// their content; Greedy and Exact keep no signatures and ignore the
-	// setting, as do budgeted and degraded queries (the resilience ladder
-	// stays on the unsharded path).
+	// setting. Budgeted queries and the degradation ladder's reruns take
+	// the sharded route too.
 	Shards int
 	// Storage selects the physical backend for the dataset's index pages
 	// when this query is the one that builds the index (the lazy first
@@ -788,26 +792,57 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 	if opts.Remote != nil && (opts.Algorithm == MinHash || opts.Algorithm == LSH) {
 		return d.diversifyRemote(ctx, opts)
 	}
-	if opts.Budget.Enabled() || opts.AllowDegraded {
-		return d.diversifyResilient(ctx, opts)
+	var tracker *budget.Tracker
+	if opts.Budget.Enabled() {
+		tracker = budget.NewTracker(opts.Budget)
+		var cancel context.CancelFunc
+		ctx, cancel = budget.WithContext(ctx, tracker)
+		defer cancel()
 	}
-	sky, sess, err := d.skylineSession(ctx)
+	res, err := d.attempt(ctx, opts, tracker, nil)
+	if err != nil && opts.AllowDegraded {
+		return d.degrade(ctx, opts, tracker, res, err)
+	}
+	return res, err
+}
+
+// attempt runs one local pipeline attempt, the only one DiversifyContext and
+// its degradation ladder make: a fresh I/O session that charges tracker (when
+// there is one) for every page it reads and whose reads observe ctx, the
+// skyline, the query checks, and the algorithm. fp, when non-nil, is served
+// in place of Phase 1. A Partial result may accompany the error.
+func (d *Dataset) attempt(ctx context.Context, opts Options, tracker *budget.Tracker, fp *core.Fingerprint) (*Result, error) {
+	sess, err := d.newSession()
 	if err != nil {
 		return nil, err
+	}
+	if tracker != nil {
+		// Push-based accounting: every logical read the session performs is
+		// charged as it happens.
+		sess.ObserveReads(tracker.ChargePages)
+	}
+	sess = sess.Bind(ctx)
+	sky, err := d.skylineWith(ctx, sess)
+	if err != nil {
+		return nil, wrapCtxErr(err)
 	}
 	if err := d.validateQuery(opts, len(sky)); err != nil {
 		return nil, err
 	}
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch,
-		Sharded: opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH)}
+		Fingerprint: fp, Sharded: opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH)}
 	res, err := runPipeline(ctx, opts.Algorithm, in, coreConfig(opts))
-	if err != nil {
-		if res != nil && res.Partial {
-			return d.publicResult(res), wrapCtxErr(err)
-		}
+	return finish(res, err, d.publicResult)
+}
+
+// finish converts a pipeline outcome into the public result. A failed run
+// keeps its result only when that is the anytime Partial prefix, which then
+// travels with the error; deadline expiries are tagged ErrDeadlineExceeded.
+func finish(res *core.Result, err error, public func(*core.Result) *Result) (*Result, error) {
+	if err != nil && (res == nil || !res.Partial) {
 		return nil, wrapCtxErr(err)
 	}
-	return d.publicResult(res), nil
+	return public(res), wrapCtxErr(err)
 }
 
 // validateQuery checks the options of a query over a skyline of m points
@@ -939,32 +974,17 @@ var (
 	ErrPermanentFault = pager.ErrPermanentFault
 )
 
-// FaultPolicy configures synthetic storage faults on the dataset's simulated
-// index pages — the knob for testing storage-level robustness end-to-end.
-// Injection is deterministic per Seed.
-type FaultPolicy struct {
-	// Rate is the probability in [0, 1] that a physical page read faults.
-	Rate float64
-	// PermanentRate is the fraction in [0, 1] of faults that are permanent
-	// (a page that fails permanently stays dead); the rest are transient and
-	// recovered by the read path's exponential-backoff retries.
-	PermanentRate float64
-	// Latency is added to every injected fault before it surfaces.
-	Latency time.Duration
-	// Seed drives the fault lottery.
-	Seed int64
-}
+// FaultPolicy configures synthetic storage faults on the dataset's index
+// pages (InjectFaults): the probability Rate that a physical read faults,
+// the fraction PermanentRate of faults that kill the page, a Latency added
+// to each fault, and the Seed of the deterministic lottery.
+type FaultPolicy = pager.FaultPolicy
 
 // ParseFaultPolicy decodes a comma-separated key=value fault description,
 // e.g. "rate=0.01,permanent=0.1,latency=2ms,seed=7". Keys: rate, permanent,
-// latency, seed.
-func ParseFaultPolicy(s string) (FaultPolicy, error) {
-	p, err := pager.ParseFaultPolicy(s)
-	if err != nil {
-		return FaultPolicy{}, err
-	}
-	return FaultPolicy{Rate: p.Rate, PermanentRate: p.PermanentRate, Latency: p.Latency, Seed: p.Seed}, nil
-}
+// latency, seed; the grammar is ParseBudget's. An empty description is an
+// error.
+func ParseFaultPolicy(s string) (FaultPolicy, error) { return pager.ParseFaultPolicy(s) }
 
 // InjectFaults installs the fault policy on the dataset's index storage
 // (building the index first if necessary), and on every shard index of the
@@ -982,9 +1002,7 @@ func (d *Dataset) InjectFaults(p FaultPolicy) error {
 	}
 	var fi *pager.FaultInjector
 	if p.Rate != 0 {
-		fi, err = pager.NewFaultInjector(pager.FaultPolicy{
-			Rate: p.Rate, PermanentRate: p.PermanentRate, Latency: p.Latency, Seed: p.Seed,
-		})
+		fi, err = pager.NewFaultInjector(p)
 		if err != nil {
 			return err
 		}

@@ -311,14 +311,7 @@ func DiversifyStreamContext(ctx context.Context, src RowSource, prefs []Pref, op
 		},
 	}
 	res, err := runPipeline(ctx, opts.Algorithm, in, cfg)
-	if err != nil {
-		if res != nil && res.Partial {
-			return streamResult(res, skyRes, prefs), wrapCtxErr(err)
-		}
-		return nil, wrapCtxErr(err)
-	}
-	out := streamResult(res, skyRes, prefs)
-	return out, nil
+	return finish(res, err, func(res *core.Result) *Result { return streamResult(res, skyRes, prefs) })
 }
 
 // streamResult assembles the public result of a streaming run: the selected
