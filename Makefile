@@ -10,7 +10,7 @@ BENCH_OUT ?= .
 # paths and accidental O(n²), not scheduler noise.
 BENCH_TOL ?= 3.0
 
-.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke stress fuzz verify bench benchgate bench-full bench-storage storage-smoke
+.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke stress fuzz repobench verify bench benchgate bench-full bench-storage storage-smoke
 
 build:
 	$(GO) build ./...
@@ -104,13 +104,8 @@ fuzz:
 #                        criterion is a ≥5× gap; in practice it is orders of
 #                        magnitude), and public Dataset.Insert end to end
 #                        (skyline test + signature patch + epoch migration).
-#   BENCH_shards.json  — the shard ladder (s1/s2/s4/smax): the same uncached
-#                        IND-100K-4D query unsharded and on the sharded route,
-#                        which runs the same index-free fold in process, so
-#                        the ladder is flat and no shard count may grow a
-#                        cost of its own.
-#   BENCH_remote.json  — the same uncached 2-shard query in process vs over
-#                        a two-worker HTTP fleet: the wire/framing/verify
+#   BENCH_remote.json  — the same uncached query in process vs in two shards
+#                        over a two-worker HTTP fleet: the wire/framing/verify
 #                        overhead of multi-node execution, gated so it cannot
 #                        silently grow.
 #
@@ -130,8 +125,6 @@ bench:
 	  $(GO) test -run '^$$' -bench 'RefreshWholesale100K' -benchmem -benchtime=1x -count=1 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'DatasetInsert' -benchmem -benchtime=200x -count=1 . ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_dynamic.json
-	$(GO) test -run '^$$' -bench 'ShardedServing' -benchmem -benchtime=3x -count=1 . \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_shards.json
 	$(GO) test -run '^$$' -bench 'RemoteServing' -benchmem -benchtime=3x -count=1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_remote.json
 
@@ -159,7 +152,6 @@ benchgate:
 	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_select.json .bench-fresh/BENCH_select.json
 	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_serving.json .bench-fresh/BENCH_serving.json
 	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_dynamic.json .bench-fresh/BENCH_dynamic.json
-	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_shards.json .bench-fresh/BENCH_shards.json
 	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_remote.json .bench-fresh/BENCH_remote.json
 	$(MAKE) bench-storage BENCH_OUT=.bench-fresh
 	$(GO) run ./cmd/benchgate -tol $(BENCH_TOL) BENCH_storage.json .bench-fresh/BENCH_storage.json
@@ -176,7 +168,16 @@ bench-full:
 storage-smoke:
 	sh scripts/storage_smoke.sh
 
+# The repository benchmark (repobench/) is its own module and calls internal
+# functions of this one (core.BuildShardPlan, core.SigGenShardedCtx,
+# core.SigGenIFCtx, lsh.BuildCtx, ...), so vet and test it here: a change to
+# one of them fails CI instead of the benchmark run. Vet and test write no
+# binary into the source tree, unlike `go build`.
+repobench:
+	cd repobench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
+
 # Tier-1 verification: static checks, build, the full suite under the race
 # detector, the concurrent-serving, resilience, serving-tier and multi-node
-# suites, and the storage-tier persistence smoke.
-verify: vet build race concurrency resilience serve cluster storage-smoke
+# suites, the repository benchmark's module, and the storage-tier
+# persistence smoke.
+verify: vet build race concurrency resilience serve cluster repobench storage-smoke

@@ -8,7 +8,6 @@ package skydiver
 
 import (
 	"net/http/httptest"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -193,57 +192,10 @@ func benchConcurrentSameQuery(b *testing.B, opts Options) {
 	})
 }
 
-// BenchmarkShardedServing is the shard ladder: the same end-to-end uncached
-// MinHash query on IND-100K-4D at fixed shard counts, all at max workers.
-// "s1" is the unsharded route; in process s2…smax run the same fold — the
-// index-free range fold at GOMAXPROCS workers — charged as a scan of the
-// folded rows instead of the whole file. The ladder is flat by
-// construction, and the gate keeps any shard count from growing a cost of
-// its own. "smax" follows the wmax convention: a
-// machine-dependent value (GOMAXPROCS, floored at 2 so the sharded route is
-// always exercised) behind a machine-independent name. Each sub-benchmark
-// warms the index and skyline before the timer; NoCache still forces the
-// full Phase-1 fold every iteration.
-func BenchmarkShardedServing(b *testing.B) {
-	smax := maxWorkers()
-	if smax < 2 {
-		smax = 2
-	}
-	ladder := []struct {
-		label  string
-		shards int
-	}{
-		{"s1", 1},
-		{"s2", 2},
-		{"s4", 4},
-		{"smax", smax},
-	}
-	ds := benchDataset(b, Independent, 100000, 4)
-	for _, sc := range ladder {
-		b.Run(sc.label, func(b *testing.B) {
-			opts := Options{K: 10, Seed: 7, Shards: sc.shards, Workers: -1, NoCache: true}
-			if _, err := ds.Diversify(opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ds.Diversify(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// maxWorkers mirrors the Workers<0 resolution of the pipeline.
-func maxWorkers() int {
-	return runtime.GOMAXPROCS(0)
-}
-
 // BenchmarkRemoteServing prices the network hop of multi-node shard
-// execution: the same end-to-end uncached 2-shard MinHash query on
-// IND-100K-4D served by the in-process sharded route ("local") and by a
-// two-worker in-process HTTP fleet ("remote"). The fleet pays JSON framing,
+// execution: the same end-to-end uncached MinHash query on IND-100K-4D
+// served in process ("local") and, in two shards, by a two-worker
+// in-process HTTP fleet ("remote"). The fleet pays JSON framing,
 // checksummed matrix transfer and the coordinator's skyline cross-check;
 // the gap between the two numbers is that overhead, and the regression
 // gate keeps it from silently growing.
@@ -263,7 +215,7 @@ func BenchmarkRemoteServing(b *testing.B) {
 		label string
 		opts  Options
 	}{
-		{"local", Options{K: 10, Seed: 7, Shards: 2, Workers: -1, NoCache: true}},
+		{"local", Options{K: 10, Seed: 7, Workers: -1, NoCache: true}},
 		{"remote", Options{K: 10, Seed: 7, Shards: 2, Workers: -1, NoCache: true,
 			Remote: &RemoteOptions{Workers: workers}}},
 	}

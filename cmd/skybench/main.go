@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		expID   = fs.String("exp", "all", "experiment id (see -list) or 'all'")
 		scale   = fs.Float64("scale", 0.02, "fraction of the paper's dataset cardinalities")
 		seed    = fs.Int64("seed", 1, "random seed for data generation and hashing")
-		shards  = fs.Int("shards", 0, "run MH/LSH cells through the sharded route: the index-free fold, charged as a scan of the rows it folds (N >= 2; 0/1 = monolithic)")
 		format  = fs.String("format", "markdown", "output format: markdown or csv")
 		doPlot  = fs.Bool("plot", false, "also render each table as an ASCII chart (log-y for runtime tables)")
 		list    = fs.Bool("list", false, "list available experiments and exit")
@@ -55,14 +54,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *shards < 0 {
-		fmt.Fprintf(stderr, "skybench: -shards must be non-negative, got %d\n", *shards)
-		return 2
-	}
 	env := exp.NewEnv()
 	env.Scale = *scale
 	env.Seed = *seed
-	env.Shards = *shards
 	if *verbose {
 		env.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "[skybench] "+format+"\n", args...)

@@ -69,7 +69,7 @@ func main() {
 		tSig     = flag.Int("t", 100, "MinHash signature size")
 		useIdx   = flag.Bool("index", false, "use index-based fingerprinting (SigGen-IB)")
 		workers  = flag.Int("workers", 1, "parallel fingerprinting workers (index-free mode; <0 = all CPUs)")
-		shards   = flag.Int("shards", 0, "sharded route (mh/lsh only; 0/1 = monolithic): in process the index-free fold charged as a scan of the rows it folds; with -remote, the number of shards the workers serve")
+		shards   = flag.Int("shards", 0, "with -remote, the number of shards the workers serve (mh/lsh only; 0 = one per worker); without -remote it changes nothing")
 		topk     = flag.Int("topk", 0, "also print the top-k dominating points")
 		prefs    = flag.String("prefs", "", "comma-separated min/max per dimension (default all min)")
 		seed     = flag.Int64("seed", 1, "random seed")

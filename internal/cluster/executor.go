@@ -301,9 +301,9 @@ func (e *Executor) replica(shard int) *node {
 // coordinator's own shard plan and canonical dataset — the source of the
 // failover ladder's local rung and the merge cross-check.
 //
-// On success the returned fingerprint is bit-identical to the in-process
-// sharded fold (and so to the unsharded pass): same slots, same scores, same
-// synthetic I/O accounting. When some shards could not be served at all, the
+// On success the returned fingerprint is bit-identical to the unsharded
+// SigGen-IF pass: same slots, same scores, and the same I/O, SigGen-IF's
+// scan of the whole file. When some shards could not be served at all, the
 // partial fold is returned together with ErrShardUnavailable and the missing
 // ids in the outcome; the caller chooses whether to degrade.
 func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPlan, ds *data.Dataset) (*core.Fingerprint, Outcome, error) {
@@ -381,10 +381,9 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 
 	// Phase 2: per-shard signature folds against the merged skyline.
 	type foldRes struct {
-		fp      *core.Fingerprint
-		scanned int
-		local   bool
-		miss    bool
+		fp    *core.Fingerprint
+		local bool
+		miss  bool
 	}
 	folds := make([]foldRes, out.Shards)
 	for i := range plan.Shards {
@@ -399,7 +398,7 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 			if err := e.callShard(ctx, i, PathSigFold, req, &resp, &out); err == nil {
 				if m, derr := DecodeMatrix(resp.Sig, q.T, len(plan.Sky), resp.Checksum); derr == nil &&
 					len(resp.DomScore) == len(plan.Sky) {
-					folds[i] = foldRes{fp: &core.Fingerprint{Matrix: m, DomScore: resp.DomScore}, scanned: resp.Scanned}
+					folds[i] = foldRes{fp: &core.Fingerprint{Matrix: m, DomScore: resp.DomScore}}
 					return
 				}
 				// A decode failure past callShard's own verification means a
@@ -414,7 +413,7 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 				folds[i] = foldRes{miss: true}
 				return
 			}
-			folds[i] = foldRes{fp: fp, scanned: plan.ShardScanned(i), local: true}
+			folds[i] = foldRes{fp: fp, local: true}
 		}(i)
 	}
 	wg.Wait()
@@ -423,8 +422,8 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 	}
 
 	m := len(plan.Sky)
-	fp := &core.Fingerprint{Matrix: minhash.NewMatrix(q.T, m), DomScore: make([]float64, m)}
-	scanned := 0
+	fp := &core.Fingerprint{Matrix: minhash.NewMatrix(q.T, m), DomScore: make([]float64, m),
+		IO: core.SyntheticScanStats(ds.Dims(), ds.Len())}
 	for i, fr := range folds {
 		switch {
 		case fr.miss:
@@ -441,9 +440,7 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 			fp.Matrix.UpdateColumn(c, fr.fp.Matrix.Column(c))
 			fp.DomScore[c] += fr.fp.DomScore[c]
 		}
-		scanned += fr.scanned
 	}
-	fp.IO = core.SyntheticScanStats(ds.Dims(), scanned)
 	e.remoteShards.Add(int64(out.Remote))
 	e.localShards.Add(int64(out.Local))
 	e.missingShards.Add(int64(len(out.Missing)))

@@ -93,9 +93,6 @@ type FoldResponse struct {
 	// DomScore is the shard's domination-score contribution per column.
 	// Scores are integral counts, so the JSON float64 round-trip is exact.
 	DomScore []float64 `json:"dom_score"`
-	// Scanned is how many rows the shard's fold hashed — its share of the
-	// coordinator's synthetic scan accounting.
-	Scanned int `json:"scanned"`
 	// Checksum covers the raw signature bytes (before base64).
 	Checksum uint32 `json:"crc"`
 }

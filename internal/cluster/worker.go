@@ -421,7 +421,7 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 		w.shardError(rw, ctx, err)
 		return
 	}
-	fp, scanned, err := core.ShardFingerprintLocal(ctx, ds, req.Sky, plan.Shards[req.Shard].Rows, fam)
+	fp, err := core.ShardFingerprintLocal(ctx, ds, req.Sky, plan.Shards[req.Shard].Rows, fam)
 	if err != nil {
 		w.shardError(rw, ctx, err)
 		return
@@ -433,7 +433,6 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 		Cols:     len(req.Sky),
 		Sig:      sig,
 		DomScore: fp.DomScore,
-		Scanned:  scanned,
 		Checksum: crc,
 	})
 }

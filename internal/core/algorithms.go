@@ -125,18 +125,12 @@ type Input struct {
 	// query's budget is spent. Its Matrix.T() must match the config's
 	// SignatureSize for pipelines that band signatures (LSH).
 	Fingerprint *Fingerprint
-	// Sharded routes Phase 1 through the sharded route: the index-free
-	// range fold (SigGenShardedCtx), charged as a scan of the rows it
-	// folds. Sharded signatures hash global row ids — the index-free
-	// universe — so they are cached under IndexFree regardless of the
-	// configured mode, and are bit-identical to an unsharded IF pass.
-	Sharded bool
 	// Builder, when non-nil, replaces the built-in Phase-1 generators: the
 	// cache (when enabled) calls it to build the fingerprint on a miss, so
 	// singleflight and epoch-keying still apply. The cluster executor uses
 	// it to source signatures from remote shard workers. Builder output
-	// must be in the index-free universe (global row ids, like Sharded),
-	// and is keyed as such.
+	// must be in the index-free universe (global row ids), and is keyed as
+	// such regardless of the configured mode.
 	Builder func(ctx context.Context) (*Fingerprint, error)
 }
 
@@ -177,9 +171,6 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		if in.Builder != nil {
 			return in.Builder(ctx)
 		}
-		if in.Sharded {
-			return sigGenSharded(ctx, in.Data, in.Sky, fam, cfg.Workers)
-		}
 		if cfg.Mode == IndexBased {
 			if in.Tree == nil {
 				return nil, fmt.Errorf("core: index-based fingerprinting requires a tree")
@@ -206,8 +197,8 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		return fp, err
 	}
 	key := FingerprintKey{Epoch: in.Epoch, Mode: cfg.Mode, T: cfg.SignatureSize, Seed: cfg.Seed}
-	if in.Sharded || in.Builder != nil {
-		// Sharded output is IF content (global row ids): key it as such so
+	if in.Builder != nil {
+		// Builder output is IF content (global row ids): key it as such so
 		// it shares cache lines with — and never masquerades as — an
 		// index-based build.
 		key.Mode = IndexFree

@@ -24,9 +24,8 @@ import (
 //   - SigGenIFParallel folds W page-aligned contiguous ranges concurrently
 //     and min-merges them (the paper's parallelization future-work item,
 //     Section 6);
-//   - the sharded route runs the same fold and charges the synthetic scan
-//     of the rows it folded;
-//   - a cluster shard folds its own row list (ShardFingerprintLocal).
+//   - a cluster shard folds its own row list (ShardFingerprintLocal), and
+//     the coordinator min-merges the shards' folds.
 
 // workerTestHook, when non-nil, is invoked by every parallel fingerprinting
 // worker as it starts. Tests use it to inject panics and count workers; it is
@@ -59,14 +58,13 @@ func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
 }
 
 // fold folds the live rows of one row set into a fresh private fingerprint
-// with the Phase-1 row kernel and returns it with the number of rows it
-// folded: those with at least one dominating skyline column. The set is list
-// when it is non-nil, the range [lo, hi) otherwise; skyline members and
-// tombstones are skipped. Each page of the set charges the query budget one
-// page, and every page after the first polls ctx, so a cancelled fold stops
-// within one page and its partial fingerprint is dropped. For a range with a
-// page-aligned start the charges are exactly the data pages it covers.
-func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprint, int, error) {
+// with the Phase-1 row kernel. The set is list when it is non-nil, the range
+// [lo, hi) otherwise; skyline members and tombstones are skipped. Each page
+// of the set charges the query budget one page, and every page after the
+// first polls ctx, so a cancelled fold stops within one page and its partial
+// fingerprint is dropped. For a range with a page-aligned start the charges
+// are exactly the data pages it covers.
+func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprint, error) {
 	m := f.prep.m
 	fp := &Fingerprint{Matrix: minhash.NewMatrix(f.fam.Size(), m), DomScore: make([]float64, m)}
 	pr := f.prep.probe()
@@ -77,14 +75,13 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 		lo, hi = 0, len(list)
 	}
 	ds, inSky := f.ds, f.inSky
-	folded := 0
 	for p := lo; p < hi; p += f.page {
 		if tracker != nil {
 			tracker.ChargePages(1)
 		}
 		if p > lo {
 			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		for k, end := p, min(p+f.page, hi); k < end; k++ {
@@ -97,17 +94,16 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 			}
 			if cols := pr.dominators(ds.Point(r)); len(cols) > 0 {
 				rf.fold(cols, uint64(r))
-				folded++
 			}
 		}
 	}
-	return fp, folded, nil
+	return fp, nil
 }
 
 // foldAll is the index-free pass over every row of ds: the range fold of
 // [0, n) on the calling goroutine, or, with workers ≥ 2, on that many
-// page-aligned contiguous ranges concurrently, min-merged. It returns the
-// fingerprint, without I/O stats, and the number of rows folded.
+// page-aligned contiguous ranges concurrently, min-merged. The fingerprint
+// carries no I/O stats.
 //
 // The worker count is capped by the data pages (one range per page at
 // most) and so that the private fingerprints together stay within
@@ -115,13 +111,13 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 // serving daemons. A panicking worker is recovered into an error; when
 // workers fail, the error reported is the first by worker index, and no
 // fingerprint is returned.
-func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, int, error) {
+func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
 	m := len(sky)
 	if m == 0 {
-		return nil, 0, fmt.Errorf("core: empty skyline")
+		return nil, fmt.Errorf("core: empty skyline")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f := newRowFold(ds, sky, fam)
 	n := ds.Len()
@@ -134,7 +130,6 @@ func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fami
 	workers = (n + span - 1) / span
 
 	parts := make([]*Fingerprint, workers)
-	folded := make([]int, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
@@ -151,24 +146,23 @@ func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fami
 			if workerTestHook != nil {
 				workerTestHook(w)
 			}
-			parts[w], folded[w], errs[w] = f.fold(ctx, w*span, min((w+1)*span, n), nil)
+			parts[w], errs[w] = f.fold(ctx, w*span, min((w+1)*span, n), nil)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	out, total := parts[0], folded[0]
+	out := parts[0]
 	for w := 1; w < workers; w++ {
 		for c := range m {
 			out.Matrix.UpdateColumn(c, parts[w].Matrix.Column(c))
 			out.DomScore[c] += parts[w].DomScore[c]
 		}
-		total += folded[w]
 	}
-	return out, total, nil
+	return out, nil
 }
 
 // privateFingerprints returns how many t-slot fingerprints of m columns fit
@@ -197,10 +191,25 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fp, _, err := foldAll(ctx, ds, sky, fam, workers)
+	fp, err := foldAll(ctx, ds, sky, fam, workers)
 	if err != nil {
 		return nil, err
 	}
 	fp.IO = SyntheticScanStats(ds.Dims(), ds.Len())
 	return fp, nil
+}
+
+// SyntheticScanStats synthesizes the sequential-scan I/O accounting for
+// reading n fixed-size records of a dims-dimensional dataset: SigGen-IF's
+// charge model, which every index-free fingerprint reports for n = the
+// file's row count. The cluster coordinator stamps merged remote
+// fingerprints with it, so remote and local results agree down to the I/O
+// counters.
+func SyntheticScanStats(dims, n int) pager.Stats {
+	counter := pager.NewSequentialCounter(8*dims + 4)
+	return pager.Stats{
+		Reads:  int64(n),
+		Faults: int64(counter.PagesForRecords(n)),
+		Hits:   int64(n - counter.PagesForRecords(n)),
+	}
 }

@@ -253,8 +253,8 @@ func TestParallelFoldMemoryCapped(t *testing.T) {
 // reference model — the naive skyline, dominated sets found by a naive
 // geom.Dominates scan and per-slot minima of the hash family — and so
 // SigGen-IF: the private folds of the parts (row ranges or row lists),
-// min-merged with their scores and folded-row counts summed, and the
-// range-parallel fold at 1, 2 and 3 workers.
+// min-merged with their scores summed, and the range-parallel fold at 1, 2
+// and 3 workers.
 func FuzzFoldPartitions(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(7), int64(1), false, []byte{0, 1, 0x40, 1, 0, 0, 2, 2, 0x40, 2, 2, 0x80, 3, 3, 1, 1, 1, 0})
 	f.Add(uint8(2), uint8(3), uint8(15), int64(5), true, []byte{0, 1, 2, 1, 1, 1, 1, 2, 2, 2, 0, 3, 3, 3, 3, 0x81, 0, 0, 3, 2, 1, 2, 3, 3})
@@ -311,13 +311,7 @@ func FuzzFoldPartitions(f *testing.F) {
 				}
 			}
 		}
-		wantFolded := 0
-		for _, h := range hv {
-			if h != nil {
-				wantFolded++
-			}
-		}
-		check := func(name string, fp *Fingerprint, folded int) {
+		check := func(name string, fp *Fingerprint) {
 			t.Helper()
 			for c := range sky {
 				if !slices.Equal(fp.Matrix.Column(c), wantCol[c]) || fp.DomScore[c] != wantScore[c] {
@@ -325,20 +319,17 @@ func FuzzFoldPartitions(f *testing.F) {
 						name, c, fp.Matrix.Column(c), fp.DomScore[c], wantCol[c], wantScore[c])
 				}
 			}
-			if folded != wantFolded {
-				t.Fatalf("%s: folded %d rows, naive scan finds %d dominated", name, folded, wantFolded)
-			}
 		}
 
 		ifp, err := SigGenIF(ds, sky, fam)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("SigGen-IF", ifp, wantFolded)
+		check("SigGen-IF", ifp)
 
 		// Private folds of the parts, min-merged.
 		rf := newRowFold(ds, sky, fam)
-		var pieces []func() (*Fingerprint, int, error)
+		var pieces []func() (*Fingerprint, error)
 		if assign {
 			lists := make([][]int, nParts)
 			for i := range n {
@@ -346,7 +337,7 @@ func FuzzFoldPartitions(f *testing.F) {
 				lists[p] = append(lists[p], i)
 			}
 			for _, l := range lists {
-				pieces = append(pieces, func() (*Fingerprint, int, error) { return rf.fold(context.Background(), 0, 0, l) })
+				pieces = append(pieces, func() (*Fingerprint, error) { return rf.fold(context.Background(), 0, 0, l) })
 			}
 		} else {
 			cuts := []int{0}
@@ -358,13 +349,12 @@ func FuzzFoldPartitions(f *testing.F) {
 			cuts = append(cuts, n)
 			for k := range len(cuts) - 1 {
 				lo, hi := cuts[k], cuts[k+1]
-				pieces = append(pieces, func() (*Fingerprint, int, error) { return rf.fold(context.Background(), lo, hi, nil) })
+				pieces = append(pieces, func() (*Fingerprint, error) { return rf.fold(context.Background(), lo, hi, nil) })
 			}
 		}
 		merged := &Fingerprint{Matrix: minhash.NewMatrix(slots, len(sky)), DomScore: make([]float64, len(sky))}
-		folded := 0
 		for _, piece := range pieces {
-			fp, k, err := piece()
+			fp, err := piece()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,16 +362,15 @@ func FuzzFoldPartitions(f *testing.F) {
 				merged.Matrix.UpdateColumn(c, fp.Matrix.Column(c))
 				merged.DomScore[c] += fp.DomScore[c]
 			}
-			folded += k
 		}
-		check(fmt.Sprintf("%d merged parts", len(pieces)), merged, folded)
+		check(fmt.Sprintf("%d merged parts", len(pieces)), merged)
 
 		for w := 1; w <= 3; w++ {
-			fp, k, err := foldAll(context.Background(), ds, sky, fam, w)
+			fp, err := foldAll(context.Background(), ds, sky, fam, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("range fold, %d workers", w), fp, k)
+			check(fmt.Sprintf("range fold, %d workers", w), fp)
 		}
 	})
 }

@@ -93,9 +93,9 @@ func TestBuildShardPlanSkyline(t *testing.T) {
 }
 
 // TestSigGenShardedIdentical pins the tentpole signature guarantee: the
-// merged sharded fingerprint — matrix slots and domination scores — is
-// bit-identical to the unsharded index-free pass, for every shard count,
-// partitioning and worker count.
+// fingerprint over a plan's merged skyline — matrix slots, domination scores
+// and I/O — is bit-identical to the unsharded index-free pass, for every
+// shard count, partitioning and worker count.
 func TestSigGenShardedIdentical(t *testing.T) {
 	for name, ds := range shardTestDatasets() {
 		sky := skyline.Compute(ds, skyline.SFS)
@@ -110,7 +110,7 @@ func TestSigGenShardedIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				got, err := SigGenSharded(plan, ds, fam, workers)
+				got, err := SigGenShardedCtx(context.Background(), plan, ds, fam, workers)
 				if err != nil {
 					t.Fatalf("%s/n=%d/w=%d: %v", name, n, workers, err)
 				}
@@ -127,34 +127,10 @@ func TestSigGenShardedIdentical(t *testing.T) {
 						}
 					}
 				}
-				if got.IO.Reads == 0 || got.IO.Faults == 0 {
-					t.Errorf("%s/n=%d: sharded fingerprint charged no I/O", name, n)
+				if got.IO != want.IO {
+					t.Errorf("%s/n=%d: sharded fingerprint charged %+v, SigGen-IF %+v", name, n, got.IO, want.IO)
 				}
 			}
-		}
-	}
-}
-
-// TestShardedPipelineIdentical runs the full MH pipeline with and without
-// the sharded route, at several worker counts, and requires identical
-// selections.
-func TestShardedPipelineIdentical(t *testing.T) {
-	ds := data.Independent(3000, 3, 4)
-	in := testInput(t, ds)
-	cfg := Config{K: 5, SignatureSize: 100, Seed: 7}
-	want, err := SkyDiverMH(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, -1} {
-		sin, wcfg := in, cfg
-		sin.Sharded, wcfg.Workers = true, workers
-		got, err := SkyDiverMH(sin, wcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalIntSlices(got.Selected, want.Selected) {
-			t.Errorf("workers=%d: sharded selection %v, want %v", workers, got.Selected, want.Selected)
 		}
 	}
 }
@@ -242,13 +218,17 @@ func TestGridPartition(t *testing.T) {
 	}
 }
 
-// TestShardedFoldWorkers pins the documented Workers semantics on the
-// sharded route: 0 or 1 folds sequentially on the calling goroutine, <0
+// TestShardedFoldWorkers pins the documented Workers semantics of
+// SigGenShardedCtx: 0 or 1 folds sequentially on the calling goroutine, <0
 // uses GOMAXPROCS, and no more workers start than the data has pages, one
 // page-aligned range each.
 func TestShardedFoldWorkers(t *testing.T) {
 	ds := data.Independent(2000, 3, 7)
-	sky := skyline.Compute(ds, skyline.SFS)
+	plan, err := BuildShardPlan(context.Background(), ds, shard.Grid{}, 4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sky := plan.Sky
 	fam, _ := minhash.NewFamily(16, 1)
 	want, err := SigGenIF(ds, sky, fam)
 	if err != nil {
@@ -276,7 +256,7 @@ func TestShardedFoldWorkers(t *testing.T) {
 		{1 << 16, pages},
 	} {
 		started.Store(0)
-		got, err := sigGenSharded(context.Background(), ds, sky, fam, c.workers)
+		got, err := SigGenShardedCtx(context.Background(), plan, ds, fam, c.workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,6 +267,9 @@ func TestShardedFoldWorkers(t *testing.T) {
 			if !slices.Equal(got.Matrix.Column(col), want.Matrix.Column(col)) || got.DomScore[col] != want.DomScore[col] {
 				t.Fatalf("workers=%d: column %d differs from SigGen-IF", c.workers, col)
 			}
+		}
+		if got.IO != want.IO {
+			t.Errorf("workers=%d: charged %+v, SigGen-IF %+v", c.workers, got.IO, want.IO)
 		}
 	}
 }

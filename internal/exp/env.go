@@ -38,10 +38,6 @@ type Env struct {
 	// (m·(m-1)/2 range-query pairs) exceeds the cap; reported as DNF (the
 	// paper's BF runs for k=5 "have not finished yet").
 	BFPairCap int
-	// Shards ≥ 2 runs the MH/LSH pipeline cells through the sharded route:
-	// the index-free fold, charged as a scan of the rows it folds. BF/SG
-	// cells (no signatures) are unaffected. 0/1 is the monolithic path.
-	Shards int
 	// Verbose emits progress lines through Logf.
 	Logf func(format string, args ...any)
 
@@ -78,18 +74,16 @@ func (e *Env) scaled(paperN int) int {
 }
 
 // Prepared bundles a generated dataset with its aggregate R*-tree and
-// skyline, ready for pipeline runs. Sharded is set when Env.Shards
-// requested the sharded route.
+// skyline, ready for pipeline runs.
 type Prepared struct {
-	Data    *data.Dataset
-	Tree    *rtree.Tree
-	Sky     []int
-	Sharded bool
+	Data *data.Dataset
+	Tree *rtree.Tree
+	Sky  []int
 }
 
 // Input converts to a core.Input.
 func (p *Prepared) Input() core.Input {
-	return core.Input{Data: p.Data, Sky: p.Sky, Tree: p.Tree, Sharded: p.Sharded}
+	return core.Input{Data: p.Data, Sky: p.Sky, Tree: p.Tree}
 }
 
 // Dataset identifies one of the paper's workloads.
@@ -145,7 +139,7 @@ func (e *Env) generate(kind datasetKind, paperN, dims int) (*data.Dataset, error
 // Prepare generates (or fetches from cache) a dataset, its R*-tree and its
 // skyline.
 func (e *Env) Prepare(kind datasetKind, paperN, dims int) (*Prepared, error) {
-	key := fmt.Sprintf("%v-%d-%d-%d-%f-%d", kind, paperN, dims, e.Seed, e.Scale, e.Shards)
+	key := fmt.Sprintf("%v-%d-%d-%d-%f", kind, paperN, dims, e.Seed, e.Scale)
 	if e.cache == nil {
 		e.cache = make(map[string]*Prepared)
 	}
@@ -165,7 +159,7 @@ func (e *Env) Prepare(kind datasetKind, paperN, dims int) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Data: ds, Tree: tr, Sky: sky, Sharded: e.Shards >= 2}
+	p := &Prepared{Data: ds, Tree: tr, Sky: sky}
 	e.cache[key] = p
 	e.logf("prepared %s: n=%d d=%d m=%d pages=%d (%v)",
 		ds.Name(), ds.Len(), ds.Dims(), len(sky), tr.NumPages(), time.Since(start).Round(time.Millisecond))

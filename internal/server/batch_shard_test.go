@@ -108,8 +108,9 @@ func TestServerBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerShardedQuery exercises ?shards= on /query: sharded answers are
-// identical to the unsharded one, and malformed values are 400s.
+// TestServerShardedQuery exercises ?shards= on /query: without ?remote=1
+// the value changes nothing, so every answer is the unsharded one, and
+// malformed values are 400s.
 func TestServerShardedQuery(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{}, 2000)
 	c := ts.Client()

@@ -372,6 +372,8 @@ func parseQueryOptions(q map[string][]string, defaultBudget skydiver.Budget) (sk
 		}
 		opts.Workers = ws
 	}
+	// shards partitions remote execution (?remote=1); without it the value
+	// is validated and changes nothing.
 	if raw := get("shards"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {

@@ -78,14 +78,8 @@ func TestAngularMatchesGridGolden(t *testing.T) {
 					n, i, anglePlan.Sky[i], gridPlan.Sky[i])
 			}
 		}
-		gfp, err := core.SigGenSharded(gridPlan, ds, fam, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		afp, err := core.SigGenSharded(anglePlan, ds, fam, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gfp := mergeShardFolds(t, gridPlan, fam)
+		afp := mergeShardFolds(t, anglePlan, fam)
 		for c := range gridPlan.Sky {
 			if afp.DomScore[c] != gfp.DomScore[c] {
 				t.Fatalf("n=%d: DomScore[%d] = %v, want %v", n, c, afp.DomScore[c], gfp.DomScore[c])
@@ -98,6 +92,25 @@ func TestAngularMatchesGridGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeShardFolds folds every shard of plan on its own and min-merges the
+// folds, as the cluster coordinator does.
+func mergeShardFolds(t *testing.T, plan *core.ShardPlan, fam *minhash.Family) *core.Fingerprint {
+	t.Helper()
+	m := len(plan.Sky)
+	out := &core.Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
+	for i := range plan.Shards {
+		fp, err := plan.ShardFingerprint(context.Background(), i, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range m {
+			out.Matrix.UpdateColumn(c, fp.Matrix.Column(c))
+			out.DomScore[c] += fp.DomScore[c]
+		}
+	}
+	return out
 }
 
 // TestAngularContract runs the Sharder contract across dimensions and shard

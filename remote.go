@@ -2,7 +2,7 @@ package skydiver
 
 // remote.go is the public face of multi-node shard execution: Options.Remote
 // routes a MinHash/LSH query's Phase 1 through a fleet of skyshardd workers
-// (internal/cluster) instead of the in-process sharded fold. The answer is
+// (internal/cluster) instead of the in-process index-free fold. The answer is
 // bit-identical either way — workers regenerate the dataset from its
 // generator spec, replies are checksummed, the remotely merged skyline is
 // verified against the local plan, and any shard the fleet cannot serve is

@@ -8,15 +8,98 @@ import (
 	"testing"
 )
 
-// shardedGoldenCounts are the shard counts every equivalence test sweeps.
+// shardedGoldenCounts are the shard counts the remote golden tests sweep.
 var shardedGoldenCounts = []int{2, 3, 4, 8}
 
-// TestShardedGolden pins the sharded path to the unsharded goldens of
-// golden_test.go: for every tested shard count the selected set and the
+// sameAnswer reports how got differs from want in the selection, its
+// objective and the query's accounting: I/O time, page faults, signature
+// memory and whether Phase 1 came from the fingerprint cache.
+func sameAnswer(got, want *Result) error {
+	switch {
+	case fmt.Sprint(got.Indexes) != fmt.Sprint(want.Indexes) || got.ObjectiveValue != want.ObjectiveValue:
+		return fmt.Errorf("indexes %v (objective %v), want %v (%v)", got.Indexes, got.ObjectiveValue, want.Indexes, want.ObjectiveValue)
+	case got.IOTime != want.IOTime || got.PageFaults != want.PageFaults:
+		return fmt.Errorf("I/O %v in %d faults, want %v in %d", got.IOTime, got.PageFaults, want.IOTime, want.PageFaults)
+	case got.MemoryBytes != want.MemoryBytes || got.FingerprintCached != want.FingerprintCached:
+		return fmt.Errorf("memory %d (cached %v), want %d (%v)", got.MemoryBytes, got.FingerprintCached, want.MemoryBytes, want.FingerprintCached)
+	}
+	return nil
+}
+
+// TestShardedMatchesUnsharded pins Shards as a no-op in process: for every
+// shard count, both signature algorithms and both Phase-1 modes, cached and
+// uncached, a query answers and charges exactly what the Shards = 0 query
+// does, and no sharded query builds a fingerprint the Shards = 0 query did
+// not. On IND-300-3D at seed 5 a scan of only the rows with a dominator
+// would charge a page fewer than SigGen-IF's scan of the whole file.
+func TestShardedMatchesUnsharded(t *testing.T) {
+	datasets := []struct {
+		name string
+		dist Distribution
+		n    int
+		seed int64
+	}{
+		{"IND-300-3D", Independent, 300, 5},
+		{"IND-3000-3D", Independent, 3000, 11},
+		{"COR-3000-3D", Correlated, 3000, 11},
+		{"ANT-3000-3D", Anticorrelated, 3000, 11},
+	}
+	for _, spec := range datasets {
+		for _, algo := range []Algorithm{MinHash, LSH} {
+			for _, useIndex := range []bool{false, true} {
+				for _, noCache := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%v/index=%v/nocache=%v", spec.name, algo, useIndex, noCache), func(t *testing.T) {
+						ds, err := Generate(spec.dist, spec.n, 3, spec.seed)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Build the index and skyline first, so every query
+						// below starts from the same state.
+						m, err := ds.SkylineSize()
+						if err != nil {
+							t.Fatal(err)
+						}
+						base := Options{K: min(5, m), Seed: 3, Algorithm: algo, UseIndex: useIndex, NoCache: noCache}
+						want, err := ds.Diversify(base)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !noCache {
+							// Every cached query below reads the entry this
+							// one built, as a second Shards = 0 query does.
+							if want, err = ds.Diversify(base); err != nil {
+								t.Fatal(err)
+							}
+						}
+						builds := ds.FingerprintCacheStats().Builds
+						for _, shards := range []int{0, 1, 2, 4, 8} {
+							opts := base
+							opts.Shards = shards
+							got, err := ds.Diversify(opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := sameAnswer(got, want); err != nil {
+								t.Errorf("Shards = %d: %v", shards, err)
+							}
+						}
+						if n := ds.FingerprintCacheStats().Builds - builds; n != 0 {
+							t.Errorf("sharded queries ran %d fingerprint builds after the Shards = 0 query", n)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestShardedGolden pins remote sharded execution to the unsharded goldens
+// of golden_test.go: for every tested shard count the selected set and the
 // objective are bit-identical to the index-free single-shard run. MH with
-// UseIndex is included deliberately — sharded signatures live in the
+// UseIndex is included deliberately — the fleet folds signatures in the
 // index-free universe, so the result matches the IF golden, not the IB one.
 func TestShardedGolden(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
 	runs := []struct {
 		name string
 		opts Options
@@ -36,6 +119,7 @@ func TestShardedGolden(t *testing.T) {
 				}
 				opts := r.opts
 				opts.Shards = shards
+				opts.Remote = &RemoteOptions{Workers: urls}
 				res, err := ds.Diversify(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -46,44 +130,10 @@ func TestShardedGolden(t *testing.T) {
 				if got := fmt.Sprintf("%.6f", res.ObjectiveValue); got != r.obj {
 					t.Errorf("objective = %s, want %s", got, r.obj)
 				}
+				if res.Remote == nil || res.Remote.Remote != shards {
+					t.Errorf("remote stats = %+v, want all %d shards served by the fleet", res.Remote, shards)
+				}
 			})
-		}
-	}
-}
-
-// TestShardedMatchesUnsharded compares sharded and unsharded runs point for
-// point on more distributions, and checks the cache seam: an unsharded
-// index-free fingerprint serves a later sharded query (and vice versa)
-// because both live under the same cache key.
-func TestShardedMatchesUnsharded(t *testing.T) {
-	for _, dist := range []Distribution{Independent, Correlated, Anticorrelated} {
-		ds, err := Generate(dist, 3000, 3, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := ds.SkylineSize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := 5
-		if m < k {
-			k = m // correlated data can have a near-singleton skyline
-		}
-		want, err := ds.Diversify(Options{K: k, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range shardedGoldenCounts {
-			res, err := ds.Diversify(Options{K: k, Seed: 3, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
-				t.Errorf("%v/s%d: indexes = %v, want %v", dist, shards, res.Indexes, want.Indexes)
-			}
-			if !res.FingerprintCached {
-				t.Errorf("%v/s%d: sharded query missed the fingerprint the unsharded run built", dist, shards)
-			}
 		}
 	}
 }
@@ -105,49 +155,58 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedAfterMutations mutates the dataset (growing past the plan's
-// epoch) and checks that sharded queries rebuild the plan and still match
-// the unsharded answer.
+// TestShardedAfterMutations mutates the dataset past the epoch of a cached
+// shard plan. A remote query then rebuilds the plan and, because workers
+// regenerate only pristine datasets, serves every shard locally; the answer
+// still equals the unsharded one, I/O included.
 func TestShardedAfterMutations(t *testing.T) {
-	ds, err := Generate(Independent, 1500, 3, 9)
+	_, urls := startShardWorkers(t, 2)
+	ds, err := Generate(Independent, 300, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	remote := Options{K: 3, Seed: 1, Shards: 4, NoCache: true, Remote: &RemoteOptions{Workers: urls}}
 	// Build a plan at epoch 0.
-	if _, err := ds.Diversify(Options{K: 3, Seed: 1, Shards: 4}); err != nil {
+	if _, err := ds.Diversify(remote); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Insert([]float64{0.001, 0.002, 0.003}); err != nil {
+	if _, err := ds.Insert([]float64{0.9, 0.002, 0.95}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.Delete(10); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ds.Diversify(Options{K: 3, Seed: 1})
+	want, err := ds.Diversify(Options{K: 3, Seed: 1, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range shardedGoldenCounts {
-		res, err := ds.Diversify(Options{K: 3, Seed: 1, Shards: shards})
+		remote.Shards = shards
+		res, err := ds.Diversify(remote)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
-			t.Errorf("s%d after mutations: indexes = %v, want %v", shards, res.Indexes, want.Indexes)
+		if err := sameAnswer(res, want); err != nil {
+			t.Errorf("s%d after mutations: %v", shards, err)
+		}
+		if res.Remote == nil || res.Remote.Local != shards || res.Remote.Remote != 0 {
+			t.Errorf("s%d after mutations: remote stats = %+v, want all %d shards local", shards, res.Remote, shards)
 		}
 	}
 }
 
 // TestShardedFaultInjection installs transient storage faults before the
-// first sharded query, so the per-shard BBS passes of the plan build run
+// first remote query, so the per-shard BBS passes of its plan build run
 // against faulting shard stores: the retries must recover, the answer must
-// equal the unfaulted one, and the injector must have fired.
+// equal the unfaulted one, and FaultStats must count the build's retries.
 func TestShardedFaultInjection(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
+	opts := Options{K: 4, Seed: 7, Shards: 4, Remote: &RemoteOptions{Workers: urls}}
 	clean, err := Generate(Independent, 20000, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clean.Diversify(Options{K: 4, Seed: 7, Shards: 4})
+	want, err := clean.Diversify(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,48 +214,66 @@ func TestShardedFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.InjectFaults(FaultPolicy{Rate: 0.02, Seed: 3}); err != nil {
+	if err := ds.InjectFaults(FaultPolicy{Rate: 0.05, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds.Diversify(Options{K: 4, Seed: 7, Shards: 4})
+	// The skyline first: the retries the query adds are then the plan
+	// build's alone.
+	if _, err := ds.SkylineSize(); err != nil {
+		t.Fatal(err)
+	}
+	injectedBefore, retriesBefore := ds.FaultStats()
+	res, err := ds.Diversify(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
-		t.Errorf("faulted sharded indexes = %v, want %v", res.Indexes, want.Indexes)
+		t.Errorf("faulted remote indexes = %v, want %v", res.Indexes, want.Indexes)
 	}
-	injected, _ := ds.FaultStats()
-	if injected == 0 {
-		t.Error("no faults injected through the sharded path")
+	ds.mu.Lock()
+	var planRetries int64
+	for _, plan := range ds.plans {
+		planRetries += plan.Retries
+	}
+	ds.mu.Unlock()
+	injected, retries := ds.FaultStats()
+	if injected == injectedBefore || planRetries == 0 {
+		t.Fatalf("plan build: %d faults injected, %d retries; want both positive", injected-injectedBefore, planRetries)
+	}
+	if retries-retriesBefore != planRetries {
+		t.Errorf("FaultStats counted %d retries for the query, the plan build spent %d", retries-retriesBefore, planRetries)
 	}
 	if err := ds.InjectFaults(FaultPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestShardedCancelledContext covers the plan-build cancellation seam end to
-// end through the public API.
+// TestShardedCancelledContext covers the cancellation seam of a remote
+// query end to end through the public API.
 func TestShardedCancelledContext(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
 	ds, err := Generate(Independent, 2000, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := Options{K: 4, Seed: 7, Shards: 4, Remote: &RemoteOptions{Workers: urls}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ds.DiversifyContext(ctx, Options{K: 4, Seed: 7, Shards: 4}); !errors.Is(err, context.Canceled) {
+	if _, err := ds.DiversifyContext(ctx, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// The dataset stays healthy: a live context succeeds afterwards.
-	if _, err := ds.Diversify(Options{K: 4, Seed: 7, Shards: 4}); err != nil {
+	if _, err := ds.Diversify(opts); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestShardedConcurrent hammers one dataset with concurrent sharded queries
+// TestShardedConcurrent hammers one dataset with concurrent remote queries
 // at different shard counts (exercising concurrent plan builds) and requires
 // every answer to equal the unsharded one. Run under -race this also pins
 // the plan cache's synchronization.
 func TestShardedConcurrent(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
 	ds, err := Generate(Independent, 2000, 3, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +289,7 @@ func TestShardedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := ds.Diversify(Options{K: 4, Seed: 7, Shards: shards, NoCache: true})
+			res, err := ds.Diversify(Options{K: 4, Seed: 7, Shards: shards, NoCache: true, Remote: &RemoteOptions{Workers: urls}})
 			if err != nil {
 				errs <- err
 				return
@@ -229,10 +306,10 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedBuildsNoPlan: in process, a sharded query runs the index-free
-// fold and caches no shard plan — before and after a write — while
-// answering like the unsharded query; a remote query still caches the plan
-// its skyline cross-check needs.
+// TestShardedBuildsNoPlan: in process, Shards builds and caches no shard
+// plan — before and after a write — and the query answers like the
+// unsharded one; a remote query caches the plan its skyline cross-check
+// needs.
 func TestShardedBuildsNoPlan(t *testing.T) {
 	ds, err := Generate(Independent, 3000, 3, 5)
 	if err != nil {

@@ -166,25 +166,18 @@ type Options struct {
 	// partial prefix. Degraded answers set Result.Degraded and a
 	// machine-readable Result.DegradedReason.
 	AllowDegraded bool
-	// Shards, when at least 2, routes the query through the sharded
-	// route. In process the shard count does not change the work: the
-	// dataset's skyline is already resident, so Phase 1 is the index-free
-	// fold (parallelized by Workers, not by Shards), charged as a
-	// sequential scan of the rows it folds rather than of the whole file,
-	// and its signatures are cached under the index-free key. With Remote
-	// set, Shards is the number of partitions the dataset is carved into
-	// (an equi-depth grid over its widest axes by default): each shard
-	// computes its local skyline and signature contribution on a worker,
-	// and the coordinator merges and cross-checks them. Results are
-	// bit-identical to the unsharded path — same skyline, same
-	// signatures, same selection — for any shard count.
+	// Shards partitions remote execution: with Remote set, it is the
+	// number of row sets the dataset is carved into (an equi-depth grid
+	// over its widest axes by default; 0 means one shard per worker). Each
+	// shard computes its local skyline and signature contribution on a
+	// worker, and the coordinator merges and cross-checks them. Results are
+	// bit-identical to the unsharded path — same skyline, same signatures,
+	// same selection, same I/O — for any shard count.
 	//
-	// 0 or 1 serve unsharded (the single-shard path); negative values are
-	// rejected with ErrInvalidOptions. Sharded signatures live in the
-	// index-free universe (global row ids), so UseIndex does not change
-	// their content; Greedy and Exact keep no signatures and ignore the
-	// setting. Budgeted queries and the degradation ladder's reruns take
-	// the sharded route too.
+	// Without Remote the option changes nothing: the dataset's skyline is
+	// already resident, so a query's answers, I/O and cached fingerprint
+	// are those of Shards = 0. Negative values, and values above the live
+	// row count, are rejected with ErrInvalidOptions.
 	Shards int
 	// Storage selects the physical backend for the dataset's index pages
 	// when this query is the one that builds the index (the lazy first
@@ -200,10 +193,10 @@ type Options struct {
 	// Remote, when non-nil, dispatches the per-shard skyline and signature
 	// work of MinHash/LSH queries to a worker fleet over HTTP instead of
 	// computing it in-process. Results stay bit-identical to the local
-	// sharded (and unsharded) paths: workers regenerate the dataset from
-	// its generator spec, per-shard replies are checksummed and
-	// merge-verified, and any shard the fleet cannot serve is recomputed
-	// locally (unless NoLocalFallback). Only datasets built by Generate are
+	// path: workers regenerate the dataset from its generator spec,
+	// per-shard replies are checksummed and merge-verified, and any shard
+	// the fleet cannot serve is recomputed locally (unless
+	// NoLocalFallback). Only datasets built by Generate are
 	// remotable. Greedy and Exact ignore the setting; Budget is not
 	// supported on the remote path.
 	Remote *RemoteOptions
@@ -546,9 +539,8 @@ func (d *Dataset) ensureShardPlan(ctx context.Context, sh shard.Sharder, n int, 
 	if p := d.plans[key]; p != nil && p.Epoch == d.epoch {
 		return p, nil
 	}
-	// Shard trees must fault like the main index: hand every freshly built
-	// shard store the injector currently installed (InjectFaults keeps them
-	// in sync afterwards).
+	// Shard trees must fault like the main index: hand every shard store
+	// the build creates the injector currently installed.
 	var configure func(*rtree.Tree)
 	if d.tree != nil {
 		if fi := d.tree.Store().FaultInjector(); fi != nil {
@@ -829,8 +821,7 @@ func (d *Dataset) attempt(ctx context.Context, opts Options, tracker *budget.Tra
 	if err := d.validateQuery(opts, len(sky)); err != nil {
 		return nil, err
 	}
-	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch,
-		Fingerprint: fp, Sharded: opts.Shards >= 2 && (opts.Algorithm == MinHash || opts.Algorithm == LSH)}
+	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch, Fingerprint: fp}
 	res, err := runPipeline(ctx, opts.Algorithm, in, coreConfig(opts))
 	return finish(res, err, d.publicResult)
 }
@@ -987,12 +978,13 @@ type FaultPolicy = pager.FaultPolicy
 func ParseFaultPolicy(s string) (FaultPolicy, error) { return pager.ParseFaultPolicy(s) }
 
 // InjectFaults installs the fault policy on the dataset's index storage
-// (building the index first if necessary), and on every shard index of the
-// cached remote-execution plans, so their shard skylines fault like the
-// main index. A zero-rate policy removes the injector everywhere.
-// Transient faults are retried transparently with exponential backoff;
-// permanent faults surface as errors wrapping ErrPermanentFault from
-// whichever operation touched the dead page — never as panics.
+// (building the index first if necessary). Remote queries copy the
+// installed injector onto the shard indexes of every shard plan they build
+// from then on, so their shard skylines fault like the main index. A
+// zero-rate policy removes the injector. Transient faults are retried
+// transparently with exponential backoff; permanent faults surface as
+// errors wrapping ErrPermanentFault from whichever operation touched the
+// dead page — never as panics.
 func (d *Dataset) InjectFaults(p FaultPolicy) error {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
@@ -1008,50 +1000,30 @@ func (d *Dataset) InjectFaults(p FaultPolicy) error {
 		}
 	}
 	tr.Store().SetFaultInjector(fi)
-	d.mu.Lock()
-	for _, st := range d.shardTreesLocked() {
-		st.Store().SetFaultInjector(fi)
-	}
-	d.mu.Unlock()
 	return nil
-}
-
-// shardTreesLocked collects the R*-trees of every cached shard plan.
-// Callers hold mu.
-func (d *Dataset) shardTreesLocked() []*rtree.Tree {
-	var trees []*rtree.Tree
-	for _, plan := range d.plans {
-		for i := range plan.Shards {
-			if st := plan.Shards[i].Tree; st != nil {
-				trees = append(trees, st)
-			}
-		}
-	}
-	return trees
 }
 
 // FaultStats reports what fault injection did so far: the number of faults
 // injected into the index's read path and the number of retries spent
-// recovering transient ones, totaled across every query's I/O session. Both
-// are zero without InjectFaults. Safe to call concurrently with running
-// queries.
+// recovering transient ones, totaled across every query's I/O session and
+// the builds of the cached shard plans. Both are zero without InjectFaults.
+// Safe to call concurrently with running queries.
 func (d *Dataset) FaultStats() (injected, retries int64) {
 	d.mu.Lock()
 	tr := d.tree
-	shardTrees := d.shardTreesLocked()
+	for _, plan := range d.plans {
+		retries += plan.Retries
+	}
 	d.mu.Unlock()
 	if tr == nil {
 		return 0, 0
 	}
 	if fi := tr.Store().FaultInjector(); fi != nil {
 		// One injector instance is shared by the main store and every shard
-		// store (see InjectFaults), so its count covers sharded reads too.
+		// store a plan build configures, so its count covers those too.
 		injected = fi.Stats().Injected()
 	}
-	retries = tr.AggregateStats().Retries
-	for _, st := range shardTrees {
-		retries += st.AggregateStats().Retries
-	}
+	retries += tr.AggregateStats().Retries
 	return injected, retries
 }
 

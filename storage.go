@@ -241,10 +241,10 @@ func DiversifyStream(src RowSource, prefs []Pref, opts Options) (*Result, error)
 // which can only permute equal-score tie-breaks). Result.Indexes are stream
 // positions (0-based arrival order), and both phases charge I/O through the
 // sequential-scan model — there is no index. Only MinHash and LSH are
-// supported; Greedy, Exact,
-// UseIndex, Shards, Remote, Budget and AllowDegraded need an index or a
-// materialized dataset and are rejected with ErrInvalidOptions. prefs may be
-// nil for all-minimization.
+// supported; Greedy, Exact, UseIndex, Remote, Budget and AllowDegraded need
+// an index or a materialized dataset and are rejected with
+// ErrInvalidOptions. Shards, which only partitions remote execution, is
+// ignored. prefs may be nil for all-minimization.
 //
 // The source is consumed with Reset+sequential passes and must not be used
 // concurrently; it is left exhausted on return.
@@ -267,8 +267,6 @@ func DiversifyStreamContext(ctx context.Context, src RowSource, prefs []Pref, op
 	switch {
 	case opts.UseIndex:
 		return nil, fmt.Errorf("%w: UseIndex needs a materialized index", ErrInvalidOptions)
-	case opts.Shards >= 2:
-		return nil, fmt.Errorf("%w: sharded execution needs a materialized dataset", ErrInvalidOptions)
 	case opts.Remote != nil:
 		return nil, fmt.Errorf("%w: remote execution needs a generated dataset", ErrInvalidOptions)
 	case opts.Budget.Enabled() || opts.AllowDegraded:

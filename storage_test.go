@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -308,7 +309,8 @@ func (s *sliceSource) Reset() error {
 	return nil
 }
 
-// TestDiversifyStreamValidation covers the rejected option combinations.
+// TestDiversifyStreamValidation covers the rejected option combinations,
+// and Shards, which the stream accepts and ignores.
 func TestDiversifyStreamValidation(t *testing.T) {
 	src, err := GenerateSource(Independent, 500, 3, 1)
 	if err != nil {
@@ -318,7 +320,6 @@ func TestDiversifyStreamValidation(t *testing.T) {
 		{K: 3, Algorithm: Greedy},
 		{K: 3, Algorithm: Exact},
 		{K: 3, UseIndex: true},
-		{K: 3, Shards: 2},
 		{K: 3, Remote: &RemoteOptions{}},
 		{K: 0},
 		{K: 100000},
@@ -330,6 +331,18 @@ func TestDiversifyStreamValidation(t *testing.T) {
 	}
 	if _, err := DiversifyStreamContext(context.Background(), nil, nil, Options{K: 1}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("nil source: err = %v, want ErrInvalidOptions", err)
+	}
+	want, err := DiversifyStream(src, nil, Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DiversifyStream(src, nil, Options{K: 3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Indexes, want.Indexes) || got.IOTime != want.IOTime || got.PageFaults != want.PageFaults {
+		t.Errorf("Shards: 2 = %v (io %v, %d faults), want %v (io %v, %d faults)",
+			got.Indexes, got.IOTime, got.PageFaults, want.Indexes, want.IOTime, want.PageFaults)
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
