@@ -113,11 +113,12 @@ func SigGenIBCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset, sky []i
 		return nil, fmt.Errorf("core: tree dims %d != dataset dims %d", tr.Dims(), ds.Dims())
 	}
 	before := tr.Stats()
-	sc := newIBScanner(prepareSkyline(ds, sky), fam, m)
+	sc := newIBScanner(prepareSkyline(ds, sky), fam, tr.Len())
 	defer sc.release()
 	if err := sc.runSubtree(ctx, tr, ibTask{page: tr.Root(), count: uint64(tr.Len())}); err != nil {
 		return nil, err
 	}
+	sc.fold.flush()
 	sc.fp.IO = tr.Stats().Sub(before)
 	return sc.fp, nil
 }

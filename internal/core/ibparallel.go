@@ -65,17 +65,19 @@ type ibScanner struct {
 	stack []ibTask // traversal stack, reused across tasks
 }
 
-func newIBScanner(prep *skyPrep, fam *minhash.Family, m int) *ibScanner {
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
-	return &ibScanner{probe: prep.probe(), fold: newRowFolder(fam, fp), fp: fp}
+// newIBScanner returns a scanner folding into a fresh fingerprint; rows, the
+// tree's row count, bounds the rows it counts one at a time.
+func newIBScanner(prep *skyPrep, fam *minhash.Family, rows int) *ibScanner {
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), prep.m), DomScore: make([]float64, prep.m)}
+	return &ibScanner{probe: prep.probe(), fold: newRowFolder(fam, fp, rows), fp: fp}
 }
 
 // release returns the scanner's pooled scratch; the fingerprint stays valid.
 func (sc *ibScanner) release() { sc.fold.release() }
 
 // consume folds the next count row ids into the fully dominating columns
-// (Figure 4, UpdateFullDominance) and advances the counter past them.
-func (sc *ibScanner) consume(full []int32, count int) {
+// full (Figure 4, UpdateFullDominance) and advances the counter past them.
+func (sc *ibScanner) consume(full []uint64, count int) {
 	sc.fold.foldRun(full, sc.rows, count)
 	sc.rows += uint64(count)
 }
@@ -90,7 +92,10 @@ func (sc *ibScanner) scanNode(node *rtree.Node, pending []ibTask) []ibTask {
 		if node.Leaf {
 			// A point entry is either fully dominated by a column or not
 			// dominated at all; partial dominance cannot occur.
-			sc.consume(sc.probe.dominators(e.Point()), 1)
+			if sc.probe.dominatorSet(sc.probe.set, e.Point()) {
+				sc.fold.fold(sc.probe.set, sc.rows)
+			}
+			sc.rows++
 			continue
 		}
 		full, anyPartial := sc.probe.classifyRect(e.Rect)
@@ -161,7 +166,7 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 	// consumed by the planner itself at their sequential row ids; every
 	// emitted task gets the absolute base the sequential counter would have
 	// reached it with.
-	planner := newIBScanner(prep, fam, m)
+	planner := newIBScanner(prep, fam, tr.Len())
 	defer planner.release()
 	tasks := []ibTask{{page: tr.Root(), base: 0, count: uint64(tr.Len())}}
 	target := 2 * workers
@@ -218,12 +223,13 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 			if workerTestHook != nil {
 				workerTestHook(w)
 			}
-			sc := newIBScanner(prep, fam, m)
+			sc := newIBScanner(prep, fam, tr.Len())
 			defer sc.release()
 			shards[w] = sc.fp
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
+					sc.fold.flush()
 					return
 				}
 				func() {
@@ -248,6 +254,7 @@ func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset,
 
 	// Merge planner + shards: per-slot minima and score sums, both
 	// order-insensitive.
+	planner.fold.flush()
 	out := planner.fp
 	for _, fp := range shards {
 		if fp == nil {

@@ -67,13 +67,13 @@ func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
 func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprint, error) {
 	m := f.prep.m
 	fp := &Fingerprint{Matrix: minhash.NewMatrix(f.fam.Size(), m), DomScore: make([]float64, m)}
-	pr := f.prep.probe()
-	rf := newRowFolder(f.fam, fp)
-	defer rf.release()
-	tracker := budget.From(ctx)
 	if list != nil {
 		lo, hi = 0, len(list)
 	}
+	pr := f.prep.probe()
+	rf := newRowFolder(f.fam, fp, hi-lo)
+	defer rf.release()
+	tracker := budget.From(ctx)
 	ds, inSky := f.ds, f.inSky
 	for p := lo; p < hi; p += f.page {
 		if tracker != nil {
@@ -92,11 +92,12 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 			if inSky.get(r) || ds.Deleted(r) {
 				continue
 			}
-			if cols := pr.dominators(ds.Point(r)); len(cols) > 0 {
-				rf.fold(cols, uint64(r))
+			if pr.dominatorSet(pr.set, ds.Point(r)) {
+				rf.fold(pr.set, uint64(r))
 			}
 		}
 	}
+	rf.flush()
 	return fp, nil
 }
 

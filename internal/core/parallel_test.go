@@ -16,6 +16,7 @@ import (
 	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
+	"skydiver/internal/rtree"
 )
 
 // TestSigGenIFParallelWorkerCountBounded: a worker count far above the
@@ -245,22 +246,27 @@ func TestParallelFoldMemoryCapped(t *testing.T) {
 	}
 }
 
-// FuzzFoldPartitions is the oracle of the one index-free fold. The fuzz
+// FuzzFoldPartitions is the oracle of the Phase-1 row kernel. The fuzz
 // bytes decode to up to 256 rows of d ≤ 4 coordinates quantized to four
 // levels (so ties and equal twins are common), each with a control byte
 // carrying a tombstone bit and either a cut point or a part number (at most
-// four parts), plus t ≤ 16 and a hash seed. Every fold must match the
-// reference model — the naive skyline, dominated sets found by a naive
-// geom.Dominates scan and per-slot minima of the hash family — and so
-// SigGen-IF: the private folds of the parts (row ranges or row lists),
-// min-merged with their scores summed, and the range-parallel fold at 1, 2
-// and 3 workers.
+// four parts), plus t ≤ 128 — past 16 slots a row can take FoldRow's
+// grouped fallback — and a hash seed. Every fold must match the reference
+// model — the naive skyline, dominated sets found by a naive
+// geom.Dominates scan and per-slot minima of the hash family — with every
+// column's slot maximum (Matrix.ColMax) exact: SigGen-IF, the private folds
+// of the parts (row ranges or row lists) min-merged with their scores
+// summed, the range-parallel fold at 1, 2 and 3 workers and, without
+// tombstones, the streaming pass. SigGen-IB at 1, 2 and 3 workers runs on
+// the live rows; its row ids are traversal order, so its scores must match
+// the reference and its matrices must match each other.
 func FuzzFoldPartitions(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(7), int64(1), false, []byte{0, 1, 0x40, 1, 0, 0, 2, 2, 0x40, 2, 2, 0x80, 3, 3, 1, 1, 1, 0})
 	f.Add(uint8(2), uint8(3), uint8(15), int64(5), true, []byte{0, 1, 2, 1, 1, 1, 1, 2, 2, 2, 0, 3, 3, 3, 3, 0x81, 0, 0, 3, 2, 1, 2, 3, 3})
 	f.Add(uint8(3), uint8(1), uint8(3), int64(-2), true, bytes.Repeat([]byte{3, 1, 2, 0, 0x45, 2, 0, 0, 1, 0x82}, 60))
+	f.Add(uint8(1), uint8(1), uint8(99), int64(4), false, bytes.Repeat([]byte{0, 3, 1, 2, 2, 1, 3, 0x40, 1, 1, 2, 3}, 40))
 	f.Fuzz(func(t *testing.T, dims, parts, size uint8, seed int64, assign bool, raw []byte) {
-		d, nParts, slots := 1+int(dims%4), 1+int(parts%4), 1+int(size%16)
+		d, nParts, slots := 1+int(dims%4), 1+int(parts%4), 1+int(size%128)
 		n := min(len(raw)/(d+1), 256)
 		if n == 0 {
 			return
@@ -311,6 +317,16 @@ func FuzzFoldPartitions(f *testing.F) {
 				}
 			}
 		}
+		// checkBounds checks every column's slot maximum, the bound the
+		// fold screens rows against.
+		checkBounds := func(name string, fp *Fingerprint) {
+			t.Helper()
+			for c := range sky {
+				if got, want := fp.Matrix.ColMax(c), slices.Max(fp.Matrix.Column(c)); got != want {
+					t.Fatalf("%s: column %d slot maximum %d, slots say %d", name, c, got, want)
+				}
+			}
+		}
 		check := func(name string, fp *Fingerprint) {
 			t.Helper()
 			for c := range sky {
@@ -319,6 +335,7 @@ func FuzzFoldPartitions(f *testing.F) {
 						name, c, fp.Matrix.Column(c), fp.DomScore[c], wantCol[c], wantScore[c])
 				}
 			}
+			checkBounds(name, fp)
 		}
 
 		ifp, err := SigGenIF(ds, sky, fam)
@@ -371,6 +388,62 @@ func FuzzFoldPartitions(f *testing.F) {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("range fold, %d workers", w), fp)
+		}
+
+		// SigGen-IB over the live rows, which keep their order, so the
+		// skyline columns are the same points in the same order.
+		var liveRows [][]float64
+		liveID := make([]int, n)
+		for r := range n {
+			if !ds.Deleted(r) {
+				liveID[r] = len(liveRows)
+				liveRows = append(liveRows, rows[r])
+			}
+		}
+		live, err := data.FromRows("fuzz-live", liveRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveSky := make([]int, len(sky))
+		for c, s := range sky {
+			liveSky[c] = liveID[s]
+		}
+		tr, err := rtree.BulkLoad(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ib1 *Fingerprint
+		for w := 1; w <= 3; w++ {
+			fp, err := SigGenIBParallel(tr, live, liveSky, fam, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("SigGen-IB, %d workers", w)
+			if !slices.Equal(fp.DomScore, wantScore) {
+				t.Fatalf("%s: scores %v, reference %v", name, fp.DomScore, wantScore)
+			}
+			checkBounds(name, fp)
+			if w == 1 {
+				ib1 = fp
+				continue
+			}
+			for c := range sky {
+				if !slices.Equal(fp.Matrix.Column(c), ib1.Matrix.Column(c)) {
+					t.Fatalf("%s: column %d = %v, 1 worker %v", name, c, fp.Matrix.Column(c), ib1.Matrix.Column(c))
+				}
+			}
+		}
+
+		if len(liveRows) == n {
+			pts := make([][]float64, len(sky))
+			for c, s := range sky {
+				pts[c] = ds.Point(s)
+			}
+			fp, err := SigGenIFStreamCtx(context.Background(), ds.Source(), sky, pts, fam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("streaming pass", fp)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"skydiver/internal/data"
@@ -53,6 +54,34 @@ func BenchmarkSigGenIBParallelScale(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in.Tree.Reopen(0.2) // cold pool: every pass pays real page faults
 				if _, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, sc.workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSigGenSeeds runs one-worker SigGen-IF and SigGen-IB on
+// IND-100K-4D at hash seeds 1–5. The hash family moves the pass by up to
+// three times: seed 4 has a slot whose values fall on nearly every row (see
+// the hash-seed item of ROADMAP.md), so a change that only suits one family
+// shows here.
+func BenchmarkSigGenSeeds(b *testing.B) {
+	ds := data.Independent(100000, 4, 1)
+	in := testInput(b, ds)
+	for seed := int64(1); seed <= 5; seed++ {
+		fam, _ := minhash.NewFamily(100, seed)
+		b.Run(fmt.Sprintf("if/seed%d", seed), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SigGenIF(ds, in.Sky, fam); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("ib/seed%d", seed), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				in.Tree.Reopen(0.2) // cold pool, as in BenchmarkSigGenIBParallelScale
+				if _, err := SigGenIB(in.Tree, ds, in.Sky, fam); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -178,18 +178,15 @@ func countLE(keys []uint64, x uint64) int {
 }
 
 // skyProbe is one goroutine's handle on a shared skyPrep: the dominance
-// kernels plus their scratch sets and column list.
+// kernels plus their scratch sets.
 type skyProbe struct {
 	*skyPrep
 	lt             []int // per coordinate: #keys < p_j
 	set, lo        []uint64
 	strict, t1, t2 []uint64
-	cols           []int32
 }
 
-// probe returns a new probe of sp for the calling goroutine. The column
-// list is sized for the whole skyline up front, so reading out a dominator
-// set never grows it.
+// probe returns a new probe of sp for the calling goroutine.
 func (sp *skyPrep) probe() *skyProbe {
 	w := sp.words
 	buf := make([]uint64, 5*w)
@@ -201,7 +198,6 @@ func (sp *skyPrep) probe() *skyProbe {
 		strict:  buf[2*w : 3*w : 3*w],
 		t1:      buf[3*w : 4*w : 4*w],
 		t2:      buf[4*w : 5*w : 5*w],
-		cols:    make([]int32, 0, sp.m),
 	}
 }
 
@@ -268,113 +264,214 @@ func (pr *skyProbe) dominatorSet(dst []uint64, p []float64) bool {
 	return nonEmpty != 0
 }
 
-// appendCols appends the members of set to dst in ascending order.
-func appendCols(dst []int32, set []uint64) []int32 {
-	for w, word := range set {
-		for word != 0 {
-			dst = append(dst, int32(w<<6|bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
-}
-
-// dominators returns, ascending, the columns of every skyline point that
-// strictly dominates p (exactly those geom.Dominates accepts). The slice is
-// the probe's scratch, valid until its next call.
-func (pr *skyProbe) dominators(p []float64) []int32 {
-	pr.cols = pr.cols[:0]
-	if pr.dominatorSet(pr.set, p) {
-		pr.cols = appendCols(pr.cols, pr.set)
-	}
-	return pr.cols
-}
-
-// classifyRect returns, ascending, the columns fully dominating rect and
-// reports whether any column partially dominates it, in which case the
-// column list is meaningless and the subtree must be opened. The relations
-// are exactly geom.DomRelation's. The slice is the probe's scratch.
-func (pr *skyProbe) classifyRect(rect geom.Rect) ([]int32, bool) {
-	pr.cols = pr.cols[:0]
+// classifyRect returns the set of columns fully dominating rect and reports
+// whether any column partially dominates it, in which case the set is
+// meaningless and the subtree must be opened. The relations are exactly
+// geom.DomRelation's. The set is the probe's scratch, valid until its next
+// call.
+func (pr *skyProbe) classifyRect(rect geom.Rect) ([]uint64, bool) {
 	pr.dominatorSet(pr.set, rect.Hi)
 	pr.dominatorSet(pr.lo, rect.Lo)
 	for i, v := range pr.set {
 		if v&^pr.lo[i] != 0 {
-			return pr.cols, true
+			return pr.lo, true
 		}
 	}
-	pr.cols = appendCols(pr.cols, pr.lo)
-	return pr.cols, false
+	return pr.lo, false
 }
 
-// sigScratch bundles the per-row hash scratch of a signature generator: the
-// hash vector of the current row and its per-group minima. Pooled so the
-// serving path does not allocate a fresh set per query.
+// sigScratch is the pooled state of a row folder: the hash vector of the
+// current row and its per-group minima, one slab of words holding the
+// fold's domination counters and level sets, each column's level and the
+// screened column list. Pooled so the serving path does not allocate a
+// fresh set per fold.
 type sigScratch struct {
-	hv []uint32
-	gm []uint32
+	hv, gm   []uint32
+	words    []uint64
+	colLevel []uint8 // each column's bit length at the last level refresh
+	cols     []int32
 }
 
 var sigScratchPool = sync.Pool{New: func() any { return new(sigScratch) }}
 
-// getSigScratch returns pooled scratch with hv sized to t slots and gm to
-// the grouped-update screen's group count.
-func getSigScratch(t int) *sigScratch {
+// getSigScratch returns pooled scratch with hv sized to t slots, gm to the
+// grouped-update screen's group count, words to n zeroed words and colLevel
+// and cols to m columns.
+func getSigScratch(t, n, m int) *sigScratch {
 	s := sigScratchPool.Get().(*sigScratch)
-	if cap(s.hv) < t {
-		s.hv = make([]uint32, t)
-	}
-	s.hv = s.hv[:t]
-	g := minhash.GroupsFor(t)
-	if cap(s.gm) < g {
-		s.gm = make([]uint32, g)
-	}
-	s.gm = s.gm[:g]
+	s.hv = resize(s.hv, t)
+	s.gm = resize(s.gm, minhash.GroupsFor(t))
+	s.words = resize(s.words, n)
+	clear(s.words)
+	s.colLevel = resize(s.colLevel, m)
+	s.cols = resize(s.cols, m)
 	return s
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // release returns the scratch to the pool.
 func (s *sigScratch) release() { sigScratchPool.Put(s) }
 
+// levels is the number of level sets: bit lengths 0 through 32 of a 32-bit
+// slot value.
+const levels = 33
+
 // rowFolder is the fold half of the Phase-1 row kernel, shared by every
-// generator that scans rows: it hashes a dominated row once — stepping the
-// hash residues while row ids arrive consecutively — folds it into all of
-// its dominating columns with one screened call, and counts the domination
-// scores. Not safe for concurrent use.
+// generator that scans rows. It takes each dominated row with the set of
+// its dominating columns and
+//
+//   - counts the row into every column of the set at once, with bit-sliced
+//     counters: plane p of a word of columns holds bit p of each column's
+//     count, and adding a set ripples a carry through the planes. The
+//     counts reach DomScore once, when the fold is flushed;
+//   - hashes the row once, stepping the hash residues while row ids arrive
+//     consecutively, and ANDs the set with a level set: level L holds the
+//     columns whose slot maximum had bit length at least L at the last
+//     refresh. A slot maximum shorter than the bit length of the row's
+//     minimum hash value is below that minimum, so the row cannot lower the
+//     column, and slot maxima only fall, so the level sets never drop a
+//     column the row could lower;
+//   - folds the columns that remain, read out in ascending order, with one
+//     Matrix.FoldRow call, which applies the exact screen.
+//
+// Once signatures fill, few columns stay at the level of a row's minimum,
+// so most pairs of a row and a dominating column are never read out.
+// Not safe for concurrent use.
 type rowFolder struct {
-	fp *Fingerprint
-	st *minhash.Stepper
-	sc *sigScratch
+	mx     *minhash.Matrix
+	score  []float64
+	st     *minhash.Stepper
+	sc     *sigScratch
+	words  int      // ⌈m/64⌉: the length of one column set
+	planes int      // counter planes per word
+	counts []uint64 // word w's planes at counts[w*planes:(w+1)*planes]
+	level  []uint64 // level set L at level[L*words:(L+1)*words]
+	due    int      // rows to reach FoldRow before the next refreshLevels
 }
 
-// newRowFolder returns a folder into fp hashing with fam.
-func newRowFolder(fam *minhash.Family, fp *Fingerprint) *rowFolder {
-	return &rowFolder{fp: fp, st: fam.Stepper(0, fam.Size()), sc: getSigScratch(fam.Size())}
+// newRowFolder returns a folder into fp, which must be fresh, hashing with
+// fam. rows bounds the rows the folder will count one at a time, which
+// sizes its counter planes.
+func newRowFolder(fam *minhash.Family, fp *Fingerprint, rows int) *rowFolder {
+	m := len(fp.DomScore)
+	w := (m + 63) / 64
+	planes := max(bits.Len(uint(rows)), 1)
+	sc := getSigScratch(fam.Size(), w*(planes+levels), m)
+	f := &rowFolder{
+		mx:     fp.Matrix,
+		score:  fp.DomScore,
+		st:     fam.Stepper(0, fam.Size()),
+		sc:     sc,
+		words:  w,
+		planes: planes,
+		counts: sc.words[: w*planes : w*planes],
+		level:  sc.words[w*planes:],
+		due:    max(m, 64),
+	}
+	// A fresh column's slots are all ∞, whose bit length is 32: every
+	// column starts in every level set.
+	for c := range m {
+		sc.colLevel[c] = 32
+		for l := 0; l < levels; l++ {
+			f.level[l*w+c>>6] |= 1 << (c & 63)
+		}
+	}
+	return f
 }
 
 // release returns the folder's pooled scratch; the fingerprint stays valid.
 func (f *rowFolder) release() { f.sc.release() }
 
-// fold folds row id row into the columns cols.
-func (f *rowFolder) fold(cols []int32, row uint64) {
-	minHv := f.st.HashGroupMin(f.sc.hv, row, f.sc.gm)
-	f.fp.Matrix.FoldRow(cols, f.sc.hv, f.sc.gm, minHv)
-	for _, c := range cols {
-		f.fp.DomScore[c]++
+// fold counts and folds row id row into the columns of set, which must not
+// be empty.
+func (f *rowFolder) fold(set []uint64, row uint64) {
+	for w, carry := range set {
+		plane := f.counts[w*f.planes : (w+1)*f.planes]
+		for p := 0; carry != 0; p++ {
+			old := plane[p]
+			plane[p] = old ^ carry
+			carry &= old
+		}
 	}
+	f.foldHashed(set, row)
 }
 
 // foldRun folds the count consecutive row ids base, base+1, … into the
-// columns cols, all of which dominate every one of them.
-func (f *rowFolder) foldRun(cols []int32, base uint64, count int) {
+// columns of set, all of which dominate every one of them, and adds count
+// to their scores directly.
+func (f *rowFolder) foldRun(set []uint64, base uint64, count int) {
+	var nonEmpty uint64
+	for _, v := range set {
+		nonEmpty |= v
+	}
+	if nonEmpty == 0 {
+		return
+	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			f.score[w<<6|bits.TrailingZeros64(word)] += float64(count)
+		}
+	}
+	for r := uint64(0); r < uint64(count); r++ {
+		f.foldHashed(set, base+r)
+	}
+}
+
+// foldHashed hashes row and folds it into the columns of set that pass the
+// level screen.
+func (f *rowFolder) foldHashed(set []uint64, row uint64) {
+	sc := f.sc
+	minHv := f.st.HashGroupMin(sc.hv, row, sc.gm)
+	l := bits.Len32(minHv)
+	lv := f.level[l*f.words : (l+1)*f.words]
+	cols := sc.cols[:0]
+	for w, v := range set {
+		for v &= lv[w]; v != 0; v &= v - 1 {
+			cols = append(cols, int32(w<<6|bits.TrailingZeros64(v)))
+		}
+	}
 	if len(cols) == 0 {
 		return
 	}
-	for r := uint64(0); r < uint64(count); r++ {
-		minHv := f.st.HashGroupMin(f.sc.hv, base+r, f.sc.gm)
-		f.fp.Matrix.FoldRow(cols, f.sc.hv, f.sc.gm, minHv)
+	f.mx.FoldRow(cols, sc.hv, sc.gm, minHv)
+	if f.due--; f.due == 0 {
+		f.refreshLevels()
 	}
-	for _, c := range cols {
-		f.fp.DomScore[c] += float64(count)
+}
+
+// refreshLevels moves every column whose slot maximum has lost bits since
+// the last refresh down the level sets. It runs once per max(m, 64) rows
+// that reach FoldRow, so it costs about one column check per such row; in
+// between, a level set may still hold a column that has dropped out of
+// it, which FoldRow's exact screen then rejects.
+func (f *rowFolder) refreshLevels() {
+	f.due = max(len(f.sc.colLevel), 64)
+	for c, old := range f.sc.colLevel {
+		nl := uint8(bits.Len32(f.mx.ColMax(c)))
+		for l := int(nl) + 1; l <= int(old); l++ {
+			f.level[l*f.words+c>>6] &^= 1 << (c & 63)
+		}
+		f.sc.colLevel[c] = nl
 	}
+}
+
+// flush adds the counted rows to the fingerprint's domination scores and
+// zeroes the counters.
+func (f *rowFolder) flush() {
+	for w := range f.words {
+		for p, word := range f.counts[w*f.planes : (w+1)*f.planes] {
+			for ; word != 0; word &= word - 1 {
+				f.score[w<<6|bits.TrailingZeros64(word)] += float64(uint64(1) << p)
+			}
+		}
+	}
+	clear(f.counts)
 }

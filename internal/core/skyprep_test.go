@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,14 +45,27 @@ func bruteDominators(cols [][]float64, p []float64) []int32 {
 	return out
 }
 
+// setCols returns the members of a column set in ascending order.
+func setCols(set []uint64) []int32 {
+	out := []int32{}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
+
 // checkKernel compares every kernel of pr with the geom reference on the
-// given probe points and rectangles.
+// given probe points and rectangles: the dominator set of each probe, and
+// the full-dominator set and partial verdict of each rectangle.
 func checkKernel(t *testing.T, tag string, pr *skyProbe, cols, probes [][]float64, rects []geom.Rect) {
 	t.Helper()
 	for _, p := range probes {
-		got := append([]int32{}, pr.dominators(p)...)
-		if want := bruteDominators(cols, p); !slices.Equal(got, want) {
-			t.Fatalf("%s: dominators(%v) = %v, want %v", tag, p, got, want)
+		nonEmpty := pr.dominatorSet(pr.set, p)
+		want := bruteDominators(cols, p)
+		if got := setCols(pr.set); !slices.Equal(got, want) || nonEmpty != (len(want) > 0) {
+			t.Fatalf("%s: dominatorSet(%v) = %v (non-empty %v), want %v", tag, p, got, nonEmpty, want)
 		}
 	}
 	for _, r := range rects {
@@ -64,8 +79,8 @@ func checkKernel(t *testing.T, tag string, pr *skyProbe, cols, probes [][]float6
 			}
 		}
 		full, partial := pr.classifyRect(r)
-		if partial != (len(wantPart) > 0) || !partial && !slices.Equal(append([]int32{}, full...), wantFull) {
-			t.Fatalf("%s: classifyRect(%v) = %v, %v; want full %v, partial %v", tag, r, full, partial, wantFull, wantPart)
+		if partial != (len(wantPart) > 0) || !partial && !slices.Equal(setCols(full), wantFull) {
+			t.Fatalf("%s: classifyRect(%v) = %v, %v; want full %v, partial %v", tag, r, setCols(full), partial, wantFull, wantPart)
 		}
 	}
 }
@@ -236,6 +251,67 @@ func TestSigGenIFMatchesBruteForceOnTies(t *testing.T) {
 					t.Fatalf("d=%d %s: column %d differs from the brute-force fold", d, name, c)
 				}
 			}
+		}
+	}
+}
+
+// TestDomScoreCarriesThroughEveryPlane counts past 2¹⁷ rows in one column,
+// so the bit-sliced counters carry through every plane. The skyline is a
+// staircase of 57 points (s, −s), s = k/64 for k ≤ 56; point s dominates the
+// rows with x ≥ s, so column 0 dominates all 160,000 rows in [0, 1)². The
+// staircase cuts every STR leaf left of x = 0.875, which SigGen-IB opens
+// and counts one point at a time (about 140,000 rows), while the subtrees
+// right of it are whole-subtree runs that add their counts directly.
+// SigGen-IF at 1 and 2 workers, SigGen-IB at 1 and 2 and the streaming pass
+// must all give the exact counts.
+func TestDomScoreCarriesThroughEveryPlane(t *testing.T) {
+	const steps, n = 57, 160_000
+	r := rand.New(rand.NewSource(17))
+	rows := make([][]float64, 0, steps+n)
+	for k := range steps {
+		s := float64(k) / 64
+		rows = append(rows, []float64{s, -s})
+	}
+	for range n {
+		rows = append(rows, []float64{r.Float64(), r.Float64()})
+	}
+	ds, err := data.FromRows("staircase", rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInput(t, ds)
+	if len(in.Sky) != steps || in.Sky[steps-1] != steps-1 {
+		t.Fatalf("skyline %v, want the %d staircase points", in.Sky, steps)
+	}
+	want := make([]float64, steps)
+	for _, p := range rows[steps:] {
+		for c := range steps {
+			if geom.Dominates(rows[c], p) {
+				want[c]++
+			}
+		}
+	}
+	if want[0] != n || n < 1<<17 {
+		t.Fatalf("column 0 dominates %v rows, want %d ≥ 2¹⁷", want[0], n)
+	}
+	fam, _ := minhash.NewFamily(4, 3)
+	pts := rows[:steps]
+	runs := map[string]func() (*Fingerprint, error){
+		"SigGen-IF":            func() (*Fingerprint, error) { return SigGenIF(ds, in.Sky, fam) },
+		"SigGen-IF, 2 workers": func() (*Fingerprint, error) { return SigGenIFParallel(ds, in.Sky, fam, 2) },
+		"SigGen-IB":            func() (*Fingerprint, error) { return SigGenIB(in.Tree, ds, in.Sky, fam) },
+		"SigGen-IB, 2 workers": func() (*Fingerprint, error) { return SigGenIBParallel(in.Tree, ds, in.Sky, fam, 2) },
+		"streaming pass": func() (*Fingerprint, error) {
+			return SigGenIFStreamCtx(context.Background(), ds.Source(), in.Sky, pts, fam)
+		},
+	}
+	for name, run := range runs {
+		fp, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(fp.DomScore, want) {
+			t.Fatalf("%s: scores %v, want %v", name, fp.DomScore, want)
 		}
 	}
 }

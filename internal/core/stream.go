@@ -47,13 +47,13 @@ func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [
 
 	pr := prepareSkylineFrom(src.Dims(), m, func(j int) []float64 { return skyPts[j] }).probe()
 
-	rf := newRowFolder(fam, fp)
+	n := src.Len()
+	rf := newRowFolder(fam, fp, n)
 	defer rf.release()
 	tracker := budget.From(ctx)
 	// skyCursor walks the ascending skyline ids in lockstep with the scan:
 	// the streaming replacement for the in-memory bitset.
 	skyCursor := 0
-	n := src.Len()
 	for i := 0; i < n; i++ {
 		if i%pageQuantum == 0 {
 			// Charge the page the scan is about to consume, then poll: a query
@@ -80,10 +80,11 @@ func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [
 			skyCursor++
 			continue
 		}
-		if cols := pr.dominators(p); len(cols) > 0 {
-			rf.fold(cols, uint64(i))
+		if pr.dominatorSet(pr.set, p) {
+			rf.fold(pr.set, uint64(i))
 		}
 	}
+	rf.flush()
 	fp.IO = counter.Stats()
 	return fp, nil
 }

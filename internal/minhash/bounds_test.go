@@ -28,7 +28,7 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 			hv := make([]uint32, size)
 			hvMin := make([]uint32, size)
 			hvGrp := make([]uint32, size)
-			gm := make([]uint32, rowFold.Groups())
+			gm := make([]uint32, rowFold.groups)
 			for k, r := range rows {
 				c := 0
 				if k < len(colPick) {
@@ -65,23 +65,51 @@ func TestGroupedFoldMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestBoundsStayExact: after arbitrary interleavings of the three fold
-// entry points on one matrix, colMax and groupMax equal the true maxima of
-// each column's slots — the invariant every screen relies on.
+// TestBoundsStayExact: after arbitrary interleavings of the fold entry
+// points on one matrix — UpdateColumn, UpdateColumnBounded and FoldRow on
+// one column or on both — colMax and groupMax equal the true maxima of
+// each column's slots after every call: the invariant every screen, the
+// incremental maintenance and the LSH carry rely on. The slots must end as
+// plain UpdateColumn calls leave them. At t = 100 FoldRow takes both its
+// slot-sparse path and its grouped fallback, and the test checks that each
+// ran.
 func TestBoundsStayExact(t *testing.T) {
-	f := func(rows []uint16, path []uint8) bool {
-		const size, cols = 24, 2
+	var nSparse, nGrouped int // FoldRow calls at t = 100 by path
+	exact := func(m *Matrix, size int) bool {
+		for c := 0; c < m.Cols(); c++ {
+			col := m.Column(c)
+			if m.colMax[c] != slices.Max(col) {
+				return false
+			}
+			g := m.groups
+			for grp := 0; grp < g; grp++ {
+				if m.groupMax[c*g+grp] != slices.Max(col[grp*size/g:(grp+1)*size/g]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	run := func(size int, rows []uint16, path []uint8) bool {
+		const cols = 2
 		fam, _ := NewFamily(size, 11)
-		m := NewMatrix(size, cols)
+		m, plain := NewMatrix(size, cols), NewMatrix(size, cols)
 		st := fam.Stepper(0, size)
 		hv := make([]uint32, size)
-		gm := make([]uint32, m.Groups())
+		gm := make([]uint32, m.groups)
 		for k, r := range rows {
 			c := int(r) % cols
 			minHv := st.HashGroupMin(hv, uint64(r), gm)
 			mode := uint8(2)
 			if k < len(path) {
-				mode = path[k] % 3
+				mode = path[k] % 4
+			}
+			fold := []int32{int32(c)}
+			if mode == 3 {
+				fold = []int32{0, 1}
+			}
+			for _, c := range fold {
+				plain.UpdateColumn(int(c), hv)
 			}
 			switch mode {
 			case 0:
@@ -89,38 +117,40 @@ func TestBoundsStayExact(t *testing.T) {
 			case 1:
 				m.UpdateColumnBounded(c, hv, minHv)
 			default:
-				m.FoldRow([]int32{int32(c)}, hv, gm, minHv)
-			}
-		}
-		for c := 0; c < cols; c++ {
-			col := m.Column(c)
-			var trueMax uint32
-			for _, v := range col {
-				if v > trueMax {
-					trueMax = v
-				}
-			}
-			if m.colMax[c] != trueMax {
-				return false
-			}
-			g := m.Groups()
-			for grp := 0; grp < g; grp++ {
-				lo, hi := grp*size/g, (grp+1)*size/g
-				var gmax uint32
-				for _, v := range col[lo:hi] {
-					if v > gmax {
-						gmax = v
+				if size == 100 {
+					var rs rowSlots
+					switch sparse, admitted := rs.list(m, fold, hv, gm, minHv); {
+					case !admitted:
+					case sparse:
+						nSparse++
+					default:
+						nGrouped++
 					}
 				}
-				if m.groupMax[c*g+grp] != gmax {
-					return false
-				}
+				m.FoldRow(fold, hv, gm, minHv)
+			}
+			if !exact(m, size) {
+				return false
 			}
 		}
-		return true
+		return slices.Equal(m.sig, plain.sig)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+	for _, size := range []int{24, 100} {
+		f := func(rows []uint16, path []uint8) bool { return run(size, rows, path) }
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("t=%d: %v", size, err)
+		}
+	}
+	// A long run fills the signatures, so late rows take the sparse path.
+	rows, path := make([]uint16, 3000), make([]uint8, 3000)
+	for k := range rows {
+		rows[k], path[k] = uint16(k*7919), uint8(k%7)
+	}
+	if !run(100, rows, path) {
+		t.Error("t=100: bounds drifted on the long run")
+	}
+	if nSparse == 0 || nGrouped == 0 {
+		t.Errorf("t=100: FoldRow took the sparse path %d times and the grouped fold %d times; want both", nSparse, nGrouped)
 	}
 }
 

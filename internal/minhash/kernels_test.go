@@ -95,3 +95,16 @@ func BenchmarkStepperGroupMin(b *testing.B) {
 		st.HashGroupMin(hv, uint64(i), gm)
 	}
 }
+
+// estimateJsScalar is the reference implementation the kernels are tested
+// against slot by slot.
+func (m *Matrix) estimateJsScalar(i, j int) float64 {
+	a, b := m.Column(i), m.Column(j)
+	eq := 0
+	for s := range a {
+		if a[s] == b[s] {
+			eq++
+		}
+	}
+	return float64(eq) / float64(m.t)
+}

@@ -114,49 +114,44 @@ func (f *Family) Stepper(lo, hi int) *Stepper {
 	return &Stepper{a: f.a[lo:hi:hi], b: f.b[lo:hi:hi], res: make([]uint64, n), bounds: bounds}
 }
 
-// advance moves the residues to row x: a step when x follows the current
-// row, a seek otherwise.
-func (s *Stepper) advance(x uint64) {
-	res := s.res[:len(s.a)]
-	if s.live && x == s.x+1 {
-		for i, a := range s.a {
-			r := res[i] + a
-			if r >= mersenne61 {
-				r -= mersenne61
-			}
-			res[i] = r
-		}
-	} else {
-		b := s.b[:len(s.a)]
-		for i, a := range s.a {
-			res[i] = residue(a, b[i], x)
-		}
-	}
-	s.x, s.live = x, true
-}
-
 // HashGroupMin writes the stepper's hash values of row x into dst, the
 // minima of the slot groups defined by GroupsFor into gm (len
 // GroupsFor(len(dst))), and returns the overall minimum. FoldRow uses the
-// group minima to skip every slot group the row cannot improve.
+// group minima to skip every slot group the row cannot improve. When x
+// follows the stepper's current row, each slot's residue steps, folds and
+// enters its group minimum in one pass; any other row seeks.
 func (s *Stepper) HashGroupMin(dst []uint32, x uint64, gm []uint32) uint32 {
-	s.advance(x)
+	step := s.live && x == s.x+1
+	s.x, s.live = x, true
 	minv := uint32(math.MaxUint32)
 	for k := range gm {
 		lo, hi := s.bounds[k], s.bounds[k+1]
-		out := dst[lo:hi]
+		res, a, out := s.res[lo:hi], s.a[lo:hi], dst[lo:hi]
+		a, out = a[:len(res)], out[:len(res)]
 		gv := uint32(math.MaxUint32)
-		for i, r := range s.res[lo:hi] {
-			v := fold32(r)
-			out[i] = v
-			if v < gv {
-				gv = v
+		if step {
+			for i, r := range res {
+				r += a[i]
+				if r >= mersenne61 {
+					r -= mersenne61
+				}
+				res[i] = r
+				v := fold32(r)
+				out[i] = v
+				gv = min(gv, v)
+			}
+		} else {
+			b := s.b[lo:hi][:len(res)]
+			for i := range res {
+				r := residue(a[i], b[i], x)
+				res[i] = r
+				v := fold32(r)
+				out[i] = v
+				gv = min(gv, v)
 			}
 		}
 		gm[k] = gv
-		if gv < minv {
-			minv = gv
-		}
+		minv = min(minv, gv)
 	}
 	return minv
 }
@@ -227,6 +222,8 @@ type Matrix struct {
 	// a row cannot improve even when the whole-column screen passes.
 	// colMax[c] is always the maximum of column c's group maxima.
 	groupMax []uint32
+	// bound[g] is the first slot of group g; bound[groups] = t.
+	bound [maxUpdateGroups + 1]int
 }
 
 // maxUpdateGroups is the slot-group count of the grouped fold screen. Eight
@@ -259,12 +256,12 @@ func NewMatrix(t, cols int) *Matrix {
 	for i := range groupMax {
 		groupMax[i] = emptySlot
 	}
-	return &Matrix{t: t, cols: cols, groups: groups, sig: sig, colMax: colMax, groupMax: groupMax}
+	m := &Matrix{t: t, cols: cols, groups: groups, sig: sig, colMax: colMax, groupMax: groupMax}
+	for g := range groups + 1 {
+		m.bound[g] = g * t / groups
+	}
+	return m
 }
-
-// Groups returns the slot-group count of the grouped update screen,
-// GroupsFor(T()).
-func (m *Matrix) Groups() int { return m.groups }
 
 // T returns the signature size.
 func (m *Matrix) T() int { return m.t }
@@ -307,21 +304,10 @@ func (m *Matrix) UpdateColumn(c int, hv []uint32) {
 func (m *Matrix) refreshBounds(c int) {
 	col := m.sig[c*m.t : (c+1)*m.t]
 	gmax := m.groupMax[c*m.groups : (c+1)*m.groups]
-	var colMax uint32
 	for g := range gmax {
-		lo, hi := g*m.t/m.groups, (g+1)*m.t/m.groups
-		var gm uint32
-		for _, v := range col[lo:hi] {
-			if v > gm {
-				gm = v
-			}
-		}
-		gmax[g] = gm
-		if gm > colMax {
-			colMax = gm
-		}
+		gmax[g] = maxOf(col[m.bound[g]:m.bound[g+1]])
 	}
-	m.colMax[c] = colMax
+	m.refreshColMax(c)
 }
 
 // UpdateColumnBounded is UpdateColumn for callers that know min(hv) — i.e.
@@ -336,63 +322,201 @@ func (m *Matrix) UpdateColumnBounded(c int, hv []uint32, minHv uint32) {
 	m.UpdateColumn(c, hv)
 }
 
+// ColMax returns column c's slot maximum, the bound FoldRow screens a row's
+// minimum hash value against: a row whose minimum is at least ColMax(c)
+// cannot lower any slot of column c.
+func (m *Matrix) ColMax(c int) uint32 { return m.colMax[c] }
+
 // FoldRow folds one row's hash values into every column of cols with one
 // call, given the per-group minima gm of hv (from HashGroupMin; len(gm)
-// must equal Groups()): each column is screened against its slot maximum,
-// and an admitted column folds only the slot groups the row can improve.
-// The result is bit-identical to UpdateColumn once per column: a skipped
-// group satisfies min(hv[group]) ≥ groupMax ≥ every slot in it. Since the
-// screen rejects most columns once their signatures have filled, a call
-// per column would be mostly call overhead.
+// must equal GroupsFor(t)). A column is admitted when min(hv) is below its
+// slot maximum. Only the slots of hv below the largest slot maximum of the
+// admitted columns can lower any of them, and once signatures fill there
+// are few: when they number at most 2·GroupsFor(t) they are listed once per
+// row, on the stack, and each admitted column folds just them. When they
+// are more, the slots below the largest group maximum of their own group
+// are listed instead, under the same limit: one slot whose values fall on
+// every row (hash seed 4's slot 74) holds up the slot maxima of every
+// column, but only its own group's maxima. Otherwise each admitted column
+// folds the slot groups the row can improve (a skipped group satisfies
+// min(hv[group]) ≥ groupMax ≥ every slot in it). Either way the slots and
+// the bounds end bit-identical to UpdateColumn once per column.
 func (m *Matrix) FoldRow(cols []int32, hv []uint32, gm []uint32, minHv uint32) {
-	colMax := m.colMax
-	for _, c := range cols {
-		if minHv < colMax[c] {
-			m.foldGroups(int(c), hv, gm)
+	var rs rowSlots
+	sparse, admitted := rs.list(m, cols, hv, gm, minHv)
+	switch {
+	case !admitted:
+	case sparse:
+		m.foldSlots(cols, gm, minHv, &rs)
+	default:
+		for _, c := range cols {
+			if minHv < m.colMax[c] {
+				m.foldGroups(int(c), hv, gm)
+			}
 		}
 	}
 }
 
-// foldGroups is the grouped fold of a row admitted by the column screen.
+// rowSlots lists the slots of a row FoldRow's sparse path folds: ascending,
+// at most 2·GroupsFor(t) of them, with slot group g's at
+// idx[bound[g]:bound[g+1]]. idx has room for one more, which gather writes
+// before it counts.
+type rowSlots struct {
+	idx    [2*maxUpdateGroups + 1]int32
+	val    [2*maxUpdateGroups + 1]uint32 // hv[idx[k]]
+	bound  [maxUpdateGroups + 1]uint8
+	listed uint32 // bit g: group g has a listed slot
+}
+
+// list lists the slots of hv that can lower a column of cols admitted by
+// FoldRow's screen, as FoldRow describes, and reports whether the list is
+// within the limit and whether any column is admitted.
+func (rs *rowSlots) list(m *Matrix, cols []int32, hv, gm []uint32, minHv uint32) (sparse, admitted bool) {
+	var top uint32 // largest slot maximum of an admitted column; 0 if none
+	for _, c := range cols {
+		cm := m.colMax[c]
+		_, admit := bits.Sub32(minHv, cm, 0)
+		top = max(top, cm&-admit)
+	}
+	if top == 0 {
+		return false, false
+	}
+	var tops [maxUpdateGroups]uint32
+	for g := range tops {
+		tops[g] = top
+	}
+	if rs.gather(m, hv, gm, &tops) {
+		return true, true
+	}
+	tops = [maxUpdateGroups]uint32{}
+	groups := m.groups
+	for _, c := range cols {
+		if minHv < m.colMax[c] {
+			for g, v := range m.groupMax[int(c)*groups : int(c+1)*groups] {
+				tops[g] = max(tops[g], v)
+			}
+		}
+	}
+	*rs = rowSlots{}
+	return rs.gather(m, hv, gm, &tops), true
+}
+
+// gather lists the slots of hv below their group's bound in tops and
+// reports whether they number at most 2·GroupsFor(t). gm holds hv's group
+// minima. Whether a slot is below a large bound is a coin flip, so every
+// slot is written and counted without a branch.
+func (rs *rowSlots) gather(m *Matrix, hv, gm []uint32, tops *[maxUpdateGroups]uint32) bool {
+	groups := m.groups
+	n, limit := 0, 2*groups
+	for g := 0; g < groups; g++ {
+		if top := tops[g]; gm[g] < top {
+			lo, hi := m.bound[g], m.bound[g+1]
+			for i, v := range hv[lo:hi] {
+				rs.idx[n], rs.val[n] = int32(lo+i), v
+				_, below := bits.Sub32(v, top, 0)
+				if n += int(below); n > limit {
+					return false
+				}
+			}
+			rs.listed |= 1 << g
+		}
+		rs.bound[g+1] = uint8(n)
+	}
+	return true
+}
+
+// foldSlots folds the listed slots of a row into every column of cols the
+// screen admits, group by group: a group whose row minimum gm[g] cannot
+// beat the column's group maximum is skipped, as in foldGroups. Lowering a
+// slot below its group's maximum leaves the maximum as it was, so a group's
+// bound is recomputed only when a lowered slot held it.
+func (m *Matrix) foldSlots(cols []int32, gm []uint32, minHv uint32, rs *rowSlots) {
+	t, groups := m.t, m.groups
+	for _, c := range cols {
+		if minHv >= m.colMax[c] {
+			continue
+		}
+		col := m.sig[int(c)*t : int(c+1)*t]
+		gmax := m.groupMax[int(c)*groups : int(c+1)*groups]
+		var stale uint32 // bit g: a lowered slot held group g's maximum
+		for mask := rs.listed; mask != 0; mask &= mask - 1 {
+			g := bits.TrailingZeros32(mask)
+			gmx := gmax[g]
+			if gm[g] >= gmx {
+				continue
+			}
+			for k := rs.bound[g]; k < rs.bound[g+1]; k++ {
+				i := rs.idx[k]
+				if v, old := rs.val[k], col[i]; v < old {
+					col[i] = v
+					if old == gmx {
+						stale |= 1 << g
+					}
+				}
+			}
+		}
+		if stale == 0 {
+			continue
+		}
+		for ; stale != 0; stale &= stale - 1 {
+			g := bits.TrailingZeros32(stale)
+			gmax[g] = maxOf(col[m.bound[g]:m.bound[g+1]])
+		}
+		m.refreshColMax(int(c))
+	}
+}
+
+// foldGroups is the grouped fold of a row admitted by the column screen:
+// it folds the slot groups the row can improve. As in foldSlots, a group's
+// bound is recomputed only when a lowered slot held it.
 func (m *Matrix) foldGroups(c int, hv []uint32, gm []uint32) {
 	t, groups := m.t, m.groups
 	col := m.sig[c*t : (c+1)*t]
 	gmax := m.groupMax[c*groups : (c+1)*groups]
-	anyChanged := false
+	anyStale := false
 	for g := 0; g < groups; g++ {
-		if gm[g] >= gmax[g] {
+		gmx := gmax[g]
+		if gm[g] >= gmx {
 			continue
 		}
-		lo, hi := g*t/groups, (g+1)*t/groups
-		changed := false
+		lo, hi := m.bound[g], m.bound[g+1]
+		stale := false
 		for i := lo; i < hi; i++ {
-			if hv[i] < col[i] {
-				col[i] = hv[i]
-				changed = true
+			if v, old := hv[i], col[i]; v < old {
+				col[i] = v
+				if old == gmx {
+					stale = true
+				}
 			}
 		}
-		if !changed {
+		if !stale {
 			continue
 		}
-		var nm uint32
-		for _, v := range col[lo:hi] {
-			if v > nm {
-				nm = v
-			}
-		}
-		gmax[g] = nm
-		anyChanged = true
+		gmax[g] = maxOf(col[lo:hi])
+		anyStale = true
 	}
-	if !anyChanged {
-		return
+	if anyStale {
+		m.refreshColMax(c)
 	}
-	var colMax uint32
-	for _, v := range gmax {
-		if v > colMax {
-			colMax = v
-		}
+}
+
+// refreshColMax recomputes column c's slot maximum from its group maxima.
+func (m *Matrix) refreshColMax(c int) {
+	m.colMax[c] = maxOf(m.groupMax[c*m.groups : (c+1)*m.groups])
+}
+
+// maxOf returns the largest value of s, 0 if s is empty. It keeps two
+// running maxima, so neighbouring values do not wait on each other.
+func maxOf(s []uint32) uint32 {
+	var a, b uint32
+	for len(s) >= 2 {
+		a, b = max(a, s[0]), max(b, s[1])
+		s = s[2:]
 	}
-	m.colMax[c] = colMax
+	if len(s) == 1 {
+		a = max(a, s[0])
+	}
+	return max(a, b)
 }
 
 // Clone returns a deep copy of the matrix: the incremental-maintenance path
@@ -400,7 +524,7 @@ func (m *Matrix) foldGroups(c int, hv []uint32, gm []uint32) {
 // original — shared by pointer with every query that already holds it — is
 // never mutated.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{t: m.t, cols: m.cols, groups: m.groups}
+	c := &Matrix{t: m.t, cols: m.cols, groups: m.groups, bound: m.bound}
 	c.sig = append([]uint32(nil), m.sig...)
 	c.colMax = append([]uint32(nil), m.colMax...)
 	c.groupMax = append([]uint32(nil), m.groupMax...)
@@ -528,19 +652,6 @@ func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
 func (m *Matrix) EstimateJs(i, j int) float64 {
 	a, b := m.Column(i), m.Column(j)
 	return float64(countEqual(a, b)) / float64(m.t)
-}
-
-// estimateJsScalar is the reference implementation the kernels are tested
-// against slot by slot.
-func (m *Matrix) estimateJsScalar(i, j int) float64 {
-	a, b := m.Column(i), m.Column(j)
-	eq := 0
-	for s := range a {
-		if a[s] == b[s] {
-			eq++
-		}
-	}
-	return float64(eq) / float64(m.t)
 }
 
 // swarMinSlots is the signature size below which countEqual dispatches to
