@@ -104,6 +104,10 @@ fuzz:
 #                        criterion is a ≥5× gap; in practice it is orders of
 #                        magnitude), and public Dataset.Insert end to end
 #                        (skyline test + signature patch + epoch migration).
+#                        The incremental refresh runs 1000 steps: its costly
+#                        steps (promotions, slot repairs) are rare — the
+#                        first comes at step 32 of its stream — so a short
+#                        run would time only cheap ones.
 #   BENCH_remote.json  — the same uncached query in process vs in two shards
 #                        over a two-worker HTTP fleet: the wire/framing/verify
 #                        overhead of multi-node execution, gated so it cannot
@@ -121,7 +125,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ConcurrentServing' -benchmem -benchtime=3x -count=1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_serving.json
 	{ $(GO) test -run '^$$' -bench 'MonitorAdd$$' -benchmem -benchtime=10000x -count=1 ./internal/dynamic ; \
-	  $(GO) test -run '^$$' -bench 'RefreshIncremental100K' -benchmem -benchtime=20x -count=1 ./internal/dynamic ; \
+	  $(GO) test -run '^$$' -bench 'RefreshIncremental100K' -benchmem -benchtime=1000x -count=1 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'RefreshWholesale100K' -benchmem -benchtime=1x -count=1 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'DatasetInsert' -benchmem -benchtime=200x -count=1 . ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_dynamic.json

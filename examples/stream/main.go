@@ -76,5 +76,5 @@ func main() {
 
 	fmt.Println("The shown deals track the market: flash-sale bargains displace the")
 	fmt.Println("morning frontier, then premium fast flights displace those — each")
-	fmt.Println("refresh is one index-free pass over the live window.")
+	fmt.Println("refresh replays only the offers that arrived or expired since the last.")
 }

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,11 +357,13 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	}
 }
 
-// TestWorkerBoundsRequestSizes: a shard count above the spec's row count and
-// a signature size whose fingerprint would exceed the cap are rejected with
-// 400 before the worker allocates per-shard or per-slot state.
+// TestWorkerBoundsRequestSizes: a shard count above the spec's row count, a
+// signature size whose fingerprint would exceed the cap, skyline ids the
+// fold would index with out of range, duplicated or descending, and a body
+// beyond the 32 MiB cap are rejected with 400 before the worker allocates
+// per-shard or per-slot state.
 func TestWorkerBoundsRequestSizes(t *testing.T) {
-	_, urls := startWorkers(t, 1)
+	workers, urls := startWorkers(t, 1)
 	post := func(path string, body any) int {
 		t.Helper()
 		raw, _ := json.Marshal(body)
@@ -382,6 +386,38 @@ func TestWorkerBoundsRequestSizes(t *testing.T) {
 	if code := post(PathSkyline, ShardRequest{Spec: wide, Shards: 1, Shard: 0}); code != http.StatusBadRequest {
 		t.Errorf("dimensionality 2^30: status %d, want 400", code)
 	}
+	for _, sky := range [][]int{{0, 1 << 40}, {-3, 0}, {0, 0, 1}, {5, 2}, {0, spec.N}} {
+		if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 16, HashSeed: 1, Sky: sky}); code != http.StatusBadRequest {
+			t.Errorf("sky %v: status %d, want 400", sky, code)
+		}
+	}
+	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 16, HashSeed: 1, Sky: []int{0, 2, spec.N - 1}}); code != http.StatusOK {
+		t.Errorf("valid sky: status %d, want 200", code)
+	}
+	// Otherwise valid requests padded past the cap go straight to the
+	// handler, streamed, so neither side of a connection has to hold them.
+	valid, _ := json.Marshal(ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 16, HashSeed: 1, Sky: []int{0}})
+	for path, head := range map[string]string{
+		PathSigFold: string(valid[:len(valid)-1]) + `,"pad":"`,
+		PathFaults:  `{"policy":"","pad":"`,
+	} {
+		body := io.MultiReader(strings.NewReader(head), io.LimitReader(fillReader('a'), 33<<20), strings.NewReader(`"}`))
+		rec := httptest.NewRecorder()
+		workers[0].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s with a 33 MiB body: status %d, want 400", path, rec.Code)
+		}
+	}
+}
+
+// fillReader reads as an endless run of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
 }
 
 // TestWorkerRejectsBadRequests pins the worker's client-error surface: bad

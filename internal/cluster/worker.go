@@ -269,6 +269,10 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(rw, http.StatusOK, w.Stats())
 }
 
+// maxRequestBytes caps every request body the worker decodes, as skyserved
+// caps its own, so one oversized sky array cannot exhaust a worker's memory.
+const maxRequestBytes = 32 << 20
+
 // handleFaults installs a wire-fault policy at runtime:
 // POST /faults {"policy": "drop=0.1,seed=7"}. An empty policy clears it.
 func (w *Worker) handleFaults(rw http.ResponseWriter, r *http.Request) {
@@ -279,7 +283,7 @@ func (w *Worker) handleFaults(rw http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Policy string `json:"policy"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(&body); err != nil {
 		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("bad faults body: %v", err))
 		return
 	}
@@ -297,7 +301,7 @@ func (w *Worker) handleFaults(rw http.ResponseWriter, r *http.Request) {
 // derives the handler context from ?timeout=.
 func (w *Worker) decodeShardRequest(rw http.ResponseWriter, r *http.Request) (ShardRequest, context.Context, context.CancelFunc, bool) {
 	var req ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("bad shard request: %v", err))
 		return req, nil, nil, false
 	}
@@ -405,6 +409,13 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 	if len(req.Sky) == 0 {
 		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: sigfold request carries no skyline"))
 		return
+	}
+	// The fold indexes the dataset and its membership bitset with the ids.
+	for j, s := range req.Sky {
+		if s < 0 || s >= req.Spec.N || j > 0 && s <= req.Sky[j-1] {
+			w.writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: skyline ids must be ascending, distinct and in [0, %d); entry %d is %d", req.Spec.N, j, s))
+			return
+		}
 	}
 	if !minhash.FingerprintFits(req.T, len(req.Sky)) {
 		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("cluster: signature size %d over %d skyline points exceeds the %d MiB fingerprint cap",

@@ -13,18 +13,77 @@ import (
 )
 
 // This file implements first-class single-point mutations: incremental
-// skyline maintenance driven by bounded dominance range queries on the
-// R*-tree, plus in-place repair of resident MinHash fingerprints. The
-// invariant is the same one the dynamic package's property tests pin: after
-// ApplyInsert/ApplyDelete, the skyline and every migrated fingerprint are
-// bit-identical to what a from-scratch recompute at the new epoch would
-// produce (min-folds are order-independent, so patching a column is
-// equivalent to rebuilding it).
+// skyline maintenance, plus in-place repair of MinHash fingerprints. The
+// invariant is the one the dynamic package's property tests pin: after an
+// insert or delete, the skyline and every migrated fingerprint are
+// bit-identical to what a from-scratch recompute would produce (min-folds
+// are order-independent, so patching a column is equivalent to rebuilding
+// it).
 //
-// Callers (the public skydiver.Dataset) serialize mutations against queries;
-// nothing here locks. Row ids are dataset indexes and are never reused:
-// deletes tombstone the row in the dataset and remove it from the tree, so
-// hash identities stay stable and resident signatures stay meaningful.
+// The maintenance reads rows through a rowSource. A Dataset's writes
+// (ApplyInsert, ApplyDelete and their batches) read its R*-tree with
+// bounded dominance range queries; there row ids are dataset indexes,
+// never reused: deletes tombstone the row in the dataset and remove it from
+// the tree, so hash identities stay stable and resident signatures stay
+// meaningful. A stream monitor's window (window.go) is the other source;
+// its row ids are stream sequence numbers. Callers serialize mutations
+// against queries; nothing here locks.
+
+// rowSource is where write maintenance reads rows: a Dataset's live rows
+// through its R*-tree (treeSource), or a stream monitor's sliding window
+// (Window). The skyline halves of inserts and deletes and the fingerprint
+// patches below read rows only through it, so both run one code path.
+type rowSource interface {
+	// point returns the coordinates of a live row.
+	point(row int) []float64
+	// region calls visit, in no particular order, for every live row q in
+	// p's dominance region: every row p dominates or equals.
+	region(p []float64, visit func(row int, q []float64)) error
+	// repair recomputes, in the columns cols of mx (positions in the
+	// skyline sky), the slots a departed row with hash values hv held,
+	// from the rows each column still dominates.
+	repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int) error
+}
+
+// treeSource is a Dataset's live rows, found by bounded range queries over
+// its R*-tree. The tree holds live rows only, so tombstones never appear.
+// gammas memoizes Γ per skyline row for the repairs of one delete, shared
+// by every fingerprint it migrates.
+type treeSource struct {
+	ds     *data.Dataset
+	tr     *rtree.Tree
+	gammas map[int][]int
+}
+
+func (s *treeSource) point(row int) []float64 { return s.ds.Point(row) }
+
+// region is one range query over p's dominance region.
+func (s *treeSource) region(p []float64, visit func(row int, q []float64)) error {
+	return s.tr.RangeQuery(domRect(p), func(rowID uint32, q []float64) bool {
+		visit(int(rowID), q)
+		return true
+	})
+}
+
+// repair refolds each column's held slots over the column's Γ, found by
+// one range query per column (Matrix.RemoveRow).
+func (s *treeSource) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int) error {
+	for _, c := range cols {
+		gamma, ok := s.gammas[sky[c]]
+		if !ok {
+			var err error
+			if gamma, err = gammaRows(s, s.ds.Point(sky[c])); err != nil {
+				return err
+			}
+			if s.gammas == nil {
+				s.gammas = map[int][]int{}
+			}
+			s.gammas[sky[c]] = gamma
+		}
+		mx.RemoveRow(c, hv, fam, gamma)
+	}
+	return nil
+}
 
 // domRect is the dominance region of p: every point with all coordinates
 // ≥ p, i.e. exactly the points p dominates or equals.
@@ -36,16 +95,13 @@ func domRect(p []float64) geom.Rect {
 	return r
 }
 
-// gammaRows returns Γ(p): the rows in the tree strictly dominated by p,
-// found by one bounded range query over p's dominance region. The tree
-// holds live rows only, so tombstones never appear.
-func gammaRows(tr *rtree.Tree, p []float64) ([]int, error) {
+// gammaRows returns Γ(p): the live rows of src strictly dominated by p.
+func gammaRows(src rowSource, p []float64) ([]int, error) {
 	var rows []int
-	err := tr.RangeQuery(domRect(p), func(rowID uint32, q []float64) bool {
+	err := src.region(p, func(row int, q []float64) {
 		if geom.Dominates(p, q) {
-			rows = append(rows, int(rowID))
+			rows = append(rows, row)
 		}
-		return true
 	})
 	return rows, err
 }
@@ -69,11 +125,9 @@ type skyDeletion struct {
 	// promoted lists, ascending, the rows that entered the skyline and their
 	// positions in the NEW skyline, with their Γ fold sets.
 	promoted []promotion
-	// gammas memoizes Γ(sky[c]) for !wasSky columns that some fingerprint
-	// had to repair (computed lazily, shared across fingerprints).
-	gammas map[int][]int
-	tr     *rtree.Tree
-	ds     *data.Dataset
+	// src and oldSky serve the repair of the !wasSky columns some
+	// fingerprint's slots need.
+	src    rowSource
 	oldSky []int
 }
 
@@ -187,11 +241,31 @@ func applyInsertStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, p []float64
 	if sky == nil {
 		return nil, skyInsertion{}, row, nil
 	}
+	newSky, ins, err := insertSkyline(&treeSource{ds: ds, tr: tr}, sky, row)
+	if err != nil {
+		// Maintenance failed mid-way (a range query fault): retire the new
+		// row and let the caller fall back to a wholesale recompute. The
+		// tombstone is applied only if the tree removal succeeds — tree and
+		// tombstones must agree on which rows exist, or BBS could serve a
+		// deleted row.
+		if _, derr := tr.Delete(ds.Point(row), uint32(row)); derr == nil {
+			ds.MarkDeleted(row)
+		}
+		return nil, skyInsertion{}, row, err
+	}
+	return newSky, ins, row, nil
+}
+
+// insertSkyline is the skyline half of an insert: row, already live in src
+// and its largest row id, is tested against every skyline member; when it
+// joins, the members it dominates are demoted and its Γ fold set is read
+// from src. It returns the new skyline and the fingerprint patch.
+func insertSkyline(src rowSource, sky []int, row int) ([]int, skyInsertion, error) {
 	ins := skyInsertion{row: row}
-	pt := ds.Point(row)
+	pt := src.point(row)
 	excluded := false
 	for c, s := range sky {
-		sp := ds.Point(s)
+		sp := src.point(s)
 		if geom.Dominates(sp, pt) {
 			ins.domCols = append(ins.domCols, c)
 			excluded = true
@@ -201,40 +275,32 @@ func applyInsertStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, p []float64
 			excluded = true
 		}
 	}
-	newSky := sky
-	if !excluded {
-		ins.joined = true
-		for c, s := range sky {
-			if geom.Dominates(pt, ds.Point(s)) {
-				ins.demoted = append(ins.demoted, c)
-			}
-		}
-		newSky = make([]int, 0, len(sky)+1)
-		d := 0
-		for c, s := range sky {
-			if d < len(ins.demoted) && ins.demoted[d] == c {
-				d++
-				continue
-			}
-			newSky = append(newSky, s)
-		}
-		newSky = append(newSky, row) // freshly appended ⇒ largest row id
-		if ins.gamma, err = gammaRows(tr, pt); err != nil {
-			// Maintenance failed mid-way (a range query fault): retire the new
-			// row and let the caller fall back to a wholesale recompute. The
-			// tombstone is applied only if the tree removal succeeds — tree
-			// and tombstones must agree on which rows exist, or BBS could
-			// serve a deleted row.
-			if _, derr := tr.Delete(pt, uint32(row)); derr == nil {
-				ds.MarkDeleted(row)
-			}
-			return nil, skyInsertion{}, row, err
-		}
-		// Γ(row) from the tree includes row itself only if an equal twin
-		// existed, which the join case excludes; strict dominance already
-		// filtered it.
+	if excluded {
+		return sky, ins, nil
 	}
-	return newSky, ins, row, nil
+	ins.joined = true
+	for c, s := range sky {
+		if geom.Dominates(pt, src.point(s)) {
+			ins.demoted = append(ins.demoted, c)
+		}
+	}
+	newSky := make([]int, 0, len(sky)+1)
+	d := 0
+	for c, s := range sky {
+		if d < len(ins.demoted) && ins.demoted[d] == c {
+			d++
+			continue
+		}
+		newSky = append(newSky, s)
+	}
+	newSky = append(newSky, row) // largest row id ⇒ last
+	// Γ(row) holds row itself only if an equal twin existed, which the join
+	// case excludes; strict dominance already filtered it.
+	var err error
+	if ins.gamma, err = gammaRows(src, pt); err != nil {
+		return nil, skyInsertion{}, err
+	}
+	return newSky, ins, nil
 }
 
 // ApplyDelete tombstones the row, removes it from the tree, updates the
@@ -323,66 +389,72 @@ func applyDeleteStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, row int) ([
 	if sky == nil {
 		return nil, nil, nil
 	}
-	del := &skyDeletion{row: row, tr: tr, ds: ds, oldSky: sky, gammas: map[int][]int{}}
+	return deleteSkyline(&treeSource{ds: ds, tr: tr}, sky, row, pt)
+}
+
+// deleteSkyline is the skyline half of a delete: row, whose point was pt,
+// has left src. A departed member's replacements are the rows of its
+// dominance region that no surviving member excludes, reduced to their own
+// skyline, each with its Γ fold set; a non-member's departure only lists
+// the columns that dominated it, to be repaired per fingerprint.
+func deleteSkyline(src rowSource, sky []int, row int, pt []float64) ([]int, *skyDeletion, error) {
+	del := &skyDeletion{row: row, src: src, oldSky: sky}
 	pos := sort.SearchInts(sky, row)
 	del.wasSky = pos < len(sky) && sky[pos] == row
-	newSky := sky
-	if del.wasSky {
-		del.skyPos = pos
-		rest := make([]int, 0, len(sky)-1)
-		rest = append(rest, sky[:pos]...)
-		rest = append(rest, sky[pos+1:]...)
-		// Candidates: the rows only this member excluded. Its dominance
-		// region holds exactly the rows it dominated or equalled; among
-		// them, keep those no surviving member excludes.
-		var cands []int
-		err := tr.RangeQuery(domRect(pt), func(rowID uint32, q []float64) bool {
-			for _, s := range rest {
-				sp := ds.Point(s)
-				if geom.Dominates(sp, q) || (geom.Equal(sp, q) && s < int(rowID)) {
-					return true
-				}
-			}
-			cands = append(cands, int(rowID))
-			return true
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sort.Ints(cands)
-		for _, q := range miniSkylineRows(ds, cands) {
-			gamma, err := gammaRows(tr, ds.Point(q))
-			if err != nil {
-				return nil, nil, err
-			}
-			at := sort.SearchInts(rest, q)
-			rest = append(rest, 0)
-			copy(rest[at+1:], rest[at:])
-			rest[at] = q
-			del.promoted = append(del.promoted, promotion{row: q, at: at, gamma: gamma})
-		}
-		newSky = rest
-	} else {
+	if !del.wasSky {
 		for c, s := range sky {
-			if geom.Dominates(ds.Point(s), pt) {
+			if geom.Dominates(src.point(s), pt) {
 				del.domCols = append(del.domCols, c)
 			}
 		}
+		return sky, del, nil
 	}
-	return newSky, del, nil
+	del.skyPos = pos
+	rest := make([]int, 0, len(sky)-1)
+	rest = append(rest, sky[:pos]...)
+	rest = append(rest, sky[pos+1:]...)
+	// Candidates: the rows only this member excluded. Its dominance region
+	// holds exactly the rows it dominated or equalled; among them, keep
+	// those no surviving member excludes.
+	var cands []int
+	err := src.region(pt, func(r int, q []float64) {
+		for _, s := range rest {
+			sp := src.point(s)
+			if geom.Dominates(sp, q) || (geom.Equal(sp, q) && s < r) {
+				return
+			}
+		}
+		cands = append(cands, r)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	sort.Ints(cands)
+	for _, q := range miniSkylineRows(src, cands) {
+		gamma, err := gammaRows(src, src.point(q))
+		if err != nil {
+			return nil, nil, err
+		}
+		at := sort.SearchInts(rest, q)
+		rest = append(rest, 0)
+		copy(rest[at+1:], rest[at:])
+		rest[at] = q
+		del.promoted = append(del.promoted, promotion{row: q, at: at, gamma: gamma})
+	}
+	return rest, del, nil
 }
 
 // miniSkylineRows computes the skyline among the promotion candidates
 // (ascending row ids) with the first-of-duplicates tie-break — candidates
 // may dominate each other even though none is dominated by the surviving
 // skyline.
-func miniSkylineRows(ds *data.Dataset, cands []int) []int {
+func miniSkylineRows(src rowSource, cands []int) []int {
 	var keep []int
 	for _, x := range cands {
-		p := ds.Point(x)
+		p := src.point(x)
 		excluded := false
 		for _, y := range keep {
-			q := ds.Point(y)
+			q := src.point(y)
 			if geom.Dominates(q, p) || geom.Equal(q, p) {
 				excluded = true
 				break
@@ -393,7 +465,7 @@ func miniSkylineRows(ds *data.Dataset, cands []int) []int {
 		}
 		out := keep[:0]
 		for _, y := range keep {
-			if !geom.Dominates(p, ds.Point(y)) {
+			if !geom.Dominates(p, src.point(y)) {
 				out = append(out, y)
 			}
 		}
@@ -519,22 +591,17 @@ func patchDelete(fam *minhash.Family, fp *Fingerprint, hv []uint32, del *skyDele
 			return nil
 		}
 		fam.HashAll(hv, uint64(del.row))
+		var held []int
 		for _, c := range del.domCols {
 			fp.DomScore[c]--
-			if !fp.Matrix.ColumnMatchesAny(c, hv) {
-				continue
+			if fp.Matrix.ColumnMatchesAny(c, hv) {
+				held = append(held, c)
 			}
-			gamma, ok := del.gammas[c]
-			if !ok {
-				var err error
-				if gamma, err = gammaRows(del.tr, del.ds.Point(del.oldSky[c])); err != nil {
-					return err
-				}
-				del.gammas[c] = gamma
-			}
-			fp.Matrix.RemoveRow(c, hv, fam, gamma)
 		}
-		return nil
+		if len(held) == 0 {
+			return nil
+		}
+		return del.src.repair(fam, fp.Matrix, hv, del.oldSky, held)
 	}
 	fp.Matrix.RemoveColumns([]int{del.skyPos})
 	fp.DomScore = removeScores(fp.DomScore, []int{del.skyPos})

@@ -25,7 +25,9 @@ import (
 //     and min-merges them (the paper's parallelization future-work item,
 //     Section 6);
 //   - a cluster shard folds its own row list (ShardFingerprintLocal), and
-//     the coordinator min-merges the shards' folds.
+//     the coordinator min-merges the shards' folds;
+//   - a stream window's rebuild folds the range of its materialized rows,
+//     hashed by stream sequence number (Window.Rebuild).
 
 // workerTestHook, when non-nil, is invoked by every parallel fingerprinting
 // worker as it starts. Tests use it to inject panics and count workers; it is
@@ -40,7 +42,8 @@ type rowFold struct {
 	prep  *skyPrep
 	inSky bitset
 	fam   *minhash.Family
-	page  int // records per data page: the budget-charge and poll quantum
+	page  int    // records per data page: the budget-charge and poll quantum
+	base  uint64 // row id of dataset index 0: a window's first sequence number
 }
 
 func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
@@ -59,7 +62,8 @@ func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
 
 // fold folds the live rows of one row set into a fresh private fingerprint
 // with the Phase-1 row kernel. The set is list when it is non-nil, the range
-// [lo, hi) otherwise; skyline members and tombstones are skipped. Each page
+// [lo, hi) otherwise; skyline members and tombstones are skipped, and a row
+// hashes as its row id, the dataset index plus the fold's base. Each page
 // of the set charges the query budget one page, and every page after the
 // first polls ctx, so a cancelled fold stops within one page and its partial
 // fingerprint is dropped. For a range with a page-aligned start the charges
@@ -93,7 +97,7 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 				continue
 			}
 			if pr.dominatorSet(pr.set, ds.Point(r)) {
-				rf.fold(pr.set, uint64(r))
+				rf.fold(pr.set, f.base+uint64(r))
 			}
 		}
 	}

@@ -15,13 +15,17 @@
 // from cache. The recomputation itself is incremental: the monitor keeps the
 // window's skyline, the MinHash signature matrix, and the domination scores
 // as live state and replays only the inserts/evictions that happened since
-// the previous query — one dominance test against the skyline per insert,
-// plus a bounded window scan when skyline membership actually changes. The
-// maintained state is bit-identical to a from-scratch recomputation at every
-// step (min-folds are order-independent), so incremental and wholesale
-// queries return the same answers; when the window has fully turned over
-// between queries the monitor falls back to the wholesale rebuild, which is
-// then the cheaper path.
+// the previous query. It owns no Phase-1 code: the window is a row source of
+// core's write maintenance (core.Window), so each replayed arrival or
+// eviction runs the skyline update and fingerprint patch a Dataset's Insert
+// and Delete run, with the window scanned where a Dataset queries its
+// R*-tree, and the wholesale rebuild is SFS plus core's range fold, hashed
+// by sequence number. The maintained state is bit-identical to a
+// from-scratch recomputation at every step (min-folds are
+// order-independent), so incremental and wholesale queries return the same
+// answers; when the window has fully turned over between queries the
+// monitor falls back to the wholesale rebuild, which is then the cheaper
+// path.
 //
 // A Monitor is safe for concurrent use: Add and the query methods may be
 // called from any number of goroutines. Queries serialize with ingestion on
@@ -33,15 +37,12 @@ package dynamic
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"skydiver/internal/data"
+	"skydiver/internal/core"
 	"skydiver/internal/dispersion"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
-	"skydiver/internal/skyline"
 )
 
 // Item is one stream element inside the window.
@@ -60,8 +61,6 @@ type Monitor struct {
 	dims     int
 	capacity int
 	k        int
-	sigSize  int
-	seed     int64
 
 	// mu guards every field below. Add and the query paths both take it, so
 	// ingestion and (re)computation are mutually exclusive.
@@ -86,12 +85,11 @@ type Monitor struct {
 	live         bool
 	winLo, winHi uint64
 	pendingEvict []Item
-	sky          []Item // skyline of [winLo, winHi), ascending Seq
+	sky          []int // skyline of [winLo, winHi): ascending sequence numbers
 	matrix       *minhash.Matrix
 	domScore     []float64
 
 	fam *minhash.Family
-	hv  []uint32 // hash scratch, len sigSize
 
 	// wholesaleOnly forces every refresh down the from-scratch rebuild path.
 	// It exists for the equivalence property tests and the incremental-vs-
@@ -131,10 +129,9 @@ func NewMonitor(dims, capacity, k, signatureSize int, seed int64) (*Monitor, err
 		return nil, err
 	}
 	return &Monitor{
-		dims: dims, capacity: capacity, k: k, sigSize: signatureSize, seed: seed,
+		dims: dims, capacity: capacity, k: k,
 		buf: make([]Item, capacity),
 		fam: fam,
-		hv:  make([]uint32, signatureSize),
 	}, nil
 }
 
@@ -221,10 +218,6 @@ func (m *Monitor) DiverseCtx(ctx context.Context) ([]Item, error) {
 	return out, nil
 }
 
-// refreshCheckStride is how many window points a maintenance scan processes
-// between context checks.
-const refreshCheckStride = 256
-
 // itemAt returns the item with the given sequence number: from the ring when
 // it is still resident, from the pending-eviction log otherwise. seq must be
 // in [winLo, next).
@@ -282,7 +275,9 @@ func (m *Monitor) refresh(ctx context.Context) error {
 		}
 	}
 	sky := make([]Item, len(m.sky))
-	copy(sky, m.sky)
+	for i, seq := range m.sky {
+		sky[i] = m.itemAt(uint64(seq))
+	}
 	k := m.k
 	if k > len(m.sky) {
 		k = len(m.sky)
@@ -296,355 +291,71 @@ func (m *Monitor) refresh(ctx context.Context) error {
 	}
 	pick := make([]Item, len(selected))
 	for i, s := range selected {
-		pick[i] = m.sky[s]
+		pick[i] = sky[s]
 	}
 	m.cachedSky, m.cachedPick = sky, pick
 	return nil
 }
 
+// window returns the window [lo, hi) as core's row source: row ids are
+// sequence numbers, and a row's point comes from the ring while it is
+// resident, from the pending-eviction log otherwise.
+func (m *Monitor) window(lo, hi uint64) *core.Window {
+	return &core.Window{Lo: int(lo), Hi: int(hi), Point: func(row int) []float64 {
+		return m.itemAt(uint64(row)).Point
+	}}
+}
+
 // rebuild recomputes the maintained state from scratch over the current ring
-// contents: SFS for the skyline, then one fingerprinting pass over the
-// window — the wholesale path, used on first query, after a full window
-// turnover, and as the recovery path after a failed incremental replay.
+// contents: SFS for the skyline, then core's range fold over the window,
+// hashed by sequence number — the wholesale path, used on first query,
+// after a full window turnover, and as the recovery path after a failed
+// incremental replay.
 func (m *Monitor) rebuild(ctx context.Context) error {
 	base := m.next - uint64(m.count)
-	vals := make([]float64, 0, m.count*m.dims)
-	for off := 0; off < m.count; off++ {
-		vals = append(vals, m.buf[(base+uint64(off))%uint64(m.capacity)].Point...)
-	}
-	ds, err := data.New("window", m.dims, vals)
+	sky, fp, err := m.window(base, m.next).Rebuild(ctx, m.fam)
 	if err != nil {
 		return err
 	}
-	skyIdx := skyline.ComputeSFS(ds)
-	sky := make([]Item, len(skyIdx))
-	for i, s := range skyIdx {
-		sky[i] = m.buf[(base+uint64(s))%uint64(m.capacity)]
-	}
-	matrix := minhash.NewMatrix(m.sigSize, len(skyIdx))
-	domScore := make([]float64, len(skyIdx))
-	inSky := make([]bool, m.count)
-	for _, s := range skyIdx {
-		inSky[s] = true
-	}
-	cols := make([]int, 0, 8)
-	for i := 0; i < m.count; i++ {
-		if i%refreshCheckStride == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if inSky[i] {
-			continue
-		}
-		p := ds.Point(i)
-		cols = cols[:0]
-		for j, s := range skyIdx {
-			if geom.Dominates(ds.Point(s), p) {
-				cols = append(cols, j)
-			}
-		}
-		if len(cols) == 0 {
-			continue
-		}
-		// Hash by stream sequence number so identities are stable across
-		// window slides.
-		minHv := m.fam.HashAllMin(m.hv, base+uint64(i))
-		for _, c := range cols {
-			matrix.UpdateColumnBounded(c, m.hv, minHv)
-			domScore[c]++
-		}
-	}
-	m.sky, m.matrix, m.domScore = sky, matrix, domScore
+	m.sky, m.matrix, m.domScore = sky, fp.Matrix, fp.DomScore
 	m.winLo, m.winHi = base, m.next
 	m.pendingEvict = nil
 	m.live = !m.wholesaleOnly
 	return nil
 }
 
-// advance replays the inserts and evictions queued since the maintained
-// state's window, in arrival order, so that sky / matrix / domScore describe
-// the current window bit-identically to a wholesale rebuild. Any error
-// (cancellation included) invalidates the state: the next refresh rebuilds
-// wholesale rather than continuing from a half-applied mutation.
+// advance replays the evictions and inserts queued since the maintained
+// state's window, in arrival order, through core's write maintenance, so
+// that sky / matrix / domScore describe the current window bit-identically
+// to a wholesale rebuild. The context is polled before each replayed
+// arrival. Any error (cancellation included) invalidates the state: the next
+// refresh rebuilds wholesale rather than continuing from a half-applied
+// mutation.
 func (m *Monitor) advance(ctx context.Context) error {
+	fp := &core.Fingerprint{Matrix: m.matrix, DomScore: m.domScore}
+	sky := m.sky
 	for m.winHi < m.next {
 		if err := ctx.Err(); err != nil {
 			m.invalidate()
 			return err
 		}
+		var err error
 		if m.winHi-m.winLo == uint64(m.capacity) {
 			ev := m.itemAt(m.winLo)
 			m.winLo++
-			if err := m.applyEvict(ctx, ev); err != nil {
-				m.invalidate()
-				return err
-			}
+			sky, err = m.window(m.winLo, m.winHi).Evict(m.fam, sky, fp, ev.Point)
 		}
-		it := m.itemAt(m.winHi)
-		if err := m.applyInsert(ctx, it); err != nil {
+		if err == nil {
+			m.winHi++
+			sky, err = m.window(m.winLo, m.winHi).Insert(m.fam, sky, fp)
+		}
+		if err != nil {
 			m.invalidate()
 			return err
 		}
-		m.winHi++
 	}
+	m.sky, m.matrix, m.domScore = sky, fp.Matrix, fp.DomScore
 	// Every queued eviction has been replayed; release the retained items.
 	m.pendingEvict = nil
 	return nil
-}
-
-// applyInsert integrates one arriving item: a dominated point folds into its
-// dominators' signatures; an undominated point joins the skyline, demotes
-// the members it dominates, and gets a signature column built by one window
-// scan over its dominance region.
-func (m *Monitor) applyInsert(ctx context.Context, it Item) error {
-	p := it.Point
-	excluded := false
-	var cols []int
-	for c := range m.sky {
-		sp := m.sky[c].Point
-		if geom.Dominates(sp, p) {
-			cols = append(cols, c)
-			excluded = true
-		} else if geom.Equal(sp, p) {
-			// A duplicate of a skyline member: the earlier twin keeps the
-			// membership (the SFS tie-break) and, under strict dominance,
-			// neither is in the other's Γ.
-			excluded = true
-		}
-	}
-	if excluded {
-		if len(cols) > 0 {
-			minHv := m.fam.HashAllMin(m.hv, it.Seq)
-			for _, c := range cols {
-				m.matrix.UpdateColumnBounded(c, m.hv, minHv)
-				m.domScore[c]++
-			}
-		}
-		return nil
-	}
-	// Joins the skyline: demote the members it dominates (their columns are
-	// dropped; their rows re-enter Γ(p) through the scan below), then build
-	// the new column.
-	var demoted []int
-	for c := range m.sky {
-		if geom.Dominates(p, m.sky[c].Point) {
-			demoted = append(demoted, c)
-		}
-	}
-	if len(demoted) > 0 {
-		m.matrix.RemoveColumns(demoted)
-		m.sky = removeItems(m.sky, demoted)
-		m.domScore = removeFloat64s(m.domScore, demoted)
-	}
-	at := len(m.sky) // the newest sequence number sorts last
-	m.matrix.InsertColumn(at)
-	m.sky = append(m.sky, it)
-	m.domScore = append(m.domScore, 0)
-	return m.fillColumn(ctx, at, it)
-}
-
-// applyEvict removes one expired item. A skyline member's departure promotes
-// the candidates only it excluded; a non-member's departure can only affect
-// the columns where its hash values achieved a slot minimum, which are
-// recomputed by one bounded window scan.
-func (m *Monitor) applyEvict(ctx context.Context, ev Item) error {
-	if len(m.sky) > 0 && m.sky[0].Seq == ev.Seq {
-		return m.evictSkylineMember(ctx, ev)
-	}
-	var doms []int
-	for c := range m.sky {
-		if geom.Dominates(m.sky[c].Point, ev.Point) {
-			doms = append(doms, c)
-		}
-	}
-	if len(doms) == 0 {
-		return nil
-	}
-	m.fam.HashAllMin(m.hv, ev.Seq)
-	var recompute []int
-	for _, c := range doms {
-		m.domScore[c]--
-		// The departed row can only have mattered where it tied the slot
-		// minimum; otherwise the column is untouched by its removal.
-		if m.matrix.ColumnMatchesAny(c, m.hv) {
-			recompute = append(recompute, c)
-		}
-	}
-	if len(recompute) == 0 {
-		return nil
-	}
-	for _, c := range recompute {
-		m.matrix.ResetColumn(c)
-	}
-	return m.refoldColumns(ctx, recompute)
-}
-
-// evictSkylineMember handles the departure of the window's oldest skyline
-// point: its column is dropped, and every window point that only it excluded
-// is promoted (after a mini-skyline among the candidates, since candidates
-// may dominate each other).
-func (m *Monitor) evictSkylineMember(ctx context.Context, ev Item) error {
-	m.matrix.RemoveColumns([]int{0})
-	copy(m.sky, m.sky[1:])
-	m.sky[len(m.sky)-1] = Item{} // clear the tail so the item is released
-	m.sky = m.sky[:len(m.sky)-1]
-	copy(m.domScore, m.domScore[1:])
-	m.domScore = m.domScore[:len(m.domScore)-1]
-
-	var cands []Item
-	n := 0
-	for seq := m.winLo; seq < m.winHi; seq++ {
-		if n%refreshCheckStride == 0 && n > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		n++
-		x := m.itemAt(seq)
-		if !geom.Dominates(ev.Point, x.Point) && !geom.Equal(ev.Point, x.Point) {
-			continue
-		}
-		excludedByOther := false
-		for c := range m.sky {
-			sp := m.sky[c].Point
-			if geom.Dominates(sp, x.Point) || (geom.Equal(sp, x.Point) && m.sky[c].Seq < x.Seq) {
-				excludedByOther = true
-				break
-			}
-		}
-		if !excludedByOther {
-			cands = append(cands, x)
-		}
-	}
-	for _, q := range miniSkyline(cands) {
-		at := sort.Search(len(m.sky), func(i int) bool { return m.sky[i].Seq > q.Seq })
-		m.matrix.InsertColumn(at)
-		m.sky = append(m.sky, Item{})
-		copy(m.sky[at+1:], m.sky[at:])
-		m.sky[at] = q
-		m.domScore = append(m.domScore, 0)
-		copy(m.domScore[at+1:], m.domScore[at:])
-		m.domScore[at] = 0
-		if err := m.fillColumn(ctx, at, q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fillColumn builds the signature column of a fresh skyline member by one
-// scan over the maintained window, folding every point it strictly
-// dominates.
-func (m *Monitor) fillColumn(ctx context.Context, col int, owner Item) error {
-	p := owner.Point
-	n := 0
-	for seq := m.winLo; seq < m.winHi; seq++ {
-		if n%refreshCheckStride == 0 && n > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		n++
-		x := m.itemAt(seq)
-		if x.Seq == owner.Seq || !geom.Dominates(p, x.Point) {
-			continue
-		}
-		minHv := m.fam.HashAllMin(m.hv, x.Seq)
-		m.matrix.UpdateColumnBounded(col, m.hv, minHv)
-		m.domScore[col]++
-	}
-	return nil
-}
-
-// refoldColumns recomputes the given (already reset) columns by one shared
-// window scan, folding each point into the affected columns whose skyline
-// point dominates it. Domination scores are not touched — they were adjusted
-// exactly by the caller.
-func (m *Monitor) refoldColumns(ctx context.Context, cols []int) error {
-	n := 0
-	tgt := make([]int, 0, len(cols))
-	for seq := m.winLo; seq < m.winHi; seq++ {
-		if n%refreshCheckStride == 0 && n > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		n++
-		x := m.itemAt(seq)
-		tgt = tgt[:0]
-		for _, c := range cols {
-			if geom.Dominates(m.sky[c].Point, x.Point) {
-				tgt = append(tgt, c)
-			}
-		}
-		if len(tgt) == 0 {
-			continue
-		}
-		minHv := m.fam.HashAllMin(m.hv, x.Seq)
-		for _, c := range tgt {
-			m.matrix.UpdateColumnBounded(c, m.hv, minHv)
-		}
-	}
-	return nil
-}
-
-// miniSkyline computes the skyline of the promotion candidates (ascending
-// sequence order) with the same duplicate tie-break as the full algorithms:
-// the earliest of identical points wins.
-func miniSkyline(cands []Item) []Item {
-	var keep []Item
-	for _, x := range cands {
-		excluded := false
-		for _, y := range keep {
-			if geom.Dominates(y.Point, x.Point) || geom.Equal(y.Point, x.Point) {
-				excluded = true
-				break
-			}
-		}
-		if excluded {
-			continue
-		}
-		out := keep[:0]
-		for _, y := range keep {
-			if !geom.Dominates(x.Point, y.Point) {
-				out = append(out, y)
-			}
-		}
-		keep = append(out, x)
-	}
-	return keep
-}
-
-// removeItems drops the elements at the given ascending positions,
-// compacting in place (the freed tail is cleared so evicted items are
-// released).
-func removeItems(s []Item, at []int) []Item {
-	w, r := at[0], 0
-	for c := at[0]; c < len(s); c++ {
-		if r < len(at) && at[r] == c {
-			r++
-			continue
-		}
-		s[w] = s[c]
-		w++
-	}
-	for i := w; i < len(s); i++ {
-		s[i] = Item{}
-	}
-	return s[:w]
-}
-
-// removeFloat64s is removeItems for the score vector.
-func removeFloat64s(s []float64, at []int) []float64 {
-	w, r := at[0], 0
-	for c := at[0]; c < len(s); c++ {
-		if r < len(at) && at[r] == c {
-			r++
-			continue
-		}
-		s[w] = s[c]
-		w++
-	}
-	return s[:w]
 }
