@@ -58,10 +58,10 @@ serve-smoke:
 
 # The multi-node suite on its own: race-enabled remote-executor ladder tests
 # (retry/hedge/failover/breaker against in-process worker fleets), the shard
-# worker's protocol and fault-injection surface, the sharder contract, and
-# the root-level remote-vs-local bit-identity pins.
+# worker's protocol and fault-injection surface, the grid sharder's edge
+# cases, and the root-level remote-vs-local bit-identity pins.
 cluster:
-	$(GO) test -race -shuffle=on -run 'Remote|Worker|Angular|GridEdge|Matrix|DatasetSpec|WireFault' . ./internal/cluster ./internal/httpx ./internal/shard
+	$(GO) test -race -shuffle=on -run 'Remote|Worker|GridEdge|Matrix|DatasetSpec|WireFault' . ./internal/cluster ./internal/httpx ./internal/shard
 
 # End-to-end smoke of multi-node shard execution: boot a two-worker skyshardd
 # fleet plus skyserved -shard-workers, replay mixed waves including ?remote=1,
@@ -109,9 +109,9 @@ fuzz:
 #                        first comes at step 32 of its stream — so a short
 #                        run would time only cheap ones.
 #   BENCH_remote.json  — the same uncached query in process vs in two shards
-#                        over a two-worker HTTP fleet: the wire/framing/verify
-#                        overhead of multi-node execution, gated so it cannot
-#                        silently grow.
+#                        over a two-worker HTTP fleet, both with Workers 2:
+#                        the wire/framing/digest overhead of multi-node
+#                        execution, gated so it cannot silently grow.
 #
 # Heavy benchmarks stay single-shot (-benchtime=1x/3x) to keep CI cheap; for
 # publication-grade numbers rerun locally with bench-full.

@@ -195,10 +195,11 @@ func benchConcurrentSameQuery(b *testing.B, opts Options) {
 // BenchmarkRemoteServing prices the network hop of multi-node shard
 // execution: the same end-to-end uncached MinHash query on IND-100K-4D
 // served in process ("local") and, in two shards, by a two-worker
-// in-process HTTP fleet ("remote"). The fleet pays JSON framing,
-// checksummed matrix transfer and the coordinator's skyline cross-check;
-// the gap between the two numbers is that overhead, and the regression
-// gate keeps it from silently growing.
+// in-process HTTP fleet ("remote"). The fleet pays JSON framing, the
+// replica digests and checksummed matrix transfer; the gap between the two
+// numbers is that overhead, and the regression gate keeps it from silently
+// growing. Both runs pin Workers to 2, so the local fold's goroutines and
+// allocations do not scale with the host's CPU count.
 func BenchmarkRemoteServing(b *testing.B) {
 	ds := benchDataset(b, Independent, 100000, 4)
 	workers := make([]string, 2)
@@ -215,15 +216,15 @@ func BenchmarkRemoteServing(b *testing.B) {
 		label string
 		opts  Options
 	}{
-		{"local", Options{K: 10, Seed: 7, Workers: -1, NoCache: true}},
-		{"remote", Options{K: 10, Seed: 7, Shards: 2, Workers: -1, NoCache: true,
+		{"local", Options{K: 10, Seed: 7, Workers: 2, NoCache: true}},
+		{"remote", Options{K: 10, Seed: 7, Shards: 2, Workers: 2, NoCache: true,
 			Remote: &RemoteOptions{Workers: workers}}},
 	}
 	for _, r := range runs {
 		b.Run(r.label, func(b *testing.B) {
-			// Warm the index and skyline (and, remotely, the shard plan and
-			// the workers' regenerated dataset replicas) outside the timer;
-			// NoCache still forces the full Phase-1 fold every iteration.
+			// Warm the index and skyline (and, remotely, the workers'
+			// regenerated dataset replicas) outside the timer; NoCache
+			// still forces the full Phase-1 fold every iteration.
 			if _, err := ds.Diversify(r.opts); err != nil {
 				b.Fatal(err)
 			}

@@ -87,8 +87,7 @@ func main() {
 		shed        = flag.Bool("shed", false, "degrade instead of failing when storage is sick or the -budget is spent: serve from a resident fingerprint, fall back to the index-free scan, or return the budget-bounded prefix (exit code 5)")
 		breaker     = flag.Bool("breaker", false, "install the storage circuit breaker: a page store faulting above the trip ratio fails queries fast instead of burning retry backoff")
 
-		remote        = flag.String("remote", "", "comma-separated skyshardd worker base URLs: run Phase 1 on the fleet instead of in process (requires -gen; mh/lsh only)")
-		remoteSharder = flag.String("remote-sharder", "", "partitioning scheme for -remote: grid (default) or angle")
+		remote = flag.String("remote", "", "comma-separated skyshardd worker base URLs: run Phase 1 on the fleet instead of in process (requires -gen; mh/lsh only)")
 
 		storage = flag.String("storage", "sim", "index page store backend: sim (simulated, default) or file (mmap-backed temp file; identical simulated accounting)")
 		saveIdx = flag.String("save-index", "", "after a successful run, persist the R*-tree plus a warm-start snapshot of its decoded-node cache to this file")
@@ -221,7 +220,7 @@ func main() {
 				fleet = append(fleet, w)
 			}
 		}
-		opts.Remote = &skydiver.RemoteOptions{Workers: fleet, Sharder: *remoteSharder}
+		opts.Remote = &skydiver.RemoteOptions{Workers: fleet}
 	}
 	res, err := serve(ctx, ds, opts, *parallel)
 	if err != nil && errors.Is(err, skydiver.ErrOverloaded) {

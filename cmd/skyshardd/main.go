@@ -1,11 +1,10 @@
 // Command skyshardd is the shard worker daemon: an HTTP/JSON service that
-// regenerates datasets from wire specs and serves per-shard skyline and
-// signature-fold requests for a remote coordinator. All worker logic lives
-// in internal/cluster; this binary only parses flags, binds the listener and
-// wires signals.
+// regenerates datasets from wire specs and folds one shard, a page range of
+// rows, per request against the skyline a remote coordinator sends. All
+// worker logic lives in internal/cluster; this binary only parses flags,
+// binds the listener and wires signals.
 //
-// Endpoints: POST /shard/skyline, POST /shard/sigfold, POST /faults,
-// GET /healthz, GET /stats.
+// Endpoints: POST /shard/sigfold, POST /faults, GET /healthz, GET /stats.
 //
 // Exit codes: 0 clean start and drain, 1 startup or serve failure, 2 bad
 // flags, 3 drain deadline passed with shard work still in flight.

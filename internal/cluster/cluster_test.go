@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,29 +19,22 @@ import (
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
 	"skydiver/internal/retry"
+	"skydiver/internal/skyline"
 )
 
 func testSpec() DatasetSpec {
 	return DatasetSpec{Gen: GenAnticorrelated, N: 300, Dims: 3, Seed: 11}
 }
 
-// buildLocal regenerates the coordinator-side dataset and plan the same way
-// production does, so worker-side copies must agree bit for bit.
-func buildLocal(t *testing.T, spec DatasetSpec, sharder string, shards int) (*data.Dataset, *core.ShardPlan) {
+// buildLocal regenerates the coordinator-side dataset and its skyline the
+// same way production does, so worker-side copies must agree bit for bit.
+func buildLocal(t *testing.T, spec DatasetSpec) (*data.Dataset, []int) {
 	t.Helper()
 	ds, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := SharderByName(sharder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := core.BuildShardPlan(context.Background(), ds, sh, shards, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, plan
+	return ds, skyline.Compute(ds, skyline.SFS)
 }
 
 // startWorkers brings up n in-process workers on httptest servers.
@@ -60,13 +55,13 @@ func startWorkers(t *testing.T, n int) ([]*Worker, []string) {
 	return workers, urls
 }
 
-func wantFingerprint(t *testing.T, plan *core.ShardPlan, ds *data.Dataset, q Query) *core.Fingerprint {
+func wantFingerprint(t *testing.T, ds *data.Dataset, sky []int, q Query) *core.Fingerprint {
 	t.Helper()
 	fam, err := minhash.NewFamily(q.T, q.HashSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.SigGenShardedCtx(context.Background(), plan, ds, fam, 0)
+	want, err := core.SigGenIFCtx(context.Background(), ds, sky, fam)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,32 +93,26 @@ func sameFingerprint(t *testing.T, tag string, got, want *core.Fingerprint) {
 }
 
 // TestRemoteFingerprintBitIdentical is the acceptance pin: with a healthy
-// fleet, the remote fold equals the in-process sharded fold — and therefore
-// the monolithic pass — bit for bit, for both sharders and shard counts
-// {1, 2, 4}, including the synthetic scan accounting.
+// fleet, the remote fold equals the monolithic pass bit for bit for shard
+// counts {1, 2, 4}, including the synthetic scan accounting.
 func TestRemoteFingerprintBitIdentical(t *testing.T) {
 	_, urls := startWorkers(t, 2)
 	spec := testSpec()
-	for _, sharder := range []string{"grid", "angle"} {
-		for _, shards := range []int{1, 2, 4} {
-			ds, plan := buildLocal(t, spec, sharder, shards)
-			ex, err := New(Config{Workers: urls})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := Query{Spec: spec, Sharder: sharder, Shards: shards, T: 32, HashSeed: 7}
-			got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
-			if err != nil {
-				t.Fatalf("%s/n=%d: %v", sharder, shards, err)
-			}
-			if out.Remote != shards || out.Local != 0 || len(out.Missing) != 0 {
-				t.Fatalf("%s/n=%d: outcome %+v, want all %d shards remote", sharder, shards, out, shards)
-			}
-			if !out.SkylineVerified {
-				t.Fatalf("%s/n=%d: skyline not verified", sharder, shards)
-			}
-			sameFingerprint(t, fmt.Sprintf("%s/n=%d", sharder, shards), got, wantFingerprint(t, plan, ds, q))
+	ds, sky := buildLocal(t, spec)
+	for _, shards := range []int{1, 2, 4} {
+		ex, err := New(Config{Workers: urls})
+		if err != nil {
+			t.Fatal(err)
 		}
+		q := Query{Spec: spec, Shards: shards, T: 32, HashSeed: 7}
+		got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
+		if err != nil {
+			t.Fatalf("n=%d: %v", shards, err)
+		}
+		if out.Remote != shards || out.Local != 0 || len(out.Missing) != 0 {
+			t.Fatalf("n=%d: outcome %+v, want all %d shards remote", shards, out, shards)
+		}
+		sameFingerprint(t, fmt.Sprintf("n=%d", shards), got, wantFingerprint(t, ds, sky, q))
 	}
 }
 
@@ -134,13 +123,13 @@ func TestRemoteFailoverOnDeadPrimary(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from here on
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 4)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: []string{dead.URL, urls[1]}, MaxRetries: 1, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 4, T: 32, HashSeed: 7}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +139,7 @@ func TestRemoteFailoverOnDeadPrimary(t *testing.T) {
 	if out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want failovers > 0", out)
 	}
-	sameFingerprint(t, "dead-primary", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "dead-primary", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteWireFaultsStayExact drives the injected-fault envelope: the
@@ -161,20 +150,20 @@ func TestRemoteWireFaultsStayExact(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	workers[0].SetFaults(WireFaultPolicy{Corrupt: 1, Seed: 3})
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 4)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: urls, MaxRetries: 1, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 4, T: 32, HashSeed: 7}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Remote != 4 || out.Retries == 0 || out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want 4 remote shards with retries and failovers", out)
 	}
-	sameFingerprint(t, "corrupt-primary", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "corrupt-primary", got, wantFingerprint(t, ds, sky, q))
 	if st := workers[0].Stats(); st.WireFault.Corrupts == 0 {
 		t.Fatalf("worker 0 injected no corruption: %+v", st.WireFault)
 	}
@@ -186,20 +175,20 @@ func TestRemoteDropFaultsFailover(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	workers[0].SetFaults(WireFaultPolicy{Drop: 1, Seed: 5})
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 2)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: urls, MaxRetries: 1, BaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 2, T: 16, HashSeed: 1}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Remote != 2 || out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want both shards remote via failover", out)
 	}
-	sameFingerprint(t, "drop-primary", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "drop-primary", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteLocalFallbackWhenFleetDead: with every worker unreachable the
@@ -209,20 +198,20 @@ func TestRemoteLocalFallbackWhenFleetDead(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 4)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: []string{dead.URL}, MaxRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 4, T: 32, HashSeed: 7}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Local != 4 || out.Remote != 0 || len(out.Missing) != 0 {
 		t.Fatalf("outcome %+v, want all 4 shards local", out)
 	}
-	sameFingerprint(t, "fleet-dead", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "fleet-dead", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteNoLocalFallbackReportsMissing: with local recompute disabled and
@@ -232,13 +221,13 @@ func TestRemoteNoLocalFallbackReportsMissing(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 2)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: []string{dead.URL}, MaxRetries: 0, NoLocalFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 2, T: 16, HashSeed: 1}
-	_, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
+	_, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
@@ -253,46 +242,154 @@ func TestRemoteNoLocalFallbackFailoverStillExact(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	workers[0].SetFaults(WireFaultPolicy{Fail: 1, Seed: 9})
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 2)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: urls, MaxRetries: 0, NoLocalFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 2, T: 16, HashSeed: 1}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Remote != 2 || len(out.Missing) != 0 || out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want both shards remote via failover", out)
 	}
-	sameFingerprint(t, "nofallback-failover", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "nofallback-failover", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteEpochSkewServedLocally: a mutated coordinator (epoch > 0) never
-// touches the network — the whole plan is served locally and the workers see
+// touches the network — every shard is served locally and the workers see
 // no traffic.
 func TestRemoteEpochSkewServedLocally(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 4)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Epoch: 3, Sharder: "grid", Shards: 4, T: 32, HashSeed: 7}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Epoch: 3, Shards: 4, T: 32, HashSeed: 7}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Local != 4 || out.Remote != 0 || out.SkylineVerified {
-		t.Fatalf("outcome %+v, want all shards local without skyline verification", out)
+	if out.Local != 4 || out.Remote != 0 {
+		t.Fatalf("outcome %+v, want all shards local", out)
 	}
-	sameFingerprint(t, "epoch-skew", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "epoch-skew", got, wantFingerprint(t, ds, sky, q))
 	for i, w := range workers {
-		if st := w.Stats(); st.Skylines != 0 || st.Folds != 0 {
+		if st := w.Stats(); st.Folds != 0 {
 			t.Fatalf("worker %d served traffic on a skewed epoch: %+v", i, st)
 		}
+	}
+}
+
+// TestRemoteReplicaMismatchServedLocally: a fleet whose replicas hold other
+// data (the query names a different generator seed than the coordinator's
+// dataset) refuses every shard on the digest check, before any fold runs.
+// Every shard takes the local rung, no worker reply is merged, and the
+// answer is the coordinator's own SigGen-IF pass; without the local rung
+// every shard is reported missing.
+func TestRemoteReplicaMismatchServedLocally(t *testing.T) {
+	workers, urls := startWorkers(t, 2)
+	spec := testSpec()
+	ds, sky := buildLocal(t, spec)
+	other := spec
+	other.Seed++
+	q := Query{Spec: other, Shards: 4, T: 32, HashSeed: 7}
+
+	ex, err := New(Config{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Local != 4 || out.Remote != 0 || len(out.Missing) != 0 || out.Retries != 0 || out.Failovers != 0 {
+		t.Fatalf("outcome %+v, want all 4 shards local with no retries or failovers", out)
+	}
+	sameFingerprint(t, "replica-mismatch", got, wantFingerprint(t, ds, sky, q))
+	for i, w := range workers {
+		if st := w.Stats(); st.Folds != 0 {
+			t.Fatalf("worker %d folded %d shards of a replica that holds other data", i, st.Folds)
+		}
+	}
+
+	strict, err := New(Config{Workers: urls, NoLocalFallback: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, out, err = strict.Fingerprint(context.Background(), q, ds, sky)
+	if !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("NoLocalFallback: err = %v, want ErrShardUnavailable", err)
+	}
+	if out.MissingList() != "0,1,2,3" || out.Remote != 0 || out.Local != 0 {
+		t.Fatalf("NoLocalFallback: outcome %+v, want every shard missing", out)
+	}
+}
+
+// corruptFirstFold serves h but flips one bit inside the matrix payload of
+// the first successful fold reply. The JSON frame stays valid, so only the
+// matrix checksum can catch it.
+func corruptFirstFold(t *testing.T, h http.Handler) http.Handler {
+	var done atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.URL.Path == PathSigFold && rec.Code == http.StatusOK && done.CompareAndSwap(false, true) {
+			var resp FoldResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Error(err)
+			}
+			sig, err := base64.StdEncoding.DecodeString(resp.Sig)
+			if err != nil {
+				t.Error(err)
+			}
+			sig[len(sig)/2] ^= 0x20
+			resp.Sig = base64.StdEncoding.EncodeToString(sig)
+			if body, err = json.Marshal(resp); err != nil {
+				t.Error(err)
+			}
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// TestRemoteCorruptMatrixRetried: a reply whose matrix bytes were corrupted
+// in flight fails the coordinator's reply validation as a retryable
+// checksum error, so the shard is retried on its node and still served
+// remotely, and the answer stays exact.
+func TestRemoteCorruptMatrixRetried(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(corruptFirstFold(t, w.Handler()))
+	t.Cleanup(srv.Close)
+	spec := testSpec()
+	ds, sky := buildLocal(t, spec)
+	ex, err := New(Config{Workers: []string{srv.URL}, MaxRetries: 2, BaseDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Spec: spec, Shards: 2, T: 32, HashSeed: 7}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Remote != 2 || out.Local != 0 || out.Retries != 1 {
+		t.Fatalf("outcome %+v, want both shards remote after one retry", out)
+	}
+	sameFingerprint(t, "corrupt-matrix", got, wantFingerprint(t, ds, sky, q))
+	if st := ex.Stats(); st.Nodes[0].Faults != 1 {
+		t.Fatalf("node faults = %d, want the one corrupt reply", st.Nodes[0].Faults)
 	}
 }
 
@@ -302,13 +399,13 @@ func TestRemoteHedging(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	workers[0].SetFaults(WireFaultPolicy{Delay: 300 * time.Millisecond, DelayRate: 1})
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 2)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{Workers: urls, HedgeAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 2, T: 16, HashSeed: 1}
-	got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
+	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +415,7 @@ func TestRemoteHedging(t *testing.T) {
 	if out.Remote != 2 || len(out.Missing) != 0 {
 		t.Fatalf("outcome %+v, want both shards remote", out)
 	}
-	sameFingerprint(t, "hedged", got, wantFingerprint(t, plan, ds, q))
+	sameFingerprint(t, "hedged", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteBreakerFastFails: repeated failures trip the per-node breaker;
@@ -328,7 +425,7 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 	spec := testSpec()
-	ds, plan := buildLocal(t, spec, "grid", 4)
+	ds, sky := buildLocal(t, spec)
 	ex, err := New(Config{
 		Workers:    []string{dead.URL},
 		MaxRetries: 0,
@@ -337,16 +434,16 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Spec: spec, Sharder: "grid", Shards: 4, T: 16, HashSeed: 1}
+	q := Query{Spec: spec, Shards: 4, T: 16, HashSeed: 1}
 	for round := 0; round < 2; round++ {
-		got, out, err := ex.Fingerprint(context.Background(), q, plan, ds)
+		got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if out.Local != 4 {
 			t.Fatalf("round %d: outcome %+v, want all local", round, out)
 		}
-		sameFingerprint(t, fmt.Sprintf("breaker round %d", round), got, wantFingerprint(t, plan, ds, q))
+		sameFingerprint(t, fmt.Sprintf("breaker round %d", round), got, wantFingerprint(t, ds, sky, q))
 	}
 	st := ex.Stats()
 	if st.FastFails == 0 {
@@ -375,7 +472,7 @@ func TestWorkerBoundsRequestSizes(t *testing.T) {
 		return resp.StatusCode
 	}
 	spec := testSpec()
-	if code := post(PathSkyline, ShardRequest{Spec: spec, Shards: 2_000_000_000, Shard: 0}); code != http.StatusBadRequest {
+	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 2_000_000_000, Shard: 0}); code != http.StatusBadRequest {
 		t.Errorf("shards above the row count: status %d, want 400", code)
 	}
 	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 2_000_000_000, HashSeed: 1, Sky: []int{0, 1, 2}}); code != http.StatusBadRequest {
@@ -383,7 +480,7 @@ func TestWorkerBoundsRequestSizes(t *testing.T) {
 	}
 	wide := spec
 	wide.Dims = 1 << 30
-	if code := post(PathSkyline, ShardRequest{Spec: wide, Shards: 1, Shard: 0}); code != http.StatusBadRequest {
+	if code := post(PathSigFold, ShardRequest{Spec: wide, Shards: 1, Shard: 0}); code != http.StatusBadRequest {
 		t.Errorf("dimensionality 2^30: status %d, want 400", code)
 	}
 	for _, sky := range [][]int{{0, 1 << 40}, {-3, 0}, {0, 0, 1}, {5, 2}, {0, spec.N}} {
@@ -391,7 +488,13 @@ func TestWorkerBoundsRequestSizes(t *testing.T) {
 			t.Errorf("sky %v: status %d, want 400", sky, code)
 		}
 	}
-	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 16, HashSeed: 1, Sky: []int{0, 2, spec.N - 1}}); code != http.StatusOK {
+	ds, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sky := []int{0, 2, spec.N - 1}
+	if code := post(PathSigFold, ShardRequest{Spec: spec, Shards: 1, Shard: 0, T: 16, HashSeed: 1, Sky: sky,
+		Digest: ReplicaDigest(ds, 0, spec.N, sky)}); code != http.StatusOK {
 		t.Errorf("valid sky: status %d, want 200", code)
 	}
 	// Otherwise valid requests padded past the cap go straight to the
@@ -427,7 +530,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	post := func(body any) *http.Response {
 		t.Helper()
 		raw, _ := json.Marshal(body)
-		resp, err := http.Post(urls[0]+PathSkyline, "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(urls[0]+PathSigFold, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +552,7 @@ func TestWorkerRejectsBadRequests(t *testing.T) {
 	if resp := post(ShardRequest{Spec: huge, Shards: 1, Shard: 0}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized spec: status %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Get(urls[0] + PathSkyline)
+	resp, err := http.Get(urls[0] + PathSigFold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +599,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatalf("drain left %d in flight", left)
 	}
 	raw, _ := json.Marshal(ShardRequest{Spec: testSpec(), Shards: 1, Shard: 0})
-	resp, err := http.Post(urls[0]+PathSkyline, "application/json", bytes.NewReader(raw))
+	resp, err := http.Post(urls[0]+PathSigFold, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,9 +694,6 @@ func TestDatasetSpecValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v: want error", bad)
 		}
-	}
-	if _, err := SharderByName("mystery"); err == nil {
-		t.Fatal("unknown sharder: want error")
 	}
 	if _, err := New(Config{}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("empty worker list: err = %v, want ErrNoWorkers", err)

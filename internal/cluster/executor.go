@@ -1,17 +1,21 @@
-// executor.go is the coordinator side: it fans per-shard work out to the
-// worker fleet and folds the replies back into one exact fingerprint. All
-// the resilience lives here, as a ladder per shard:
+// executor.go is the coordinator side: it sends each shard's fold, one
+// RPC per shard, to the worker fleet and min-merges the replies into one
+// exact fingerprint. All the resilience lives here, as a ladder per shard:
 //
 //  1. retry the primary node — bounded attempts, full-jitter exponential
 //     backoff, per-attempt deadline derived from the query context;
 //  2. hedge — after the node's observed p90 latency (or a fixed HedgeAfter)
 //     a duplicate request races on the next replica, first success wins;
 //  3. fail over to the alternate replica with its own retry budget;
-//  4. recompute the shard locally from the coordinator's own plan
+//  4. recompute the shard locally with the same range fold
 //     (disabled by NoLocalFallback);
 //  5. give up on the shard — the query returns ErrShardUnavailable along
 //     with the partial fold, and the caller decides whether a degraded
 //     answer is acceptable.
+//
+// A worker that refuses the shard with 409 (a stale epoch, or a replica
+// whose digest differs from the coordinator's) skips rungs 1–3: every
+// replica regenerates the same data, so the shard goes straight to rung 4.
 //
 // Per-node three-state circuit breakers (retry.Breaker, the state machine
 // that also guards the pager's reads) sit in front of every call, so a dead
@@ -47,8 +51,9 @@ var (
 	// ErrChecksum marks a reply whose payload failed checksum or shape
 	// validation — wire corruption, treated as retryable.
 	ErrChecksum = errors.New("cluster: response checksum mismatch")
-	// ErrSkew marks a worker refusing an epoch it cannot serve; not
-	// retryable across nodes (every worker is equally stale).
+	// ErrSkew marks a worker refusing a shard its replica cannot serve: a
+	// stale epoch or a replica digest that differs from the coordinator's.
+	// Not retryable across nodes (every worker regenerates the same data).
 	ErrSkew = errors.New("cluster: epoch skew")
 	// ErrShardUnavailable marks a shard no rung of the failover ladder could
 	// serve. The query result alongside it is the fold of the served shards.
@@ -115,9 +120,9 @@ type Query struct {
 	// remotable (workers regenerate pristine datasets); the executor then
 	// serves every shard locally and reports it in the outcome.
 	Epoch uint64
-	// Sharder and Shards define the partitioning; they must match the plan.
-	Sharder string
-	Shards  int
+	// Shards is the number of page ranges (core.PageRange) the rows are
+	// cut into, one RPC each.
+	Shards int
 	// T and HashSeed parameterize the MinHash family.
 	T        int
 	HashSeed int64
@@ -141,10 +146,6 @@ type Outcome struct {
 	Hedges    int64 `json:"hedges"`
 	Failovers int64 `json:"failovers"`
 	FastFails int64 `json:"fast_fails"`
-	// SkylineVerified reports that remote local skylines were merged and
-	// checked against the coordinator's plan (false when every shard went
-	// local, e.g. on epoch skew).
-	SkylineVerified bool `json:"skyline_verified"`
 }
 
 // MissingList renders Missing as a comma-separated id list.
@@ -295,29 +296,29 @@ func (e *Executor) replica(shard int) *node {
 	return e.nodes[(shard+1)%len(e.nodes)]
 }
 
-// Fingerprint executes the query against the fleet: every shard's local
-// skyline is fetched and merge-verified against the coordinator's plan, then
-// every shard's signature fold is fetched and merged. plan and ds are the
-// coordinator's own shard plan and canonical dataset — the source of the
-// failover ladder's local rung and the merge cross-check.
+// Fingerprint executes the query against the fleet: shard i is the i-th
+// of q.Shards page ranges of ds, folded by a worker against sky, the
+// coordinator's skyline, and the replies are min-merged. ds is the
+// coordinator's canonical dataset: the source of each request's replica
+// digest and of the ladder's local rung.
 //
 // On success the returned fingerprint is bit-identical to the unsharded
 // SigGen-IF pass: same slots, same scores, and the same I/O, SigGen-IF's
 // scan of the whole file. When some shards could not be served at all, the
 // partial fold is returned together with ErrShardUnavailable and the missing
 // ids in the outcome; the caller chooses whether to degrade.
-func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPlan, ds *data.Dataset) (*core.Fingerprint, Outcome, error) {
+func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, sky []int) (*core.Fingerprint, Outcome, error) {
 	e.queries.Add(1)
-	out := Outcome{Shards: len(plan.Shards)}
+	out := Outcome{Shards: q.Shards}
 	fam, err := minhash.NewFamily(q.T, q.HashSeed)
 	if err != nil {
 		return nil, out, err
 	}
 	if q.Epoch != 0 {
 		// Workers regenerate pristine datasets; a mutated coordinator copy
-		// cannot be served remotely. Serve the whole plan locally.
+		// cannot be served remotely. Serve every shard locally.
 		e.logf("epoch %d: serving all %d shards locally (%v)", q.Epoch, out.Shards, ErrSkew)
-		fp, err := core.SigGenShardedCtx(ctx, plan, ds, fam, -1)
+		fp, err := core.SigGenIFParallelCtx(ctx, ds, sky, fam, -1)
 		if err != nil {
 			return nil, out, err
 		}
@@ -326,115 +327,51 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 		return fp, out, nil
 	}
 
-	type skyRes struct {
-		rows  []int
-		local bool // served by the coordinator's plan, not a worker
-		miss  bool
-	}
-	skies := make([]skyRes, out.Shards)
-	var wg sync.WaitGroup
-	for i := range plan.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := ShardRequest{Spec: q.Spec, Epoch: q.Epoch, Sharder: q.Sharder, Shards: q.Shards, Shard: i}
-			var resp SkylineResponse
-			err := e.callShard(ctx, i, PathSkyline, req, &resp, &out)
-			switch {
-			case err == nil:
-				skies[i] = skyRes{rows: resp.Rows}
-			case e.cfg.NoLocalFallback:
-				skies[i] = skyRes{miss: true}
-			default:
-				skies[i] = skyRes{rows: plan.Shards[i].Sky, local: true}
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, out, err
-	}
-
-	// Merge-verify: the remote local skylines must recombine to exactly the
-	// coordinator's merged skyline. A mismatch means a worker computed
-	// against different data — abort rather than fold bogus signatures.
-	// Shards whose skyline is missing are excluded from the check (their
-	// fold is already lost) but the merge still uses the coordinator's copy
-	// so the global skyline — and the signature columns — stay complete.
-	locals := make([][]int, out.Shards)
-	remoteSkies := 0
-	for i, sr := range skies {
-		if sr.miss {
-			locals[i] = plan.Shards[i].Sky
-			continue
-		}
-		if !sr.local {
-			remoteSkies++
-		}
-		locals[i] = sr.rows
-	}
-	merged := core.MergeShardSkylines(ds, locals)
-	if !equalRows(merged, plan.Sky) {
-		return nil, out, fmt.Errorf("cluster: merged remote skyline diverged from plan (%d vs %d points)", len(merged), len(plan.Sky))
-	}
-	out.SkylineVerified = remoteSkies > 0
-
-	// Phase 2: per-shard signature folds against the merged skyline.
 	type foldRes struct {
 		fp    *core.Fingerprint
 		local bool
-		miss  bool
 	}
 	folds := make([]foldRes, out.Shards)
-	for i := range plan.Shards {
+	var wg sync.WaitGroup
+	for i := range q.Shards {
+		lo, hi := core.PageRange(ds, i, q.Shards)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			req := ShardRequest{
-				Spec: q.Spec, Epoch: q.Epoch, Sharder: q.Sharder, Shards: q.Shards, Shard: i,
-				T: q.T, HashSeed: q.HashSeed, Sky: plan.Sky,
+				Spec: q.Spec, Epoch: q.Epoch, Shards: q.Shards, Shard: i,
+				T: q.T, HashSeed: q.HashSeed, Sky: sky,
+				Digest: ReplicaDigest(ds, lo, hi, sky),
 			}
-			var resp FoldResponse
-			if err := e.callShard(ctx, i, PathSigFold, req, &resp, &out); err == nil {
-				if m, derr := DecodeMatrix(resp.Sig, q.T, len(plan.Sky), resp.Checksum); derr == nil &&
-					len(resp.DomScore) == len(plan.Sky) {
-					folds[i] = foldRes{fp: &core.Fingerprint{Matrix: m, DomScore: resp.DomScore}}
-					return
-				}
-				// A decode failure past callShard's own verification means a
-				// malformed-but-uncorrupted reply; treat like a failed shard.
+			if fp, err := e.callShard(ctx, req, &out); err == nil {
+				folds[i] = foldRes{fp: fp}
+				return
 			}
 			if e.cfg.NoLocalFallback {
-				folds[i] = foldRes{miss: true}
 				return
 			}
-			fp, err := plan.ShardFingerprint(ctx, i, fam)
-			if err != nil {
-				folds[i] = foldRes{miss: true}
-				return
+			if fp, err := core.FoldRange(ctx, ds, sky, fam, lo, hi); err == nil {
+				folds[i] = foldRes{fp: fp, local: true}
 			}
-			folds[i] = foldRes{fp: fp, local: true}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, out, err
 	}
 
-	m := len(plan.Sky)
+	m := len(sky)
 	fp := &core.Fingerprint{Matrix: minhash.NewMatrix(q.T, m), DomScore: make([]float64, m),
 		IO: core.SyntheticScanStats(ds.Dims(), ds.Len())}
 	for i, fr := range folds {
 		switch {
-		case fr.miss:
+		case fr.fp == nil:
 			out.Missing = append(out.Missing, i)
+			continue
 		case fr.local:
 			out.Local++
 		default:
 			out.Remote++
-		}
-		if fr.fp == nil {
-			continue
 		}
 		for c := 0; c < m; c++ {
 			fp.Matrix.UpdateColumn(c, fr.fp.Matrix.Column(c))
@@ -445,106 +382,107 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, plan *core.ShardPla
 	e.localShards.Add(int64(out.Local))
 	e.missingShards.Add(int64(len(out.Missing)))
 	if len(out.Missing) > 0 {
-		sort.Ints(out.Missing)
 		return fp, out, fmt.Errorf("%w: shards [%s]", ErrShardUnavailable, out.MissingList())
 	}
 	return fp, out, nil
 }
 
-// callShard walks rungs 1–3 of the ladder for one RPC: retries with backoff
-// on the primary (hedging attempt 0), then the same on the alternate
-// replica. It returns nil with resp decoded on success; the caller applies
-// rungs 4–5. Outcome counters are updated atomically.
-func (e *Executor) callShard(ctx context.Context, shard int, path string, req ShardRequest, resp any, out *Outcome) error {
-	prim, alt := e.primary(shard), e.replica(shard)
-	err := e.callNode(ctx, prim, alt, path, req, resp, out)
+// callShard walks rungs 1–3 of the ladder for one shard: retries with
+// backoff on the primary (hedging attempt 0), then the same on the alternate
+// replica. It returns the shard's validated fold on success; the caller
+// applies rungs 4–5. Outcome counters are updated atomically.
+func (e *Executor) callShard(ctx context.Context, req ShardRequest, out *Outcome) (*core.Fingerprint, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	want := foldShape{t: req.T, cols: len(req.Sky)}
+	prim, alt := e.primary(req.Shard), e.replica(req.Shard)
+	fp, err := e.callNode(ctx, prim, alt, body, want, out)
 	if err == nil || alt == nil || !retryableErr(err) {
-		return err
+		return fp, err
 	}
 	atomic.AddInt64(&out.Failovers, 1)
 	e.failovers.Add(1)
-	e.logf("shard %d %s: failing over to %s after: %v", shard, path, alt.base, err)
-	return e.callNode(ctx, alt, nil, path, req, resp, out)
+	e.logf("shard %d: failing over to %s after: %v", req.Shard, alt.base, err)
+	return e.callNode(ctx, alt, nil, body, want, out)
 }
+
+// foldShape is what a shard's reply must hold: a t-slot matrix of cols
+// columns and one score per column.
+type foldShape struct{ t, cols int }
 
 // callNode runs the bounded retry loop against one node. hedge, when
 // non-nil, is raced as a duplicate on the first attempt after the hedge
 // delay.
-func (e *Executor) callNode(ctx context.Context, n, hedge *node, path string, req ShardRequest, resp any, out *Outcome) error {
+func (e *Executor) callNode(ctx context.Context, n, hedge *node, body []byte, want foldShape, out *Outcome) (*core.Fingerprint, error) {
 	pol := retry.Policy{
 		MaxRetries: e.cfg.MaxRetries,
 		BaseDelay:  e.cfg.BaseDelay,
 		MaxDelay:   e.cfg.MaxDelay,
 		FullJitter: true,
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
 	var lastErr error
 	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
+		var fp *core.Fingerprint
 		if attempt == 0 && hedge != nil {
-			lastErr = e.doHedged(ctx, n, hedge, path, body, resp, out)
+			fp, lastErr = e.doHedged(ctx, n, hedge, body, want, out)
 		} else {
-			lastErr = e.doOnce(ctx, n, path, body, resp, out)
+			fp, lastErr = e.doOnce(ctx, n, body, want, out)
 		}
 		if lastErr == nil || !retryableErr(lastErr) {
-			return lastErr
+			return fp, lastErr
 		}
 		if attempt < e.cfg.MaxRetries {
 			atomic.AddInt64(&out.Retries, 1)
 			e.retries.Add(1)
 			if err := pol.Wait(ctx, attempt); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // doOnce issues one breaker-screened attempt against one node.
-func (e *Executor) doOnce(ctx context.Context, n *node, path string, body []byte, resp any, out *Outcome) error {
+func (e *Executor) doOnce(ctx context.Context, n *node, body []byte, want foldShape, out *Outcome) (*core.Fingerprint, error) {
 	if err := n.br.Allow(); err != nil {
 		atomic.AddInt64(&out.FastFails, 1)
 		e.fastFails.Add(1)
-		return fmt.Errorf("%s: %w", n.base, err)
+		return nil, fmt.Errorf("%s: %w", n.base, err)
 	}
-	err := e.roundTrip(ctx, n, path, body, resp)
+	fp, err := e.roundTrip(ctx, n, body, want)
 	n.br.Record(retryableErr(err))
-	return err
+	return fp, err
 }
 
 // doHedged races the primary attempt against a delayed duplicate on the
 // hedge node: the first success wins and the loser is cancelled. With no
 // usable hedge delay (hedging disabled, or not enough latency samples yet)
 // it degenerates to a plain attempt.
-func (e *Executor) doHedged(ctx context.Context, n, hedge *node, path string, body []byte, resp any, out *Outcome) error {
+func (e *Executor) doHedged(ctx context.Context, n, hedge *node, body []byte, want foldShape, out *Outcome) (*core.Fingerprint, error) {
 	delay := e.cfg.HedgeAfter
 	if delay == 0 {
 		delay = n.p90()
 	}
 	if delay <= 0 {
-		return e.doOnce(ctx, n, path, body, resp, out)
+		return e.doOnce(ctx, n, body, want, out)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type res struct {
-		err     error
-		decoded any
-		hedged  bool
+		fp  *core.Fingerprint
+		err error
 	}
 	results := make(chan res, 2)
-	launch := func(target *node, hedged bool) {
-		// Each racer decodes into a private value: both may complete, and
-		// the winner's copy must not be torn by the loser.
-		dst := newLike(resp)
-		err := e.doOnce(hctx, target, path, body, dst, out)
-		results <- res{err: err, decoded: dst, hedged: hedged}
+	launch := func(target *node) {
+		fp, err := e.doOnce(hctx, target, body, want, out)
+		results <- res{fp: fp, err: err}
 	}
-	go launch(n, false)
+	go launch(n)
 	timer := retry.NewTimer(delay)
 	defer timer.Stop()
 	launched := 1
@@ -556,66 +494,36 @@ func (e *Executor) doHedged(ctx context.Context, n, hedge *node, path string, bo
 				launched = 2
 				atomic.AddInt64(&out.Hedges, 1)
 				e.hedges.Add(1)
-				go launch(hedge, true)
+				go launch(hedge)
 			}
 		case r := <-results:
 			if r.err == nil {
-				copyInto(resp, r.decoded)
 				cancel()
-				return nil
+				return r.fp, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			launched--
 			if launched == 0 {
-				return firstErr
-			}
-			if launched == 1 && r.hedged {
-				// The hedge failed first; keep waiting for the primary.
-				continue
-			}
-			// The primary failed; if the hedge is not up yet, fire it now
-			// rather than waiting out the timer.
-			if launched == 1 && !r.hedged {
-				continue
+				return nil, firstErr
 			}
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
 
-// newLike allocates a fresh value of resp's pointed-to type.
-func newLike(resp any) any {
-	switch resp.(type) {
-	case *SkylineResponse:
-		return &SkylineResponse{}
-	case *FoldResponse:
-		return &FoldResponse{}
-	default:
-		panic(fmt.Sprintf("cluster: unsupported response type %T", resp))
-	}
-}
-
-// copyInto copies a racer's decoded reply into the caller's destination.
-func copyInto(dst, src any) {
-	switch d := dst.(type) {
-	case *SkylineResponse:
-		*d = *src.(*SkylineResponse)
-	case *FoldResponse:
-		*d = *src.(*FoldResponse)
-	}
-}
-
 // roundTrip performs one HTTP exchange with the per-attempt deadline and
-// full reply validation (status mapping, JSON decode, checksum).
-func (e *Executor) roundTrip(ctx context.Context, n *node, path string, body []byte, resp any) error {
+// full reply validation: status mapping, JSON decode, then the fold's
+// dimensions, matrix checksum and score count. A reply that fails any check
+// is wire corruption, a retryable ErrChecksum.
+func (e *Executor) roundTrip(ctx context.Context, n *node, body []byte, want foldShape) (*core.Fingerprint, error) {
 	cctx, cancel := context.WithTimeout(ctx, e.cfg.CallTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, n.base+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, n.base+PathSigFold, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	n.calls.Add(1)
@@ -624,38 +532,51 @@ func (e *Executor) roundTrip(ctx context.Context, n *node, path string, body []b
 	if err != nil {
 		n.faults.Add(1)
 		// Transport-level failure: connection refused, reset, injected drop.
-		return fmt.Errorf("%s%s: %w", n.base, path, err)
+		return nil, fmt.Errorf("%s%s: %w", n.base, PathSigFold, err)
 	}
 	defer hresp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
 	if err != nil {
 		n.faults.Add(1)
-		return fmt.Errorf("%s%s: reading reply: %w", n.base, path, err)
+		return nil, fmt.Errorf("%s%s: reading reply: %w", n.base, PathSigFold, err)
 	}
 	switch {
 	case hresp.StatusCode == http.StatusOK:
 	case hresp.StatusCode == http.StatusConflict:
-		return fmt.Errorf("%s%s: %w: %s", n.base, path, ErrSkew, strings.TrimSpace(string(raw)))
+		return nil, fmt.Errorf("%s%s: %w: %s", n.base, PathSigFold, ErrSkew, strings.TrimSpace(string(raw)))
 	case hresp.StatusCode == http.StatusTooManyRequests,
 		hresp.StatusCode >= http.StatusInternalServerError:
 		n.faults.Add(1)
-		return &statusErr{status: hresp.StatusCode, msg: fmt.Sprintf("%s%s: %s", n.base, path, strings.TrimSpace(string(raw)))}
+		return nil, &statusErr{status: hresp.StatusCode, msg: fmt.Sprintf("%s%s: %s", n.base, PathSigFold, strings.TrimSpace(string(raw)))}
 	default:
 		// 4xx: the request itself is wrong; retrying cannot help.
-		return fmt.Errorf("%s%s: status %d: %s", n.base, path, hresp.StatusCode, strings.TrimSpace(string(raw)))
+		return nil, fmt.Errorf("%s%s: status %d: %s", n.base, PathSigFold, hresp.StatusCode, strings.TrimSpace(string(raw)))
 	}
-	if err := json.Unmarshal(raw, resp); err != nil {
+	fp, err := decodeFold(raw, want)
+	if err != nil {
 		n.faults.Add(1)
-		return fmt.Errorf("%s%s: %w: %v", n.base, path, ErrChecksum, err)
-	}
-	if sr, ok := resp.(*SkylineResponse); ok {
-		if got := RowsChecksum(sr.Rows); got != sr.Checksum {
-			n.faults.Add(1)
-			return fmt.Errorf("%s%s: %w: rows crc %08x, want %08x", n.base, path, ErrChecksum, got, sr.Checksum)
-		}
+		return nil, fmt.Errorf("%s%s: %w", n.base, PathSigFold, err)
 	}
 	n.observe(time.Since(start))
-	return nil
+	return fp, nil
+}
+
+// decodeFold parses and validates one FoldResponse body against the shape
+// the request asked for. Every failure wraps ErrChecksum.
+func decodeFold(raw []byte, want foldShape) (*core.Fingerprint, error) {
+	var resp FoldResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrChecksum, err)
+	}
+	if resp.T != want.t || resp.Cols != want.cols || len(resp.DomScore) != want.cols {
+		return nil, fmt.Errorf("%w: reply of %d×%d slots and %d scores, want %d×%d",
+			ErrChecksum, resp.T, resp.Cols, len(resp.DomScore), want.t, want.cols)
+	}
+	m, err := DecodeMatrix(resp.Sig, want.t, want.cols, resp.Checksum)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Fingerprint{Matrix: m, DomScore: resp.DomScore}, nil
 }
 
 // statusErr is a retryable HTTP-status failure (429, 5xx).

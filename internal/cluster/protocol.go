@@ -1,10 +1,11 @@
-// protocol.go defines the wire shapes of the two shard RPCs and the
+// protocol.go defines the wire shape of the one shard RPC and the
 // checksum/encoding helpers both sides share. Everything rides JSON; the
 // signature matrix is packed as base64 little-endian uint32 slots (column
 // major) because a 100×m matrix as a JSON number array would dominate the
-// response size. Every payload carries a CRC so wire corruption — injected
-// or real — surfaces as a retryable checksum error instead of silently
-// skewed signatures.
+// response size. The request carries a digest of the coordinates the fold
+// reads and the reply a CRC of its matrix, so a replica built from other
+// data surfaces as a refused shard, and wire corruption, injected or real,
+// as a retryable checksum error, never as silently skewed signatures.
 package cluster
 
 import (
@@ -12,7 +13,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
+	"skydiver/internal/data"
 	"skydiver/internal/minhash"
 )
 
@@ -22,17 +25,15 @@ const (
 	PathHealth = "/healthz"
 	// PathStats reports the worker's counters.
 	PathStats = "/stats"
-	// PathSkyline computes one shard's local skyline.
-	PathSkyline = "/shard/skyline"
-	// PathSigFold computes one shard's signature contribution.
+	// PathSigFold folds one shard's rows into its signature contribution.
 	PathSigFold = "/shard/sigfold"
 	// PathFaults installs or clears the worker's wire-fault policy.
 	PathFaults = "/faults"
 )
 
-// ShardRequest addresses one shard of one dataset version. The same request
-// shape serves both RPCs; the signature fields (T, HashSeed, Sky) matter
-// only for PathSigFold.
+// ShardRequest asks a worker for one shard's signature contribution: the
+// fold of the Shard-th of the dataset's Shards page ranges
+// (core.PageRange) against the skyline Sky.
 type ShardRequest struct {
 	// Spec names the dataset; the worker regenerates it on first use.
 	Spec DatasetSpec `json:"spec"`
@@ -40,8 +41,6 @@ type ShardRequest struct {
 	// regenerated datasets (epoch 0); any other value is answered with 409 so
 	// stale signatures can never enter a merge.
 	Epoch uint64 `json:"epoch"`
-	// Sharder names the partitioning scheme ("grid", "angle").
-	Sharder string `json:"sharder"`
 	// Shards is the total shard count; Shard is this request's index.
 	Shards int `json:"shards"`
 	Shard  int `json:"shard"`
@@ -49,12 +48,13 @@ type ShardRequest struct {
 	// T is the signature size and HashSeed the MinHash family seed.
 	T        int   `json:"t,omitempty"`
 	HashSeed int64 `json:"hash_seed,omitempty"`
-	// Sky is the merged global skyline (ascending global row ids) the fold
-	// runs against. Carrying the full list — not a hash — lets a worker serve
-	// folds for skylines that differ from its own plan's (the coordinator
-	// never needs that for exact answers, but a reduced skyline is how a
-	// degraded coordinator could still use workers).
+	// Sky is the coordinator's skyline (ascending global row ids) the fold
+	// runs against.
 	Sky []int `json:"sky,omitempty"`
+	// Digest is the coordinator's ReplicaDigest of the shard's rows and the
+	// skyline rows. A worker whose replica digests differently answers 409,
+	// so a fold over other data never enters the merge.
+	Digest uint32 `json:"digest"`
 }
 
 // Validate checks the request's shard addressing.
@@ -74,15 +74,6 @@ func (r ShardRequest) Validate() error {
 	return nil
 }
 
-// SkylineResponse is PathSkyline's reply: the shard's local skyline in
-// ascending global row ids.
-type SkylineResponse struct {
-	Rows []int `json:"rows"`
-	// Checksum is RowsChecksum(Rows); the coordinator verifies it before
-	// merging.
-	Checksum uint32 `json:"crc"`
-}
-
 // FoldResponse is PathSigFold's reply: the shard's signature contribution.
 type FoldResponse struct {
 	// T and Cols are the matrix dimensions, echoed for validation.
@@ -97,18 +88,33 @@ type FoldResponse struct {
 	Checksum uint32 `json:"crc"`
 }
 
+// ReplicaDigest is the CRC-32 (IEEE) of the coordinates a shard's fold
+// reads, as little-endian float64 bits: the rows [lo, hi) of ds in order,
+// then the skyline rows in sky's order. The coordinator sends its digest
+// with every fold and the worker compares its replica's.
+func ReplicaDigest(ds *data.Dataset, lo, hi int, sky []int) uint32 {
+	d := ds.Dims()
+	var buf [4096]byte
+	crc, k := uint32(0), 0
+	put := func(vals []float64) {
+		for _, v := range vals {
+			if k == len(buf) {
+				crc, k = crc32.Update(crc, crc32.IEEETable, buf[:]), 0
+			}
+			binary.LittleEndian.PutUint64(buf[k:], math.Float64bits(v))
+			k += 8
+		}
+	}
+	put(ds.Values()[lo*d : hi*d])
+	for _, s := range sky {
+		put(ds.Point(s))
+	}
+	return crc32.Update(crc, crc32.IEEETable, buf[:k])
+}
+
 // errorReply is the JSON body of every worker error response.
 type errorReply struct {
 	Error string `json:"error"`
-}
-
-// RowsChecksum is the CRC-32 (IEEE) of the row ids as little-endian uint64s.
-func RowsChecksum(rows []int) uint32 {
-	buf := make([]byte, 8*len(rows))
-	for i, r := range rows {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(r))
-	}
-	return crc32.ChecksumIEEE(buf)
 }
 
 // matrixBytes packs the matrix column-major as little-endian uint32 slots.

@@ -1,17 +1,21 @@
 // Package cluster is the multi-node shard execution backend: a coordinator
-// (Executor) dispatches per-shard skyline and signature-fold work to shard
-// worker processes (Worker, served by cmd/skyshardd) over HTTP/JSON and
-// merges the replies with the same exact operators the single-process
-// partitioned path uses — per-slot signature minima, domination-score sums,
-// and the strict-dominance skyline merge — so remote results are
-// bit-identical to in-process execution whenever every shard is served.
+// (Executor) cuts the rows into page ranges (core.PageRange) and sends each
+// range's signature fold to a shard worker process (Worker, served by
+// cmd/skyshardd) over HTTP/JSON, one RPC per shard, carrying the
+// coordinator's skyline. It min-merges the replies with the same exact
+// operators the in-process parallel fold uses — per-slot signature minima
+// and domination-score sums — so remote results are bit-identical to
+// in-process execution whenever every shard is served.
 //
 // Workers hold no coordinator state: each request names the dataset by its
 // generator spec (distribution, cardinality, dimensionality, seed) and the
 // worker regenerates it deterministically on first use. Generators emit
 // min-preferred data, so the worker's copy equals the coordinator's
 // canonical orientation value-for-value, and SigGen's global-row-id hashing
-// makes the signature universes line up with no coordinate exchange at all.
+// makes the signature universes line up. Each request carries the
+// coordinator's digest of the coordinates the fold reads; a replica that
+// digests differently refuses the shard, which the coordinator then
+// recomputes itself.
 //
 // The resilience envelope — per-shard deadlines, jittered retries, hedged
 // duplicates, per-node circuit breakers, replica failover, local recompute,

@@ -1,5 +1,5 @@
 // wirefault.go injects transport-level faults into a worker's shard
-// endpoints — the network twin of the pager's storage FaultPolicy, written
+// endpoint — the network twin of the pager's storage FaultPolicy, written
 // in the same key=value grammar (internal/fault). Policies
 // are set per worker at runtime (POST /faults), so a chaos harness can make
 // one node drop connections, delay, corrupt response bytes or fail with 5xx
@@ -20,7 +20,7 @@ import (
 )
 
 // WireFaultPolicy configures injected transport faults on a worker's shard
-// endpoints. Each request draws one outcome; at most one fault kind applies
+// endpoint. Each request draws one outcome; at most one fault kind applies
 // per request, screened in order drop → fail → corrupt → delay.
 type WireFaultPolicy struct {
 	// Drop is the probability the connection is severed with no response.
@@ -172,10 +172,11 @@ func (in *wireInjector) apply(next http.Handler, w http.ResponseWriter, r *http.
 }
 
 // corruptOffset is the response-byte index a corrupt fault flips. Shallow
-// enough that every shard-endpoint body (the smallest is an empty shard's
-// skyline reply, ~30 bytes) contains it, so a corrupt draw always corrupts.
-// Whether the flip lands in JSON structure (parse error) or payload bytes
-// (checksum mismatch), the coordinator sees a retryable failure.
+// enough that every shard-endpoint body contains it (the smallest is an
+// error reply, about 30 bytes; a fold reply starts with its dimensions and
+// matrix payload), so a corrupt draw always corrupts. Whether the flip lands
+// in JSON structure (parse error) or payload bytes (checksum mismatch), the
+// coordinator sees a retryable failure.
 const corruptOffset = 20
 
 // corruptWriter flips one bit pattern (XOR 0x20) in the byte stream at the

@@ -1,11 +1,11 @@
 // worker.go is the shard worker: a stateless-by-construction HTTP service
-// that regenerates datasets from their specs, builds shard plans on demand,
-// and serves per-shard skyline and signature-fold requests. It reuses the
-// serving tier's middleware stack (httpx panic recovery and drain gate,
-// admission control, per-request deadlines) so a worker degrades the same
-// way the front-end server does: sheds with 429 + Retry-After under
-// overload, turns handler panics into clean 500s, and drains gracefully on
-// shutdown.
+// that regenerates datasets from their specs and folds one shard, a page
+// range of rows, per request against the skyline the coordinator sends. It
+// reuses the serving tier's middleware stack (httpx panic recovery and
+// drain gate, admission control, per-request deadlines) so a worker
+// degrades the same way the front-end server does: sheds with 429 +
+// Retry-After under overload, turns handler panics into clean 500s, and
+// drains gracefully on shutdown.
 package cluster
 
 import (
@@ -23,24 +23,11 @@ import (
 	"skydiver/internal/data"
 	"skydiver/internal/httpx"
 	"skydiver/internal/minhash"
-	"skydiver/internal/shard"
 )
-
-// SharderByName resolves a wire sharder name to its implementation.
-func SharderByName(name string) (shard.Sharder, error) {
-	switch name {
-	case "", shard.Grid{}.Name():
-		return shard.Grid{}, nil
-	case shard.Angular{}.Name():
-		return shard.Angular{}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown sharder %q", name)
-	}
-}
 
 // WorkerConfig configures a Worker. The zero value is usable.
 type WorkerConfig struct {
-	// Admission, when non-zero, gates the shard endpoints behind an
+	// Admission, when non-zero, gates the shard endpoint behind an
 	// admission limiter; shed requests get 429 + Retry-After.
 	Admission admission.Policy
 	// DefaultTimeout bounds shard work when the request carries no
@@ -79,7 +66,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // WorkerStats is the /stats payload.
 type WorkerStats struct {
-	Skylines  int64 `json:"skylines"`
 	Folds     int64 `json:"folds"`
 	Sheds     int64 `json:"sheds"`
 	Errors    int64 `json:"errors"`
@@ -104,23 +90,13 @@ type Worker struct {
 	mu       sync.Mutex
 	datasets map[string]*workerDataset
 
-	skylines, folds, sheds, errors, panics atomic.Int64
+	folds, sheds, errors, panics atomic.Int64
 }
 
-// workerDataset is a regenerated dataset plus its cached shard plans.
+// workerDataset single-flights the regeneration of one dataset replica.
 type workerDataset struct {
 	once sync.Once
 	ds   *data.Dataset
-	err  error
-
-	mu    sync.Mutex
-	plans map[string]*planEntry
-}
-
-// planEntry single-flights one (sharder, shards) plan build.
-type planEntry struct {
-	once sync.Once
-	plan *core.ShardPlan
 	err  error
 }
 
@@ -170,7 +146,6 @@ func (w *Worker) Drain(ctx context.Context) int {
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStats {
 	var s WorkerStats
-	s.Skylines = w.skylines.Load()
 	s.Folds = w.folds.Load()
 	s.Sheds = w.sheds.Load()
 	s.Errors = w.errors.Load()
@@ -191,14 +166,13 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 // Handler returns the worker's HTTP handler: panic recovery outermost, then
-// (for the shard endpoints only) wire-fault injection, drain gating and
+// (for the shard endpoint only) wire-fault injection, drain gating and
 // admission.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathHealth, w.handleHealth)
 	mux.HandleFunc(PathStats, w.handleStats)
 	mux.HandleFunc(PathFaults, w.handleFaults)
-	mux.Handle(PathSkyline, w.shardEndpoint(w.handleSkyline))
 	mux.Handle(PathSigFold, w.shardEndpoint(w.handleSigFold))
 	return httpx.Recover(mux, httpx.RecoverOptions{
 		Logf:    w.cfg.Logf,
@@ -297,7 +271,7 @@ func (w *Worker) handleFaults(rw http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(rw, http.StatusOK, map[string]any{"policy": p.String()})
 }
 
-// decodeShardRequest parses and validates the common request shape, and
+// decodeShardRequest parses and validates a shard request's addressing, and
 // derives the handler context from ?timeout=.
 func (w *Worker) decodeShardRequest(rw http.ResponseWriter, r *http.Request) (ShardRequest, context.Context, context.CancelFunc, bool) {
 	var req ShardRequest
@@ -331,71 +305,30 @@ func (w *Worker) decodeShardRequest(rw http.ResponseWriter, r *http.Request) (Sh
 	return req, ctx, cancel, true
 }
 
-// plan returns (building and caching as needed) the shard plan for the
-// request's dataset and partitioning. Builds single-flight per key.
-func (w *Worker) plan(ctx context.Context, req ShardRequest) (*core.ShardPlan, *data.Dataset, error) {
-	key := req.Spec.Key()
+// dataset returns the replica named by spec, regenerating it on first use.
+// Regeneration single-flights per spec.
+func (w *Worker) dataset(spec DatasetSpec) (*data.Dataset, error) {
+	key := spec.Key()
 	w.mu.Lock()
 	wd := w.datasets[key]
 	if wd == nil {
-		wd = &workerDataset{plans: make(map[string]*planEntry)}
+		wd = &workerDataset{}
 		w.datasets[key] = wd
 	}
 	w.mu.Unlock()
 	wd.once.Do(func() {
-		wd.ds, wd.err = req.Spec.Build()
+		wd.ds, wd.err = spec.Build()
 		if wd.err == nil {
 			w.logf("dataset %s materialized (%d rows)", key, wd.ds.Len())
 		}
 	})
-	if wd.err != nil {
-		return nil, nil, wd.err
-	}
-	sh, err := SharderByName(req.Sharder)
-	if err != nil {
-		return nil, nil, err
-	}
-	planKey := fmt.Sprintf("%s/%d", sh.Name(), req.Shards)
-	wd.mu.Lock()
-	pe := wd.plans[planKey]
-	if pe == nil {
-		pe = &planEntry{}
-		wd.plans[planKey] = pe
-	}
-	wd.mu.Unlock()
-	pe.once.Do(func() {
-		pe.plan, pe.err = core.BuildShardPlan(ctx, wd.ds, sh, req.Shards, 0, nil)
-		if pe.err != nil {
-			// Drop the failed entry so a later request (e.g. after a
-			// cancellation) can rebuild instead of caching the error forever.
-			wd.mu.Lock()
-			delete(wd.plans, planKey)
-			wd.mu.Unlock()
-		}
-	})
-	return pe.plan, wd.ds, pe.err
+	return wd.ds, wd.err
 }
 
-// handleSkyline computes one shard's local skyline.
-func (w *Worker) handleSkyline(rw http.ResponseWriter, r *http.Request) {
-	req, ctx, cancel, ok := w.decodeShardRequest(rw, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	plan, _, err := w.plan(ctx, req)
-	if err != nil {
-		w.shardError(rw, ctx, err)
-		return
-	}
-	rows := plan.Shards[req.Shard].Sky
-	w.skylines.Add(1)
-	httpx.WriteJSON(rw, http.StatusOK, SkylineResponse{Rows: rows, Checksum: RowsChecksum(rows)})
-}
-
-// handleSigFold computes one shard's signature contribution against the
-// request's merged skyline: the row fold of the shard's rows
-// (core.ShardFingerprintLocal), which serves any skyline.
+// handleSigFold folds one shard, the Shard-th of the replica's Shards page
+// ranges, against the request's skyline (core.FoldRange). A replica whose
+// digest of those rows and the skyline rows differs from the request's is
+// answered with 409 before any fold runs.
 func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 	req, ctx, cancel, ok := w.decodeShardRequest(rw, r)
 	if !ok {
@@ -427,12 +360,18 @@ func (w *Worker) handleSigFold(rw http.ResponseWriter, r *http.Request) {
 		w.writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	plan, ds, err := w.plan(ctx, req)
+	ds, err := w.dataset(req.Spec)
 	if err != nil {
 		w.shardError(rw, ctx, err)
 		return
 	}
-	fp, err := core.ShardFingerprintLocal(ctx, ds, req.Sky, plan.Shards[req.Shard].Rows, fam)
+	lo, hi := core.PageRange(ds, req.Shard, req.Shards)
+	if got := ReplicaDigest(ds, lo, hi, req.Sky); got != req.Digest {
+		w.writeError(rw, http.StatusConflict,
+			fmt.Errorf("cluster: replica digest %08x, coordinator's %08x: the replica holds other data", got, req.Digest))
+		return
+	}
+	fp, err := core.FoldRange(ctx, ds, req.Sky, fam, lo, hi)
 	if err != nil {
 		w.shardError(rw, ctx, err)
 		return
@@ -456,16 +395,4 @@ func (w *Worker) shardError(rw http.ResponseWriter, ctx context.Context, err err
 		return
 	}
 	w.writeError(rw, http.StatusInternalServerError, err)
-}
-
-func equalRows(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -21,11 +21,13 @@ import (
 // rowFold.fold over a row set:
 //
 //   - SigGen-IF folds the range [0, n);
-//   - SigGenIFParallel folds W page-aligned contiguous ranges concurrently
-//     and min-merges them (the paper's parallelization future-work item,
+//   - SigGenIFParallel folds W page ranges (PageRange) concurrently and
+//     min-merges them (the paper's parallelization future-work item,
 //     Section 6);
-//   - a cluster shard folds its own row list (ShardFingerprintLocal), and
-//     the coordinator min-merges the shards' folds;
+//   - a remote shard is one of S page ranges (PageRange): a cluster
+//     worker folds it with FoldRange against the skyline the coordinator
+//     sends, the coordinator recomputes an unserved shard with the same
+//     call, and it min-merges the shards' folds;
 //   - a stream window's rebuild folds the range of its materialized rows,
 //     hashed by stream sequence number (Window.Rebuild).
 
@@ -56,24 +58,53 @@ func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
 		prep:  prepareSkyline(ds, sky),
 		inSky: inSky,
 		fam:   fam,
-		page:  pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage(),
+		page:  recordsPerPage(ds.Dims()),
 	}
 }
 
-// fold folds the live rows of one row set into a fresh private fingerprint
-// with the Phase-1 row kernel. The set is list when it is non-nil, the range
-// [lo, hi) otherwise; skyline members and tombstones are skipped, and a row
-// hashes as its row id, the dataset index plus the fold's base. Each page
-// of the set charges the query budget one page, and every page after the
-// first polls ctx, so a cancelled fold stops within one page and its partial
-// fingerprint is dropped. For a range with a page-aligned start the charges
-// are exactly the data pages it covers.
-func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprint, error) {
+// recordsPerPage is how many fixed-size records of a dims-dimensional
+// dataset one data page holds under SigGen-IF's sequential-scan model.
+func recordsPerPage(dims int) int {
+	return pager.NewSequentialCounter(8*dims + 4).RecordsPerPage()
+}
+
+// PageRange returns the rows [lo, hi) of the i-th of s contiguous ranges
+// of whole data pages that cut ds: of the P pages a sequential scan reads,
+// range i spans pages ⌊i·P/s⌋ to ⌊(i+1)·P/s⌋. For i in [0, s) the ranges
+// are disjoint, cover [0, n) in order, and none is empty while s ≤ P. They
+// are foldAll's worker ranges and the cluster's remote shards.
+func PageRange(ds *data.Dataset, i, s int) (lo, hi int) {
+	n, page := ds.Len(), recordsPerPage(ds.Dims())
+	pages := (n + page - 1) / page
+	return min(i*pages/s*page, n), min((i+1)*pages/s*page, n)
+}
+
+// FoldRange folds the rows [lo, hi) of ds against the skyline sky into a
+// fresh fingerprint: the unit of remote execution. A cluster worker serves
+// a shard with it over its regenerated replica, and the coordinator
+// recomputes a shard the fleet could not serve with the same call. The
+// result carries no I/O stats; min-merging the folds of ranges that cover
+// [0, n) reproduces SigGen-IF bit for bit.
+func FoldRange(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Family, lo, hi int) (*Fingerprint, error) {
+	if len(sky) == 0 {
+		return nil, fmt.Errorf("core: empty skyline")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return newRowFold(ds, sky, fam).fold(ctx, lo, hi)
+}
+
+// fold folds the live rows of the range [lo, hi) into a fresh private
+// fingerprint with the Phase-1 row kernel. Skyline members and tombstones
+// are skipped, and a row hashes as its row id, the dataset index plus the
+// fold's base. Each page of the range charges the query budget one page,
+// and every page after the first polls ctx, so a cancelled fold stops
+// within one page and its partial fingerprint is dropped. For a range with
+// a page-aligned start the charges are exactly the data pages it covers.
+func (f *rowFold) fold(ctx context.Context, lo, hi int) (*Fingerprint, error) {
 	m := f.prep.m
 	fp := &Fingerprint{Matrix: minhash.NewMatrix(f.fam.Size(), m), DomScore: make([]float64, m)}
-	if list != nil {
-		lo, hi = 0, len(list)
-	}
 	pr := f.prep.probe()
 	rf := newRowFolder(f.fam, fp, hi-lo)
 	defer rf.release()
@@ -88,11 +119,7 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 				return nil, err
 			}
 		}
-		for k, end := p, min(p+f.page, hi); k < end; k++ {
-			r := k
-			if list != nil {
-				r = list[k]
-			}
+		for r, end := p, min(p+f.page, hi); r < end; r++ {
 			if inSky.get(r) || ds.Deleted(r) {
 				continue
 			}
@@ -106,8 +133,8 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int, list []int) (*Fingerprin
 }
 
 // foldAll is the index-free pass over every row of ds: the range fold of
-// [0, n) on the calling goroutine, or, with workers ≥ 2, on that many
-// page-aligned contiguous ranges concurrently, min-merged. The fingerprint
+// [0, n) on the calling goroutine, or, with workers ≥ 2, of that many
+// page ranges (PageRange) concurrently, min-merged. The fingerprint
 // carries no I/O stats.
 //
 // The worker count is capped by the data pages (one range per page at
@@ -129,11 +156,8 @@ func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fami
 	pages := (n + f.page - 1) / f.page
 	workers = min(workers, pages, privateFingerprints(fam.Size(), m))
 	if workers <= 1 {
-		return f.fold(ctx, 0, n, nil)
+		return f.fold(ctx, 0, n)
 	}
-	span := (pages + workers - 1) / workers * f.page
-	workers = (n + span - 1) / span
-
 	parts := make([]*Fingerprint, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -151,7 +175,8 @@ func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fami
 			if workerTestHook != nil {
 				workerTestHook(w)
 			}
-			parts[w], errs[w] = f.fold(ctx, w*span, min((w+1)*span, n), nil)
+			lo, hi := PageRange(ds, w, workers)
+			parts[w], errs[w] = f.fold(ctx, lo, hi)
 		}()
 	}
 	wg.Wait()

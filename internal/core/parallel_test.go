@@ -249,14 +249,15 @@ func TestParallelFoldMemoryCapped(t *testing.T) {
 // FuzzFoldPartitions is the oracle of the Phase-1 row kernel. The fuzz
 // bytes decode to up to 256 rows of d ≤ 4 coordinates quantized to four
 // levels (so ties and equal twins are common), each with a control byte
-// carrying a tombstone bit and either a cut point or a part number (at most
-// four parts), plus t ≤ 128 — past 16 slots a row can take FoldRow's
-// grouped fallback — and a hash seed. Every fold must match the reference
-// model — the naive skyline, dominated sets found by a naive
-// geom.Dominates scan and per-slot minima of the hash family — with every
-// column's slot maximum (Matrix.ColMax) exact: SigGen-IF, the private folds
-// of the parts (row ranges or row lists) min-merged with their scores
-// summed, the range-parallel fold at 1, 2 and 3 workers and, without
+// carrying a tombstone bit and a cut point (at most four parts), plus
+// t ≤ 128 — past 16 slots a row can take FoldRow's grouped fallback — and a
+// hash seed. Every fold must match the reference model — the naive skyline,
+// dominated sets found by a naive geom.Dominates scan and per-slot minima
+// of the hash family — with every column's slot maximum (Matrix.ColMax)
+// exact: SigGen-IF, the private folds of the parts (row ranges cut at the
+// control bytes or, with pages set, FoldRange over the page ranges a
+// remote query would shard into, empty ones included) min-merged with their
+// scores summed, the range-parallel fold at 1, 2 and 3 workers and, without
 // tombstones, the streaming pass. SigGen-IB at 1, 2 and 3 workers runs on
 // the live rows; its row ids are traversal order, so its scores must match
 // the reference and its matrices must match each other.
@@ -265,7 +266,7 @@ func FuzzFoldPartitions(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(15), int64(5), true, []byte{0, 1, 2, 1, 1, 1, 1, 2, 2, 2, 0, 3, 3, 3, 3, 0x81, 0, 0, 3, 2, 1, 2, 3, 3})
 	f.Add(uint8(3), uint8(1), uint8(3), int64(-2), true, bytes.Repeat([]byte{3, 1, 2, 0, 0x45, 2, 0, 0, 1, 0x82}, 60))
 	f.Add(uint8(1), uint8(1), uint8(99), int64(4), false, bytes.Repeat([]byte{0, 3, 1, 2, 2, 1, 3, 0x40, 1, 1, 2, 3}, 40))
-	f.Fuzz(func(t *testing.T, dims, parts, size uint8, seed int64, assign bool, raw []byte) {
+	f.Fuzz(func(t *testing.T, dims, parts, size uint8, seed int64, pages bool, raw []byte) {
 		d, nParts, slots := 1+int(dims%4), 1+int(parts%4), 1+int(size%128)
 		n := min(len(raw)/(d+1), 256)
 		if n == 0 {
@@ -347,14 +348,10 @@ func FuzzFoldPartitions(f *testing.F) {
 		// Private folds of the parts, min-merged.
 		rf := newRowFold(ds, sky, fam)
 		var pieces []func() (*Fingerprint, error)
-		if assign {
-			lists := make([][]int, nParts)
-			for i := range n {
-				p := int(ctrl(i)&0x3f) % nParts
-				lists[p] = append(lists[p], i)
-			}
-			for _, l := range lists {
-				pieces = append(pieces, func() (*Fingerprint, error) { return rf.fold(context.Background(), 0, 0, l) })
+		if pages {
+			for i := range nParts {
+				lo, hi := PageRange(ds, i, nParts)
+				pieces = append(pieces, func() (*Fingerprint, error) { return FoldRange(context.Background(), ds, sky, fam, lo, hi) })
 			}
 		} else {
 			cuts := []int{0}
@@ -366,7 +363,7 @@ func FuzzFoldPartitions(f *testing.F) {
 			cuts = append(cuts, n)
 			for k := range len(cuts) - 1 {
 				lo, hi := cuts[k], cuts[k+1]
-				pieces = append(pieces, func() (*Fingerprint, error) { return rf.fold(context.Background(), lo, hi, nil) })
+				pieces = append(pieces, func() (*Fingerprint, error) { return rf.fold(context.Background(), lo, hi) })
 			}
 		}
 		merged := &Fingerprint{Matrix: minhash.NewMatrix(slots, len(sky)), DomScore: make([]float64, len(sky))}

@@ -14,33 +14,20 @@ import (
 	"skydiver/internal/skyline"
 )
 
-// This file implements partitioned execution: a shard.Sharder carves the
-// dataset into N row sets, each shard computes its local skyline in its own
-// isolated rtree.Session, and a merge operator recombines them — the
-// partition-parallel skyline family, whose shards the multi-node backend
-// (internal/cluster) serves from worker processes.
+// This file holds the partition-parallel skyline: a shard.Sharder carves
+// the dataset into N row sets, each shard computes its local skyline in its
+// own isolated rtree.Session, and MergeShardSkylines recombines them
+// exactly. The union of local skylines contains the global skyline (a point
+// dominated by anything is dominated by some local skyline member of the
+// dominator's shard, by transitivity), so re-filtering the union for
+// cross-shard dominance, with the same strict-dominance test and
+// oldest-equal-twin tie-break as the scan algorithms, yields the global
+// skyline bit-identically.
 //
-// Everything the merge does is exact:
-//
-//   - Skylines: the union of local skylines contains the global skyline
-//     (a point dominated by anything is dominated by some local skyline
-//     member of the dominator's shard, by transitivity), so re-filtering
-//     the union for cross-shard dominance — with the same strict-dominance
-//     test and oldest-equal-twin tie-break as the scan algorithms — yields
-//     the global skyline bit-identically.
-//
-//   - Signatures: SigGen-IF hashes *global* row ids, and a signature
-//     column is a per-slot minimum over the rows it dominates, which is
-//     commutative and associative. Each shard therefore folds its own row
-//     list into a private fingerprint (ShardFingerprintLocal, the row fold
-//     of parallel.go), and the merge takes per-slot minima across shards
-//     and sums the domination scores. The result is bit-identical to the
-//     unsharded SigGen-IF pass for any shard count and any partitioning.
-//
-// In one process the dataset's skyline is already resident, so partitioning
-// buys nothing there: a ShardPlan is the state of remote execution, where
-// the shards' local skylines are cross-checked against the coordinator's
-// merge and every shard's signature fold is served by a worker.
+// No query path builds a ShardPlan: the dataset's skyline is resident, and
+// remote execution cuts its shards as row ranges (PageRange, FoldRange).
+// The plan stays as the API the repository benchmark's sharded route
+// calls.
 
 // PlanShard is one shard of a ShardPlan: its global row ids and its local
 // skyline.
@@ -51,8 +38,8 @@ type PlanShard struct {
 	Sky []int
 }
 
-// ShardPlan is the cached remote-execution state of one dataset version:
-// the shards, their local skylines and the merged global skyline. A plan is
+// ShardPlan is the partition-parallel skyline of one dataset version: the
+// shards, their local skylines and the merged global skyline. A plan is
 // immutable once built and safe for concurrent use.
 type ShardPlan struct {
 	// Sharder names the partitioning scheme that produced the plan.
@@ -68,8 +55,6 @@ type ShardPlan struct {
 	// Retries counts the re-reads the shard skylines spent recovering
 	// injected transient faults while the plan was built.
 	Retries int64
-
-	ds *data.Dataset // the partitioned dataset, for the per-shard folds
 }
 
 // BuildShardPlan partitions ds into n shards with sh, computes each
@@ -85,10 +70,10 @@ func BuildShardPlan(ctx context.Context, ds *data.Dataset, sh shard.Sharder, n i
 	if err != nil {
 		return nil, err
 	}
-	plan := &ShardPlan{Sharder: sh.Name(), Epoch: epoch, Shards: make([]PlanShard, len(parts)), ds: ds}
+	plan := &ShardPlan{Sharder: sh.Name(), Epoch: epoch, Shards: make([]PlanShard, len(parts))}
 	locals := make([][]int, len(parts))
 	for i, rows := range parts {
-		sky, retries, err := localSkyline(ctx, ds, i, rows, skyline.BBS, configure)
+		sky, retries, err := localSkyline(ctx, ds, i, rows, configure)
 		plan.Retries += retries
 		if err != nil {
 			return nil, err
@@ -101,24 +86,17 @@ func BuildShardPlan(ctx context.Context, ds *data.Dataset, sh shard.Sharder, n i
 }
 
 // localSkyline computes the skyline of shard i, whose global row ids are
-// rows, with algo over a shard-local copy of those rows — for BBS through a
-// private session on a fresh R*-tree, on which configure (when non-nil)
-// runs before any I/O — and returns it in global row ids with the retries
-// the session spent. An empty shard has a nil skyline.
-func localSkyline(ctx context.Context, ds *data.Dataset, i int, rows []int, algo skyline.Algorithm, configure func(*rtree.Tree)) ([]int, int64, error) {
+// rows, with BBS through a private session on a fresh R*-tree over a
+// shard-local copy of those rows, on which configure (when non-nil) runs
+// before any I/O, and returns it in global row ids with the retries the
+// session spent. An empty shard has a nil skyline.
+func localSkyline(ctx context.Context, ds *data.Dataset, i int, rows []int, configure func(*rtree.Tree)) ([]int, int64, error) {
 	if len(rows) == 0 {
 		return nil, 0, nil
 	}
 	sub, err := ds.Subset(fmt.Sprintf("%s/shard%d", ds.Name(), i), rows)
 	if err != nil {
 		return nil, 0, err
-	}
-	if algo != skyline.BBS {
-		local, err := skyline.ComputeAnyCtx(ctx, sub, algo, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rebaseRows(local, rows), 0, nil
 	}
 	tr, err := rtree.BulkLoad(sub)
 	if err != nil {
@@ -206,64 +184,16 @@ func MergeShardSkylines(ds *data.Dataset, locals [][]int) []int {
 	return out
 }
 
-// ShardedSkylineCtx partitions ds with sh, computes each shard's local
-// skyline with algo — through a private session on a shard-local R*-tree
-// for BBS, directly on the shard's rows otherwise — and merges. It exists
-// for verification: the result is bit-identical to running algo unsharded,
-// for every algorithm and shard count.
-func ShardedSkylineCtx(ctx context.Context, ds *data.Dataset, sh shard.Sharder, n int, algo skyline.Algorithm) ([]int, error) {
-	parts, err := sh.Partition(ds, n)
-	if err != nil {
-		return nil, err
-	}
-	locals := make([][]int, len(parts))
-	for i, rows := range parts {
-		if locals[i], _, err = localSkyline(ctx, ds, i, rows, algo, nil); err != nil {
-			return nil, err
-		}
-	}
-	return MergeShardSkylines(ds, locals), nil
-}
-
 // SigGenShardedCtx is SigGen-IF over the plan's merged skyline: the
 // index-free range fold of every row (see foldAll), charged as SigGen-IF's
 // sequential scan of the whole file. The output is bit-identical to SigGenIF
-// on ds — same slot values, same domination scores, same I/O — and to the
-// min-merge of every shard's ShardFingerprint, because row ids are absolute
-// and per-slot minima commute. 0 or 1 workers fold sequentially and <0 uses
-// GOMAXPROCS; the shard count does not change the work.
+// on ds — same slot values, same domination scores, same I/O — because row
+// ids are absolute and per-slot minima commute. 0 or 1 workers fold
+// sequentially and <0 uses GOMAXPROCS; the shard count does not change the
+// work.
 func SigGenShardedCtx(ctx context.Context, plan *ShardPlan, ds *data.Dataset, fam *minhash.Family, workers int) (*Fingerprint, error) {
 	if workers == 0 {
 		workers = 1
 	}
 	return SigGenIFParallelCtx(ctx, ds, plan.Sky, fam, workers)
-}
-
-// ShardFingerprint folds the signature contribution of shard i alone into a
-// fresh fingerprint — the unit of work a remote shard worker serves, and the
-// coordinator's local-recompute rung: ShardFingerprintLocal over the plan's
-// dataset, merged skyline and shard rows. The result carries no I/O stats:
-// the coordinator charges the merged fingerprint as SigGen-IF's scan of the
-// whole file (SyntheticScanStats). Merging the per-shard results by per-slot
-// minima and score sums reproduces SigGenShardedCtx bit-identically in any
-// merge order.
-func (plan *ShardPlan) ShardFingerprint(ctx context.Context, i int, fam *minhash.Family) (*Fingerprint, error) {
-	if i < 0 || i >= len(plan.Shards) {
-		return nil, fmt.Errorf("core: shard index %d out of [0, %d)", i, len(plan.Shards))
-	}
-	return ShardFingerprintLocal(ctx, plan.ds, plan.Sky, plan.Shards[i].Rows, fam)
-}
-
-// ShardFingerprintLocal computes one shard's signature contribution: the
-// row fold of the shard's global row ids against the merged skyline sky.
-// It serves any skyline, so a shard worker answers with it whatever
-// skyline the coordinator sends.
-func ShardFingerprintLocal(ctx context.Context, ds *data.Dataset, sky []int, rows []int, fam *minhash.Family) (*Fingerprint, error) {
-	if len(sky) == 0 {
-		return nil, fmt.Errorf("core: empty skyline")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return newRowFold(ds, sky, fam).fold(ctx, 0, 0, rows)
 }

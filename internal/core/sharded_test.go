@@ -38,21 +38,36 @@ func shardTestDatasets() map[string]*data.Dataset {
 	}
 }
 
-// TestShardedSkylineIdentical pins the tentpole skyline guarantee: for every
-// algorithm and shard count, the merged sharded skyline is bit-identical to
-// the unsharded computation.
+// TestShardedSkylineIdentical pins the merge's skyline guarantee: for every
+// scan algorithm and shard count, merging the local skylines the algorithm
+// computes on the grid shards reproduces the unsharded skyline bit for bit.
+// BBS local skylines are BuildShardPlan's, pinned by
+// TestBuildShardPlanSkyline.
 func TestShardedSkylineIdentical(t *testing.T) {
-	algos := []skyline.Algorithm{skyline.Naive, skyline.BNL, skyline.SFS, skyline.BBS, skyline.DC}
+	algos := []skyline.Algorithm{skyline.Naive, skyline.BNL, skyline.SFS, skyline.DC}
 	for name, ds := range shardTestDatasets() {
 		want := skyline.Compute(ds, skyline.SFS)
-		for _, algo := range algos {
-			for _, n := range shardCounts {
-				got, err := ShardedSkylineCtx(context.Background(), ds, shard.Grid{}, n, algo)
-				if err != nil {
-					t.Fatalf("%s/%v/n=%d: %v", name, algo, n, err)
+		for _, n := range shardCounts {
+			parts, err := shard.Grid{}.Partition(ds, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range algos {
+				locals := make([][]int, n)
+				for i, rows := range parts {
+					if len(rows) == 0 {
+						continue
+					}
+					sub, err := ds.Subset("shard", rows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, l := range skyline.Compute(sub, algo) {
+						locals[i] = append(locals[i], rows[l])
+					}
 				}
-				if !equalIntSlices(got, want) {
-					t.Errorf("%s/%v/n=%d: sharded skyline %d points, want %d (diverged)",
+				if got := MergeShardSkylines(ds, locals); !equalIntSlices(got, want) {
+					t.Errorf("%s/%v/n=%d: merged skyline %d points, want %d (diverged)",
 						name, algo, n, len(got), len(want))
 				}
 			}
@@ -137,16 +152,13 @@ func TestSigGenShardedIdentical(t *testing.T) {
 
 // TestShardedCancellation covers both cancellation seams: plan construction
 // (per-shard BBS sessions poll the context) and the signature fold (polled
-// at cell granularity).
+// once per data page).
 func TestShardedCancellation(t *testing.T) {
 	ds := data.Independent(3000, 3, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := BuildShardPlan(ctx, ds, shard.Grid{}, 4, 0, nil); err == nil {
 		t.Error("BuildShardPlan with cancelled context succeeded")
-	}
-	if _, err := ShardedSkylineCtx(ctx, ds, shard.Grid{}, 4, skyline.SFS); err == nil {
-		t.Error("ShardedSkylineCtx with cancelled context succeeded")
 	}
 	plan, err := BuildShardPlan(context.Background(), ds, shard.Grid{}, 4, 0, nil)
 	if err != nil {
@@ -236,14 +248,13 @@ func TestShardedFoldWorkers(t *testing.T) {
 	}
 	perPage := pager.NewSequentialCounter(8*ds.Dims() + 4).RecordsPerPage()
 	pages := (ds.Len() + perPage - 1) / perPage
-	// ranges is the number of page-aligned ranges w workers split the pages
-	// into; a single range runs on the calling goroutine.
+	// ranges is the number of page ranges w workers fold, one each; a
+	// single range runs on the calling goroutine.
 	ranges := func(w int) int {
 		if w = min(w, pages); w <= 1 {
 			return 0
 		}
-		span := (pages + w - 1) / w
-		return (pages + span - 1) / span
+		return w
 	}
 	var started atomic.Int32
 	workerTestHook = func(int) { started.Add(1) }

@@ -5,15 +5,14 @@ import (
 	"testing"
 
 	"skydiver/internal/minhash"
-	"skydiver/internal/shard"
 	"skydiver/internal/skyline"
 )
 
-// TestShardFingerprintMergesIdentical pins the per-shard fold exports the
-// cluster backend is built on: folding each shard separately (via the plan
-// path a worker runs, and via the direct local-recompute path) and merging
-// by per-slot minima + score sums reproduces the unsharded SigGen-IF pass
-// bit-identically.
+// TestShardFingerprintMergesIdentical pins the unit of remote execution:
+// folding each of a query's S shards, the page ranges of the dataset, with
+// FoldRange and merging the folds by per-slot minima and score sums
+// reproduces the unsharded SigGen-IF pass bit for bit, for shard counts
+// that do and do not divide the data pages and for more shards than pages.
 func TestShardFingerprintMergesIdentical(t *testing.T) {
 	for name, ds := range shardTestDatasets() {
 		sky := skyline.Compute(ds, skyline.SFS)
@@ -22,37 +21,31 @@ func TestShardFingerprintMergesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{1, 2, 4} {
-			plan, err := BuildShardPlan(context.Background(), ds, shard.Grid{}, n, 0, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := len(plan.Sky)
+		pages := (ds.Len() + recordsPerPage(ds.Dims()) - 1) / recordsPerPage(ds.Dims())
+		for _, n := range []int{1, 2, 3, 4, pages, pages + 3} {
+			m := len(sky)
 			merged := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
-			for i := range plan.Shards {
-				fp, err := plan.ShardFingerprint(context.Background(), i, fam)
+			end := 0 // where the previous range ended
+			for i := range n {
+				lo, hi := PageRange(ds, i, n)
+				if lo != end || hi < lo {
+					t.Fatalf("%s/n=%d: range %d is [%d, %d), the previous one ended at %d", name, n, i, lo, hi, end)
+				}
+				if n <= pages && lo == hi {
+					t.Fatalf("%s/n=%d: range %d is empty with %d pages", name, n, i, pages)
+				}
+				end = hi
+				fp, err := FoldRange(context.Background(), ds, sky, fam, lo, hi)
 				if err != nil {
 					t.Fatalf("%s/n=%d shard %d: %v", name, n, i, err)
 				}
-				// The direct (tree-free) fold a failed shard is recomputed
-				// with must agree with the worker's plan fold exactly.
-				local, err := ShardFingerprintLocal(context.Background(), ds, plan.Sky, plan.Shards[i].Rows, fam)
-				if err != nil {
-					t.Fatalf("%s/n=%d shard %d local: %v", name, n, i, err)
-				}
 				for c := 0; c < m; c++ {
-					if fp.DomScore[c] != local.DomScore[c] {
-						t.Fatalf("%s/n=%d shard %d: local DomScore[%d] diverged", name, n, i, c)
-					}
-					pc, lc := fp.Matrix.Column(c), local.Matrix.Column(c)
-					for s := range pc {
-						if pc[s] != lc[s] {
-							t.Fatalf("%s/n=%d shard %d: local col %d slot %d diverged", name, n, i, c, s)
-						}
-					}
 					merged.Matrix.UpdateColumn(c, fp.Matrix.Column(c))
 					merged.DomScore[c] += fp.DomScore[c]
 				}
+			}
+			if end != ds.Len() {
+				t.Fatalf("%s/n=%d: ranges end at %d, not %d", name, n, end, ds.Len())
 			}
 			for c := range sky {
 				if merged.DomScore[c] != want.DomScore[c] {

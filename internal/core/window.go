@@ -125,7 +125,7 @@ func (w *Window) Rebuild(ctx context.Context, fam *minhash.Family) ([]int, *Fing
 	sky := skyline.ComputeSFS(ds)
 	f := newRowFold(ds, sky, fam)
 	f.base = uint64(w.Lo)
-	fp, err := f.fold(ctx, 0, n, nil)
+	fp, err := f.fold(ctx, 0, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -237,7 +237,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, fmt.Errorf("%w: remote=1 but the server has no shard workers configured", skydiver.ErrInvalidOptions))
 			return
 		}
-		opts.Remote = &skydiver.RemoteOptions{Workers: s.cfg.ShardWorkers, Sharder: q.Get("sharder")}
+		opts.Remote = &skydiver.RemoteOptions{Workers: s.cfg.ShardWorkers}
 	}
 
 	res, qerr := h.Dataset().DiversifyContext(ctx, opts)

@@ -1,16 +1,15 @@
 // Package shard partitions a dataset into disjoint row-id shards for the
-// partitioned execution layer: each shard computes its local skyline and
-// signature contribution independently (in its own rtree.Session), and a
-// merge operator recombines them. The package deliberately knows nothing
-// about skylines or signatures — it only decides which rows go where — so
-// the shard boundary doubles as the seam where a multi-node backend can
-// later slot in: a remote shard is just a row set whose skyline and
-// signature matrix arrive over the wire instead of from a local session.
+// partition-parallel skyline (core.BuildShardPlan): each shard computes its
+// local skyline independently, in its own rtree.Session, and
+// core.MergeShardSkylines recombines them. The package knows nothing about
+// skylines or signatures; it only decides which rows go where. Query paths
+// do not use it: remote execution shards the rows as page ranges
+// (core.PageRange). It stays as the API the repository benchmark's sharded
+// route calls.
 //
 // Correctness does not depend on the partitioning: any disjoint cover of
-// the live rows yields the same merged skyline and (for the IF signature
-// universe, which hashes global row ids) the same merged signature matrix.
-// Partitioning quality only affects balance and merge cost.
+// the live rows yields the same merged skyline. Partitioning quality only
+// affects balance and merge cost.
 package shard
 
 import (

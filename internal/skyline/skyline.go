@@ -12,6 +12,7 @@ package skyline
 import (
 	"container/heap"
 	"context"
+	"slices"
 	"sort"
 
 	"skydiver/internal/data"
@@ -134,28 +135,35 @@ next:
 	return window
 }
 
-// ComputeSFS presorts points by their L1 norm and filters against the
-// accumulated skyline. After sorting, no point can dominate an earlier one,
-// so a single forward pass with dominance checks against retained points is
-// exact.
+// ComputeSFS presorts points by their L1 norm, ties by row id, and filters
+// against the accumulated skyline. After sorting, no point can dominate an
+// earlier one, so a single forward pass with dominance checks against
+// retained points is exact. Each live row's norm is computed once, before
+// the sort.
 func ComputeSFS(ds *data.Dataset) []int {
+	type keyed struct {
+		l1 float64
+		id int
+	}
 	n := ds.Len()
-	order := make([]int, 0, n)
+	order := make([]keyed, 0, n)
 	for i := 0; i < n; i++ {
 		if !ds.Deleted(i) {
-			order = append(order, i)
+			order = append(order, keyed{geom.L1(ds.Point(i)), i})
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		la, lb := geom.L1(ds.Point(order[a])), geom.L1(ds.Point(order[b]))
-		if la != lb {
-			return la < lb
+	slices.SortFunc(order, func(a, b keyed) int {
+		switch {
+		case a.l1 < b.l1:
+			return -1
+		case a.l1 > b.l1:
+			return 1
 		}
-		return order[a] < order[b]
+		return a.id - b.id
 	})
 	var out []int
-	for _, i := range order {
-		p := ds.Point(i)
+	for _, k := range order {
+		i, p := k.id, ds.Point(k.id)
 		dominated := false
 		for _, s := range out {
 			q := ds.Point(s)

@@ -273,11 +273,9 @@ func (d *Dataset) mutationState() (*rtree.Tree, []int, error) {
 }
 
 // setSky replaces the cached skyline under the dataset mutex (nil forces
-// the next query to recompute). Every mutation lands here, so cached shard
-// plans — whose epoch just went stale — are dropped alongside.
+// the next query to recompute).
 func (d *Dataset) setSky(sky []int) {
 	d.mu.Lock()
 	d.sky = sky
-	d.plans = nil
 	d.mu.Unlock()
 }

@@ -2,14 +2,16 @@ package skydiver
 
 // remote.go is the public face of multi-node shard execution: Options.Remote
 // routes a MinHash/LSH query's Phase 1 through a fleet of skyshardd workers
-// (internal/cluster) instead of the in-process index-free fold. The answer is
-// bit-identical either way — workers regenerate the dataset from its
-// generator spec, replies are checksummed, the remotely merged skyline is
-// verified against the local plan, and any shard the fleet cannot serve is
-// recomputed locally. Only when the caller explicitly opts out of that local
-// rung (NoLocalFallback) AND opts into degradation (AllowDegraded) can a
-// remote query return less than the exact answer, and then it says so via
-// Result.Degraded / DegradedRemoteShards and Result.Remote.Missing.
+// (internal/cluster) instead of the in-process index-free fold. Each shard
+// is a page range of rows, folded by a worker against the dataset's skyline
+// in one RPC. The answer is bit-identical either way — workers regenerate
+// the dataset from its generator spec, each request carries a digest of the
+// rows the fold reads and each reply a checksum, and any shard the fleet
+// cannot serve is recomputed locally. Only when the caller explicitly opts
+// out of that local rung (NoLocalFallback) AND opts into degradation
+// (AllowDegraded) can a remote query return less than the exact answer, and
+// then it says so via Result.Degraded / DegradedRemoteShards and
+// Result.Remote.Missing.
 
 import (
 	"context"
@@ -39,10 +41,6 @@ type RemoteOptions struct {
 	// owned by Workers[i mod len]; the next worker is its failover replica
 	// and hedge target.
 	Workers []string
-	// Sharder names the partitioning scheme: "grid" (default) or "angle".
-	// Either yields bit-identical merged results; angle balances shard
-	// skylines on anticorrelated data.
-	Sharder string
 	// MaxRetries bounds per-node re-attempts (default 2), with full-jitter
 	// exponential backoff between them.
 	MaxRetries int
@@ -62,8 +60,10 @@ type RemoteOptions struct {
 // RemoteShardStats reports how a remote query's shards were served and what
 // the resilience envelope spent doing it (Result.Remote).
 type RemoteShardStats struct {
-	// Shards is the plan's shard count; Remote were answered by the fleet,
-	// Local recomputed by the coordinator, Missing not served at all.
+	// Shards is the query's shard count; Remote were answered by the fleet,
+	// Local recomputed by the coordinator (a dead fleet, a mutated dataset
+	// or a worker replica that holds other data), Missing not served at
+	// all.
 	Shards  int   `json:"shards"`
 	Remote  int   `json:"remote"`
 	Local   int   `json:"local"`
@@ -75,9 +75,6 @@ type RemoteShardStats struct {
 	Hedges    int64 `json:"hedges"`
 	Failovers int64 `json:"failovers"`
 	FastFails int64 `json:"fast_fails"`
-	// SkylineVerified reports that the remotely computed local skylines
-	// were merged and checked against the coordinator's plan.
-	SkylineVerified bool `json:"skyline_verified"`
 }
 
 // remoteExecutor returns (building and caching as needed) the executor for
@@ -124,10 +121,6 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 	if d.spec == nil {
 		return nil, fmt.Errorf("%w: only datasets built by Generate are remotable", ErrInvalidOptions)
 	}
-	sh, err := cluster.SharderByName(ro.Sharder)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
 	shards := opts.Shards
 	if shards == 0 {
 		shards = len(ro.Workers)
@@ -138,10 +131,6 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 	}
 	if err := d.validateQuery(opts, len(sky)); err != nil {
 		return nil, err
-	}
-	plan, err := d.ensureShardPlan(ctx, sh, shards, sky)
-	if err != nil {
-		return nil, wrapCtxErr(err)
 	}
 	ex, err := d.remoteExecutor(ro)
 	if err != nil {
@@ -154,7 +143,6 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 	q := cluster.Query{
 		Spec:     *d.spec,
 		Epoch:    d.epoch,
-		Sharder:  sh.Name(),
 		Shards:   shards,
 		T:        cfg.SignatureSize,
 		HashSeed: opts.Seed,
@@ -165,7 +153,7 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 	)
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch}
 	in.Builder = func(bctx context.Context) (*core.Fingerprint, error) {
-		fp, out, err := ex.Fingerprint(bctx, q, plan, d.canon)
+		fp, out, err := ex.Fingerprint(bctx, q, d.canon, sky)
 		outcome = &out
 		if err != nil {
 			if errors.Is(err, ErrRemoteUnavailable) && opts.AllowDegraded && fp != nil {
@@ -191,15 +179,14 @@ func (d *Dataset) remoteResult(res *core.Result, out *cluster.Outcome, degraded 
 	pub := d.publicResult(res)
 	if out != nil {
 		pub.Remote = &RemoteShardStats{
-			Shards:          out.Shards,
-			Remote:          out.Remote,
-			Local:           out.Local,
-			Missing:         append([]int(nil), out.Missing...),
-			Retries:         out.Retries,
-			Hedges:          out.Hedges,
-			Failovers:       out.Failovers,
-			FastFails:       out.FastFails,
-			SkylineVerified: out.SkylineVerified,
+			Shards:    out.Shards,
+			Remote:    out.Remote,
+			Local:     out.Local,
+			Missing:   append([]int(nil), out.Missing...),
+			Retries:   out.Retries,
+			Hedges:    out.Hedges,
+			Failovers: out.Failovers,
+			FastFails: out.FastFails,
 		}
 	}
 	if degraded {

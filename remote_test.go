@@ -1,9 +1,12 @@
 package skydiver
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"skydiver/internal/cluster"
@@ -31,10 +34,12 @@ func startShardWorkers(t *testing.T, n int) ([]*cluster.Worker, []string) {
 // TestRemoteMatchesSharded is the acceptance pin: for shard counts {1, 2, 4}
 // a query dispatched to the worker fleet selects the same points with the
 // same objective, and charges the same I/O, as the unsharded in-process run,
-// for both sharders and both signature algorithms. Remote and local runs use
-// separate Dataset handles so the comparison never rides the shared
-// fingerprint cache. On IND-300-3D at seed 5 a scan of only the rows with a
-// dominator would charge a page fewer than SigGen-IF's scan of the file.
+// for both signature algorithms. Remote and local runs use separate Dataset
+// handles so the comparison never rides the shared fingerprint cache. On
+// IND-300-3D at seed 5 a scan of only the rows with a dominator would
+// charge a page fewer than SigGen-IF's scan of the file. The subtest names
+// keep the "grid" segment of the partitioning they ran under when the
+// sharder was a knob, so their results stay comparable with older runs.
 func TestRemoteMatchesSharded(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
 	algos := []struct {
@@ -53,50 +58,131 @@ func TestRemoteMatchesSharded(t *testing.T) {
 		{Independent, 300, 5},
 	}
 	for _, a := range algos {
-		for _, sharder := range []string{"grid", "angle"} {
-			for _, shards := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/s%d", a.name, sharder, shards), func(t *testing.T) {
-					for _, spec := range datasets {
-						local, err := Generate(spec.dist, spec.n, 3, spec.seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := local.Diversify(a.opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						remote, err := Generate(spec.dist, spec.n, 3, spec.seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ropts := a.opts
-						ropts.Shards = shards
-						ropts.Remote = &RemoteOptions{Workers: urls, Sharder: sharder}
-						got, err := remote.Diversify(ropts)
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						if err := sameAnswer(got, want); err != nil {
-							t.Errorf("%v-%d: %v", spec.dist, spec.n, err)
-						}
-						if got.Remote == nil {
-							t.Fatal("Result.Remote is nil on a remote query")
-						}
-						if got.Remote.Shards != shards || got.Remote.Remote != shards {
-							t.Errorf("remote stats = %+v, want all %d shards remote", got.Remote, shards)
-						}
-						if !got.Remote.SkylineVerified {
-							t.Error("SkylineVerified = false")
-						}
-						if len(got.Remote.Missing) != 0 || got.Remote.Local != 0 {
-							t.Errorf("unexpected missing/local shards: %+v", got.Remote)
-						}
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/grid/s%d", a.name, shards), func(t *testing.T) {
+				for _, spec := range datasets {
+					local, err := Generate(spec.dist, spec.n, 3, spec.seed)
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					want, err := local.Diversify(a.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					remote, err := Generate(spec.dist, spec.n, 3, spec.seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ropts := a.opts
+					ropts.Shards = shards
+					ropts.Remote = &RemoteOptions{Workers: urls}
+					got, err := remote.Diversify(ropts)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					if err := sameAnswer(got, want); err != nil {
+						t.Errorf("%v-%d: %v", spec.dist, spec.n, err)
+					}
+					if got.Remote == nil {
+						t.Fatal("Result.Remote is nil on a remote query")
+					}
+					if got.Remote.Shards != shards || got.Remote.Remote != shards {
+						t.Errorf("remote stats = %+v, want all %d shards remote", got.Remote, shards)
+					}
+					if len(got.Remote.Missing) != 0 || got.Remote.Local != 0 {
+						t.Errorf("unexpected missing/local shards: %+v", got.Remote)
+					}
+				}
+			})
 		}
+	}
+}
+
+// TestRemoteShardsBeyondPages: a shard is a page range, so more shards than
+// data pages leaves some ranges empty (IND-300-3D has 3 pages), and a shard
+// count that does not divide the pages gives ranges of unequal length.
+// Either way every shard is one fold served by the fleet and the answer is
+// bit-identical to the in-process run.
+func TestRemoteShardsBeyondPages(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
+	for _, c := range []struct {
+		n, shards int
+	}{{300, 8}, {300, 2}, {2000, 3}} {
+		local, err := Generate(Independent, c.n, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := local.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := Generate(Independent, c.n, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := remote.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: c.shards,
+			Remote: &RemoteOptions{Workers: urls}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAnswer(got, want); err != nil {
+			t.Errorf("n=%d s%d: %v", c.n, c.shards, err)
+		}
+		if got.Remote == nil || got.Remote.Remote != c.shards {
+			t.Errorf("n=%d s%d: remote stats = %+v, want all shards served by the fleet", c.n, c.shards, got.Remote)
+		}
+	}
+}
+
+// TestRemoteOneFoldPerShard reads the workers' /stats: an uncached remote
+// query makes exactly one sigfold call per shard, and a worker serves no
+// other shard RPC (/shard/skyline is 404).
+func TestRemoteOneFoldPerShard(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
+	folds := func() int64 {
+		t.Helper()
+		var total int64
+		for _, u := range urls {
+			resp, err := http.Get(u + cluster.PathStats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st cluster.WorkerStats
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			total += st.Folds
+		}
+		return total
+	}
+	ds, err := Generate(Independent, 2000, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 3, 4, 8} {
+		before := folds()
+		res, err := ds.Diversify(Options{K: 4, Seed: 7, Shards: shards, NoCache: true, Remote: &RemoteOptions{Workers: urls}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Remote == nil || res.Remote.Remote != shards {
+			t.Fatalf("s%d: remote stats = %+v", shards, res.Remote)
+		}
+		if n := folds() - before; n != int64(shards) {
+			t.Errorf("s%d: workers served %d sigfold calls, want %d", shards, n, shards)
+		}
+	}
+	resp, err := http.Post(urls[0]+"/shard/skyline", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/shard/skyline: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -226,8 +312,8 @@ func TestRemoteUnavailableAndDegraded(t *testing.T) {
 }
 
 // TestRemoteOptionValidation pins the rejected combinations: Budget+Remote,
-// an empty worker list, unknown sharders, non-Generate datasets, and
-// Greedy/Exact algorithms simply ignoring Remote.
+// an empty worker list, non-Generate datasets, and Greedy/Exact algorithms
+// simply ignoring Remote.
 func TestRemoteOptionValidation(t *testing.T) {
 	_, urls := startShardWorkers(t, 1)
 	ds, err := Generate(Independent, 200, 2, 1)
@@ -247,12 +333,6 @@ func TestRemoteOptionValidation(t *testing.T) {
 	opts.Remote = &RemoteOptions{}
 	if _, err := ds.Diversify(opts); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("empty workers: err = %v, want ErrInvalidOptions", err)
-	}
-
-	opts = base
-	opts.Remote = &RemoteOptions{Workers: urls, Sharder: "mystery"}
-	if _, err := ds.Diversify(opts); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("unknown sharder: err = %v, want ErrInvalidOptions", err)
 	}
 
 	manual, err := NewDataset("manual", [][]float64{{1, 2}, {2, 1}, {3, 3}}, []Pref{Min, Min})

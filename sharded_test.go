@@ -155,10 +155,10 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedAfterMutations mutates the dataset past the epoch of a cached
-// shard plan. A remote query then rebuilds the plan and, because workers
-// regenerate only pristine datasets, serves every shard locally; the answer
-// still equals the unsharded one, I/O included.
+// TestShardedAfterMutations mutates the dataset after a remote query. Later
+// remote queries, because workers regenerate only pristine datasets, serve
+// every shard locally; the answer still equals the unsharded one, I/O
+// included.
 func TestShardedAfterMutations(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
 	ds, err := Generate(Independent, 300, 3, 5)
@@ -166,7 +166,7 @@ func TestShardedAfterMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	remote := Options{K: 3, Seed: 1, Shards: 4, NoCache: true, Remote: &RemoteOptions{Workers: urls}}
-	// Build a plan at epoch 0.
+	// A remote query at epoch 0.
 	if _, err := ds.Diversify(remote); err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,10 @@ func TestShardedAfterMutations(t *testing.T) {
 }
 
 // TestShardedFaultInjection installs transient storage faults before the
-// first remote query, so the per-shard BBS passes of its plan build run
-// against faulting shard stores: the retries must recover, the answer must
-// equal the unfaulted one, and FaultStats must count the build's retries.
+// first remote query. The skyline's BBS pass reads through them; the shard
+// folds read rows, not index pages. So once the skyline is resident the
+// remote query must return the unfaulted answer and move FaultStats by
+// exactly what it read itself: nothing.
 func TestShardedFaultInjection(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
 	opts := Options{K: 4, Seed: 7, Shards: 4, Remote: &RemoteOptions{Workers: urls}}
@@ -217,12 +218,13 @@ func TestShardedFaultInjection(t *testing.T) {
 	if err := ds.InjectFaults(FaultPolicy{Rate: 0.05, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	// The skyline first: the retries the query adds are then the plan
-	// build's alone.
 	if _, err := ds.SkylineSize(); err != nil {
 		t.Fatal(err)
 	}
 	injectedBefore, retriesBefore := ds.FaultStats()
+	if injectedBefore == 0 || retriesBefore == 0 {
+		t.Fatalf("skyline pass: %d faults injected, %d retries; want both positive", injectedBefore, retriesBefore)
+	}
 	res, err := ds.Diversify(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -230,18 +232,12 @@ func TestShardedFaultInjection(t *testing.T) {
 	if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
 		t.Errorf("faulted remote indexes = %v, want %v", res.Indexes, want.Indexes)
 	}
-	ds.mu.Lock()
-	var planRetries int64
-	for _, plan := range ds.plans {
-		planRetries += plan.Retries
+	if res.Remote == nil || res.Remote.Remote != 4 {
+		t.Errorf("remote stats = %+v, want all 4 shards served by the fleet", res.Remote)
 	}
-	ds.mu.Unlock()
-	injected, retries := ds.FaultStats()
-	if injected == injectedBefore || planRetries == 0 {
-		t.Fatalf("plan build: %d faults injected, %d retries; want both positive", injected-injectedBefore, planRetries)
-	}
-	if retries-retriesBefore != planRetries {
-		t.Errorf("FaultStats counted %d retries for the query, the plan build spent %d", retries-retriesBefore, planRetries)
+	if injected, retries := ds.FaultStats(); injected != injectedBefore || retries != retriesBefore {
+		t.Errorf("remote query moved FaultStats by %d faults and %d retries, want 0 and 0",
+			injected-injectedBefore, retries-retriesBefore)
 	}
 	if err := ds.InjectFaults(FaultPolicy{}); err != nil {
 		t.Fatal(err)
@@ -269,9 +265,9 @@ func TestShardedCancelledContext(t *testing.T) {
 }
 
 // TestShardedConcurrent hammers one dataset with concurrent remote queries
-// at different shard counts (exercising concurrent plan builds) and requires
-// every answer to equal the unsharded one. Run under -race this also pins
-// the plan cache's synchronization.
+// at different shard counts and requires every answer to equal the
+// unsharded one. Run under -race this also pins the executor's shared
+// per-node state.
 func TestShardedConcurrent(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
 	ds, err := Generate(Independent, 2000, 3, 7)
@@ -306,19 +302,12 @@ func TestShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestShardedBuildsNoPlan: in process, Shards builds and caches no shard
-// plan — before and after a write — and the query answers like the
-// unsharded one; a remote query caches the plan its skyline cross-check
-// needs.
+// TestShardedBuildsNoPlan: in process, Shards changes nothing — before and
+// after a write — and the query answers like the unsharded one.
 func TestShardedBuildsNoPlan(t *testing.T) {
 	ds, err := Generate(Independent, 3000, 3, 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	plans := func(d *Dataset) int {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return len(d.plans)
 	}
 	check := func(stage string) {
 		want, err := ds.Diversify(Options{K: 4, Seed: 2, NoCache: true})
@@ -335,25 +324,10 @@ func TestShardedBuildsNoPlan(t *testing.T) {
 					stage, shards, res.Indexes, res.ObjectiveValue, want.Indexes, want.ObjectiveValue)
 			}
 		}
-		if n := plans(ds); n != 0 {
-			t.Errorf("%s: %d shard plans cached by in-process sharded queries", stage, n)
-		}
 	}
 	check("before insert")
 	if _, err := ds.Insert([]float64{0.001, 0.002, 0.003}); err != nil {
 		t.Fatal(err)
 	}
 	check("after insert")
-
-	_, urls := startShardWorkers(t, 2)
-	remote, err := Generate(Independent, 3000, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := remote.Diversify(Options{K: 4, Seed: 2, Shards: 2, Remote: &RemoteOptions{Workers: urls}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := plans(remote); n != 1 {
-		t.Errorf("remote query cached %d shard plans, want 1", n)
-	}
 }

@@ -42,7 +42,6 @@ import (
 	"skydiver/internal/minhash"
 	"skydiver/internal/pager"
 	"skydiver/internal/rtree"
-	"skydiver/internal/shard"
 	"skydiver/internal/skyline"
 )
 
@@ -167,12 +166,13 @@ type Options struct {
 	// machine-readable Result.DegradedReason.
 	AllowDegraded bool
 	// Shards partitions remote execution: with Remote set, it is the
-	// number of row sets the dataset is carved into (an equi-depth grid
-	// over its widest axes by default; 0 means one shard per worker). Each
-	// shard computes its local skyline and signature contribution on a
-	// worker, and the coordinator merges and cross-checks them. Results are
-	// bit-identical to the unsharded path — same skyline, same signatures,
-	// same selection, same I/O — for any shard count.
+	// number of contiguous page ranges of rows the signature fold is cut
+	// into (0 means one shard per worker). Each shard is one RPC: a worker
+	// folds its range against the dataset's skyline, and the coordinator
+	// min-merges the folds. Results are bit-identical to the unsharded path
+	// — same skyline, same signatures, same selection, same I/O — for any
+	// shard count, including more shards than the data has pages (the
+	// surplus ranges are empty).
 	//
 	// Without Remote the option changes nothing: the dataset's skyline is
 	// already resident, so a query's answers, I/O and cached fingerprint
@@ -190,15 +190,16 @@ type Options struct {
 	// StreamWindow bounds the BNL window of DiversifyStreamContext's
 	// skyline phase (0 = a 1024-point default). Ignored by DiversifyContext.
 	StreamWindow int
-	// Remote, when non-nil, dispatches the per-shard skyline and signature
-	// work of MinHash/LSH queries to a worker fleet over HTTP instead of
-	// computing it in-process. Results stay bit-identical to the local
-	// path: workers regenerate the dataset from its generator spec,
-	// per-shard replies are checksummed and merge-verified, and any shard
-	// the fleet cannot serve is recomputed locally (unless
-	// NoLocalFallback). Only datasets built by Generate are
-	// remotable. Greedy and Exact ignore the setting; Budget is not
-	// supported on the remote path.
+	// Remote, when non-nil, dispatches the Phase-1 signature fold of
+	// MinHash/LSH queries to a worker fleet over HTTP, one RPC per shard
+	// (see Shards), instead of computing it in-process. Results stay
+	// bit-identical to the local path: workers regenerate the dataset from
+	// its generator spec, each request carries a digest of the rows the
+	// fold reads (a worker whose replica differs refuses the shard), each
+	// reply is checksummed, and any shard the fleet cannot serve is
+	// recomputed locally (unless NoLocalFallback). Only datasets built by
+	// Generate are remotable. Greedy and Exact ignore the setting; Budget
+	// is not supported on the remote path.
 	Remote *RemoteOptions
 }
 
@@ -302,12 +303,6 @@ type Dataset struct {
 	// where possible and drop the rest.
 	fpCache *core.FingerprintCache
 
-	// plans caches remote-execution shard plans per (sharder, shard
-	// count), built lazily on the first remote query. Every entry is
-	// epoch-stamped; mutations drop the map and a lookup whose epoch is
-	// stale rebuilds. Guarded by mu.
-	plans map[string]*core.ShardPlan
-
 	// spec, when non-nil, names this dataset in the cluster wire format so
 	// remote shard workers can regenerate it bit-for-bit. Set only by
 	// Generate — loaded or hand-built datasets are not remotable.
@@ -345,7 +340,6 @@ func (d *Dataset) Close() error {
 	d.closed = true
 	d.limiter = nil
 	d.fpCache.Purge()
-	d.plans = nil
 	if d.tree != nil {
 		// Releases OS resources for file-backed indexes (descriptor,
 		// mapping, temp spill); a no-op for the simulated store.
@@ -520,57 +514,6 @@ func (d *Dataset) skylineWith(ctx context.Context, sess *rtree.Session) ([]int, 
 	}
 	d.sky = sky
 	return sky, nil
-}
-
-// ensureShardPlan returns the remote-execution shard plan for n shards at
-// the dataset's current epoch, building and caching it on first use. sky is
-// the unsharded skyline of the same epoch; the freshly merged sharded
-// skyline is cross-checked against it so a partitioning defect can never
-// silently change results. Callers hold qmu's read side (so the epoch is
-// stable for the whole query); the build itself serializes on mu like the
-// other lazy constructions.
-func (d *Dataset) ensureShardPlan(ctx context.Context, sh shard.Sharder, n int, sky []int) (*core.ShardPlan, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrDatasetClosed
-	}
-	key := fmt.Sprintf("%s/%d", sh.Name(), n)
-	if p := d.plans[key]; p != nil && p.Epoch == d.epoch {
-		return p, nil
-	}
-	// Shard trees must fault like the main index: hand every shard store
-	// the build creates the injector currently installed.
-	var configure func(*rtree.Tree)
-	if d.tree != nil {
-		if fi := d.tree.Store().FaultInjector(); fi != nil {
-			configure = func(tr *rtree.Tree) { tr.Store().SetFaultInjector(fi) }
-		}
-	}
-	plan, err := core.BuildShardPlan(ctx, d.canon, sh, n, d.epoch, configure)
-	if err != nil {
-		return nil, err
-	}
-	if !equalInts(plan.Sky, sky) {
-		return nil, fmt.Errorf("skydiver: internal: merged sharded skyline diverged from the unsharded skyline (%d vs %d points)", len(plan.Sky), len(sky))
-	}
-	if d.plans == nil {
-		d.plans = make(map[string]*core.ShardPlan)
-	}
-	d.plans[key] = plan
-	return plan, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Skyline returns the dataset indexes of the skyline points (computed once
@@ -978,10 +921,10 @@ type FaultPolicy = pager.FaultPolicy
 func ParseFaultPolicy(s string) (FaultPolicy, error) { return pager.ParseFaultPolicy(s) }
 
 // InjectFaults installs the fault policy on the dataset's index storage
-// (building the index first if necessary). Remote queries copy the
-// installed injector onto the shard indexes of every shard plan they build
-// from then on, so their shard skylines fault like the main index. A
-// zero-rate policy removes the injector. Transient faults are retried
+// (building the index first if necessary). Every read of the index faults
+// under it, a remote query's skyline included; a remote query's shard folds
+// read the rows, not the index, and never fault. A zero-rate policy removes
+// the injector. Transient faults are retried
 // transparently with exponential backoff; permanent faults surface as
 // errors wrapping ErrPermanentFault from whichever operation touched the
 // dead page — never as panics.
@@ -1005,26 +948,20 @@ func (d *Dataset) InjectFaults(p FaultPolicy) error {
 
 // FaultStats reports what fault injection did so far: the number of faults
 // injected into the index's read path and the number of retries spent
-// recovering transient ones, totaled across every query's I/O session and
-// the builds of the cached shard plans. Both are zero without InjectFaults.
-// Safe to call concurrently with running queries.
+// recovering transient ones, totaled across every query's I/O session. Both
+// are zero without InjectFaults. Safe to call concurrently with running
+// queries.
 func (d *Dataset) FaultStats() (injected, retries int64) {
 	d.mu.Lock()
 	tr := d.tree
-	for _, plan := range d.plans {
-		retries += plan.Retries
-	}
 	d.mu.Unlock()
 	if tr == nil {
 		return 0, 0
 	}
 	if fi := tr.Store().FaultInjector(); fi != nil {
-		// One injector instance is shared by the main store and every shard
-		// store a plan build configures, so its count covers those too.
 		injected = fi.Stats().Injected()
 	}
-	retries += tr.AggregateStats().Retries
-	return injected, retries
+	return injected, tr.AggregateStats().Retries
 }
 
 // DominationScore returns |Γ(p)| for the dataset point with the given index:
