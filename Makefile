@@ -102,8 +102,9 @@ fuzz:
 #                        (MonitorAdd), steady-state refresh latency on a 100K
 #                        window incremental vs wholesale (the acceptance
 #                        criterion is a ≥5× gap; in practice it is orders of
-#                        magnitude), and public Dataset.Insert end to end
-#                        (skyline test + signature patch + epoch migration).
+#                        magnitude), and public Dataset.Insert and
+#                        Dataset.Delete end to end (skyline maintenance +
+#                        signature patch + epoch migration).
 #                        The incremental refresh runs 1000 steps: its costly
 #                        steps (promotions, slot repairs) are rare — the
 #                        first comes at step 32 of its stream — so a short
@@ -127,7 +128,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'MonitorAdd$$' -benchmem -benchtime=10000x -count=1 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'RefreshIncremental100K' -benchmem -benchtime=1000x -count=1 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'RefreshWholesale100K' -benchmem -benchtime=1x -count=1 ./internal/dynamic ; \
-	  $(GO) test -run '^$$' -bench 'DatasetInsert' -benchmem -benchtime=200x -count=1 . ; } \
+	  $(GO) test -run '^$$' -bench 'Dataset(Insert|Delete)' -benchmem -benchtime=200x -count=1 . ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_dynamic.json
 	$(GO) test -run '^$$' -bench 'RemoteServing' -benchmem -benchtime=3x -count=1 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_remote.json

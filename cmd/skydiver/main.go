@@ -609,7 +609,7 @@ func loadDataset(input, gen string, n, d int, prefSpec string, seed int64) (*sky
 			}
 			rows := make([][]float64, ds.Len())
 			for i := range rows {
-				rows[i] = append([]float64{}, ds.Point(i)...)
+				rows[i] = ds.Point(i)
 			}
 			return skydiver.NewDataset(input, rows, prefs)
 		}

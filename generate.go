@@ -19,9 +19,35 @@ func LoadDataset(r io.Reader, prefs []Pref) (*Dataset, error) {
 	return fromInternal(ds, prefs)
 }
 
-// SaveDataset writes the dataset's points in the repository's binary format.
+// SaveDataset writes the dataset's points, in the original orientation, in
+// the repository's binary format; LoadDataset with the same preferences
+// reads back the identical dataset. The format has no tombstones, so a
+// dataset with deleted rows is refused with an error wrapping
+// ErrInvalidOptions; after inserts only, every row is written. It holds the
+// read side of the query/mutation lock, so it never sees a write half done.
 func (d *Dataset) SaveDataset(w io.Writer) error {
-	return d.original.Write(w)
+	d.qmu.RLock()
+	defer d.qmu.RUnlock()
+	if err := d.checkNoDeletes(); err != nil {
+		return err
+	}
+	out, err := data.New(d.canon.Name(), d.canon.Dims(), d.reorient(d.canon.Values()))
+	if err != nil {
+		return err
+	}
+	return out.Write(w)
+}
+
+// checkNoDeletes refuses to persist a dataset with deleted rows: neither the
+// dataset nor the index file format records tombstones, so the saved rows
+// would reopen live and the saved index would not match them. Callers hold
+// qmu.
+func (d *Dataset) checkNoDeletes() error {
+	if del := d.canon.Len() - d.canon.LiveLen(); del > 0 {
+		return fmt.Errorf("%w: %d of %d rows are deleted, and the file formats record no deletions",
+			ErrInvalidOptions, del, d.canon.Len())
+	}
+	return nil
 }
 
 // Distribution names a synthetic workload generator.

@@ -12,22 +12,22 @@ import (
 	"skydiver/internal/rtree"
 )
 
-// This file implements first-class single-point mutations: incremental
-// skyline maintenance, plus in-place repair of MinHash fingerprints. The
-// invariant is the one the dynamic package's property tests pin: after an
-// insert or delete, the skyline and every migrated fingerprint are
-// bit-identical to what a from-scratch recompute would produce (min-folds
-// are order-independent, so patching a column is equivalent to rebuilding
-// it).
+// This file implements write maintenance: incremental skyline maintenance,
+// plus in-place repair of MinHash fingerprints. The invariant is the one
+// the dynamic package's property tests pin: after an insert or delete, the
+// skyline and every migrated fingerprint are bit-identical to what a
+// from-scratch recompute would produce (min-folds are order-independent, so
+// patching a column is equivalent to rebuilding it).
 //
-// The maintenance reads rows through a rowSource. A Dataset's writes
-// (ApplyInsert, ApplyDelete and their batches) read its R*-tree with
-// bounded dominance range queries; there row ids are dataset indexes,
-// never reused: deletes tombstone the row in the dataset and remove it from
-// the tree, so hash identities stay stable and resident signatures stay
-// meaningful. A stream monitor's window (window.go) is the other source;
-// its row ids are stream sequence numbers. Callers serialize mutations
-// against queries; nothing here locks.
+// A Dataset has one write path, ApplyInsertBatch and ApplyDeleteBatch; a
+// single write is a batch of one. The maintenance reads rows through a
+// rowSource. A Dataset's writes read its R*-tree with bounded dominance
+// range queries; there row ids are dataset indexes, never reused: deletes
+// tombstone the row in the dataset and remove it from the tree, so hash
+// identities stay stable and resident signatures stay meaningful. A stream
+// monitor's window (window.go) is the other source; its row ids are stream
+// sequence numbers. Callers serialize mutations against queries; nothing
+// here locks.
 
 // rowSource is where write maintenance reads rows: a Dataset's live rows
 // through its R*-tree (treeSource), or a stream monitor's sliding window
@@ -137,63 +137,36 @@ type promotion struct {
 	gamma []int
 }
 
-// ApplyInsert appends p to the dataset, inserts it into the tree, updates
+// ApplyInsertBatch appends pts in order to the dataset and the tree, updates
 // the skyline incrementally (one dominance test per skyline member, plus one
-// bounded range query when p actually joins), migrates every resident
+// bounded range query for a point that joins), migrates every resident
 // index-free fingerprint to newEpoch by patching — not rebuilding — its
-// matrix, and returns the new skyline and the new point's row id.
-//
-// sky must be the current skyline (ascending dataset indexes) or nil when it
-// was never computed, in which case only the storage mutation happens and
-// the cache is purged. Index-based fingerprints are dropped rather than
-// migrated: their row ids are traversal-order, which a structural tree
-// mutation invalidates wholesale.
-func ApplyInsert(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *FingerprintCache, oldEpoch, newEpoch uint64, p []float64) ([]int, int, error) {
-	if tr == nil {
-		return nil, 0, fmt.Errorf("core: mutation requires the index")
-	}
-	newSky, ins, row, err := applyInsertStorage(ds, tr, sky, p, nil)
-	if err != nil || sky == nil {
-		if cache != nil {
-			cache.Purge()
-		}
-		return nil, row, err
-	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, sky, newSky, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
-		patchInsert(fam, fp, hv, ins)
-		return nil
-	})
-	return newSky, row, nil
-}
-
-// ApplyInsertBatch appends pts in order with one skyline maintenance pass
-// per point but a single fingerprint-cache migration for the whole batch:
-// the per-point patches are composed in order on one clone of each resident
+// matrix, and returns the new skyline and the new points' row ids. The
+// per-point patches are composed in order on one clone of each resident
 // fingerprint, which is exactly equivalent to chaining per-point migrations
 // (min-folds commute and every patch transforms the matrix from the state
-// the previous one left). onApplied, when non-nil, runs immediately after
-// each point becomes visible in ds — the library layer uses it to keep the
-// original-orientation dataset appended in lock-step. sky must be the
-// current skyline (the batch path never runs before a first query or
-// mutation materialized it).
+// the previous one left), so a batch of one is a single insert.
+//
+// sky is the current skyline (ascending dataset indexes); nil reads as an
+// empty one, which is what BBS returns for a tree with no live rows.
+// Index-based fingerprints are dropped rather than migrated: their row ids
+// are traversal-order, which a structural tree mutation invalidates
+// wholesale.
 //
 // On a mid-batch failure the successfully applied prefix stays applied, the
-// failing point is retired (tombstoned and removed from the tree) exactly
-// as in ApplyInsert, every resident fingerprint is dropped, and the applied
+// failing point is retired (tombstoned and removed from the tree) where the
+// tree allows it, every resident fingerprint is dropped, and the applied
 // rows so far are returned alongside the error; the caller invalidates its
 // skyline and recomputes lazily.
-func ApplyInsertBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *FingerprintCache, oldEpoch, newEpoch uint64, pts [][]float64, onApplied func(row int)) ([]int, []int, error) {
+func ApplyInsertBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *FingerprintCache, oldEpoch, newEpoch uint64, pts [][]float64) ([]int, []int, error) {
 	if tr == nil {
 		return nil, nil, fmt.Errorf("core: mutation requires the index")
-	}
-	if sky == nil {
-		return nil, nil, fmt.Errorf("core: batch mutation requires the skyline")
 	}
 	cur := sky
 	rows := make([]int, 0, len(pts))
 	patches := make([]skyInsertion, 0, len(pts))
 	for _, p := range pts {
-		next, ins, row, err := applyInsertStorage(ds, tr, cur, p, onApplied)
+		next, ins, row, err := applyInsertStorage(ds, tr, cur, p)
 		if err != nil {
 			if cache != nil {
 				cache.Purge()
@@ -216,11 +189,9 @@ func ApplyInsertBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 // applyInsertStorage performs the storage and skyline half of one insert —
 // append, tree insert, incremental skyline update, Γ fold set — and returns
 // the new skyline plus the fingerprint patch describing what happened. It
-// never touches the cache. With sky == nil only the storage mutation
-// happens (the returned skyline is nil and the patch is meaningless; the
-// caller must purge). On failure the dataset is left consistent: the row,
-// if it became visible, is retired again where the tree allows it.
-func applyInsertStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, p []float64, onApplied func(row int)) ([]int, skyInsertion, int, error) {
+// never touches the cache. On failure the dataset is left consistent: the
+// row, if it became visible, is retired again where the tree allows it.
+func applyInsertStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, p []float64) ([]int, skyInsertion, int, error) {
 	if len(p) != ds.Dims() {
 		return nil, skyInsertion{}, -1, fmt.Errorf("core: point has %d dims, dataset has %d", len(p), ds.Dims())
 	}
@@ -228,18 +199,12 @@ func applyInsertStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, p []float64
 	if err != nil {
 		return nil, skyInsertion{}, -1, err
 	}
-	if onApplied != nil {
-		onApplied(row)
-	}
 	if err := tr.Insert(ds.Point(row), uint32(row)); err != nil {
 		// The append is already visible; tombstone it so dataset and tree
 		// agree — the caller treats the failure as "recompute everything
 		// lazily".
 		ds.MarkDeleted(row)
 		return nil, skyInsertion{}, row, err
-	}
-	if sky == nil {
-		return nil, skyInsertion{}, row, nil
 	}
 	newSky, ins, err := insertSkyline(&treeSource{ds: ds, tr: tr}, sky, row)
 	if err != nil {
@@ -303,40 +268,19 @@ func insertSkyline(src rowSource, sky []int, row int) ([]int, skyInsertion, erro
 	return newSky, ins, nil
 }
 
-// ApplyDelete tombstones the row, removes it from the tree, updates the
-// skyline incrementally (a departed member's replacements are found by one
-// bounded dominance range query; a non-member's departure touches only the
-// columns where its hashes achieved a slot minimum), and migrates resident
-// index-free fingerprints to newEpoch. Returns the new skyline.
-func ApplyDelete(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *FingerprintCache, oldEpoch, newEpoch uint64, row int) ([]int, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("core: mutation requires the index")
-	}
-	newSky, del, err := applyDeleteStorage(ds, tr, sky, row)
-	if err != nil || sky == nil {
-		if cache != nil {
-			cache.Purge()
-		}
-		return nil, err
-	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, sky, newSky, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
-		return patchDelete(fam, fp, hv, del)
-	})
-	return newSky, nil
-}
-
-// ApplyDeleteBatch tombstones the given rows in order with one skyline
-// maintenance pass per row but a single fingerprint-cache migration for the
-// whole batch, composing the per-row patches exactly as ApplyInsertBatch
-// does. The rows must be distinct and live; sky must be the current
-// skyline. On a mid-batch failure the applied prefix stays applied, every
-// resident fingerprint is dropped and the caller invalidates its skyline.
+// ApplyDeleteBatch tombstones the given rows in order, removes them from the
+// tree, updates the skyline incrementally (a departed member's replacements
+// are found by one bounded dominance range query; a non-member's departure
+// touches only the columns where its hashes achieved a slot minimum), and
+// migrates resident index-free fingerprints to newEpoch, composing the
+// per-row patches exactly as ApplyInsertBatch does. It returns the new
+// skyline. The rows must be distinct and live; sky is the current skyline,
+// nil reading as an empty one. On a mid-batch failure the applied prefix
+// stays applied, every resident fingerprint is dropped and the caller
+// invalidates its skyline.
 func ApplyDeleteBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *FingerprintCache, oldEpoch, newEpoch uint64, rows []int) ([]int, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("core: mutation requires the index")
-	}
-	if sky == nil {
-		return nil, fmt.Errorf("core: batch mutation requires the skyline")
 	}
 	cur := sky
 	patches := make([]*skyDeletion, 0, len(rows))
@@ -364,12 +308,10 @@ func ApplyDeleteBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 
 // applyDeleteStorage performs the storage and skyline half of one delete
 // and returns the new skyline plus the fingerprint patch. It never touches
-// the cache. With sky == nil only the storage mutation happens (the
-// returned skyline and patch are nil; the caller must purge). The lazy Γ
-// refolds recorded in the patch run against the tree as it stands at patch
-// time — later deletes in a batch only shrink Γ toward the state a
-// from-scratch rebuild at the new epoch would see, so composing patches
-// stays exact.
+// the cache. The lazy Γ refolds recorded in the patch run against the tree
+// as it stands at patch time — later deletes in a batch only shrink Γ
+// toward the state a from-scratch rebuild at the new epoch would see, so
+// composing patches stays exact.
 func applyDeleteStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, row int) ([]int, *skyDeletion, error) {
 	if row < 0 || row >= ds.Len() || ds.Deleted(row) {
 		return nil, nil, fmt.Errorf("core: row %d does not exist", row)
@@ -386,9 +328,6 @@ func applyDeleteStorage(ds *data.Dataset, tr *rtree.Tree, sky []int, row int) ([
 		return nil, nil, fmt.Errorf("core: row %d missing from the index", row)
 	}
 	ds.MarkDeleted(row)
-	if sky == nil {
-		return nil, nil, nil
-	}
 	return deleteSkyline(&treeSource{ds: ds, tr: tr}, sky, row, pt)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -92,8 +93,9 @@ func sameVectors(t *testing.T, step int, got *lsh.BitVectors, want *Fingerprint,
 }
 
 // TestApplyMutationsMatchWholesale drives a random sequence of single and
-// batched inserts and deletes through ApplyInsert/ApplyDelete and
-// ApplyInsertBatch/ApplyDeleteBatch, and checks after every step that the
+// batched inserts and deletes through ApplyInsertBatch and
+// ApplyDeleteBatch (a single write is a batch of one), and checks after
+// every step that the
 // maintained skyline equals a from-scratch SFS pass, that the patched
 // cached fingerprint is bit-identical to a from-scratch SigGen-IF pass —
 // including matching domination scores — and that the LSH bit-vectors
@@ -164,7 +166,7 @@ func TestApplyMutationsMatchWholesale(t *testing.T) {
 		}
 		if r.Intn(2) == 0 && len(live) > n {
 			if n == 1 {
-				sky, err = ApplyDelete(ds, tr, sky, cache, epoch, epoch+1, takeLive())
+				sky, err = ApplyDeleteBatch(ds, tr, sky, cache, epoch, epoch+1, []int{takeLive()})
 			} else {
 				del := make([]int, n)
 				for i := range del {
@@ -173,16 +175,16 @@ func TestApplyMutationsMatchWholesale(t *testing.T) {
 				sky, err = ApplyDeleteBatch(ds, tr, sky, cache, epoch, epoch+1, del)
 			}
 		} else if n == 1 {
-			var row int
-			sky, row, err = ApplyInsert(ds, tr, sky, cache, epoch, epoch+1, randPoint())
-			live = append(live, row)
+			var rows []int
+			sky, rows, err = ApplyInsertBatch(ds, tr, sky, cache, epoch, epoch+1, [][]float64{randPoint()})
+			live = append(live, rows...)
 		} else {
 			pts := make([][]float64, n)
 			for i := range pts {
 				pts[i] = randPoint()
 			}
 			var added []int
-			sky, added, err = ApplyInsertBatch(ds, tr, sky, cache, epoch, epoch+1, pts, nil)
+			sky, added, err = ApplyInsertBatch(ds, tr, sky, cache, epoch, epoch+1, pts)
 			live = append(live, added...)
 		}
 		if err != nil {
@@ -239,7 +241,7 @@ func TestMutationCacheMigration(t *testing.T) {
 	cache.Install(ibKey, fp)
 	cache.Install(staleKey, fp)
 
-	sky, _, err = ApplyInsert(ds, tr, sky, cache, 0, 1, []float64{0.2, 0.2})
+	sky, _, err = ApplyInsertBatch(ds, tr, sky, cache, 0, 1, [][]float64{{0.2, 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +257,11 @@ func TestMutationCacheMigration(t *testing.T) {
 	sameFingerprint(t, 0, got, freshIF(t, ds, sky))
 }
 
-// TestMutationWithoutSkyline pins the lazy path: a mutation before any query
-// computed the skyline performs only the storage change and purges the cache.
-func TestMutationWithoutSkyline(t *testing.T) {
-	ds, err := data.FromRows("lazy", [][]float64{{0.1, 0.9}, {0.9, 0.1}, {0.6, 0.6}})
+// TestInsertIntoEmptySkyline: the batch entries read a nil skyline as an
+// empty one. BBS returns nil for a tree with no live rows, and a point
+// inserted there is the whole new skyline.
+func TestInsertIntoEmptySkyline(t *testing.T) {
+	ds, err := data.FromRows("empty", [][]float64{{0.5, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,27 +270,19 @@ func TestMutationWithoutSkyline(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Reopen(0.2)
-	cache := NewFingerprintCache(8)
-	cache.Install(maintainKey(0), &Fingerprint{Matrix: minhash.NewMatrix(maintainT, 2), DomScore: make([]float64, 2)})
-
-	sky, row, err := ApplyInsert(ds, tr, nil, cache, 0, 1, []float64{0.2, 0.2})
+	if _, err := ApplyDeleteBatch(ds, tr, []int{0}, nil, 0, 1, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	sky, err := skyline.ComputeBBS(tr)
+	if err != nil || sky != nil {
+		t.Fatalf("BBS over no live rows: %v %v, want nil nil", sky, err)
+	}
+	sky, rows, err := ApplyInsertBatch(ds, tr, sky, NewFingerprintCache(8), 1, 2, [][]float64{{0.7, 0.2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sky != nil {
-		t.Fatalf("sky = %v, want nil (never computed)", sky)
-	}
-	if row != 3 || tr.Len() != 4 {
-		t.Fatalf("row %d, tree %d rows; want 3 and 4", row, tr.Len())
-	}
-	if n := cache.Stats().Entries; n != 0 {
-		t.Fatalf("%d cache entries survived, want 0", n)
-	}
-	if sky, err = ApplyDelete(ds, tr, nil, cache, 1, 2, row); err != nil || sky != nil {
-		t.Fatalf("delete: sky %v err %v, want nil nil", sky, err)
-	}
-	if !ds.Deleted(row) || tr.Len() != 3 {
-		t.Fatalf("row %d not retired (tree %d rows)", row, tr.Len())
+	if !slices.Equal(rows, []int{1}) || !slices.Equal(sky, []int{1}) || tr.Len() != 1 {
+		t.Fatalf("rows %v, skyline %v, tree %d rows; want [1], [1] and 1", rows, sky, tr.Len())
 	}
 }
 
@@ -299,22 +294,22 @@ func TestMutationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Reopen(0.2)
-	if _, _, err := ApplyInsert(ds, nil, nil, nil, 0, 1, []float64{0, 0}); err == nil {
+	if _, _, err := ApplyInsertBatch(ds, nil, nil, nil, 0, 1, [][]float64{{0, 0}}); err == nil {
 		t.Error("insert without index succeeded")
 	}
-	if _, _, err := ApplyInsert(ds, tr, nil, nil, 0, 1, []float64{0, 0, 0}); err == nil {
+	if _, _, err := ApplyInsertBatch(ds, tr, nil, nil, 0, 1, [][]float64{{0, 0, 0}}); err == nil {
 		t.Error("insert with wrong dims succeeded")
 	}
-	if _, err := ApplyDelete(ds, nil, nil, nil, 0, 1, 0); err == nil {
+	if _, err := ApplyDeleteBatch(ds, nil, nil, nil, 0, 1, []int{0}); err == nil {
 		t.Error("delete without index succeeded")
 	}
-	if _, err := ApplyDelete(ds, tr, nil, nil, 0, 1, 7); err == nil {
+	if _, err := ApplyDeleteBatch(ds, tr, nil, nil, 0, 1, []int{7}); err == nil {
 		t.Error("delete of missing row succeeded")
 	}
-	if _, err := ApplyDelete(ds, tr, nil, nil, 0, 1, 0); err != nil {
+	if _, err := ApplyDeleteBatch(ds, tr, nil, nil, 0, 1, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ApplyDelete(ds, tr, nil, nil, 1, 2, 0); err == nil {
+	if _, err := ApplyDeleteBatch(ds, tr, nil, nil, 1, 2, []int{0}); err == nil {
 		t.Error("double delete succeeded")
 	}
 }
@@ -363,7 +358,7 @@ func TestDeleteRepairsEveryMatchingColumn(t *testing.T) {
 		t.Fatalf("fixture: skyline %v, row 2 holds slot minima in %d columns; want 2 and 2", sky, matching)
 	}
 
-	if sky, err = ApplyDelete(ds, tr, sky, cache, 0, 1, 2); err != nil {
+	if sky, err = ApplyDeleteBatch(ds, tr, sky, cache, 0, 1, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := cache.Peek(maintainKey(1))

@@ -16,9 +16,10 @@ import (
 // maintenance: its live rows are the consecutive ids [Lo, Hi), the stream
 // sequence numbers of its points, and Point returns the coordinates of any
 // of them. It is the stream monitor's way into the maintenance a Dataset's
-// writes run: Insert and Evict are ApplyInsert and ApplyDelete for one
-// fingerprint, with the window scanned where a Dataset queries its
-// R*-tree, and Rebuild is the range fold every index-free generator runs.
+// writes run: Insert and Evict are ApplyInsertBatch and ApplyDeleteBatch
+// for one row and one fingerprint, with the window scanned where a Dataset
+// queries its R*-tree, and Rebuild is the range fold every index-free
+// generator runs.
 type Window struct {
 	Lo, Hi int
 	Point  func(row int) []float64
@@ -137,8 +138,8 @@ func (w *Window) Rebuild(ctx context.Context, fam *minhash.Family) ([]int, *Fing
 
 // Insert maintains sky, the window's skyline before row Hi−1 joined it
 // (ascending row ids), and its fingerprint fp for that row's arrival: the
-// skyline update and fingerprint patch of ApplyInsert. It returns the new
-// skyline; fp is patched in place.
+// skyline update and fingerprint patch of a one-row ApplyInsertBatch. It
+// returns the new skyline; fp is patched in place.
 func (w *Window) Insert(fam *minhash.Family, sky []int, fp *Fingerprint) ([]int, error) {
 	newSky, ins, err := insertSkyline(w, sky, w.Hi-1)
 	if err != nil {
@@ -149,8 +150,8 @@ func (w *Window) Insert(fam *minhash.Family, sky []int, fp *Fingerprint) ([]int,
 }
 
 // Evict maintains sky and fp for row Lo−1, whose point was pt, leaving the
-// window: the skyline update and fingerprint patch of ApplyDelete. It
-// returns the new skyline; fp is patched in place.
+// window: the skyline update and fingerprint patch of a one-row
+// ApplyDeleteBatch. It returns the new skyline; fp is patched in place.
 func (w *Window) Evict(fam *minhash.Family, sky []int, fp *Fingerprint, pt []float64) ([]int, error) {
 	newSky, del, err := deleteSkyline(w, sky, w.Lo-1, pt)
 	if err != nil {

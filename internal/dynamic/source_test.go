@@ -13,8 +13,8 @@ import (
 
 // TestWindowMatchesTreeSource feeds one FIFO stream through both row
 // sources of core's write maintenance: a Dataset's R*-tree, written with
-// core.ApplyDelete of the oldest row and core.ApplyInsert of the arriving
-// point, and the monitor's window. The dataset starts with the window's
+// one-row batches, core.ApplyDeleteBatch of the oldest row and
+// core.ApplyInsertBatch of the arriving point, and the monitor's window. The dataset starts with the window's
 // first points, so a row index is its point's sequence number and both
 // sources hash it alike. After every step the skyline ids, every matrix
 // slot and every domination score must be bit-identical. Quantized
@@ -78,10 +78,10 @@ func TestWindowMatchesTreeSource(t *testing.T) {
 				if _, err := m.Add(p); err != nil {
 					t.Fatal(err)
 				}
-				if sky, err = core.ApplyDelete(ds, tr, sky, cache, epoch, epoch+1, step-1); err != nil {
+				if sky, err = core.ApplyDeleteBatch(ds, tr, sky, cache, epoch, epoch+1, []int{step - 1}); err != nil {
 					t.Fatalf("step %d: delete: %v", step, err)
 				}
-				if sky, _, err = core.ApplyInsert(ds, tr, sky, cache, epoch+1, epoch+2, p); err != nil {
+				if sky, _, err = core.ApplyInsertBatch(ds, tr, sky, cache, epoch+1, epoch+2, [][]float64{p}); err != nil {
 					t.Fatalf("step %d: insert: %v", step, err)
 				}
 				epoch += 2

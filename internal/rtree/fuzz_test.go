@@ -75,20 +75,21 @@ func FuzzTreeHeader(f *testing.F) {
 	})
 }
 
-// FuzzReadFrom drives the whole load path (header + page stream) with
-// arbitrary bytes; it must never panic.
+// FuzzReadFrom drives the whole load path of ReadSnapshot (snapshot
+// header, index header, page stream, warm set) with arbitrary bytes; it
+// must never panic.
 func FuzzReadFrom(f *testing.F) {
 	ds := data.Independent(200, 2, 1)
 	if tr, err := BulkLoad(ds); err == nil {
 		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err == nil {
+		if _, err := tr.WriteSnapshot(&buf); err == nil {
 			f.Add(buf.Bytes())
 			f.Add(buf.Bytes()[:buf.Len()/2])
 		}
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		tr, err := ReadFrom(bytes.NewReader(raw))
+		tr, err := ReadSnapshot(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}

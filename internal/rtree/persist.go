@@ -11,18 +11,17 @@ import (
 	"skydiver/internal/pager"
 )
 
-// Persistence formats.
-//
-// Index ("SKTR"): a fixed 32-byte header followed by the raw page file.
-// Loading a tree re-attaches a cold buffer pool, so a reloaded index pays
-// the same simulated I/O a freshly opened one would.
+// Persistence format.
 //
 // Snapshot ("SKSN"): an 8-byte snapshot header, then a complete index image,
 // then the warm set — the page ids resident in the decoded-node cache at
-// save time. Loading a snapshot pre-decodes the warm set into the cache so
-// the first queries skip the decode storm a cold reload pays, without
-// touching any simulated counter (the warm install bypasses the buffer
-// pools entirely).
+// save time. The index image ("SKTR") is a fixed 32-byte header followed by
+// the raw page file; it exists only inside a snapshot. Loading a snapshot
+// re-attaches a cold buffer pool, so a reloaded index pays the same
+// simulated I/O a freshly opened one would, and pre-decodes the warm set
+// into the decoded-node cache so the first queries skip the decode storm,
+// without touching any simulated counter (the warm install bypasses the
+// buffer pools entirely).
 const (
 	treeMagic   = 0x534b5452 // "SKTR"
 	treeVersion = 1
@@ -110,12 +109,10 @@ func decodeTreeHeader(hdr []byte) (treeHeader, error) {
 	return h, nil
 }
 
-// WriteTo serializes the tree (header + all pages). It implements
-// io.WriterTo.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+// writeTo writes the tree's index image: the header and every page.
+func (t *Tree) writeTo(w io.Writer) (int64, error) {
 	var written int64
-	n, err := bw.Write(t.encodeHeader())
+	n, err := w.Write(t.encodeHeader())
 	written += int64(n)
 	if err != nil {
 		return written, fmt.Errorf("rtree: write header: %w", err)
@@ -125,35 +122,13 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 		if err != nil {
 			return written, err
 		}
-		n, err := bw.Write(raw)
+		n, err := w.Write(raw)
 		written += int64(n)
 		if err != nil {
 			return written, fmt.Errorf("rtree: write page %d: %w", id, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return written, err
-	}
 	return written, nil
-}
-
-// ReadFrom deserializes a tree written by WriteTo onto the simulated
-// in-memory store and opens it with the default 20% buffer pool. Corrupt
-// input fails with an error wrapping ErrCorruptIndex.
-func ReadFrom(r io.Reader) (*Tree, error) {
-	return ReadFromStore(r, pager.NewPageStore())
-}
-
-// ReadFromStore is ReadFrom onto a caller-provided (empty) page store, e.g.
-// a disk-backed pager.FileStore.
-func ReadFromStore(r io.Reader, store pager.Store) (*Tree, error) {
-	br := bufio.NewReader(r)
-	t, err := readTree(br, store)
-	if err != nil {
-		return nil, err
-	}
-	t.Reopen(pager.DefaultCacheFraction)
-	return t, nil
 }
 
 // readTree reads one index image (header + pages) from br into store.
@@ -210,7 +185,7 @@ func (t *Tree) WriteSnapshot(w io.Writer) (int64, error) {
 	if err != nil {
 		return written, fmt.Errorf("rtree: write snapshot header: %w", err)
 	}
-	nn, err := t.WriteTo(bw)
+	nn, err := t.writeTo(bw)
 	written += nn
 	if err != nil {
 		return written, err

@@ -13,18 +13,37 @@ import (
 	"skydiver/internal/retry"
 )
 
+// snapHeader is the 8-byte header a snapshot opens with, for wrapping a
+// hand-built index image.
+func snapHeader() []byte {
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], snapVersion)
+	return hdr
+}
+
+// snapshotBytes returns tr's snapshot.
+func snapshotBytes(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestPersistRoundTrip(t *testing.T) {
 	ds := data.Anticorrelated(5000, 3, 8)
 	orig := mustBulkLoad(t, ds)
 	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
+	n, err := orig.WriteSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Errorf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := ReadFrom(&buf)
+	got, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,23 +71,25 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFromCorrupt: reading a snapshot fails on a truncated header, a
+// bad magic in either header, and a truncated page file.
 func TestReadFromCorrupt(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte{1, 2})); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader([]byte{1, 2})); err == nil {
 		t.Error("expected error for truncated header")
 	}
-	bad := make([]byte, 32)
-	if _, err := ReadFrom(bytes.NewReader(bad)); err == nil {
-		t.Error("expected error for bad magic")
+	bad := make([]byte, 40)
+	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
+		t.Error("expected error for bad snapshot magic")
 	}
-	// Valid header but truncated pages.
+	if _, err := ReadSnapshot(bytes.NewReader(append(snapHeader(), bad...))); err == nil {
+		t.Error("expected error for bad index magic")
+	}
+	// Valid headers but truncated pages.
 	ds := data.Independent(500, 2, 1)
 	tr := mustBulkLoad(t, ds)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-100]
-	if _, err := ReadFrom(bytes.NewReader(trunc)); err == nil {
+	image := 8 + treeHeaderSize + tr.Store().NumPages()*pager.PageSize
+	trunc := snapshotBytes(t, tr)[:image-100]
+	if _, err := ReadSnapshot(bytes.NewReader(trunc)); err == nil {
 		t.Error("expected error for truncated page file")
 	}
 }
@@ -87,9 +108,9 @@ func corruptHeader(dims, root, height uint32, size uint64, numPages uint32) []by
 	return hdr
 }
 
-// TestReadFromCorruptTaxonomy pins that every malformed-header class is
-// rejected with an error wrapping ErrCorruptIndex — never a panic, never a
-// silent misparse.
+// TestReadFromCorruptTaxonomy pins that every malformed index-header class,
+// read behind a valid snapshot header, is rejected with an error wrapping
+// ErrCorruptIndex — never a panic, never a silent misparse.
 func TestReadFromCorruptTaxonomy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -112,7 +133,7 @@ func TestReadFromCorruptTaxonomy(t *testing.T) {
 		{"size exceeds capacity", corruptHeader(2, 0, 1, 1<<40, 2)},
 	}
 	for _, tc := range cases {
-		_, err := ReadFrom(bytes.NewReader(tc.hdr))
+		_, err := ReadSnapshot(bytes.NewReader(append(snapHeader(), tc.hdr...)))
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -123,11 +144,8 @@ func TestReadFromCorruptTaxonomy(t *testing.T) {
 	}
 	// Truncated page section also wraps the sentinel.
 	tr := mustBulkLoad(t, data.Independent(500, 2, 1))
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrom(bytes.NewReader(buf.Bytes()[:buf.Len()-100])); !errors.Is(err, ErrCorruptIndex) {
+	image := 8 + treeHeaderSize + tr.Store().NumPages()*pager.PageSize
+	if _, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, tr)[:image-100])); !errors.Is(err, ErrCorruptIndex) {
 		t.Errorf("truncated pages: %v does not wrap ErrCorruptIndex", err)
 	}
 }
@@ -190,21 +208,17 @@ func TestSnapshotWarmStart(t *testing.T) {
 	}
 }
 
-// TestPersistFileStoreRoundTrip reloads an index image onto a disk-backed
+// TestPersistFileStoreRoundTrip reloads a snapshot onto a disk-backed
 // FileStore and requires query-identical answers: the physical substrate is
 // invisible above the pager boundary.
 func TestPersistFileStoreRoundTrip(t *testing.T) {
 	ds := data.Correlated(3000, 4, 5)
 	orig := mustBulkLoad(t, ds)
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	fstore, err := pager.CreateFileStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFromStore(bytes.NewReader(buf.Bytes()), fstore)
+	got, err := ReadSnapshotStore(bytes.NewReader(snapshotBytes(t, orig)), fstore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,15 +274,12 @@ func faultWorkload(t *testing.T, tr *Tree, decodeCache bool) pager.Stats {
 func TestPersistFaultCounterIdentity(t *testing.T) {
 	ds := data.Anticorrelated(4000, 3, 11)
 	fresh := mustBulkLoad(t, ds)
-	var buf bytes.Buffer
-	if _, err := fresh.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	snap := snapshotBytes(t, fresh)
 
 	for _, decodeCache := range []bool{true, false} {
 		want := faultWorkload(t, fresh, decodeCache)
 
-		reloaded, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		reloaded, err := ReadSnapshot(bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +291,7 @@ func TestPersistFaultCounterIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		onDisk, err := ReadFromStore(bytes.NewReader(buf.Bytes()), fstore)
+		onDisk, err := ReadSnapshotStore(bytes.NewReader(snap), fstore)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,11 +305,7 @@ func TestPersistFaultCounterIdentity(t *testing.T) {
 func TestPersistEmptyishTree(t *testing.T) {
 	tr, _ := New(2)
 	tr.Insert([]float64{1, 2}, 0)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(&buf)
+	got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}

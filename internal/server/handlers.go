@@ -551,7 +551,9 @@ func (s *Server) openFromSnapshot(ds *skydiver.Dataset, name string) error {
 // handleSnapshot serves PUT /datasets/{name}/snapshot: persist a warm-start
 // index snapshot (tree pages plus the decoded-node warm set) to the
 // configured snapshot directory, atomically via a rename. A later
-// POST /datasets?snapshot=1 under the same name opens from it.
+// POST /datasets?snapshot=1 under the same name opens from it. A dataset
+// with deleted rows is refused with 400 and no file is left behind: the
+// snapshot records no deletions, and a fresh dataset could not reopen it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !s.gate.Enter() {
 		s.writeError(w, fmt.Errorf("%w: server draining", ErrDatasetDraining))
@@ -695,9 +697,10 @@ func (s *Server) handleEvictDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInsertPoint serves POST /datasets/{name}/points?p=v1,v2,...: insert
-// one point (given in the dataset's original orientation) and return its row
-// id plus the dataset's new epoch. The library maintains the skyline, the
-// index and resident fingerprints incrementally, so the next /query is warm.
+// one point (given in the dataset's original orientation) as a batch of one
+// and return its row id plus the dataset's new epoch. The library maintains
+// the skyline, the index and resident fingerprints incrementally, so the
+// next /query is warm.
 func (s *Server) handleInsertPoint(w http.ResponseWriter, r *http.Request) {
 	if !s.gate.Enter() {
 		s.writeError(w, fmt.Errorf("%w: server draining", ErrDatasetDraining))
@@ -726,14 +729,8 @@ func (s *Server) handleInsertPoint(w http.ResponseWriter, r *http.Request) {
 		}
 		p[i] = v
 	}
-	row, err := h.Dataset().Insert(p)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ms := h.Dataset().MutationStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name, "row": row, "epoch": ms.Epoch, "live": ms.Live,
+	s.applyWrite(w, name, h.Dataset(), batchRequest{Insert: [][]float64{p}}, func(rows []int) (string, any) {
+		return "row", rows[0]
 	})
 }
 
@@ -747,10 +744,10 @@ type batchRequest struct {
 
 // handleBatchPoints serves POST /datasets/{name}/points:batch: apply a whole
 // batch of inserts (returning the new row ids) or deletes under one
-// write-lock acquisition, one epoch bump and one fingerprint migration —
-// the amortized form of the single-point endpoints. Validation is
-// all-or-nothing: a malformed point or row id rejects the batch with 400/404
-// and no mutation.
+// write-lock acquisition, one epoch bump and one fingerprint migration; the
+// single-point endpoints are batches of one. Validation is all-or-nothing:
+// a malformed point or row id rejects the batch with 400/404 and no
+// mutation.
 func (s *Server) handleBatchPoints(w http.ResponseWriter, r *http.Request) {
 	if !s.gate.Enter() {
 		s.writeError(w, fmt.Errorf("%w: server draining", ErrDatasetDraining))
@@ -773,31 +770,40 @@ func (s *Server) handleBatchPoints(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: body must carry exactly one of insert or delete", skydiver.ErrInvalidOptions))
 		return
 	}
-	ds := h.Dataset()
-	resp := map[string]any{"dataset": name}
+	s.applyWrite(w, name, h.Dataset(), req, func(rows []int) (string, any) {
+		if len(req.Insert) > 0 {
+			return "rows", rows
+		}
+		return "deleted", len(req.Delete)
+	})
+}
+
+// applyWrite is the tail of every write endpoint: it applies req to ds as
+// one batch (its inserts, or else its deletes) and answers with the
+// dataset name, the new epoch and live count, and the one field report
+// makes of the inserted rows.
+func (s *Server) applyWrite(w http.ResponseWriter, name string, ds *skydiver.Dataset, req batchRequest, report func(rows []int) (string, any)) {
+	var rows []int
+	var err error
 	if len(req.Insert) > 0 {
-		rows, err := ds.InsertBatch(req.Insert)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp["rows"] = rows
+		rows, err = ds.InsertBatch(req.Insert)
 	} else {
-		if err := ds.DeleteBatch(req.Delete); err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp["deleted"] = len(req.Delete)
+		err = ds.DeleteBatch(req.Delete)
 	}
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	key, val := report(rows)
 	ms := ds.MutationStats()
-	resp["epoch"] = ms.Epoch
-	resp["live"] = ms.Live
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"dataset": name, key: val, "epoch": ms.Epoch, "live": ms.Live,
+	})
 }
 
 // handleDeletePoint serves DELETE /datasets/{name}/points/{row}: tombstone
-// the row (404 when it does not exist or was already deleted). Remaining row
-// ids are unchanged.
+// the row as a batch of one (404 when it does not exist or was already
+// deleted). Remaining row ids are unchanged.
 func (s *Server) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 	if !s.gate.Enter() {
 		s.writeError(w, fmt.Errorf("%w: server draining", ErrDatasetDraining))
@@ -816,13 +822,8 @@ func (s *Server) handleDeletePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Release()
-	if err := h.Dataset().Delete(row); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ms := h.Dataset().MutationStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name, "deleted": row, "epoch": ms.Epoch, "live": ms.Live,
+	s.applyWrite(w, name, h.Dataset(), batchRequest{Delete: []int{row}}, func([]int) (string, any) {
+		return "deleted", row
 	})
 }
 

@@ -156,3 +156,38 @@ func TestServerSnapshotRejections(t *testing.T) {
 		t.Errorf("storage=tape: %s, want 400", resp.Status)
 	}
 }
+
+// TestServerSnapshotRefusesDeletedRows: the snapshot records no deletions,
+// so after a delete PUT /datasets/{name}/snapshot answers 400 and leaves no
+// file (the temp file is removed); after inserts only it still succeeds.
+func TestServerSnapshotRefusesDeletedRows(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := newTestServer(t, Config{SnapshotDir: dir}, 300)
+	c := ts.Client()
+	if resp := doJSON(t, c, http.MethodPost, ts.URL+"/datasets/default/points?p=0.5,0.5,0.5", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %s", resp.Status)
+	}
+	if resp := doJSON(t, c, http.MethodPut, ts.URL+"/datasets/default/snapshot", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot after an insert: %s, want 200", resp.Status)
+	}
+	if err := os.Remove(filepath.Join(dir, "default.snap")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := doJSON(t, c, http.MethodDelete, ts.URL+"/datasets/default/points/0", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %s", resp.Status)
+	}
+	var body struct {
+		ErrorClass string `json:"error_class"`
+	}
+	if resp := doJSON(t, c, http.MethodPut, ts.URL+"/datasets/default/snapshot", &body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("snapshot after a delete: %s, want 400", resp.Status)
+	}
+	if body.ErrorClass == "" {
+		t.Error("refusal carries no error_class")
+	}
+	if entries, err := os.ReadDir(dir); err != nil {
+		t.Fatal(err)
+	} else if len(entries) != 0 {
+		t.Errorf("refused snapshot left files behind: %v", entries)
+	}
+}

@@ -1,8 +1,9 @@
-// mutate.go is the public mutation surface: Insert and Delete maintain the
-// skyline, the aggregate R*-tree and every resident fingerprint
-// incrementally (internal/core's maintenance pass) under the dataset's
-// query/mutation lock, and stamp the dataset with a new epoch so that no
-// stale signature can ever be served against the changed skyline.
+// mutate.go is the public mutation surface: InsertBatch and DeleteBatch
+// maintain the skyline, the aggregate R*-tree and every resident
+// fingerprint incrementally (internal/core's maintenance pass) under the
+// dataset's query/mutation lock, and stamp the dataset with a new epoch so
+// that no stale signature can ever be served against the changed skyline.
+// Insert and Delete are batches of one.
 package skydiver
 
 import (
@@ -21,8 +22,8 @@ var ErrNoSuchPoint = errors.New("skydiver: no such point")
 
 // MutationStats summarizes what the mutation surface has done so far.
 type MutationStats struct {
-	// Inserts and Deletes count applied mutation calls (failed attempts are
-	// not counted, though they still bump the epoch to invalidate caches).
+	// Inserts and Deletes count applied rows (failed attempts are not
+	// counted, though they still bump the epoch to invalidate caches).
 	Inserts uint64
 	Deletes uint64
 	// Epoch is the current dataset epoch: the number of mutation attempts,
@@ -51,107 +52,48 @@ func (d *Dataset) MutationStats() MutationStats {
 		Inserts: d.inserts,
 		Deletes: d.deletes,
 		Epoch:   d.epoch,
-		Live:    d.original.LiveLen(),
+		Live:    d.canon.LiveLen(),
 	}
 }
 
 // Insert adds a point (given in the dataset's original orientation) and
-// returns its row index. The skyline, the R*-tree and resident index-free
-// fingerprints are maintained incrementally: a point dominated by the
-// current skyline only touches the signature columns of its dominators,
-// and a point that joins the skyline gets a fresh column while the members
-// it dominates are demoted — no wholesale recomputation, no cold cache.
+// returns its row index. It is InsertBatch of one point: the skyline, the
+// R*-tree and resident index-free fingerprints are maintained
+// incrementally. A point dominated by the current skyline only touches the
+// signature columns of its dominators, and a point that joins the skyline
+// gets a fresh column while the members it dominates are demoted — no
+// wholesale recomputation, no cold cache.
 //
 // Insert blocks until in-flight queries drain (and vice versa), so a query
 // never observes a half-applied mutation. On error the dataset remains
 // consistent: the row, if it became visible at all, is tombstoned, caches
 // are dropped, and the next query recomputes what it needs.
 func (d *Dataset) Insert(p []float64) (int, error) {
-	if len(p) != d.original.Dims() {
-		return 0, fmt.Errorf("%w: point has %d dimensions, dataset has %d",
-			ErrInvalidOptions, len(p), d.original.Dims())
-	}
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
-	if err := d.checkClosed(); err != nil {
-		return 0, err
-	}
-	tr, sky, err := d.mutationState()
+	rows, err := d.InsertBatch([][]float64{p})
 	if err != nil {
 		return 0, err
 	}
-	// Append the user's orientation first (it cannot fail past the dims
-	// check above), then hand the canonicalized copy to the maintenance
-	// pass, which appends the aligned canon row.
-	orig := append([]float64(nil), p...)
-	cp := d.prefs.Canonicalize(append([]float64(nil), p...))
-	if _, err := d.original.Append(orig); err != nil {
-		return 0, err
-	}
-	newSky, row, err := core.ApplyInsert(d.canon, tr, sky, d.fpCache, d.epoch, d.epoch+1, cp)
-	d.epoch++
-	if err != nil {
-		// The maintenance pass left canon consistent — the appended row was
-		// either retired (tombstoned and removed from the tree) or kept live
-		// when the tree could not give it back. Mirror the tombstone in the
-		// original orientation and invalidate the skyline so the next query
-		// rebuilds wholesale.
-		if row >= 0 && d.canon.Deleted(row) {
-			d.original.MarkDeleted(row)
-		}
-		d.setSky(nil)
-		return 0, err
-	}
-	d.inserts++
-	d.setSky(newSky)
-	return row, nil
+	return rows[0], nil
 }
 
-// Delete tombstones the row with the given index and maintains the skyline,
-// the R*-tree and resident fingerprints incrementally: deleting a
-// non-skyline point only adjusts the signature columns of its dominators,
-// while deleting a skyline point promotes the newly exposed points found by
-// a bounded dominance range query on the tree. Row indexes of the remaining
-// points are unchanged. Deleting a missing or already-deleted row returns
-// ErrNoSuchPoint.
+// Delete tombstones the row with the given index. It is DeleteBatch of one
+// row: the skyline, the R*-tree and resident fingerprints are maintained
+// incrementally. Deleting a non-skyline point only adjusts the signature
+// columns of its dominators, while deleting a skyline point promotes the
+// newly exposed points found by a bounded dominance range query on the
+// tree. Row indexes of the remaining points are unchanged. Deleting a
+// missing or already-deleted row returns ErrNoSuchPoint.
 func (d *Dataset) Delete(index int) error {
-	d.qmu.Lock()
-	defer d.qmu.Unlock()
-	if err := d.checkClosed(); err != nil {
-		return err
-	}
-	if index < 0 || index >= d.canon.Len() || d.canon.Deleted(index) {
-		return fmt.Errorf("%w: row %d", ErrNoSuchPoint, index)
-	}
-	tr, sky, err := d.mutationState()
-	if err != nil {
-		return err
-	}
-	newSky, err := core.ApplyDelete(d.canon, tr, sky, d.fpCache, d.epoch, d.epoch+1, index)
-	d.epoch++
-	if err != nil {
-		// Mirror whatever the maintenance pass did to canon: if the
-		// tombstone applied before the failure, apply it to the original
-		// orientation too; either way the skyline must be rebuilt.
-		if d.canon.Deleted(index) {
-			d.original.MarkDeleted(index)
-		}
-		d.setSky(nil)
-		return err
-	}
-	d.deletes++
-	d.original.MarkDeleted(index)
-	d.setSky(newSky)
-	return nil
+	return d.DeleteBatch([]int{index})
 }
 
 // InsertBatch adds points (in the dataset's original orientation) in order
-// and returns their row indexes. It is Insert amortized: the whole batch
-// runs under one acquisition of the write lock, bumps the epoch once, and
-// migrates every resident fingerprint once — the per-point patches are
-// composed into a single cache pass — so N batched inserts cost one lock
-// handoff and one cache migration instead of N of each, while the resulting
-// dataset, skyline and fingerprints are identical to N sequential Inserts.
+// and returns their row indexes. The whole batch runs under one acquisition
+// of the write lock, bumps the epoch once, and migrates every resident
+// fingerprint once — the per-point patches are composed into a single
+// cache pass — so N batched inserts cost one lock handoff and one cache
+// migration instead of N of each, while the resulting dataset, skyline and
+// fingerprints are identical to N sequential Inserts.
 //
 // All points are validated before anything is applied: a dimension mismatch
 // returns ErrInvalidOptions with no mutation and no epoch bump. An empty
@@ -160,7 +102,7 @@ func (d *Dataset) Delete(index int) error {
 // and caches are dropped so the next query recomputes; the error reports
 // the failing point.
 func (d *Dataset) InsertBatch(points [][]float64) ([]int, error) {
-	dims := d.original.Dims()
+	dims := d.canon.Dims()
 	for i, p := range points {
 		if len(p) != dims {
 			return nil, fmt.Errorf("%w: point %d has %d dimensions, dataset has %d",
@@ -181,26 +123,11 @@ func (d *Dataset) InsertBatch(points [][]float64) ([]int, error) {
 	}
 	canonPts := make([][]float64, len(points))
 	for i, p := range points {
-		canonPts[i] = d.prefs.Canonicalize(append([]float64(nil), p...))
+		canonPts[i] = d.reorient(p)
 	}
-	// Keep the original orientation appended in lock-step with canon, so
-	// the two datasets agree on row indexes whatever prefix of the batch
-	// ends up applied. The append cannot fail past the dims check above.
-	next := 0
-	base := d.canon.Len()
-	onApplied := func(int) {
-		d.original.Append(append([]float64(nil), points[next]...))
-		next++
-	}
-	newSky, rows, err := core.ApplyInsertBatch(d.canon, tr, sky, d.fpCache, d.epoch, d.epoch+1, canonPts, onApplied)
+	newSky, rows, err := core.ApplyInsertBatch(d.canon, tr, sky, d.fpCache, d.epoch, d.epoch+1, canonPts)
 	d.epoch++
 	if err != nil {
-		// Mirror any tombstone the maintenance pass left on a retired row.
-		for r := base; r < d.canon.Len(); r++ {
-			if d.canon.Deleted(r) {
-				d.original.MarkDeleted(r)
-			}
-		}
 		d.setSky(nil)
 		return nil, err
 	}
@@ -209,14 +136,14 @@ func (d *Dataset) InsertBatch(points [][]float64) ([]int, error) {
 	return rows, nil
 }
 
-// DeleteBatch tombstones the rows with the given indexes. It is Delete
-// amortized exactly as InsertBatch amortizes Insert: one write-lock
-// acquisition, one epoch bump, one composed fingerprint migration for the
-// whole batch, with results identical to sequential Deletes. The indexes
-// are validated before anything is applied: a missing, already-deleted or
-// duplicated index returns ErrNoSuchPoint with no mutation and no epoch
-// bump. An empty batch is a no-op. On a storage failure mid-batch the
-// applied prefix stays tombstoned and caches are dropped.
+// DeleteBatch tombstones the rows with the given indexes under one
+// write-lock acquisition, one epoch bump and one composed fingerprint
+// migration for the whole batch, with results identical to sequential
+// Deletes. The indexes are validated before anything is applied: a
+// missing, already-deleted or duplicated index returns ErrNoSuchPoint with
+// no mutation and no epoch bump. An empty batch is a no-op. On a storage
+// failure mid-batch the applied prefix stays tombstoned and caches are
+// dropped.
 func (d *Dataset) DeleteBatch(indexes []int) error {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
@@ -240,19 +167,10 @@ func (d *Dataset) DeleteBatch(indexes []int) error {
 	newSky, err := core.ApplyDeleteBatch(d.canon, tr, sky, d.fpCache, d.epoch, d.epoch+1, indexes)
 	d.epoch++
 	if err != nil {
-		// Mirror whatever prefix the maintenance pass tombstoned in canon.
-		for _, idx := range indexes {
-			if d.canon.Deleted(idx) {
-				d.original.MarkDeleted(idx)
-			}
-		}
 		d.setSky(nil)
 		return err
 	}
 	d.deletes += uint64(len(indexes))
-	for _, idx := range indexes {
-		d.original.MarkDeleted(idx)
-	}
 	d.setSky(newSky)
 	return nil
 }

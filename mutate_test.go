@@ -14,7 +14,7 @@ import (
 // "fresh" indexes (a rebuild from scratch) back to d's row ids.
 func liveRows(d *Dataset) (rows [][]float64, toOld []int) {
 	for i := 0; i < d.Len(); i++ {
-		if d.original.Deleted(i) {
+		if d.canon.Deleted(i) {
 			continue
 		}
 		rows = append(rows, append([]float64(nil), d.Point(i)...))
@@ -395,6 +395,41 @@ func BenchmarkDatasetInsertLSH(b *testing.B) {
 }
 
 func benchDatasetInsert(b *testing.B, algo Algorithm) {
+	d, r := benchWarmDataset(b, algo)
+	defer d.Close()
+	p := make([]float64, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p[0], p[1], p[2] = r.Float64(), r.Float64(), r.Float64()
+		if _, err := d.Insert(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDatasetDelete is the delete side of BenchmarkDatasetInsert: on
+// the same dataset and warm MinHash key, each op deletes a distinct live
+// row, drawn in random order, so skyline members (promotions) and
+// dominated rows (slot repairs) both come up.
+func BenchmarkDatasetDelete(b *testing.B) {
+	d, r := benchWarmDataset(b, MinHash)
+	defer d.Close()
+	rows := r.Perm(d.Len())
+	if b.N > len(rows) {
+		b.Fatalf("%d deletes exceed the %d rows", b.N, len(rows))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Delete(rows[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchWarmDataset builds the write benchmarks' 20K-row 3-D dataset and
+// warms one fingerprint key with a query run by algo. It returns the
+// dataset and the random stream, positioned after the rows.
+func benchWarmDataset(b *testing.B, algo Algorithm) (*Dataset, *rand.Rand) {
 	r := rand.New(rand.NewSource(42))
 	pts := make([][]float64, 20000)
 	for i := range pts {
@@ -404,18 +439,11 @@ func benchDatasetInsert(b *testing.B, algo Algorithm) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.Close()
 	if _, err := d.Diversify(Options{K: 5, SignatureSize: 64, Seed: 1, Algorithm: algo}); err != nil {
+		d.Close()
 		b.Fatal(err)
 	}
-	p := make([]float64, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p[0], p[1], p[2] = r.Float64(), r.Float64(), r.Float64()
-		if _, err := d.Insert(p); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return d, r
 }
 
 // TestCachedAnswerSurvivesDominatedDeletes replays, through the public API,

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -179,14 +180,6 @@ type Options struct {
 	// are those of Shards = 0. Negative values, and values above the live
 	// row count, are rejected with ErrInvalidOptions.
 	Shards int
-	// Storage selects the physical backend for the dataset's index pages
-	// when this query is the one that builds the index (the lazy first
-	// build): StorageSimulated (the default measurement twin) or
-	// StorageFile (a real, mmap-backed page file). Once the index exists
-	// the option must match the built backend — a conflicting kind is
-	// rejected with ErrIndexBuilt. The zero value always means "keep the
-	// dataset's configured backend". See also Dataset.SetStorage.
-	Storage StorageKind
 	// StreamWindow bounds the BNL window of DiversifyStreamContext's
 	// skyline phase (0 = a 1024-point default). Ignored by DiversifyContext.
 	StreamWindow int
@@ -248,8 +241,11 @@ type Result struct {
 }
 
 // Dataset is an indexed multidimensional dataset ready for skyline
-// computation and diversification. All methods canonicalize preferences
-// internally; results are reported in the original orientation.
+// computation and diversification. It keeps one copy of its rows, in the
+// canonical orientation where smaller is better on every dimension (the
+// paper's Sec. 3.1): inputs are canonicalized on the way in, and every
+// point handed back (Point, Result.Points, SkylineProgressive, SaveDataset)
+// is a fresh copy flipped back to the user's orientation, bit for bit.
 //
 // A Dataset is safe for concurrent use: any number of goroutines may call
 // Diversify, Skyline and the other query methods on one shared Dataset. The
@@ -260,23 +256,23 @@ type Result struct {
 // reconfigures shared state and should be sequenced before (or between)
 // query waves, not raced against them.
 //
-// Mutations are first-class: Insert and Delete maintain the skyline, the
-// R*-tree and every resident fingerprint incrementally (see internal/core's
-// maintenance pass) instead of invalidating them. Queries and mutations may
-// be issued concurrently from any goroutines; each query observes either
-// the state entirely before or entirely after any concurrent mutation,
-// never a torn intermediate — mutations take the write side of a
-// reader/writer lock that every query holds for its whole run. Row indexes
-// are stable: deletions tombstone a row, they never renumber the others.
+// Mutations are first-class: InsertBatch and DeleteBatch, and Insert and
+// Delete as batches of one, maintain the skyline, the R*-tree and every
+// resident fingerprint incrementally (see internal/core's maintenance pass)
+// instead of invalidating them. Queries and mutations may be issued
+// concurrently from any goroutines; each query observes either the state
+// entirely before or entirely after any concurrent mutation, never a torn
+// intermediate — mutations take the write side of a reader/writer lock
+// that every query holds for its whole run. Row indexes are stable:
+// deletions tombstone a row, they never renumber the others.
 type Dataset struct {
-	original *data.Dataset    // user orientation
-	canon    *data.Dataset    // min-preferred orientation
-	prefs    geom.Preferences // orientation applied to mutation inputs
+	canon *data.Dataset    // the rows, min-preferred on every dimension
+	prefs geom.Preferences // the user's orientation; see reorient
 
 	// qmu orders queries against mutations. Every public query method holds
 	// the read side for its entire run (so in-flight fingerprint passes and
-	// tree traversals never observe a half-applied mutation); Insert and
-	// Delete hold the write side. Acquired before mu, never inside it.
+	// tree traversals never observe a half-applied mutation); the writes
+	// hold the write side. Acquired before mu, never inside it.
 	qmu sync.RWMutex
 
 	// epoch counts applied mutation attempts. It is carried into every
@@ -284,17 +280,16 @@ type Dataset struct {
 	// can never be served — or substituted — after a mutation. Guarded by
 	// qmu (writers hold the write side; readers either side).
 	epoch   uint64
-	inserts uint64 // Insert calls applied; guarded by qmu
-	deletes uint64 // Delete calls applied; guarded by qmu
+	inserts uint64 // rows inserted; guarded by qmu
+	deletes uint64 // rows deleted; guarded by qmu
 
 	mu   sync.Mutex  // guards lazy construction of tree and sky; inner to qmu
 	tree *rtree.Tree // built once; mutated only under qmu's write side
 	sky  []int       // current skyline; replaced, never mutated in place
 
 	// storage selects the page backend the index is built on (simulated by
-	// default; a real page file with StorageFile). Set by SetStorage or the
-	// first query's Options.Storage, frozen once the tree exists. Guarded
-	// by mu.
+	// default; a real page file with StorageFile). Set by SetStorage, frozen
+	// once the tree exists. Guarded by mu.
 	storage StorageKind
 
 	// fpCache memoizes Phase-1 fingerprints across queries (keyed on epoch,
@@ -368,15 +363,36 @@ func NewDataset(name string, rows [][]float64, prefs []Pref) (*Dataset, error) {
 	return fromInternal(ds, prefs)
 }
 
+// fromInternal wraps ds, which the caller hands over, as the dataset's only
+// copy of the rows: it is canonicalized into a copy only when some
+// dimension prefers larger values.
 func fromInternal(ds *data.Dataset, prefs []Pref) (*Dataset, error) {
 	if prefs == nil {
 		prefs = geom.MinPrefs(ds.Dims())
 	}
-	canon, err := ds.Canonicalize(prefs)
-	if err != nil {
+	if err := geom.Preferences(prefs).Validate(ds.Dims()); err != nil {
 		return nil, err
 	}
-	return &Dataset{original: ds, canon: canon, prefs: prefs, fpCache: core.NewFingerprintCache(0)}, nil
+	canon := ds
+	if slices.Contains(prefs, Max) {
+		var err error
+		if canon, err = ds.Canonicalize(prefs); err != nil {
+			return nil, err
+		}
+	}
+	return &Dataset{canon: canon, prefs: prefs, fpCache: core.NewFingerprintCache(0)}, nil
+}
+
+// reorient returns a fresh copy of vals — one row, or a row-major run of
+// rows — with the max-preferred coordinates negated. Negation flips the
+// sign bit only, so the map is its own inverse bit for bit: it takes the
+// user's orientation to the canonical one and back.
+func (d *Dataset) reorient(vals []float64) []float64 {
+	out := append([]float64(nil), vals...)
+	for i := 0; i < len(out); i += len(d.prefs) {
+		d.prefs.Canonicalize(out[i : i+len(d.prefs)])
+	}
+	return out
 }
 
 // FingerprintCacheStats snapshots the dataset's fingerprint-cache counters.
@@ -410,7 +426,7 @@ func (d *Dataset) DecodeCacheStats() DecodeCacheStats {
 }
 
 // Name returns the dataset name.
-func (d *Dataset) Name() string { return d.original.Name() }
+func (d *Dataset) Name() string { return d.canon.Name() }
 
 // Len returns the number of rows ever stored, including tombstoned ones:
 // row indexes always run [0, Len), and deleting a row never renumbers the
@@ -418,25 +434,26 @@ func (d *Dataset) Name() string { return d.original.Name() }
 func (d *Dataset) Len() int {
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
-	return d.original.Len()
+	return d.canon.Len()
 }
 
 // LiveLen returns the number of live (not deleted) points.
 func (d *Dataset) LiveLen() int {
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
-	return d.original.LiveLen()
+	return d.canon.LiveLen()
 }
 
 // Dims returns the dimensionality.
-func (d *Dataset) Dims() int { return d.original.Dims() }
+func (d *Dataset) Dims() int { return d.canon.Dims() }
 
-// Point returns the i-th point in the original orientation. The returned
-// slice must not be mutated. Deleted rows keep their coordinates readable.
+// Point returns the i-th point in the original orientation, as a fresh
+// copy the caller may keep and modify. Deleted rows keep their coordinates
+// readable.
 func (d *Dataset) Point(i int) []float64 {
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
-	return d.original.Point(i)
+	return d.reorient(d.canon.Point(i))
 }
 
 // ensureIndex bulk-loads the aggregate R*-tree on first use and opens it
@@ -542,9 +559,10 @@ func (d *Dataset) SkylineContext(ctx context.Context) ([]int, error) {
 
 // SkylineProgressive streams skyline points as BBS discovers them, in
 // ascending L1 order of the canonicalized attributes — useful when only the
-// first few skyline points are needed. Returning false from fn stops the
-// computation. The full skyline is not cached by this method. Each call runs
-// in its own I/O session.
+// first few skyline points are needed. Each point is a fresh copy in the
+// original orientation. Returning false from fn stops the computation. The
+// full skyline is not cached by this method. Each call runs in its own I/O
+// session.
 func (d *Dataset) SkylineProgressive(fn func(index int, point []float64) bool) error {
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
@@ -553,7 +571,7 @@ func (d *Dataset) SkylineProgressive(fn func(index int, point []float64) bool) e
 		return err
 	}
 	return skyline.ComputeBBSProgressive(sess, func(rowID int, _ []float64) bool {
-		return fn(rowID, d.original.Point(rowID))
+		return fn(rowID, d.reorient(d.canon.Point(rowID)))
 	})
 }
 
@@ -706,13 +724,6 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("%w: Options.Shards must be non-negative, got %d", ErrInvalidOptions, opts.Shards)
 	}
-	if opts.Storage != StorageSimulated {
-		// Takes effect only if this query builds the index; conflicts with
-		// an already-built backend are rejected before any work runs.
-		if err := d.SetStorage(opts.Storage); err != nil {
-			return nil, err
-		}
-	}
 	if lim := d.admissionLimiter(); lim != nil {
 		if err := lim.Acquire(ctx); err != nil {
 			return nil, err
@@ -811,7 +822,7 @@ func (d *Dataset) validateQuery(opts Options, m int) error {
 				ErrInvalidOptions, p.Zones, p.Buckets, m, minhash.MaxFingerprintBytes>>20)
 		}
 	}
-	if live := d.original.LiveLen(); opts.Shards > live {
+	if live := d.canon.LiveLen(); opts.Shards > live {
 		return fmt.Errorf("%w: Shards = %d exceeds the %d live rows", ErrInvalidOptions, opts.Shards, live)
 	}
 	return nil
@@ -864,10 +875,7 @@ func (d *Dataset) publicResult(res *core.Result) *Result {
 		FingerprintCached: res.Stats.FingerprintCached,
 	}
 	for i, idx := range res.DataIndexes {
-		p := d.original.Point(idx)
-		cp := make([]float64, len(p))
-		copy(cp, p)
-		out.Points[i] = cp
+		out.Points[i] = d.reorient(d.canon.Point(idx))
 	}
 	return out
 }

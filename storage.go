@@ -59,8 +59,7 @@ func (d *Dataset) newStoreLocked() (pager.Store, error) {
 // SetStorage selects the physical backend for the dataset's index pages. It
 // must be called before the index is first built (the first skyline or
 // diversification query builds it lazily); afterwards it returns
-// ErrIndexBuilt unless the kind already matches. Options.Storage is the
-// per-query form of the same switch.
+// ErrIndexBuilt unless the kind already matches.
 func (d *Dataset) SetStorage(kind StorageKind) error {
 	if kind != StorageSimulated && kind != StorageFile {
 		return fmt.Errorf("%w: unknown storage kind %d", ErrInvalidOptions, kind)
@@ -89,13 +88,20 @@ func (d *Dataset) Storage() StorageKind {
 // decoded-node cache. LoadIndex (or a skyserved snapshot open) restores it
 // without re-running bulk load, and the warm set makes the first query skip
 // the initial decode storm. The index is built first if no query has run
-// yet. Snapshots taken after mutations capture the mutated tree.
+// yet. A snapshot taken after inserts captures the grown tree and reopens
+// over the matching SaveDataset file. A dataset with deleted rows is
+// refused with an error wrapping ErrInvalidOptions: the snapshot records
+// no tombstones, so it would reopen over rows it no longer indexes. It
+// holds the read side of the query/mutation lock.
 func (d *Dataset) SaveIndex(w io.Writer) error {
 	if err := d.checkClosed(); err != nil {
 		return err
 	}
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
+	if err := d.checkNoDeletes(); err != nil {
+		return err
+	}
 	tr, err := d.ensureIndex()
 	if err != nil {
 		return err

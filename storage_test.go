@@ -47,24 +47,23 @@ func TestFileStorageMatchesSimulated(t *testing.T) {
 	}
 }
 
-// TestOptionsStorageBuildsAndConflicts: Options.Storage selects the backend
-// on the query that builds the index, and a conflicting kind on a later
-// query is rejected with ErrIndexBuilt.
+// TestOptionsStorageBuildsAndConflicts: SetStorage before the first query
+// selects the backend that query builds the index on, and a conflicting
+// kind afterwards is rejected with ErrIndexBuilt.
 func TestOptionsStorageBuildsAndConflicts(t *testing.T) {
 	ds, err := Generate(Independent, 2000, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	if _, err := ds.Diversify(Options{K: 3, Storage: StorageFile}); err != nil {
+	if err := ds.SetStorage(StorageFile); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Diversify(Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ds.Storage(); got != StorageFile {
 		t.Fatalf("storage = %v, want file", got)
-	}
-	// Zero value means "keep the configured backend".
-	if _, err := ds.Diversify(Options{K: 3}); err != nil {
-		t.Fatal(err)
 	}
 	if err := ds.SetStorage(StorageSimulated); !errors.Is(err, ErrIndexBuilt) {
 		t.Fatalf("err = %v, want ErrIndexBuilt", err)
