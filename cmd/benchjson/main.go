@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// array of benchmark records, one per result line:
+// array of benchmark records, one per benchmark name:
 //
 //	[{"name": "BenchmarkEstimateJs", "ns_per_op": 731.0, "allocs_per_op": 0}, ...]
 //
@@ -8,7 +8,10 @@
 // The trailing "-P" GOMAXPROCS suffix go test appends on multi-proc hosts
 // (and omits when GOMAXPROCS is 1) is stripped, so snapshots taken on
 // machines with different core counts stay comparable by name — which is
-// what cmd/benchgate keys its regression comparison on. Non-benchmark lines
+// what cmd/benchgate keys its regression comparison on. The samples of one
+// name that a -count=N run prints collapse into one record holding their
+// median ns/op and median allocs/op, so a stall that lands in one sample
+// does not move the snapshot. Non-benchmark lines
 // (PASS, ok, pkg headers) are ignored. Exits non-zero if no benchmark line
 // was found, so a misspelled -bench regexp fails CI instead of silently
 // emitting [].
@@ -20,11 +23,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -65,9 +70,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks\n", len(records))
 }
 
-// parse extracts one record per benchmark result line. The format is
+// parse extracts one record per benchmark name, in the order the names first
+// appear, from result lines of the format
 // "BenchmarkName-P <iters> <value> <unit> [<value> <unit>]...", where
 // value/unit pairs include "ns/op" always and "allocs/op" under -benchmem.
+// A name with several result lines gets the median of each metric (the
+// lower middle sample for an even count).
 func parse(r io.Reader) ([]record, error) {
 	var records []record
 	sc := bufio.NewScanner(r)
@@ -95,7 +103,36 @@ func parse(r io.Reader) ([]record, error) {
 		}
 		records = append(records, rec)
 	}
-	return records, sc.Err()
+	return collapse(records), sc.Err()
+}
+
+// collapse merges the records of each name into the first one, with the
+// median ns/op and the median allocs/op of all of them.
+func collapse(records []record) []record {
+	samples := map[string][]record{}
+	var out []record
+	for _, rec := range records {
+		if _, seen := samples[rec.Name]; !seen {
+			out = append(out, rec)
+		}
+		samples[rec.Name] = append(samples[rec.Name], rec)
+	}
+	for i := range out {
+		s := samples[out[i].Name]
+		ns, allocs := make([]float64, len(s)), make([]int64, len(s))
+		for j, rec := range s {
+			ns[j], allocs[j] = rec.NsPerOp, rec.AllocsPerOp
+		}
+		out[i].NsPerOp, out[i].AllocsPerOp = median(ns), median(allocs)
+	}
+	return out
+}
+
+// median returns the middle value of v, the lower middle one when len(v) is
+// even; it sorts v.
+func median[T cmp.Ordered](v []T) T {
+	slices.Sort(v)
+	return v[(len(v)-1)/2]
 }
 
 // stripProcSuffix removes go test's "-P" GOMAXPROCS decoration from a

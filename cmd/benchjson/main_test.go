@@ -60,3 +60,33 @@ func TestParseEmpty(t *testing.T) {
 		t.Fatalf("parsed %d records from non-benchmark output", len(recs))
 	}
 }
+
+// TestParseCollapsesRepeats: the samples of one name that -count=N prints
+// become one record, at the name's first position, holding the median
+// ns/op and the median allocs/op, each taken on its own.
+func TestParseCollapsesRepeats(t *testing.T) {
+	const out = `BenchmarkSelect-2   	       1	   900 ns/op	     0 B/op	       7 allocs/op
+BenchmarkHash-2     	   10000	   400 ns/op
+BenchmarkSelect-2   	       1	 36900 ns/op	     0 B/op	       5 allocs/op
+BenchmarkSelect     	       1	   800 ns/op	     0 B/op	       9 allocs/op
+BenchmarkHash-2     	   10000	   410 ns/op
+BenchmarkSelect-2   	       1	   950 ns/op	     0 B/op	       6 allocs/op
+BenchmarkSelect-2   	       1	   700 ns/op	     0 B/op	       8 allocs/op
+`
+	recs, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []record{
+		{Name: "BenchmarkSelect", NsPerOp: 900, AllocsPerOp: 7},
+		{Name: "BenchmarkHash", NsPerOp: 400, AllocsPerOp: -1},
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("parsed %+v, want %+v", recs, want)
+	}
+	for i := range want {
+		if recs[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, recs[i], want[i])
+		}
+	}
+}

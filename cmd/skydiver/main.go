@@ -113,7 +113,7 @@ func main() {
 		defer cancel()
 	}
 
-	algorithm, err := parseAlgo(*algo)
+	algorithm, err := skydiver.ParseAlgorithm(*algo)
 	if err != nil {
 		fail(err)
 	}
@@ -308,7 +308,7 @@ func runStream(ctx context.Context, input, gen string, n, d int, prefSpec string
 	case input != "" && gen != "":
 		fail(errors.New("-in and -gen are mutually exclusive"))
 	case gen != "":
-		dist, err := parseDist(gen)
+		dist, err := skydiver.ParseDistribution(gen)
 		if err != nil {
 			fail(err)
 		}
@@ -524,38 +524,6 @@ func printJSON(name string, n, d int, res *skydiver.Result, k int, algorithm sky
 	}
 }
 
-func parseAlgo(s string) (skydiver.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "mh", "minhash":
-		return skydiver.MinHash, nil
-	case "lsh":
-		return skydiver.LSH, nil
-	case "sg", "greedy":
-		return skydiver.Greedy, nil
-	case "bf", "exact":
-		return skydiver.Exact, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want mh, lsh, sg or bf)", s)
-	}
-}
-
-func parseDist(s string) (skydiver.Distribution, error) {
-	switch strings.ToLower(s) {
-	case "ind":
-		return skydiver.Independent, nil
-	case "ant":
-		return skydiver.Anticorrelated, nil
-	case "corr":
-		return skydiver.Correlated, nil
-	case "fc":
-		return skydiver.ForestCover, nil
-	case "rec":
-		return skydiver.Recipes, nil
-	default:
-		return 0, fmt.Errorf("unknown generator %q (want ind, ant, corr, fc or rec)", s)
-	}
-}
-
 func parsePrefs(s string, dims int) ([]skydiver.Pref, error) {
 	if s == "" {
 		return nil, nil
@@ -583,7 +551,7 @@ func loadDataset(input, gen string, n, d int, prefSpec string, seed int64) (*sky
 	case input != "" && gen != "":
 		return nil, fmt.Errorf("-in and -gen are mutually exclusive")
 	case gen != "":
-		dist, err := parseDist(gen)
+		dist, err := skydiver.ParseDistribution(gen)
 		if err != nil {
 			return nil, err
 		}

@@ -9,38 +9,6 @@ import (
 	"skydiver"
 )
 
-func TestParseAlgo(t *testing.T) {
-	tests := map[string]skydiver.Algorithm{
-		"mh": skydiver.MinHash, "minhash": skydiver.MinHash, "MH": skydiver.MinHash,
-		"lsh": skydiver.LSH, "sg": skydiver.Greedy, "greedy": skydiver.Greedy,
-		"bf": skydiver.Exact, "exact": skydiver.Exact,
-	}
-	for in, want := range tests {
-		got, err := parseAlgo(in)
-		if err != nil || got != want {
-			t.Errorf("parseAlgo(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseAlgo("nope"); err == nil {
-		t.Error("expected error for unknown algorithm")
-	}
-}
-
-func TestParseDist(t *testing.T) {
-	for in, want := range map[string]skydiver.Distribution{
-		"ind": skydiver.Independent, "ant": skydiver.Anticorrelated,
-		"corr": skydiver.Correlated, "fc": skydiver.ForestCover, "rec": skydiver.Recipes,
-	} {
-		got, err := parseDist(in)
-		if err != nil || got != want {
-			t.Errorf("parseDist(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseDist("zipf"); err == nil {
-		t.Error("expected error for unknown distribution")
-	}
-}
-
 func TestParsePrefs(t *testing.T) {
 	got, err := parsePrefs("min, MAX", 2)
 	if err != nil {

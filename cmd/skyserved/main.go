@@ -107,9 +107,9 @@ func run(rc runConfig) int {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("skyserved: ")
 
-	dist, err := parseDist(rc.gen)
+	dist, err := skydiver.ParseDistribution(rc.gen)
 	if err != nil {
-		log.Print(err)
+		log.Printf("-gen: %v", err)
 		return 2
 	}
 	var defBudget skydiver.Budget
@@ -219,21 +219,4 @@ func run(rc runConfig) int {
 	}
 	log.Print("drained cleanly")
 	return 0
-}
-
-func parseDist(s string) (skydiver.Distribution, error) {
-	switch s {
-	case "ind":
-		return skydiver.Independent, nil
-	case "ant":
-		return skydiver.Anticorrelated, nil
-	case "corr":
-		return skydiver.Correlated, nil
-	case "fc":
-		return skydiver.ForestCover, nil
-	case "rec":
-		return skydiver.Recipes, nil
-	default:
-		return 0, fmt.Errorf("-gen: unknown distribution %q (want ind, ant, corr, fc or rec)", s)
-	}
 }

@@ -3,6 +3,7 @@ package skydiver
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"skydiver/internal/cluster"
 	"skydiver/internal/data"
@@ -90,6 +91,17 @@ func (d Distribution) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseDistribution decodes a generator name, in any case: ind, ant, corr,
+// fc or rec, the names String prints.
+func ParseDistribution(s string) (Distribution, error) {
+	for d := Independent; d <= Recipes; d++ {
+		if strings.EqualFold(s, d.String()) {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown distribution %q (want ind, ant, corr, fc or rec)", s)
 }
 
 // Generate creates a synthetic dataset of n points in dims dimensions,

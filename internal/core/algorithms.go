@@ -127,11 +127,14 @@ type Input struct {
 	Fingerprint *Fingerprint
 	// Builder, when non-nil, replaces the built-in Phase-1 generators: the
 	// cache (when enabled) calls it to build the fingerprint on a miss, so
-	// singleflight and epoch-keying still apply. The cluster executor uses
-	// it to source signatures from remote shard workers. Builder output
-	// must be in the index-free universe (global row ids), and is keyed as
-	// such regardless of the configured mode.
-	Builder func(ctx context.Context) (*Fingerprint, error)
+	// singleflight and epoch-keying still apply. It receives the
+	// pipeline's hash family, of the configured signature size and seed.
+	// The cluster executor uses it to source signatures from remote shard
+	// workers, and the streaming, relative, dominance-graph and mixed-table
+	// entry points to fold their own rows. Builder output must be in the
+	// index-free universe (global row ids), and is keyed as such
+	// regardless of the configured mode.
+	Builder func(ctx context.Context, fam *minhash.Family) (*Fingerprint, error)
 }
 
 // reader returns the index reader the pipeline should query: the per-query
@@ -169,7 +172,7 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 	}
 	build := func() (*Fingerprint, error) {
 		if in.Builder != nil {
-			return in.Builder(ctx)
+			return in.Builder(ctx, fam)
 		}
 		if cfg.Mode == IndexBased {
 			if in.Tree == nil {
@@ -547,39 +550,11 @@ func BruteForceCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 
 // DiversifySets runs the framework on an explicit dominance graph: lists[j]
 // holds the row ids dominated by skyline point j, and no coordinates are
-// needed (Figure 1's setting). Selection uses MinHash signature distances.
+// needed (Figure 1's setting). It is SkyDiver-MH over SigGenSets'
+// fingerprint; Selected and DataIndexes are both positions in lists.
 func DiversifySets(lists [][]int, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(len(lists)); err != nil {
-		return nil, err
-	}
-	fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	fp, err := SigGenSets(lists, fam)
-	if err != nil {
-		return nil, err
-	}
-	fpTime := time.Since(start)
-	start = time.Now()
-	dist := func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) }
-	selected, err := dispersion.SelectDiverseSet(len(lists), cfg.K, dist, fp.DomScore)
-	if err != nil {
-		return nil, err
-	}
-	obj := dispersion.MinPairwise(selected, dist)
-	selTime := time.Since(start)
-	return &Result{
-		Selected:       selected,
-		DataIndexes:    selected,
-		ObjectiveValue: obj,
-		Stats: Stats{
-			Fingerprint: fpTime,
-			Select:      selTime,
-			Model:       pager.DefaultCostModel(),
-			MemoryBytes: fp.Matrix.MemoryBytes(),
-		},
-	}, nil
+	in := Input{Sky: positions(len(lists)), Builder: func(_ context.Context, fam *minhash.Family) (*Fingerprint, error) {
+		return SigGenSets(lists, fam)
+	}}
+	return SkyDiverMHCtx(context.Background(), in, cfg)
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"skydiver/internal/data"
@@ -127,6 +130,75 @@ func TestDiversifyRelativeAgainstExplicit(t *testing.T) {
 		if len(foot[j]) > len(foot[seed]) {
 			t.Errorf("seed footprint %d smaller than candidate %d's %d", len(foot[seed]), j, len(foot[j]))
 			break
+		}
+	}
+}
+
+// TestDiversifyRelativeMatchesSigGenSets pins the relative fold to the
+// reference: on IND A × B with duplicate rows inside each set and rows of A
+// copied into B, every column and domination score of DiversifyRelative's
+// fingerprint equals SigGenSets over the footprints geom.Dominates
+// enumerates, with the same family, and so does the selection of
+// DiversifySets on those footprints.
+func TestDiversifyRelativeMatchesSigGenSets(t *testing.T) {
+	for _, seed := range []int64{0, 1, 4, 7} {
+		r := rand.New(rand.NewSource(seed))
+		dup := func(ds *data.Dataset, extra [][]float64) *data.Dataset {
+			rows := make([][]float64, 0, ds.Len()+len(extra))
+			for i := range ds.Len() {
+				rows = append(rows, ds.Point(i))
+			}
+			for range ds.Len() / 10 {
+				rows = append(rows, rows[r.Intn(len(rows))])
+			}
+			out, err := data.FromRows(ds.Name(), append(rows, extra...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		a := dup(data.Independent(150, 3, seed+10), nil)
+		var fromA [][]float64
+		for range 20 {
+			fromA = append(fromA, a.Point(r.Intn(a.Len())))
+		}
+		b := dup(data.Independent(3000, 3, seed+20), fromA)
+		lists := make([][]int, a.Len())
+		for j := range lists {
+			for i := range b.Len() {
+				if geom.Dominates(a.Point(j), b.Point(i)) {
+					lists[j] = append(lists[j], i)
+				}
+			}
+		}
+		cfg := Config{K: 6, SignatureSize: 64, Seed: seed}
+		fam, _ := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
+		want, err := SigGenSets(lists, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := relativeFingerprint(context.Background(), a, b, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range lists {
+			if !slices.Equal(got.Matrix.Column(c), want.Matrix.Column(c)) || got.DomScore[c] != want.DomScore[c] {
+				t.Fatalf("seed %d: column %d differs from the brute-force footprints", seed, c)
+			}
+		}
+		rel, err := DiversifyRelative(a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, err := DiversifySets(lists, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rel.Selected, sets.Selected) || rel.ObjectiveValue != sets.ObjectiveValue {
+			t.Fatalf("seed %d: selection %v (%v), DiversifySets %v (%v)", seed, rel.Selected, rel.ObjectiveValue, sets.Selected, sets.ObjectiveValue)
+		}
+		if wantIO := SyntheticScanStats(b.Dims(), b.Len()); rel.Stats.IO != wantIO {
+			t.Fatalf("seed %d: I/O %+v, want one scan of B %+v", seed, rel.Stats.IO, wantIO)
 		}
 	}
 }

@@ -17,10 +17,12 @@ import (
 // per-slot minimum; the minimum commutes, so any split of the rows into
 // private fingerprints min-merges to the same signatures, and the
 // domination scores — integer counts in float64 — sum exactly in any order.
-// Every index-free generator is therefore a caller of one primitive,
-// rowFold.fold over a row set:
+// Every index-free generator is therefore a caller of one page loop,
+// foldPages, which charges the budget, polls ctx and feeds the row kernel;
+// a caller supplies only the dominators of each row:
 //
-//   - SigGen-IF folds the range [0, n);
+//   - SigGen-IF folds the range [0, n) with rowFold.fold, which probes the
+//     prepared skyline and skips skyline rows and tombstones;
 //   - SigGenIFParallel folds W page ranges (PageRange) concurrently and
 //     min-merges them (the paper's parallelization future-work item,
 //     Section 6);
@@ -29,7 +31,11 @@ import (
 //     sends, the coordinator recomputes an unserved shard with the same
 //     call, and it min-merges the shards' folds;
 //   - a stream window's rebuild folds the range of its materialized rows,
-//     hashed by stream sequence number (Window.Rebuild).
+//     hashed by stream sequence number (Window.Rebuild);
+//   - SigGenFunc folds n rows whose dominators an oracle names: the
+//     streaming pass reads them from a data.Source (SigGenIFStreamCtx),
+//     DiversifyRelative probes the rows of B against A, and a mixed table
+//     tests its partially ordered dominance row by row.
 
 // workerTestHook, when non-nil, is invoked by every parallel fingerprinting
 // worker as it starts. Tests use it to inject panics and count workers; it is
@@ -96,21 +102,36 @@ func FoldRange(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fa
 }
 
 // fold folds the live rows of the range [lo, hi) into a fresh private
-// fingerprint with the Phase-1 row kernel. Skyline members and tombstones
-// are skipped, and a row hashes as its row id, the dataset index plus the
-// fold's base. Each page of the range charges the query budget one page,
-// and every page after the first polls ctx, so a cancelled fold stops
-// within one page and its partial fingerprint is dropped. For a range with
-// a page-aligned start the charges are exactly the data pages it covers.
+// fingerprint with the Phase-1 row kernel (see foldPages). Skyline members
+// and tombstones are skipped, and a row hashes as its row id, the dataset
+// index plus the fold's base.
 func (f *rowFold) fold(ctx context.Context, lo, hi int) (*Fingerprint, error) {
-	m := f.prep.m
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(f.fam.Size(), m), DomScore: make([]float64, m)}
 	pr := f.prep.probe()
-	rf := newRowFolder(f.fam, fp, hi-lo)
-	defer rf.release()
-	tracker := budget.From(ctx)
 	ds, inSky := f.ds, f.inSky
-	for p := lo; p < hi; p += f.page {
+	return foldPages(ctx, f.fam, f.prep.m, f.page, lo, hi, f.base, func(r int, set []uint64) (bool, error) {
+		if inSky.get(r) || ds.Deleted(r) {
+			return false, nil
+		}
+		return pr.dominatorSet(set, ds.Point(r)), nil
+	})
+}
+
+// foldPages is the Phase-1 page loop: it folds the rows [lo, hi), in
+// pages of page rows, into a fresh fingerprint of m columns. For each row,
+// dominators writes into set the columns dominating it — ⌈m/64⌉ words,
+// column c at bit c%64 of word c/64 — and reports whether there are any;
+// the row kernel (rowFolder) then folds the row as row id base+row. Each
+// page charges the query budget one page, and every page after the first
+// polls ctx, so a cancelled fold stops within one page; a cancelled or
+// failed fold returns no fingerprint. For a range with a page-aligned
+// start the charges are exactly the data pages it covers.
+func foldPages(ctx context.Context, fam *minhash.Family, m, page, lo, hi int, base uint64, dominators func(row int, set []uint64) (bool, error)) (*Fingerprint, error) {
+	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
+	rf := newRowFolder(fam, fp, hi-lo)
+	defer rf.release()
+	set := make([]uint64, (m+63)/64)
+	tracker := budget.From(ctx)
+	for p := lo; p < hi; p += page {
 		if tracker != nil {
 			tracker.ChargePages(1)
 		}
@@ -119,16 +140,40 @@ func (f *rowFold) fold(ctx context.Context, lo, hi int) (*Fingerprint, error) {
 				return nil, err
 			}
 		}
-		for r, end := p, min(p+f.page, hi); r < end; r++ {
-			if inSky.get(r) || ds.Deleted(r) {
-				continue
+		for r, end := p, min(p+page, hi); r < end; r++ {
+			ok, err := dominators(r, set)
+			if err != nil {
+				return nil, err
 			}
-			if pr.dominatorSet(pr.set, ds.Point(r)) {
-				rf.fold(pr.set, f.base+uint64(r))
+			if ok {
+				rf.fold(set, base+uint64(r))
 			}
 		}
 	}
 	rf.flush()
+	return fp, nil
+}
+
+// SigGenFunc is SigGen-IF over a dominance oracle: one sequential pass over
+// the rows 0..n−1 of a file of dims-dimensional records, folding each row
+// into the signatures of the m columns that dominators names for it (see
+// foldPages for its contract and the per-page budget and ctx polls). The
+// row id is the row's position, and I/O is charged as SigGen-IF's scan of
+// n records. It serves the folds that are not over a Dataset's rows and
+// skyline: a streamed source, a set judged against another, and a
+// partially ordered domain.
+func SigGenFunc(ctx context.Context, fam *minhash.Family, m, n, dims int, dominators func(row int, set []uint64) (bool, error)) (*Fingerprint, error) {
+	if m == 0 {
+		return nil, fmt.Errorf("core: empty skyline")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	fp, err := foldPages(ctx, fam, m, recordsPerPage(dims), 0, n, 0, dominators)
+	if err != nil {
+		return nil, err
+	}
+	fp.IO = SyntheticScanStats(dims, n)
 	return fp, nil
 }
 

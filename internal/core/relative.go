@@ -1,14 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"time"
 
 	"skydiver/internal/data"
-	"skydiver/internal/dispersion"
-	"skydiver/internal/geom"
 	"skydiver/internal/minhash"
-	"skydiver/internal/pager"
 )
 
 // DiversifyRelative implements the first future-work direction of Section 6:
@@ -24,68 +21,37 @@ import (
 //
 // Both datasets must share a dimensionality and the min-preferred
 // orientation. Items of A with empty footprints are legal; identical
-// footprints have distance 0.
+// footprints have distance 0. The run is SkyDiver-MH with A in the
+// skyline's place, so Selected and DataIndexes are both positions in A.
 func DiversifyRelative(a, b *data.Dataset, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if a.Len() == 0 {
 		return nil, fmt.Errorf("core: empty candidate set A")
-	}
-	if err := cfg.validate(a.Len()); err != nil {
-		return nil, err
 	}
 	if a.Dims() != b.Dims() {
 		return nil, fmt.Errorf("core: A has %d dims, B has %d", a.Dims(), b.Dims())
 	}
-	fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	m := a.Len()
-	t := fam.Size()
-	start := time.Now()
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(t, m), DomScore: make([]float64, m)}
-	counter := pager.NewSequentialCounter(8*b.Dims() + 4)
-	hv := make([]uint32, t)
-	cols := make([]int, 0, 16)
-	for i := 0; i < b.Len(); i++ {
-		counter.Touch(i)
-		p := b.Point(i)
-		cols = cols[:0]
-		for j := 0; j < m; j++ {
-			if geom.Dominates(a.Point(j), p) {
-				cols = append(cols, j)
-			}
-		}
-		if len(cols) == 0 {
-			continue
-		}
-		fam.HashAll(hv, uint64(i))
-		for _, c := range cols {
-			fp.Matrix.UpdateColumn(c, hv)
-			fp.DomScore[c]++
-		}
-	}
-	fp.IO = counter.Stats()
-	fpTime := time.Since(start)
+	in := Input{Sky: positions(a.Len()), Builder: func(ctx context.Context, fam *minhash.Family) (*Fingerprint, error) {
+		return relativeFingerprint(ctx, a, b, fam)
+	}}
+	return SkyDiverMHCtx(context.Background(), in, cfg)
+}
 
-	start = time.Now()
-	dist := func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) }
-	selected, err := dispersion.SelectDiverseSet(m, cfg.K, dist, fp.DomScore)
-	if err != nil {
-		return nil, err
+// relativeFingerprint is DiversifyRelative's Phase 1: A is prepared as the
+// skyline of the prefix-bitset kernel, and each row of B, hashed as its
+// index, is folded into the footprints of the items of A dominating it.
+func relativeFingerprint(ctx context.Context, a, b *data.Dataset, fam *minhash.Family) (*Fingerprint, error) {
+	pr := prepareSkylineFrom(a.Dims(), a.Len(), a.Point).probe()
+	return SigGenFunc(ctx, fam, a.Len(), b.Len(), b.Dims(), func(row int, set []uint64) (bool, error) {
+		return pr.dominatorSet(set, b.Point(row)), nil
+	})
+}
+
+// positions returns 0, 1, …, m−1: the skyline of an input whose every item
+// is a column, so selected positions are their own data indexes.
+func positions(m int) []int {
+	out := make([]int, m)
+	for i := range out {
+		out[i] = i
 	}
-	obj := dispersion.MinPairwise(selected, dist)
-	selTime := time.Since(start)
-	return &Result{
-		Selected:       selected,
-		DataIndexes:    selected,
-		ObjectiveValue: obj,
-		Stats: Stats{
-			Fingerprint: fpTime,
-			Select:      selTime,
-			IO:          fp.IO,
-			Model:       pager.DefaultCostModel(),
-			MemoryBytes: fp.Matrix.MemoryBytes(),
-		},
-	}, nil
+	return out
 }

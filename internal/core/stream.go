@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"skydiver/internal/budget"
 	"skydiver/internal/data"
 	"skydiver/internal/minhash"
-	"skydiver/internal/pager"
 )
 
 // SigGenIFStreamCtx is the bounded-memory form of SigGenIFCtx: the same
@@ -18,15 +16,14 @@ import (
 //
 // sky holds the skyline row ids ascending (source positions) and skyPts
 // their coordinates, as produced by skyline.ComputeBNLExternalSource; the
-// source must be tombstone-free and yield rows in id order. On the same
-// rows, the resulting Fingerprint (matrix, domination scores and charged
-// I/O) is bit-identical to SigGenIFCtx over the materialized dataset, which
-// the tests pin.
+// source must be tombstone-free and yield rows in id order. The pass is the
+// source's caller of SigGenFunc: each row is read as the page loop reaches
+// it and probed against the prepared skyline points. On the same rows, the
+// resulting Fingerprint (matrix, domination scores and charged I/O) is
+// bit-identical to SigGenIFCtx over the materialized dataset, which the
+// tests pin.
 func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [][]float64, fam *minhash.Family) (*Fingerprint, error) {
 	m := len(sky)
-	if m == 0 {
-		return nil, fmt.Errorf("core: empty skyline")
-	}
 	if len(skyPts) != m {
 		return nil, fmt.Errorf("core: %d skyline ids but %d point rows", m, len(skyPts))
 	}
@@ -35,56 +32,26 @@ func SigGenIFStreamCtx(ctx context.Context, src data.Source, sky []int, skyPts [
 			return nil, fmt.Errorf("core: skyline ids not ascending at %d", j)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err := src.Reset(); err != nil {
 		return nil, err
 	}
-	fp := &Fingerprint{Matrix: minhash.NewMatrix(fam.Size(), m), DomScore: make([]float64, m)}
-	counter := pager.NewSequentialCounter(8*src.Dims() + 4)
-	pageQuantum := counter.RecordsPerPage()
-
 	pr := prepareSkylineFrom(src.Dims(), m, func(j int) []float64 { return skyPts[j] }).probe()
-
 	n := src.Len()
-	rf := newRowFolder(fam, fp, n)
-	defer rf.release()
-	tracker := budget.From(ctx)
 	// skyCursor walks the ascending skyline ids in lockstep with the scan:
 	// the streaming replacement for the in-memory bitset.
 	skyCursor := 0
-	for i := 0; i < n; i++ {
-		if i%pageQuantum == 0 {
-			// Charge the page the scan is about to consume, then poll: a query
-			// whose page budget just ran out stops at this boundary and the
-			// partial signatures are discarded, never silently merged.
-			if tracker != nil {
-				tracker.ChargePages(1)
-			}
-			if i > 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		counter.Touch(i)
+	return SigGenFunc(ctx, fam, m, n, src.Dims(), func(row int, set []uint64) (bool, error) {
 		p, err := src.Next()
 		if err == io.EOF {
-			return nil, fmt.Errorf("core: source ended at row %d of %d", i, n)
+			return false, fmt.Errorf("core: source ended at row %d of %d", row, n)
 		}
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if skyCursor < m && sky[skyCursor] == i {
+		if skyCursor < m && sky[skyCursor] == row {
 			skyCursor++
-			continue
+			return false, nil
 		}
-		if pr.dominatorSet(pr.set, p) {
-			rf.fold(pr.set, uint64(i))
-		}
-	}
-	rf.flush()
-	fp.IO = counter.Stats()
-	return fp, nil
+		return pr.dominatorSet(set, p), nil
+	})
 }

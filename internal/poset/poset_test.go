@@ -1,8 +1,13 @@
 package poset
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"skydiver/internal/core"
+	"skydiver/internal/minhash"
 )
 
 // mustChain builds a total order known to be valid, failing the test on
@@ -329,6 +334,106 @@ func TestDiversifyPrefersIncomparableBranch(t *testing.T) {
 	}
 	if len(brands) != 2 {
 		t.Errorf("selection covers brands %v, want both", brands)
+	}
+}
+
+// TestTableDiversifyMatchesSigGenSets pins the mixed-table fold to the
+// reference: on a table with two categorical attributes (a chain and a
+// diamond) and tied numeric values, every column and domination score of
+// Diversify's fingerprint equals core.SigGenSets over the Γ lists
+// t.Dominates enumerates with the same family, and Diversify's selection
+// equals core.DiversifySets on those lists. Skyline rows are skipped, and
+// identical rows never dominate each other.
+func TestTableDiversifyMatchesSigGenSets(t *testing.T) {
+	condition := mustChain(t, "new", "like-new", "used")
+	shape := diamond(t)
+	tab, err := NewTable([]Attr{
+		{Name: "price"},
+		{Name: "condition", Order: condition},
+		{Name: "shape", Order: shape},
+		{Name: "weight"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(11))
+	conds := []string{"new", "like-new", "used"}
+	shapes := []string{"left", "right", "bottom", "top"}
+	for i := 0; i < 2000; i++ {
+		// Price and weight trade off, with ties, so the skyline is wide.
+		price := r.Intn(40)
+		if err := tab.AppendRow(price, conds[r.Intn(3)], shapes[r.Intn(3+i%2)], (39-price)/4+r.Intn(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Exact copies of every third skyline row and of 60 random rows: a
+	// copy of a skyline row is off the skyline, and no copy dominates its
+	// original.
+	var copies []int
+	for i, s := range tab.Skyline() {
+		if i%3 == 0 {
+			copies = append(copies, s)
+		}
+	}
+	for range 60 {
+		copies = append(copies, r.Intn(tab.Len()))
+	}
+	for _, src := range copies {
+		if err := tab.AppendRow(tab.Cell(src, 0), tab.Cell(src, 1), tab.Cell(src, 2), tab.Cell(src, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sky := tab.Skyline()
+	if len(sky) < 8 {
+		t.Fatalf("skyline of %d rows is too small to select from", len(sky))
+	}
+	inSky := map[int]bool{}
+	for _, s := range sky {
+		inSky[s] = true
+	}
+	lists := make([][]int, len(sky))
+	for j, s := range sky {
+		for i := 0; i < tab.Len(); i++ {
+			if !inSky[i] && tab.Dominates(s, i) {
+				lists[j] = append(lists[j], i)
+			}
+		}
+	}
+	for _, seed := range []int64{0, 1, 4, 7} {
+		cfg := core.Config{K: 6, SignatureSize: 64, Seed: seed}
+		fam, _ := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
+		want, err := core.SigGenSets(lists, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tab.fingerprint(context.Background(), sky, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range sky {
+			if !slices.Equal(got.Matrix.Column(c), want.Matrix.Column(c)) || got.DomScore[c] != want.DomScore[c] {
+				t.Fatalf("seed %d: column %d differs from the brute-force Γ lists", seed, c)
+			}
+		}
+		res, err := tab.Diversify(cfg.K, cfg.SignatureSize, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, err := core.DiversifySets(lists, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Selected, sets.Selected) {
+			t.Fatalf("seed %d: selection %v, DiversifySets %v", seed, res.Selected, sets.Selected)
+		}
+		for i, s := range sets.Selected {
+			if res.Rows[i] != sky[s] {
+				t.Fatalf("seed %d: row %d of the selection is %d, want %d", seed, i, res.Rows[i], sky[s])
+			}
+		}
+		if wantIO := core.SyntheticScanStats(tab.Dims(), tab.Len()); res.Stats.IO != wantIO {
+			t.Fatalf("seed %d: I/O %+v, want one scan %+v", seed, res.Stats.IO, wantIO)
+		}
 	}
 }
 

@@ -1,14 +1,12 @@
 package poset
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"skydiver/internal/core"
-	"skydiver/internal/dispersion"
 	"skydiver/internal/minhash"
-	"skydiver/internal/pager"
 )
 
 // Attr describes one attribute of a mixed table: either numeric
@@ -180,72 +178,46 @@ type Result struct {
 
 // Diversify runs the full index-free SkyDiver pipeline on the mixed table:
 // skyline by BNL, Γ fingerprinting by one scan with the mixed dominance
-// oracle, greedy max-min selection over estimated Jaccard distances.
+// oracle (fingerprint), and SkyDiver-MH's greedy max-min selection over
+// estimated Jaccard distances.
 func (t *Table) Diversify(k, signatureSize int, seed int64) (*Result, error) {
 	if signatureSize <= 0 {
-		signatureSize = 100
+		signatureSize = core.DefaultSignatureSize
 	}
 	sky := t.Skyline()
 	if k < 1 || k > len(sky) {
 		return nil, fmt.Errorf("poset: k = %d out of range [1, %d]", k, len(sky))
 	}
-	fam, err := minhash.NewFamily(signatureSize, seed)
+	in := core.Input{Sky: sky, Builder: func(ctx context.Context, fam *minhash.Family) (*core.Fingerprint, error) {
+		return t.fingerprint(ctx, sky, fam)
+	}}
+	res, err := core.SkyDiverMHCtx(context.Background(), in, core.Config{K: k, SignatureSize: signatureSize, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	matrix := minhash.NewMatrix(signatureSize, len(sky))
-	domScore := make([]float64, len(sky))
-	counter := pager.NewSequentialCounter(8*len(t.attrs) + 4)
-	inSky := make(map[int]bool, len(sky))
+	return &Result{Sky: sky, Selected: res.Selected, Rows: res.DataIndexes, Stats: res.Stats}, nil
+}
+
+// fingerprint is Diversify's Phase 1 over the skyline rows sky: every row
+// off the skyline, hashed as its index, is folded into the signatures of
+// the skyline rows that Dominates names for it.
+func (t *Table) fingerprint(ctx context.Context, sky []int, fam *minhash.Family) (*core.Fingerprint, error) {
+	inSky := make([]bool, t.rows)
 	for _, s := range sky {
 		inSky[s] = true
 	}
-	hv := make([]uint32, signatureSize)
-	cols := make([]int, 0, 8)
-	for i := 0; i < t.rows; i++ {
-		counter.Touch(i)
-		if inSky[i] {
-			continue
+	return core.SigGenFunc(ctx, fam, len(sky), t.rows, len(t.attrs), func(row int, set []uint64) (bool, error) {
+		if inSky[row] {
+			return false, nil
 		}
-		cols = cols[:0]
+		clear(set)
+		found := false
 		for j, s := range sky {
-			if t.Dominates(s, i) {
-				cols = append(cols, j)
+			if t.Dominates(s, row) {
+				set[j>>6] |= 1 << (j & 63)
+				found = true
 			}
 		}
-		if len(cols) == 0 {
-			continue
-		}
-		fam.HashAll(hv, uint64(i))
-		for _, c := range cols {
-			matrix.UpdateColumn(c, hv)
-			domScore[c]++
-		}
-	}
-	fpTime := time.Since(start)
-
-	start = time.Now()
-	dist := func(i, j int) float64 { return matrix.EstimateJd(i, j) }
-	selected, err := dispersion.SelectDiverseSet(len(sky), k, dist, domScore)
-	if err != nil {
-		return nil, err
-	}
-	selTime := time.Since(start)
-	res := &Result{
-		Sky:      sky,
-		Selected: selected,
-		Rows:     make([]int, len(selected)),
-		Stats: core.Stats{
-			Fingerprint: fpTime,
-			Select:      selTime,
-			IO:          counter.Stats(),
-			Model:       pager.DefaultCostModel(),
-			MemoryBytes: matrix.MemoryBytes(),
-		},
-	}
-	for i, s := range selected {
-		res.Rows[i] = sky[s]
-	}
-	return res, nil
+		return found, nil
+	})
 }

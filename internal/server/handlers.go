@@ -339,17 +339,12 @@ func parseQueryOptions(q map[string][]string, defaultBudget skydiver.Budget) (sk
 		}
 		opts.K = k
 	}
-	switch algo := strings.ToLower(get("algo")); algo {
-	case "", "mh", "minhash":
-		opts.Algorithm = skydiver.MinHash
-	case "lsh":
-		opts.Algorithm = skydiver.LSH
-	case "sg", "greedy":
-		opts.Algorithm = skydiver.Greedy
-	case "bf", "exact":
-		opts.Algorithm = skydiver.Exact
-	default:
-		return opts, bad("algo", algo, "mh, lsh, sg or bf")
+	if raw := get("algo"); raw != "" {
+		algo, err := skydiver.ParseAlgorithm(raw)
+		if err != nil {
+			return opts, fmt.Errorf("%w: %v", skydiver.ErrInvalidOptions, err)
+		}
+		opts.Algorithm = algo
 	}
 	if raw := get("t"); raw != "" {
 		t, err := strconv.Atoi(raw)
@@ -608,20 +603,9 @@ func buildDataset(q map[string][]string) (*skydiver.Dataset, error) {
 		}
 		return def
 	}
-	var dist skydiver.Distribution
-	switch gen := strings.ToLower(get("gen", "ind")); gen {
-	case "ind":
-		dist = skydiver.Independent
-	case "ant":
-		dist = skydiver.Anticorrelated
-	case "corr":
-		dist = skydiver.Correlated
-	case "fc":
-		dist = skydiver.ForestCover
-	case "rec":
-		dist = skydiver.Recipes
-	default:
-		return nil, fmt.Errorf("%w: gen=%q, want ind, ant, corr, fc or rec", skydiver.ErrInvalidOptions, gen)
+	dist, err := skydiver.ParseDistribution(get("gen", "ind"))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", skydiver.ErrInvalidOptions, err)
 	}
 	n, err := strconv.Atoi(get("n", "10000"))
 	if err != nil || n < 1 {

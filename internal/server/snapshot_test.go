@@ -191,3 +191,38 @@ func TestServerSnapshotRefusesDeletedRows(t *testing.T) {
 		t.Errorf("refused snapshot left files behind: %v", entries)
 	}
 }
+
+// TestServerSnapshotMismatchIsBadRequest: a snapshot taken after an insert
+// holds one row more than the dataset a warm open regenerates, so the
+// reopen is refused as a bad request (400 bad_request) and leaves no
+// dataset registered.
+func TestServerSnapshotMismatchIsBadRequest(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := newTestServer(t, Config{SnapshotDir: dir}, 300)
+	c := ts.Client()
+	openURL := ts.URL + "/datasets?name=m&gen=ant&n=300&d=3"
+	if resp := doJSON(t, c, http.MethodPost, openURL, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: %s", resp.Status)
+	}
+	if resp := doJSON(t, c, http.MethodPost, ts.URL+"/datasets/m/points?p=0.5,0.5,0.5", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %s", resp.Status)
+	}
+	if resp := doJSON(t, c, http.MethodPut, ts.URL+"/datasets/m/snapshot", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %s", resp.Status)
+	}
+	if resp := doJSON(t, c, http.MethodDelete, ts.URL+"/datasets/m", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("evict: %s", resp.Status)
+	}
+	var body struct {
+		ErrorClass string `json:"error_class"`
+	}
+	if resp := doJSON(t, c, http.MethodPost, openURL+"&snapshot=1", &body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reopen with a 301-row snapshot: %s, want 400", resp.Status)
+	}
+	if body.ErrorClass != "bad_request" {
+		t.Errorf("error_class = %q, want bad_request", body.ErrorClass)
+	}
+	if resp := get(t, c, ts.URL+"/query?dataset=m&k=2", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("refused reopen left the dataset registered: %s", resp.Status)
+	}
+}

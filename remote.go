@@ -22,6 +22,7 @@ import (
 
 	"skydiver/internal/cluster"
 	"skydiver/internal/core"
+	"skydiver/internal/minhash"
 )
 
 // ErrRemoteUnavailable marks a remote-shard query that could not serve every
@@ -152,7 +153,7 @@ func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, e
 		degraded bool
 	)
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch}
-	in.Builder = func(bctx context.Context) (*core.Fingerprint, error) {
+	in.Builder = func(bctx context.Context, _ *minhash.Family) (*core.Fingerprint, error) {
 		fp, out, err := ex.Fingerprint(bctx, q, d.canon, sky)
 		outcome = &out
 		if err != nil {

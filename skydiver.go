@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -115,6 +116,22 @@ func (a Algorithm) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseAlgorithm decodes an algorithm name, in any case: mh or minhash, lsh,
+// sg or greedy, bf or exact.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch strings.ToLower(s) {
+	case "mh", "minhash":
+		return MinHash, nil
+	case "lsh":
+		return LSH, nil
+	case "sg", "greedy":
+		return Greedy, nil
+	case "bf", "exact":
+		return Exact, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want mh, lsh, sg or bf)", s)
 }
 
 // Options configures Diversify.

@@ -33,6 +33,40 @@ func TestAlgorithmAndDistributionStrings(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithm(t *testing.T) {
+	tests := map[string]Algorithm{
+		"mh": MinHash, "minhash": MinHash, "MH": MinHash,
+		"lsh": LSH, "sg": Greedy, "greedy": Greedy,
+		"bf": Exact, "exact": Exact,
+	}
+	for in, want := range tests {
+		got, err := ParseAlgorithm(in)
+		if err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseAlgorithm("nope"); err == nil {
+		t.Error("expected error for unknown algorithm")
+	}
+}
+
+func TestParseDistribution(t *testing.T) {
+	for in, want := range map[string]Distribution{
+		"ind": Independent, "ant": Anticorrelated,
+		"corr": Correlated, "fc": ForestCover, "rec": Recipes, "ANT": Anticorrelated,
+	} {
+		got, err := ParseDistribution(in)
+		if err != nil || got != want {
+			t.Errorf("ParseDistribution(%q) = %v, %v", in, got, err)
+		}
+	}
+	for _, in := range []string{"zipf", "unknown"} {
+		if _, err := ParseDistribution(in); err == nil {
+			t.Errorf("ParseDistribution(%q): expected error for unknown distribution", in)
+		}
+	}
+}
+
 func TestNewDatasetWithPreferences(t *testing.T) {
 	ds, err := NewDataset("hotels", hotelRows(), []Pref{Min, Max})
 	if err != nil {

@@ -114,8 +114,8 @@ func (d *Dataset) SaveIndex(w io.Writer) error {
 // loading it, installing the warm decoded-node set so the first query pays
 // no decode storm. It must run before the index is built (ErrIndexBuilt
 // otherwise) and before any mutation; the snapshot must match the dataset's
-// dimensionality and cardinality. The pages are loaded into the backend
-// configured with SetStorage.
+// dimensionality and cardinality, or the error wraps ErrInvalidOptions. The
+// pages are loaded into the backend configured with SetStorage.
 func (d *Dataset) LoadIndex(r io.Reader) error {
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
@@ -143,8 +143,8 @@ func (d *Dataset) LoadIndex(r io.Reader) error {
 	}
 	if tr.Dims() != d.canon.Dims() || tr.Len() != d.canon.Len() {
 		tr.Close()
-		return fmt.Errorf("skydiver: snapshot is %d points in %dD, dataset is %d in %dD",
-			tr.Len(), tr.Dims(), d.canon.Len(), d.canon.Dims())
+		return fmt.Errorf("%w: snapshot is %d points in %dD, dataset is %d in %dD",
+			ErrInvalidOptions, tr.Len(), tr.Dims(), d.canon.Len(), d.canon.Dims())
 	}
 	d.tree = tr
 	return nil
@@ -302,15 +302,7 @@ func DiversifyStreamContext(ctx context.Context, src RowSource, prefs []Pref, op
 	cfg.NoCache = true
 	in := core.Input{
 		Sky: skyRes.Sky,
-		Builder: func(ctx context.Context) (*core.Fingerprint, error) {
-			sigSize := opts.SignatureSize
-			if sigSize == 0 {
-				sigSize = core.DefaultSignatureSize
-			}
-			fam, err := minhash.NewFamily(sigSize, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
+		Builder: func(ctx context.Context, fam *minhash.Family) (*core.Fingerprint, error) {
 			return core.SigGenIFStreamCtx(ctx, canon, skyRes.Sky, skyRes.SkyPoints, fam)
 		},
 	}
