@@ -166,11 +166,11 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		// signatures, report no I/O, count as a hit.
 		return &Fingerprint{Matrix: in.Fingerprint.Matrix, DomScore: in.Fingerprint.DomScore}, true, nil
 	}
-	fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
-	if err != nil {
-		return nil, false, err
-	}
 	build := func() (*Fingerprint, error) {
+		fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
 		if in.Builder != nil {
 			return in.Builder(ctx, fam)
 		}
@@ -196,6 +196,7 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		fp, err := build()
 		if fp != nil {
 			fp.lsh = new(atomic.Pointer[lshVectors])
+			fp.picks = new(pickOrder)
 		}
 		return fp, err
 	}
@@ -211,10 +212,10 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		return nil, false, err
 	}
 	if cached {
-		// Share the (immutable) signatures and the entry's LSH memo, but
-		// report no I/O: this query never touched the data file or the index
-		// for Phase 1.
-		return &Fingerprint{Matrix: fp.Matrix, DomScore: fp.DomScore, lsh: fp.lsh}, true, nil
+		// Share the (immutable) signatures and the entry's memos, but report
+		// no I/O: this query never touched the data file or the index for
+		// Phase 1.
+		return &Fingerprint{Matrix: fp.Matrix, DomScore: fp.DomScore, lsh: fp.lsh, picks: fp.picks}, true, nil
 	}
 	return fp, false, nil
 }
@@ -233,6 +234,22 @@ func chargeEstimations(ctx context.Context, dist dispersion.DistFunc) dispersion
 		tr.ChargeEstimations(1)
 		return dist(i, j)
 	}
+}
+
+// selectDiverse is the greedy selection of Fig. 6 over in's skyline,
+// served from picks when it holds at least k of them; the bool reports such
+// a hit, which the input's cache counts. Otherwise the selection runs, and
+// a completed one stores its order in picks.
+func selectDiverse(ctx context.Context, in Input, picks *pickOrder, k int, dist dispersion.DistFunc, score []float64) ([]int, bool, error) {
+	if selected := picks.prefix(k); selected != nil {
+		in.Cache.selectionHit()
+		return selected, true, nil
+	}
+	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), k, dist, score)
+	if err == nil {
+		picks.store(selected)
+	}
+	return selected, false, err
 }
 
 // partialResult packages the anytime prefix of a cancelled run: the greedy
@@ -258,7 +275,9 @@ func partialResult(in Input, selected []int, dist dispersion.DistFunc, stats Sta
 
 // SkyDiverMH is the full MinHash pipeline (Section 4.2.1): fingerprint, then
 // greedily select k points under the estimated Jaccard distance, seeding
-// with the point of maximum domination score and breaking ties by score.
+// with the point of maximum domination score and breaking ties by score. A
+// fingerprint from the cache keeps the greedy's pick order, so a later read
+// of at most as many points takes its first k picks without selecting.
 func SkyDiverMH(in Input, cfg Config) (*Result, error) {
 	return SkyDiverMHCtx(context.Background(), in, cfg)
 }
@@ -267,6 +286,8 @@ func SkyDiverMH(in Input, cfg Config) (*Result, error) {
 // context expiry mid-selection it returns the diverse prefix chosen so far
 // as a Partial result alongside the context's error; expiry during
 // fingerprinting yields an empty Partial result (no selection exists yet).
+// A read served from the stored pick order runs no selection, so it
+// completes and is charged only the objective's estimates.
 func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(len(in.Sky)); err != nil {
@@ -284,11 +305,12 @@ func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 
 	start = time.Now()
 	dist := chargeEstimations(ctx, func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) })
-	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, dist, fp.DomScore)
+	selected, hit, err := selectDiverse(ctx, in, fp.picks, cfg.K, dist, fp.DomScore)
 	selTime := time.Since(start)
 	stats := Stats{
 		Fingerprint:       fpTime,
 		FingerprintCached: cached,
+		SelectionCached:   hit,
 		Select:            selTime,
 		IO:                fp.IO,
 		Model:             pager.DefaultCostModel(),
@@ -313,7 +335,8 @@ func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
 // SkyDiverLSH is the LSH pipeline (Section 4.2.2): fingerprint, band the
 // signatures into bucket bit-vectors, then select greedily under the
 // Hamming distance of the bit-vectors. A fingerprint from the cache reuses
-// the bit-vectors memoized with it when the banding and seed match.
+// the bit-vectors memoized with it when the banding and seed match, and
+// the pick order stored with them (see SkyDiverMH).
 func SkyDiverLSH(in Input, cfg Config) (*Result, error) {
 	return SkyDiverLSHCtx(context.Background(), in, cfg)
 }
@@ -337,7 +360,7 @@ func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	vectors, err := fp.bitVectors(ctx, params, cfg.Seed+1)
+	vectors, picks, err := fp.bitVectors(ctx, params, cfg.Seed+1)
 	fpTime := time.Since(start)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -348,11 +371,12 @@ func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) 
 
 	start = time.Now()
 	dist := chargeEstimations(ctx, func(i, j int) float64 { return float64(vectors.Hamming(i, j)) })
-	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, dist, fp.DomScore)
+	selected, hit, err := selectDiverse(ctx, in, picks, cfg.K, dist, fp.DomScore)
 	selTime := time.Since(start)
 	stats := Stats{
 		Fingerprint:       fpTime,
 		FingerprintCached: cached,
+		SelectionCached:   hit,
 		Select:            selTime,
 		IO:                fp.IO,
 		Model:             pager.DefaultCostModel(),

@@ -26,14 +26,21 @@ type Fingerprint struct {
 	// Cache hits share it with the entry, and a write that migrates the
 	// entry carries its vectors to the patched matrix (migrateFingerprints).
 	lsh *atomic.Pointer[lshVectors]
+	// picks memoizes the greedy's pick order under the MinHash estimate for
+	// a fingerprint the cache holds, and is nil exactly when lsh is. Cache
+	// hits share it; a write migrates the entry with an empty one.
+	picks *pickOrder
 }
 
-// lshVectors is one immutable memo value: the bit-vectors of a fingerprint's
-// matrix under one banding and zone seed.
+// lshVectors is one memo value: the bit-vectors of a fingerprint's matrix
+// under one banding and zone seed, immutable apart from the greedy's pick
+// order under their Hamming distance, which a migrated value starts
+// without.
 type lshVectors struct {
 	params  lsh.Params
 	seed    int64
 	vectors *lsh.BitVectors
+	picks   pickOrder
 }
 
 // lshMemo returns fp's memoized LSH bit-vectors, or nil.
@@ -45,19 +52,60 @@ func (fp *Fingerprint) lshMemo() *lshVectors {
 }
 
 // bitVectors returns the LSH bit-vectors of fp's matrix under params and
-// zone seed: the memoized vectors when their key matches, else a fresh
-// build, which then replaces the memo. Queries hold only the dataset's read
-// lock, so two readers may build at once; both builds are bit-identical
-// and either store may win.
-func (fp *Fingerprint) bitVectors(ctx context.Context, params lsh.Params, seed int64) (*lsh.BitVectors, error) {
+// zone seed, and the memo slot of the greedy's pick order under their
+// Hamming distance (nil for a fingerprint the cache does not hold): the
+// memoized vectors when their key matches, else a fresh build, which then
+// replaces the memo. Queries hold only the dataset's read lock, so two
+// readers may build at once; both builds are bit-identical and either
+// store may win.
+func (fp *Fingerprint) bitVectors(ctx context.Context, params lsh.Params, seed int64) (*lsh.BitVectors, *pickOrder, error) {
 	if v := fp.lshMemo(); v != nil && v.params == params && v.seed == seed {
-		return v.vectors, nil
+		return v.vectors, &v.picks, nil
 	}
 	vectors, err := lsh.BuildCtx(ctx, fp.Matrix, params, seed)
-	if err == nil && fp.lsh != nil {
-		fp.lsh.Store(&lshVectors{params: params, seed: seed, vectors: vectors})
+	if err != nil || fp.lsh == nil {
+		return vectors, nil, err
 	}
-	return vectors, err
+	v := &lshVectors{params: params, seed: seed, vectors: vectors}
+	fp.lsh.Store(v)
+	return vectors, &v.picks, nil
+}
+
+// pickOrder memoizes the picks of the greedy selection (Fig. 6) over one
+// fingerprint under one distance. The selection is a pure function of the
+// distance and the domination scores, and it never revisits a pick, so its
+// picks for k are the first k of its picks for any larger k: one stored
+// order answers every k up to its length. A stored order is immutable and
+// shared by every reader; a nil *pickOrder memoizes nothing.
+type pickOrder struct {
+	p atomic.Pointer[[]int]
+}
+
+// prefix returns a copy of the first k stored picks, or nil when fewer
+// than k are stored.
+func (o *pickOrder) prefix(k int) []int {
+	if o == nil {
+		return nil
+	}
+	if p := o.p.Load(); p != nil && len(*p) >= k {
+		return append([]int(nil), (*p)[:k]...)
+	}
+	return nil
+}
+
+// store records a copy of a completed selection's picks unless at least as
+// many are stored already: a racing store never replaces a longer order
+// with a shorter one.
+func (o *pickOrder) store(picks []int) {
+	if o == nil {
+		return
+	}
+	next := append([]int(nil), picks...)
+	for cur := o.p.Load(); cur == nil || len(*cur) < len(next); cur = o.p.Load() {
+		if o.p.CompareAndSwap(cur, &next) {
+			return
+		}
+	}
 }
 
 // SigGenIF is the index-free signature generator (Figure 3): a single

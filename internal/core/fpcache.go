@@ -48,6 +48,9 @@ type FingerprintCacheStats struct {
 	Misses int64
 	// Entries is the number of fingerprints currently resident.
 	Entries int
+	// SelectionHits is the number of MinHash or LSH selections served from
+	// the pick order memoized with a resident fingerprint.
+	SelectionHits int64
 }
 
 // defaultFingerprintCacheCap bounds a cache constructed with a non-positive
@@ -99,6 +102,13 @@ func (c *FingerprintCache) Stats() FingerprintCacheStats {
 	s := c.stats
 	s.Entries = len(c.items)
 	return s
+}
+
+// selectionHit counts a selection served from a memoized pick order.
+func (c *FingerprintCache) selectionHit() {
+	c.mu.Lock()
+	c.stats.SelectionHits++
+	c.mu.Unlock()
 }
 
 // removeLocked unlinks el from the list and, when it is still the key's

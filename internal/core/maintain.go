@@ -426,7 +426,10 @@ func miniSkylineRows(src rowSource, cands []int) []int {
 // An entry's memoized LSH bit-vectors are carried to the patched matrix
 // (lsh.BitVectors.Carry): the patched column of row newSky[j] descends from
 // the old column holding the same row, if any, so unchanged zones keep their
-// buckets and only changed zones and joined columns are hashed.
+// buckets and only changed zones and joined columns are hashed. Pick orders
+// are not carried: the greedy's order depends on every domination score and
+// column, which a write moves, so the patched entry and its carried vectors
+// start with empty ones.
 func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, oldSky, newSky []int, patch func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error) {
 	if cache == nil {
 		return
@@ -451,6 +454,7 @@ func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, old
 			DomScore: append([]float64(nil), fp.DomScore...),
 			IO:       fp.IO,
 			lsh:      new(atomic.Pointer[lshVectors]),
+			picks:    new(pickOrder),
 		}
 		hv := make([]uint32, key.T)
 		if err := patch(fam, patched, hv); err != nil {

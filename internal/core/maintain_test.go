@@ -142,7 +142,7 @@ func TestApplyMutationsMatchWholesale(t *testing.T) {
 	const zoneSeed = maintainSeed + 1
 	warm := freshIF(t, ds, sky)
 	warm.lsh = new(atomic.Pointer[lshVectors])
-	if _, err := warm.bitVectors(context.Background(), params, zoneSeed); err != nil {
+	if _, _, err := warm.bitVectors(context.Background(), params, zoneSeed); err != nil {
 		t.Fatal(err)
 	}
 	cache.Install(maintainKey(epoch), warm)

@@ -149,18 +149,23 @@ func TestParallelCancelledMidRun(t *testing.T) {
 	}
 }
 
-// countdownTestCtx reports Canceled from Err after its budget of successful
-// checks is spent. Safe for concurrent use by parallel workers.
+// countdownTestCtx reports err (Canceled when nil) from Err after its
+// budget of successful checks is spent. Safe for concurrent use by parallel
+// workers.
 type countdownTestCtx struct {
 	context.Context
 	mu        sync.Mutex
 	remaining int
+	err       error
 }
 
 func (c *countdownTestCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.remaining <= 0 {
+		if c.err != nil {
+			return c.err
+		}
 		return context.Canceled
 	}
 	c.remaining--

@@ -25,6 +25,10 @@ type Stats struct {
 	// fingerprint cache — no signature pass ran and no Phase-1 I/O was
 	// charged (IO then covers only the selection phase, if any).
 	FingerprintCached bool
+	// SelectionCached reports that the selection was served from the pick
+	// order memoized with a cached fingerprint: no greedy round ran, and
+	// Select covers only the lookup.
+	SelectionCached bool
 	// Select is the CPU time of the selection phase.
 	Select time.Duration
 	// IO accumulates page accesses (R-tree probes and/or sequential scan).

@@ -174,6 +174,12 @@ func (r Rect) Clone() Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
+// Set overwrites r's corners with o's, which must have r's dimensionality.
+func (r Rect) Set(o Rect) {
+	copy(r.Lo, o.Lo)
+	copy(r.Hi, o.Hi)
+}
+
 // ExpandPoint grows r to cover point p.
 func (r Rect) ExpandPoint(p []float64) {
 	for i, v := range p {

@@ -85,7 +85,7 @@ func (t *Tree) insertAt(id pager.PageID, level, targetLevel int, e Entry, reinse
 	if level == targetLevel {
 		n.Entries = append(n.Entries, e)
 	} else {
-		i := t.chooseSubtree(n, e.Rect, level == 1)
+		i := chooseSubtreeFunc(n, e.Rect, level == 1)
 		split, err := t.insertAt(n.Entries[i].Child, level-1, targetLevel, e, reinserted, pending)
 		if err != nil {
 			return nil, err
@@ -125,16 +125,25 @@ func (t *Tree) insertAt(id pager.PageID, level, targetLevel int, e Entry, reinse
 	return &sibEntry, nil
 }
 
+// The insert path reaches the R* heuristics' rectangle arithmetic through
+// these variables, so a test can run the same inserts through reference
+// versions of them and compare the pages.
+var (
+	chooseSubtreeFunc = chooseSubtree
+	boundaryRectsFunc = boundaryRects
+)
+
 // chooseSubtree implements the R* subtree choice: minimal overlap
 // enlargement when the children are leaves, minimal area enlargement
 // otherwise; ties broken by smaller area.
-func (t *Tree) chooseSubtree(n *Node, r geom.Rect, childrenAreLeaves bool) int {
+func chooseSubtree(n *Node, r geom.Rect, childrenAreLeaves bool) int {
 	best := 0
 	if childrenAreLeaves {
 		bestOverlap, bestEnlarge, bestArea := 0.0, 0.0, 0.0
+		enlarged := geom.NewRect(r.Dims()) // each entry's rect grown to cover r
 		for i := range n.Entries {
 			e := &n.Entries[i]
-			enlarged := e.Rect.Clone()
+			enlarged.Set(e.Rect)
 			enlarged.ExpandRect(r)
 			overlapDelta := 0.0
 			for j := range n.Entries {
@@ -254,7 +263,7 @@ func splitEntries(entries []Entry, minFill, dims int) (group1, group2 []Entry) {
 				})
 			}
 			margin := 0.0
-			prefixes, suffixes := boundaryRects(entries, perm, dims)
+			prefixes, suffixes := boundaryRectsFunc(entries, perm, dims)
 			for k := minFill; k <= m-minFill; k++ {
 				margin += prefixes[k-1].Margin() + suffixes[k].Margin()
 			}
@@ -264,7 +273,7 @@ func splitEntries(entries []Entry, minFill, dims int) (group1, group2 []Entry) {
 			}
 		}
 	}
-	prefixes, suffixes := boundaryRects(entries, bestOrder, dims)
+	prefixes, suffixes := boundaryRectsFunc(entries, bestOrder, dims)
 	bestK, bestOverlap, bestArea := -1, 0.0, 0.0
 	for k := minFill; k <= m-minFill; k++ {
 		overlap := prefixes[k-1].OverlapArea(suffixes[k])
@@ -287,21 +296,28 @@ func splitEntries(entries []Entry, minFill, dims int) (group1, group2 []Entry) {
 
 // boundaryRects returns, for a permutation of entries, the MBRs of every
 // prefix (prefixes[i] covers perm[0..i]) and every suffix (suffixes[i]
-// covers perm[i..]).
+// covers perm[i..]). All 2m + 1 rects are cut from one backing array, and
+// each is its predecessor grown by one entry.
 func boundaryRects(entries []Entry, perm []int, dims int) (prefixes, suffixes []geom.Rect) {
 	m := len(perm)
-	prefixes = make([]geom.Rect, m)
-	suffixes = make([]geom.Rect, m+1)
-	run := geom.NewRect(dims)
-	for i := 0; i < m; i++ {
-		run.ExpandRect(entries[perm[i]].Rect)
-		prefixes[i] = run.Clone()
+	rects := make([]geom.Rect, 2*m+1)
+	vals := make([]float64, 2*dims*len(rects))
+	for i := range rects {
+		lo := vals[2*i*dims : (2*i+1)*dims : (2*i+1)*dims]
+		hi := vals[(2*i+1)*dims : (2*i+2)*dims : (2*i+2)*dims]
+		rects[i] = geom.Rect{Lo: lo, Hi: hi}
 	}
-	run = geom.NewRect(dims)
-	suffixes[m] = run.Clone()
+	prefixes, suffixes = rects[:m:m], rects[m:]
+	suffixes[m].Reset()
+	prev := suffixes[m]
+	for i := 0; i < m; i++ {
+		prefixes[i].Set(prev)
+		prefixes[i].ExpandRect(entries[perm[i]].Rect)
+		prev = prefixes[i]
+	}
 	for i := m - 1; i >= 0; i-- {
-		run.ExpandRect(entries[perm[i]].Rect)
-		suffixes[i] = run.Clone()
+		suffixes[i].Set(suffixes[i+1])
+		suffixes[i].ExpandRect(entries[perm[i]].Rect)
 	}
 	return prefixes, suffixes
 }

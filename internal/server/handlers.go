@@ -172,6 +172,7 @@ type QueryResponse struct {
 	IOSeconds         float64  `json:"io_seconds"`
 	PageFaults        int64    `json:"page_faults"`
 	FingerprintCached bool     `json:"fingerprint_cached"`
+	SelectionCached   bool     `json:"selection_cached"`
 	// Remote reports how a ?remote=1 query's shards were served and what
 	// the failover envelope spent; omitted for local queries.
 	Remote *skydiver.RemoteShardStats `json:"remote,omitempty"`
@@ -302,6 +303,7 @@ func buildResponse(name string, opts skydiver.Options, res *skydiver.Result, cla
 		IOSeconds:         res.IOTime.Seconds(),
 		PageFaults:        res.PageFaults,
 		FingerprintCached: res.FingerprintCached,
+		SelectionCached:   res.SelectionCached,
 	}
 	if v := res.ObjectiveValue; !math.IsInf(v, 0) && !math.IsNaN(v) {
 		out.Objective = &v

@@ -577,3 +577,52 @@ func TestServerMutationEndpoints(t *testing.T) {
 		t.Errorf("mutation stats = %+v, want 1 insert, 1 delete, epoch 2, 2000 live", ms)
 	}
 }
+
+// TestServerSelectionCached: a cached /query answers with the indexes and
+// objective of its nocache=1 recompute, reports selection_cached once an
+// earlier read of at least as many points stored the key's pick order, and
+// /stats counts those reads in the fingerprint cache's SelectionHits.
+func TestServerSelectionCached(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{}, 3000)
+	c := ts.Client()
+	reads := []struct {
+		query string
+		hit   bool
+	}{
+		{"k=6&t=32&seed=1", false},
+		{"k=6&t=32&seed=1", true},
+		{"k=3&t=32&seed=1", true},
+		{"k=8&t=32&seed=1", false},
+		{"k=6&t=32&seed=1&algo=lsh", false},
+		{"k=1&t=32&seed=1&algo=lsh", true},
+		{"k=8&t=32&seed=1", true},
+	}
+	for _, rd := range reads {
+		var cached, fresh QueryResponse
+		get(t, c, ts.URL+"/query?"+rd.query, &cached)
+		get(t, c, ts.URL+"/query?"+rd.query+"&nocache=1", &fresh)
+		if cached.Status != ClassFull || fresh.Status != ClassFull {
+			t.Fatalf("%s: status %q, nocache %q", rd.query, cached.Status, fresh.Status)
+		}
+		sameObjective := (cached.Objective == nil) == (fresh.Objective == nil) &&
+			(cached.Objective == nil || *cached.Objective == *fresh.Objective)
+		if fmt.Sprint(cached.Indexes) != fmt.Sprint(fresh.Indexes) || !sameObjective {
+			t.Errorf("%s: cached %v, nocache %v", rd.query, cached.Indexes, fresh.Indexes)
+		}
+		if cached.SelectionCached != rd.hit || fresh.SelectionCached {
+			t.Errorf("%s: selection_cached = %v (nocache %v), want %v", rd.query, cached.SelectionCached, fresh.SelectionCached, rd.hit)
+		}
+	}
+	var stats struct {
+		Datasets []struct {
+			FingerprintCache skydiver.FingerprintCacheStats `json:"fingerprint_cache"`
+		} `json:"datasets"`
+	}
+	get(t, c, ts.URL+"/stats", &stats)
+	if len(stats.Datasets) != 1 {
+		t.Fatalf("stats datasets: %+v", stats.Datasets)
+	}
+	if got := stats.Datasets[0].FingerprintCache.SelectionHits; got != 4 {
+		t.Errorf("SelectionHits = %d, want 4", got)
+	}
+}

@@ -242,6 +242,13 @@ type Result struct {
 	// Phase-1 I/O. Always false for Greedy/Exact (which keep no signatures)
 	// and under Options.NoCache.
 	FingerprintCached bool
+	// SelectionCached reports that the selection was served from the greedy
+	// pick order memoized with the cached fingerprint: a read of at most as
+	// many points as an earlier complete read under the same key and
+	// distance since the last write takes that read's first K picks, the
+	// answer a fresh selection would give, and CPUTime then includes no
+	// selection. Always false for Greedy/Exact and under Options.NoCache.
+	SelectionCached bool
 	// Degraded reports that the answer came from the graceful-degradation
 	// ladder (Options.AllowDegraded) rather than the requested full
 	// pipeline; DegradedReason says which rung served it.
@@ -890,6 +897,7 @@ func (d *Dataset) publicResult(res *core.Result) *Result {
 		PageFaults:        res.Stats.IO.Faults,
 		MemoryBytes:       res.Stats.MemoryBytes,
 		FingerprintCached: res.Stats.FingerprintCached,
+		SelectionCached:   res.Stats.SelectionCached,
 	}
 	for i, idx := range res.DataIndexes {
 		out.Points[i] = d.reorient(d.canon.Point(idx))
