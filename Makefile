@@ -10,7 +10,7 @@ BENCH_OUT ?= .
 # fast paths and accidental O(n²), not scheduler noise.
 BENCH_TOL ?= 3.0
 
-.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke stress fuzz repobench verify bench benchgate bench-full bench-storage storage-smoke
+.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke fuzz repobench verify bench benchgate bench-full bench-storage storage-smoke
 
 build:
 	$(GO) build ./...
@@ -39,8 +39,8 @@ concurrency:
 
 # The resilience suite on its own: race-enabled admission-control waves,
 # breaker trip/recovery (the state machine in internal/retry, the read-path
-# classification in internal/pager), budget exhaustion and the degradation
-# ladder.
+# classification in internal/pager), budget exhaustion, the degradation
+# ladder, and the overload storm that runs them all at once.
 resilience:
 	$(GO) test -race -shuffle=on -run 'Admission|Breaker|Budget|Degrade|Overload' . ./internal/admission ./internal/budget ./internal/pager ./internal/retry
 
@@ -69,10 +69,6 @@ cluster:
 # restart it, and assert clean drains everywhere.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
-
-# Overload/fault/budget stress harness against an in-process dataset.
-stress:
-	$(GO) run ./cmd/skystress
 
 # Run every Fuzz* target of the main module for FUZZTIME each. The targets
 # are listed per package with `go test -list`, so a new one is picked up

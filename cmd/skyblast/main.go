@@ -53,10 +53,9 @@ type queryResponse struct {
 
 // remoteStats mirrors the shard-serving fields of skydiver.RemoteShardStats.
 type remoteStats struct {
-	Shards  int   `json:"shards"`
-	Remote  int   `json:"remote"`
-	Local   int   `json:"local"`
-	Missing []int `json:"missing"`
+	Shards int `json:"shards"`
+	Remote int `json:"remote"`
+	Local  int `json:"local"`
 }
 
 // errorBody mirrors internal/server.errorBody.

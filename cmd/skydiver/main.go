@@ -448,8 +448,8 @@ func printText(ds *skydiver.Dataset, res *skydiver.Result, k int, algorithm skyd
 	}
 	if res.Remote != nil {
 		rs := res.Remote
-		fmt.Printf("remote shards: %d/%d served by the fleet (%d local, %d missing), retries=%d hedges=%d failovers=%d\n",
-			rs.Remote, rs.Shards, rs.Local, len(rs.Missing), rs.Retries, rs.Hedges, rs.Failovers)
+		fmt.Printf("remote shards: %d/%d served by the fleet (%d local), retries=%d hedges=%d failovers=%d\n",
+			rs.Remote, rs.Shards, rs.Local, rs.Retries, rs.Hedges, rs.Failovers)
 	}
 	if verbose {
 		injected, retries := ds.FaultStats()

@@ -55,6 +55,33 @@ func startWorkers(t *testing.T, n int) ([]*Worker, []string) {
 	return workers, urls
 }
 
+// tunedExecutor builds an executor over workers with the production tuning
+// changed by set.
+func tunedExecutor(t *testing.T, workers []string, set func(*tuning)) *Executor {
+	t.Helper()
+	tu := defaultTuning()
+	set(&tu)
+	ex, err := newExecutor(Config{Workers: workers}, tu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// fastRetries is a retry budget with a 1 ms backoff base.
+func fastRetries(n int) func(*tuning) {
+	return func(tu *tuning) { tu.maxRetries, tu.baseDelay = n, time.Millisecond }
+}
+
+// allServed fails unless every shard of out was served, by the fleet or
+// locally.
+func allServed(t *testing.T, tag string, out Outcome) {
+	t.Helper()
+	if out.Remote+out.Local != out.Shards {
+		t.Fatalf("%s: outcome %+v: remote + local != shards", tag, out)
+	}
+}
+
 func wantFingerprint(t *testing.T, ds *data.Dataset, sky []int, q Query) *core.Fingerprint {
 	t.Helper()
 	fam, err := minhash.NewFamily(q.T, q.HashSeed)
@@ -109,7 +136,7 @@ func TestRemoteFingerprintBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", shards, err)
 		}
-		if out.Remote != shards || out.Local != 0 || len(out.Missing) != 0 {
+		if out.Shards != shards || out.Remote != shards || out.Local != 0 {
 			t.Fatalf("n=%d: outcome %+v, want all %d shards remote", shards, out, shards)
 		}
 		sameFingerprint(t, fmt.Sprintf("n=%d", shards), got, wantFingerprint(t, ds, sky, q))
@@ -124,16 +151,14 @@ func TestRemoteFailoverOnDeadPrimary(t *testing.T) {
 	dead.Close() // connection refused from here on
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: []string{dead.URL, urls[1]}, MaxRetries: 1, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, []string{dead.URL, urls[1]}, fastRetries(1))
 	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Remote != 4 || len(out.Missing) != 0 {
+	allServed(t, "dead-primary", out)
+	if out.Remote != 4 {
 		t.Fatalf("outcome %+v, want all 4 shards served remotely via failover", out)
 	}
 	if out.Failovers == 0 {
@@ -151,15 +176,13 @@ func TestRemoteWireFaultsStayExact(t *testing.T) {
 	workers[0].SetFaults(WireFaultPolicy{Corrupt: 1, Seed: 3})
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: urls, MaxRetries: 1, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, urls, fastRetries(1))
 	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
+	allServed(t, "corrupt-primary", out)
 	if out.Remote != 4 || out.Retries == 0 || out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want 4 remote shards with retries and failovers", out)
 	}
@@ -176,15 +199,13 @@ func TestRemoteDropFaultsFailover(t *testing.T) {
 	workers[0].SetFaults(WireFaultPolicy{Drop: 1, Seed: 5})
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: urls, MaxRetries: 1, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, urls, fastRetries(1))
 	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
+	allServed(t, "drop-primary", out)
 	if out.Remote != 2 || out.Failovers == 0 {
 		t.Fatalf("outcome %+v, want both shards remote via failover", out)
 	}
@@ -193,69 +214,45 @@ func TestRemoteDropFaultsFailover(t *testing.T) {
 
 // TestRemoteLocalFallbackWhenFleetDead: with every worker unreachable the
 // ladder bottoms out at local recompute — the answer is exact, served
-// entirely by the coordinator, and reported as such.
+// entirely by the coordinator, and reported as such. With no retries
+// asked for, none is made.
 func TestRemoteLocalFallbackWhenFleetDead(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close()
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: []string{dead.URL}, MaxRetries: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, []string{dead.URL}, fastRetries(0))
 	q := Query{Spec: spec, Shards: 4, T: 32, HashSeed: 7}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Local != 4 || out.Remote != 0 || len(out.Missing) != 0 {
-		t.Fatalf("outcome %+v, want all 4 shards local", out)
+	allServed(t, "fleet-dead", out)
+	if out.Local != 4 || out.Remote != 0 || out.Retries != 0 {
+		t.Fatalf("outcome %+v, want all 4 shards local with no retries", out)
 	}
 	sameFingerprint(t, "fleet-dead", got, wantFingerprint(t, ds, sky, q))
 }
 
-// TestRemoteNoLocalFallbackReportsMissing: with local recompute disabled and
-// the fleet dead, the query surfaces ErrShardUnavailable naming every shard
-// instead of silently recomputing.
-func TestRemoteNoLocalFallbackReportsMissing(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close()
-	spec := testSpec()
-	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: []string{dead.URL}, MaxRetries: 0, NoLocalFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
-	_, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
-	if !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("err = %v, want ErrShardUnavailable", err)
-	}
-	if len(out.Missing) != 2 || out.MissingList() != "0,1" {
-		t.Fatalf("outcome %+v, want both shards missing", out)
-	}
-}
-
-// TestRemoteNoLocalFallbackFailoverStillExact: NoLocalFallback only removes
-// the coordinator rung; a live replica still makes the answer exact.
-func TestRemoteNoLocalFallbackFailoverStillExact(t *testing.T) {
+// TestRemoteFailoverAloneStillExact: with no retries, a failing primary
+// fails over once to the live replica, and both shards are still served by
+// the fleet with the exact answer.
+func TestRemoteFailoverAloneStillExact(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	workers[0].SetFaults(WireFaultPolicy{Fail: 1, Seed: 9})
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: urls, MaxRetries: 0, NoLocalFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, urls, fastRetries(0))
 	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Remote != 2 || len(out.Missing) != 0 || out.Failovers == 0 {
-		t.Fatalf("outcome %+v, want both shards remote via failover", out)
+	allServed(t, "failover", out)
+	if out.Remote != 2 || out.Retries != 0 || out.Failovers != 1 {
+		t.Fatalf("outcome %+v, want both shards remote after one failover and no retries", out)
 	}
-	sameFingerprint(t, "nofallback-failover", got, wantFingerprint(t, ds, sky, q))
+	sameFingerprint(t, "failover", got, wantFingerprint(t, ds, sky, q))
 }
 
 // TestRemoteEpochSkewServedLocally: a mutated coordinator (epoch > 0) never
@@ -274,6 +271,7 @@ func TestRemoteEpochSkewServedLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	allServed(t, "epoch-skew", out)
 	if out.Local != 4 || out.Remote != 0 {
 		t.Fatalf("outcome %+v, want all shards local", out)
 	}
@@ -289,8 +287,7 @@ func TestRemoteEpochSkewServedLocally(t *testing.T) {
 // data (the query names a different generator seed than the coordinator's
 // dataset) refuses every shard on the digest check, before any fold runs.
 // Every shard takes the local rung, no worker reply is merged, and the
-// answer is the coordinator's own SigGen-IF pass; without the local rung
-// every shard is reported missing.
+// answer is the coordinator's own SigGen-IF pass.
 func TestRemoteReplicaMismatchServedLocally(t *testing.T) {
 	workers, urls := startWorkers(t, 2)
 	spec := testSpec()
@@ -307,7 +304,8 @@ func TestRemoteReplicaMismatchServedLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Local != 4 || out.Remote != 0 || len(out.Missing) != 0 || out.Retries != 0 || out.Failovers != 0 {
+	allServed(t, "replica-mismatch", out)
+	if out.Local != 4 || out.Remote != 0 || out.Retries != 0 || out.Failovers != 0 {
 		t.Fatalf("outcome %+v, want all 4 shards local with no retries or failovers", out)
 	}
 	sameFingerprint(t, "replica-mismatch", got, wantFingerprint(t, ds, sky, q))
@@ -315,18 +313,6 @@ func TestRemoteReplicaMismatchServedLocally(t *testing.T) {
 		if st := w.Stats(); st.Folds != 0 {
 			t.Fatalf("worker %d folded %d shards of a replica that holds other data", i, st.Folds)
 		}
-	}
-
-	strict, err := New(Config{Workers: urls, NoLocalFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, out, err = strict.Fingerprint(context.Background(), q, ds, sky)
-	if !errors.Is(err, ErrShardUnavailable) {
-		t.Fatalf("NoLocalFallback: err = %v, want ErrShardUnavailable", err)
-	}
-	if out.MissingList() != "0,1,2,3" || out.Remote != 0 || out.Local != 0 {
-		t.Fatalf("NoLocalFallback: outcome %+v, want every shard missing", out)
 	}
 }
 
@@ -375,15 +361,13 @@ func TestRemoteCorruptMatrixRetried(t *testing.T) {
 	t.Cleanup(srv.Close)
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: []string{srv.URL}, MaxRetries: 2, BaseDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, []string{srv.URL}, fastRetries(2))
 	q := Query{Spec: spec, Shards: 2, T: 32, HashSeed: 7}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
+	allServed(t, "corrupt-matrix", out)
 	if out.Remote != 2 || out.Local != 0 || out.Retries != 1 {
 		t.Fatalf("outcome %+v, want both shards remote after one retry", out)
 	}
@@ -400,19 +384,17 @@ func TestRemoteHedging(t *testing.T) {
 	workers[0].SetFaults(WireFaultPolicy{Delay: 300 * time.Millisecond, DelayRate: 1})
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{Workers: urls, HedgeAfter: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := tunedExecutor(t, urls, func(tu *tuning) { tu.hedgeAfter = time.Millisecond })
 	q := Query{Spec: spec, Shards: 2, T: 16, HashSeed: 1}
 	got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
+	allServed(t, "hedged", out)
 	if out.Hedges == 0 {
 		t.Fatalf("outcome %+v, want hedged requests", out)
 	}
-	if out.Remote != 2 || len(out.Missing) != 0 {
+	if out.Remote != 2 {
 		t.Fatalf("outcome %+v, want both shards remote", out)
 	}
 	sameFingerprint(t, "hedged", got, wantFingerprint(t, ds, sky, q))
@@ -426,22 +408,19 @@ func TestRemoteBreakerFastFails(t *testing.T) {
 	dead.Close()
 	spec := testSpec()
 	ds, sky := buildLocal(t, spec)
-	ex, err := New(Config{
-		Workers:    []string{dead.URL},
-		MaxRetries: 0,
-		Breaker:    retry.BreakerPolicy{Window: 4, MinSamples: 2, TripRatio: 0.5, Cooldown: time.Minute, Probes: 1},
+	ex := tunedExecutor(t, []string{dead.URL}, func(tu *tuning) {
+		tu.maxRetries = 0
+		tu.breaker = retry.BreakerPolicy{Window: 4, MinSamples: 2, TripRatio: 0.5, Cooldown: time.Minute, Probes: 1}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{Spec: spec, Shards: 4, T: 16, HashSeed: 1}
 	for round := 0; round < 2; round++ {
 		got, out, err := ex.Fingerprint(context.Background(), q, ds, sky)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if out.Local != 4 {
-			t.Fatalf("round %d: outcome %+v, want all local", round, out)
+		allServed(t, fmt.Sprintf("breaker round %d", round), out)
+		if out.Local != 4 || out.Retries != 0 {
+			t.Fatalf("round %d: outcome %+v, want all local with no retries", round, out)
 		}
 		sameFingerprint(t, fmt.Sprintf("breaker round %d", round), got, wantFingerprint(t, ds, sky, q))
 	}
@@ -697,5 +676,19 @@ func TestDatasetSpecValidate(t *testing.T) {
 	}
 	if _, err := New(Config{}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("empty worker list: err = %v, want ErrNoWorkers", err)
+	}
+}
+
+// TestNewUsesProductionTuning pins the production resilience settings: two
+// retries per node, a 5 ms backoff base, p90-derived hedging and the
+// default breaker policy.
+func TestNewUsesProductionTuning(t *testing.T) {
+	ex, err := New(Config{Workers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tuning{maxRetries: 2, baseDelay: 5 * time.Millisecond, breaker: retry.DefaultBreakerPolicy()}
+	if ex.tuning != want {
+		t.Fatalf("tuning = %+v, want %+v", ex.tuning, want)
 	}
 }

@@ -4,18 +4,16 @@
 //
 //  1. retry the primary node — bounded attempts, full-jitter exponential
 //     backoff, per-attempt deadline derived from the query context;
-//  2. hedge — after the node's observed p90 latency (or a fixed HedgeAfter)
-//     a duplicate request races on the next replica, first success wins;
+//  2. hedge — after the node's observed p90 latency a duplicate request
+//     races on the next replica, first success wins;
 //  3. fail over to the alternate replica with its own retry budget;
-//  4. recompute the shard locally with the same range fold
-//     (disabled by NoLocalFallback);
-//  5. give up on the shard — the query returns ErrShardUnavailable along
-//     with the partial fold, and the caller decides whether a degraded
-//     answer is acceptable.
+//  4. recompute the shard locally with the same range fold.
 //
-// A worker that refuses the shard with 409 (a stale epoch, or a replica
-// whose digest differs from the coordinator's) skips rungs 1–3: every
-// replica regenerates the same data, so the shard goes straight to rung 4.
+// So every shard is served, by the fleet or by the coordinator, and the
+// answer is always exact. A worker that refuses the shard with 409 (a stale
+// epoch, or a replica whose digest differs from the coordinator's) skips
+// rungs 1–3: every replica regenerates the same data, so the shard goes
+// straight to rung 4.
 //
 // Per-node three-state circuit breakers (retry.Breaker, the state machine
 // that also guards the pager's reads) sit in front of every call, so a dead
@@ -55,9 +53,6 @@ var (
 	// stale epoch or a replica digest that differs from the coordinator's.
 	// Not retryable across nodes (every worker regenerates the same data).
 	ErrSkew = errors.New("cluster: epoch skew")
-	// ErrShardUnavailable marks a shard no rung of the failover ladder could
-	// serve. The query result alongside it is the fold of the served shards.
-	ErrShardUnavailable = errors.New("cluster: shard unavailable on every replica")
 )
 
 // Config configures an Executor.
@@ -66,50 +61,35 @@ type Config struct {
 	// Shard i is primarily owned by Workers[i mod len]; the next distinct
 	// worker is its failover replica and hedge target.
 	Workers []string
-	// MaxRetries bounds re-attempts per node after the first try (default 2).
-	MaxRetries int
-	// BaseDelay and MaxDelay shape the full-jitter backoff between attempts
-	// (defaults 5ms and 250ms).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// CallTimeout is the per-attempt deadline, intersected with the query
-	// context (default 10s).
-	CallTimeout time.Duration
-	// HedgeAfter, when positive, fixes the hedge delay. Zero derives it per
+}
+
+const (
+	// callTimeout is the per-attempt deadline, intersected with the query
+	// context.
+	callTimeout = 10 * time.Second
+	// maxDelay caps the full-jitter backoff between attempts.
+	maxDelay = 250 * time.Millisecond
+)
+
+// tuning is the executor's retry, backoff, hedge and breaker settings. New
+// uses defaultTuning; this package's tests build executors with their own
+// through newExecutor, and each value there means what it says.
+type tuning struct {
+	// maxRetries bounds re-attempts per node after the first try.
+	maxRetries int
+	// baseDelay is the first step of the full-jitter backoff.
+	baseDelay time.Duration
+	// hedgeAfter, when positive, fixes the hedge delay. Zero derives it per
 	// node from observed latency (p90 of a sliding sample window); hedging
 	// stays off for a node until enough samples exist. Negative disables
 	// hedging.
-	HedgeAfter time.Duration
-	// Breaker configures the per-node circuit breakers (zero =
-	// retry.DefaultBreakerPolicy).
-	Breaker retry.BreakerPolicy
-	// NoLocalFallback removes rung 4: a shard whose replicas all fail is
-	// reported missing instead of silently recomputed by the coordinator.
-	// The exact-answer guarantee then depends on the fleet.
-	NoLocalFallback bool
-	// Client is the HTTP client (nil = a default with sane pooling).
-	Client *http.Client
-	// Logf receives executor logs; nil discards them.
-	Logf func(format string, args ...any)
+	hedgeAfter time.Duration
+	// breaker configures the per-node circuit breakers.
+	breaker retry.BreakerPolicy
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.BaseDelay == 0 {
-		c.BaseDelay = 5 * time.Millisecond
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 250 * time.Millisecond
-	}
-	if c.CallTimeout == 0 {
-		c.CallTimeout = 10 * time.Second
-	}
-	if c.Breaker == (retry.BreakerPolicy{}) {
-		c.Breaker = retry.DefaultBreakerPolicy()
-	}
-	return c
+func defaultTuning() tuning {
+	return tuning{maxRetries: 2, baseDelay: 5 * time.Millisecond, breaker: retry.DefaultBreakerPolicy()}
 }
 
 // Query identifies one remote fingerprint computation.
@@ -132,12 +112,10 @@ type Query struct {
 // envelope spent doing it.
 type Outcome struct {
 	// Shards is the total; Remote and Local count how each was served.
-	// Remote+Local+len(Missing) == Shards.
+	// Remote+Local == Shards.
 	Shards int `json:"shards"`
 	Remote int `json:"remote"`
 	Local  int `json:"local"`
-	// Missing lists shard indexes no ladder rung could serve (ascending).
-	Missing []int `json:"missing,omitempty"`
 	// Retries, Hedges, Failovers and FastFails count the envelope's work:
 	// re-attempts after retryable failures, hedged duplicates launched,
 	// shards moved to the alternate replica, and calls rejected by an open
@@ -146,15 +124,6 @@ type Outcome struct {
 	Hedges    int64 `json:"hedges"`
 	Failovers int64 `json:"failovers"`
 	FastFails int64 `json:"fast_fails"`
-}
-
-// MissingList renders Missing as a comma-separated id list.
-func (o Outcome) MissingList() string {
-	parts := make([]string, len(o.Missing))
-	for i, s := range o.Missing {
-		parts[i] = fmt.Sprintf("%d", s)
-	}
-	return strings.Join(parts, ",")
 }
 
 // NodeStats snapshots one worker's executor-side state.
@@ -177,7 +146,6 @@ type Stats struct {
 	FastFails int64       `json:"fast_fails"`
 	Local     int64       `json:"local_shards"`
 	Remote    int64       `json:"remote_shards"`
-	Missing   int64       `json:"missing_shards"`
 	Nodes     []NodeStats `json:"nodes"`
 }
 
@@ -189,7 +157,6 @@ type node struct {
 	mu     sync.Mutex
 	lat    []time.Duration // ring of recent successful-call latencies
 	latIdx int
-	latN   int
 
 	calls, faults atomic.Int64
 }
@@ -205,7 +172,6 @@ func (n *node) observe(d time.Duration) {
 		n.lat[n.latIdx] = d
 		n.latIdx = (n.latIdx + 1) % latWindow
 	}
-	n.latN++
 	n.mu.Unlock()
 }
 
@@ -225,38 +191,30 @@ func (n *node) p90() time.Duration {
 // Executor coordinates remote shard execution. Safe for concurrent use; keep
 // one per worker fleet so breaker and latency state persist across queries.
 type Executor struct {
-	cfg    Config
+	tuning
 	client *http.Client
 	nodes  []*node
 
 	queries, retries, hedges, failovers, fastFails atomic.Int64
-	localShards, remoteShards, missingShards       atomic.Int64
+	localShards, remoteShards                      atomic.Int64
 }
 
 // New creates an executor for the fleet.
-func New(cfg Config) (*Executor, error) {
-	cfg = cfg.withDefaults()
+func New(cfg Config) (*Executor, error) { return newExecutor(cfg, defaultTuning()) }
+
+func newExecutor(cfg Config, tu tuning) (*Executor, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, ErrNoWorkers
 	}
-	e := &Executor{cfg: cfg, client: cfg.Client}
-	if e.client == nil {
-		e.client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
-	}
+	e := &Executor{tuning: tu, client: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}}
 	for _, w := range cfg.Workers {
-		br, err := retry.NewBreaker(cfg.Breaker)
+		br, err := retry.NewBreaker(tu.breaker)
 		if err != nil {
 			return nil, err
 		}
 		e.nodes = append(e.nodes, &node{base: strings.TrimRight(w, "/"), br: br})
 	}
 	return e, nil
-}
-
-func (e *Executor) logf(format string, args ...any) {
-	if e.cfg.Logf != nil {
-		e.cfg.Logf(format, args...)
-	}
 }
 
 // Stats snapshots the executor's counters and per-node state.
@@ -269,7 +227,6 @@ func (e *Executor) Stats() Stats {
 		FastFails: e.fastFails.Load(),
 		Local:     e.localShards.Load(),
 		Remote:    e.remoteShards.Load(),
-		Missing:   e.missingShards.Load(),
 	}
 	for _, n := range e.nodes {
 		bs := n.br.Stats()
@@ -302,22 +259,26 @@ func (e *Executor) replica(shard int) *node {
 // coordinator's canonical dataset: the source of each request's replica
 // digest and of the ladder's local rung.
 //
-// On success the returned fingerprint is bit-identical to the unsharded
-// SigGen-IF pass: same slots, same scores, and the same I/O, SigGen-IF's
-// scan of the whole file. When some shards could not be served at all, the
-// partial fold is returned together with ErrShardUnavailable and the missing
-// ids in the outcome; the caller chooses whether to degrade.
+// The coordinator holds every shard's fold until the merge, so the shard
+// count is first clamped to core.MaxRangeFolds(q.T, len(sky)); the outcome
+// reports the clamped count, and the page ranges and wire requests use it.
+//
+// The returned fingerprint is bit-identical to the unsharded SigGen-IF
+// pass: same slots, same scores, and the same I/O, SigGen-IF's scan of the
+// whole file. Every shard is served, by a worker or by the local rung, so
+// a query fails only when its context ends or its parameters are invalid.
 func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, sky []int) (*core.Fingerprint, Outcome, error) {
 	e.queries.Add(1)
-	out := Outcome{Shards: q.Shards}
 	fam, err := minhash.NewFamily(q.T, q.HashSeed)
 	if err != nil {
-		return nil, out, err
+		return nil, Outcome{Shards: q.Shards}, err
 	}
+	m := len(sky)
+	q.Shards = min(q.Shards, core.MaxRangeFolds(q.T, m))
+	out := Outcome{Shards: q.Shards}
 	if q.Epoch != 0 {
 		// Workers regenerate pristine datasets; a mutated coordinator copy
 		// cannot be served remotely. Serve every shard locally.
-		e.logf("epoch %d: serving all %d shards locally (%v)", q.Epoch, out.Shards, ErrSkew)
 		fp, err := core.SigGenIFParallelCtx(ctx, ds, sky, fam, -1)
 		if err != nil {
 			return nil, out, err
@@ -330,8 +291,9 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, s
 	type foldRes struct {
 		fp    *core.Fingerprint
 		local bool
+		err   error
 	}
-	folds := make([]foldRes, out.Shards)
+	folds := make([]foldRes, q.Shards)
 	var wg sync.WaitGroup
 	for i := range q.Shards {
 		lo, hi := core.PageRange(ds, i, q.Shards)
@@ -347,12 +309,8 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, s
 				folds[i] = foldRes{fp: fp}
 				return
 			}
-			if e.cfg.NoLocalFallback {
-				return
-			}
-			if fp, err := core.FoldRange(ctx, ds, sky, fam, lo, hi); err == nil {
-				folds[i] = foldRes{fp: fp, local: true}
-			}
+			fp, err := core.FoldRange(ctx, ds, sky, fam, lo, hi)
+			folds[i] = foldRes{fp: fp, local: true, err: err}
 		}()
 	}
 	wg.Wait()
@@ -360,17 +318,15 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, s
 		return nil, out, err
 	}
 
-	m := len(sky)
 	fp := &core.Fingerprint{Matrix: minhash.NewMatrix(q.T, m), DomScore: make([]float64, m),
 		IO: core.SyntheticScanStats(ds.Dims(), ds.Len())}
-	for i, fr := range folds {
-		switch {
-		case fr.fp == nil:
-			out.Missing = append(out.Missing, i)
-			continue
-		case fr.local:
+	for _, fr := range folds {
+		if fr.err != nil {
+			return nil, out, fr.err
+		}
+		if fr.local {
 			out.Local++
-		default:
+		} else {
 			out.Remote++
 		}
 		for c := 0; c < m; c++ {
@@ -380,17 +336,13 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, s
 	}
 	e.remoteShards.Add(int64(out.Remote))
 	e.localShards.Add(int64(out.Local))
-	e.missingShards.Add(int64(len(out.Missing)))
-	if len(out.Missing) > 0 {
-		return fp, out, fmt.Errorf("%w: shards [%s]", ErrShardUnavailable, out.MissingList())
-	}
 	return fp, out, nil
 }
 
 // callShard walks rungs 1–3 of the ladder for one shard: retries with
 // backoff on the primary (hedging attempt 0), then the same on the alternate
 // replica. It returns the shard's validated fold on success; the caller
-// applies rungs 4–5. Outcome counters are updated atomically.
+// applies rung 4. Outcome counters are updated atomically.
 func (e *Executor) callShard(ctx context.Context, req ShardRequest, out *Outcome) (*core.Fingerprint, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -404,7 +356,6 @@ func (e *Executor) callShard(ctx context.Context, req ShardRequest, out *Outcome
 	}
 	atomic.AddInt64(&out.Failovers, 1)
 	e.failovers.Add(1)
-	e.logf("shard %d: failing over to %s after: %v", req.Shard, alt.base, err)
 	return e.callNode(ctx, alt, nil, body, want, out)
 }
 
@@ -417,13 +368,13 @@ type foldShape struct{ t, cols int }
 // delay.
 func (e *Executor) callNode(ctx context.Context, n, hedge *node, body []byte, want foldShape, out *Outcome) (*core.Fingerprint, error) {
 	pol := retry.Policy{
-		MaxRetries: e.cfg.MaxRetries,
-		BaseDelay:  e.cfg.BaseDelay,
-		MaxDelay:   e.cfg.MaxDelay,
+		MaxRetries: e.maxRetries,
+		BaseDelay:  e.baseDelay,
+		MaxDelay:   maxDelay,
 		FullJitter: true,
 	}
 	var lastErr error
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= e.maxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -436,7 +387,7 @@ func (e *Executor) callNode(ctx context.Context, n, hedge *node, body []byte, wa
 		if lastErr == nil || !retryableErr(lastErr) {
 			return fp, lastErr
 		}
-		if attempt < e.cfg.MaxRetries {
+		if attempt < e.maxRetries {
 			atomic.AddInt64(&out.Retries, 1)
 			e.retries.Add(1)
 			if err := pol.Wait(ctx, attempt); err != nil {
@@ -464,7 +415,7 @@ func (e *Executor) doOnce(ctx context.Context, n *node, body []byte, want foldSh
 // usable hedge delay (hedging disabled, or not enough latency samples yet)
 // it degenerates to a plain attempt.
 func (e *Executor) doHedged(ctx context.Context, n, hedge *node, body []byte, want foldShape, out *Outcome) (*core.Fingerprint, error) {
-	delay := e.cfg.HedgeAfter
+	delay := e.hedgeAfter
 	if delay == 0 {
 		delay = n.p90()
 	}
@@ -519,7 +470,7 @@ func (e *Executor) doHedged(ctx context.Context, n, hedge *node, body []byte, wa
 // dimensions, matrix checksum and score count. A reply that fails any check
 // is wire corruption, a retryable ErrChecksum.
 func (e *Executor) roundTrip(ctx context.Context, n *node, body []byte, want foldShape) (*core.Fingerprint, error) {
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(cctx, http.MethodPost, n.base+PathSigFold, bytes.NewReader(body))
 	if err != nil {
@@ -598,7 +549,7 @@ func retryableErr(err error) bool {
 		return false
 	}
 	// Note: context.DeadlineExceeded is NOT screened out here — a wrapped
-	// deadline usually means the per-attempt CallTimeout fired, which a
+	// deadline usually means the per-attempt callTimeout fired, which a
 	// retry (or the replica) may well beat. Outer-context expiry is caught
 	// by the explicit ctx.Err() checks at the top of every retry loop.
 	var se *statusErr

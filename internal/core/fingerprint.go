@@ -138,7 +138,7 @@ func SigGenIFCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.
 // identifiers are assigned by a running counter in traversal order, exactly
 // as the pseudocode's rowcount; each physical point is consumed exactly
 // once, so signatures stay consistent across columns. The traversal is the
-// single-task case of SigGenIBParallel's subtree scanner.
+// single-task case of SigGenIBParallelCtx's subtree scanner.
 //
 // I/O is charged through the reader — the tree's own pool, or a per-query
 // rtree.Session for isolated accounting; either way callers typically start

@@ -13,39 +13,6 @@ import (
 	"skydiver/internal/rtree"
 )
 
-// SigGenIBParallel is the subtree-sharded variant of SigGen-IB: the top of
-// the R*-tree is expanded by a sequential planner until enough partially
-// dominated subtrees exist, then workers traverse those subtrees
-// concurrently. The output is bit-for-bit identical to the sequential
-// SigGenIB for any worker count.
-//
-// Why that holds: the sequential traversal assigns row ids with a running
-// counter, and its stack discipline makes every partially dominated entry's
-// subtree consume exactly Entry.Count consecutive ids. Within one node at
-// counter value B, immediately consumed entries (leaf points, and non-leaf
-// entries no skyline point partially dominates) take their ids in entry
-// order; the partial children are then popped last-pushed-first, so in
-// reverse entry order, each receiving the next Count-sized contiguous block.
-// The planner replays exactly that arithmetic to give every subtree task its
-// absolute starting id, after which subtrees are order-independent: min-fold
-// per slot is commutative and associative, and domination scores are integer
-// counts whose float64 sums are exact. workers <= 0 uses GOMAXPROCS.
-//
-// The prepared skyline (see skyPrep) is built once and shared read-only by
-// the planner and every worker; each worker folds through its own row
-// folder into a private matrix, exactly like the sequential pass. Row ids
-// within a task are consecutive, so the hashes step from row to row.
-//
-// Concurrent node reads go through the reader's internally locked pool, so
-// sharing one per-query session across the subtree workers is race-free; the
-// total page reads and the resulting fingerprint are schedule-independent,
-// but the hit/fault split can vary run to run because workers interleave
-// differently in the shared LRU. Callers that pin fault counts (the golden
-// harness) should use the sequential SigGenIB.
-func SigGenIBParallel(tr rtree.Reader, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
-	return SigGenIBParallelCtx(context.Background(), tr, ds, sky, fam, workers)
-}
-
 // ibTask is one independent unit of traversal: the subtree rooted at page,
 // whose rows occupy the id range [base, base+count).
 type ibTask struct {
@@ -135,12 +102,42 @@ func (sc *ibScanner) runSubtree(ctx context.Context, tr rtree.Reader, task ibTas
 	return nil
 }
 
-// SigGenIBParallelCtx is SigGenIBParallel with cancellation (checked before
-// every node read) and worker panic containment; error selection is
-// deterministic (first failed task by task index). An aborted or failed run
-// discards all partial signatures. The planner and every worker fold into
-// private fingerprints, so the worker count is capped to keep them together
-// within minhash.MaxFingerprintBytes, like the index-free fold's.
+// SigGenIBParallelCtx is the subtree-sharded variant of SigGen-IB: the top of
+// the R*-tree is expanded by a sequential planner until enough partially
+// dominated subtrees exist, then workers traverse those subtrees
+// concurrently. The output is bit-for-bit identical to the sequential
+// SigGenIB for any worker count.
+//
+// Why that holds: the sequential traversal assigns row ids with a running
+// counter, and its stack discipline makes every partially dominated entry's
+// subtree consume exactly Entry.Count consecutive ids. Within one node at
+// counter value B, immediately consumed entries (leaf points, and non-leaf
+// entries no skyline point partially dominates) take their ids in entry
+// order; the partial children are then popped last-pushed-first, so in
+// reverse entry order, each receiving the next Count-sized contiguous block.
+// The planner replays exactly that arithmetic to give every subtree task its
+// absolute starting id, after which subtrees are order-independent: min-fold
+// per slot is commutative and associative, and domination scores are integer
+// counts whose float64 sums are exact. workers <= 0 uses GOMAXPROCS.
+//
+// The prepared skyline (see skyPrep) is built once and shared read-only by
+// the planner and every worker; each worker folds through its own row
+// folder into a private matrix, exactly like the sequential pass. Row ids
+// within a task are consecutive, so the hashes step from row to row.
+//
+// Concurrent node reads go through the reader's internally locked pool, so
+// sharing one per-query session across the subtree workers is race-free; the
+// total page reads and the resulting fingerprint are schedule-independent,
+// but the hit/fault split can vary run to run because workers interleave
+// differently in the shared LRU. Callers that pin fault counts (the golden
+// harness) should use the sequential SigGenIB.
+//
+// Cancellation is checked before every node read, and a worker panic is
+// contained; error selection is deterministic (first failed task by task
+// index). An aborted or failed run discards all partial signatures. The
+// planner and every worker fold into private fingerprints, so the worker
+// count is capped to keep them together within minhash.MaxFingerprintBytes,
+// like the index-free fold's.
 func SigGenIBParallelCtx(ctx context.Context, tr rtree.Reader, ds *data.Dataset, sky []int, fam *minhash.Family, workers int) (*Fingerprint, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -32,7 +32,7 @@ func TestSigGenIBParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 8, 16} {
-			got, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, workers)
+			got, err := SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -80,7 +80,7 @@ func TestSigGenIBParallelWorkerCountBounded(t *testing.T) {
 	const workers = 1 << 16
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, workers)
+	got, err := SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, workers)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSigGenIBParallelWorkers1(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Tree.Reopen(0.2)
-	got, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, 1)
+	got, err := SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestSigGenIBParallelErrors(t *testing.T) {
 	ds := data.Independent(200, 2, 1)
 	in := testInput(t, ds)
 	fam, _ := minhash.NewFamily(16, 1)
-	if _, err := SigGenIBParallel(in.Tree, ds, nil, fam, 4); err == nil {
+	if _, err := SigGenIBParallelCtx(context.Background(), in.Tree, ds, nil, fam, 4); err == nil {
 		t.Error("empty skyline accepted")
 	}
 	other := data.Independent(200, 3, 1)
-	if _, err := SigGenIBParallel(in.Tree, other, []int{0}, fam, 4); err == nil {
+	if _, err := SigGenIBParallelCtx(context.Background(), in.Tree, other, []int{0}, fam, 4); err == nil {
 		t.Error("dims mismatch accepted")
 	}
 }

@@ -71,7 +71,7 @@ func sameInts(t *testing.T, step int, what string, got, want []int) {
 // wholesale fingerprint: every zone's bucket and every Hamming pair.
 func sameVectors(t *testing.T, step int, got *lsh.BitVectors, want *Fingerprint, p lsh.Params, seed int64) {
 	t.Helper()
-	fresh, err := lsh.Build(want.Matrix, p, seed)
+	fresh, err := lsh.BuildCtx(context.Background(), want.Matrix, p, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,6 +247,14 @@ func privateFingerprints(t, m int) int {
 	return minhash.MaxFingerprintBytes / (4 * (m + 4)) / t
 }
 
+// MaxRangeFolds returns how many FoldRange results of t slots over m
+// columns fit within minhash.MaxFingerprintBytes together with the
+// fingerprint they are merged into, and at least one: the cap on a remote
+// shard count, whose folds the coordinator holds until the merge.
+func MaxRangeFolds(t, m int) int {
+	return max(1, privateFingerprints(t, m)-1)
+}
+
 // SigGenIFParallel is the parallel variant of SigGen-IF: the rows are split
 // into page-aligned contiguous ranges, one per worker, each folded into a
 // private fingerprint, and the fingerprints are min-merged with their

@@ -221,7 +221,9 @@ func TestParallelFoldMemoryCapped(t *testing.T) {
 			func() (*Fingerprint, error) { return SigGenIFParallel(ds, in.Sky, fam, 1<<16) },
 			func() (*Fingerprint, error) { return SigGenIF(ds, in.Sky, fam) }},
 		{"IB", 1,
-			func() (*Fingerprint, error) { return SigGenIBParallel(in.Tree, ds, in.Sky, fam, 1<<16) },
+			func() (*Fingerprint, error) {
+				return SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, 1<<16)
+			},
 			func() (*Fingerprint, error) { return SigGenIB(in.Tree, ds, in.Sky, fam) }},
 	}
 	for _, r := range runs {
@@ -248,6 +250,32 @@ func TestParallelFoldMemoryCapped(t *testing.T) {
 		}
 		got, want = nil, nil
 		runtime.GC()
+	}
+}
+
+// TestMaxRangeFolds pins the remote shard clamp as a function of (t, m),
+// without running a fold: the clamped count of folds and the merged
+// fingerprint fit minhash.MaxFingerprintBytes together, at 4·t·(m+4) bytes
+// each as FingerprintFits measures one, and one fold more would not; where
+// not even two fit, the count is one. At t = 100 over IND-100K-4D's 216
+// skyline points, a fold is 88 KB and 100,000 shards clamp to 3,049.
+func TestMaxRangeFolds(t *testing.T) {
+	edge := minhash.MaxFingerprintBytes / (4 * (100 + 4))
+	for _, c := range []struct{ t, m int }{
+		{100, 216}, {16, 3}, {1, 1}, {8000, 2400}, {100_000, 600}, {edge / 2, 100}, {edge/2 + 1, 100}, {edge, 100},
+	} {
+		n := MaxRangeFolds(c.t, c.m)
+		fold := int64(4 * c.t * (c.m + 4))
+		fit := minhash.MaxFingerprintBytes / fold // folds that fit the cap together
+		switch {
+		case fit < 2 && n != 1:
+			t.Errorf("t=%d m=%d: %d folds, want 1 where two %d-byte folds pass the cap", c.t, c.m, n, fold)
+		case fit >= 2 && int64(n+1) != fit:
+			t.Errorf("t=%d m=%d: %d folds besides the merged one, want %d", c.t, c.m, n, fit-1)
+		}
+	}
+	if n := MaxRangeFolds(100, 216); n != 3049 {
+		t.Errorf("IND-100K-4D at t=100: %d folds, want 3049", n)
 	}
 }
 
@@ -416,7 +444,7 @@ func FuzzFoldPartitions(f *testing.F) {
 		}
 		var ib1 *Fingerprint
 		for w := 1; w <= 3; w++ {
-			fp, err := SigGenIBParallel(tr, live, liveSky, fam, w)
+			fp, err := SigGenIBParallelCtx(context.Background(), tr, live, liveSky, fam, w)
 			if err != nil {
 				t.Fatal(err)
 			}

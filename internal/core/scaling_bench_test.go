@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkSigGenIBParallelScale(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				in.Tree.Reopen(0.2) // cold pool: every pass pays real page faults
-				if _, err := SigGenIBParallel(in.Tree, ds, in.Sky, fam, sc.workers); err != nil {
+				if _, err := SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, sc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

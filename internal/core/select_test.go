@@ -41,7 +41,7 @@ func TestLazySelectionMatchesEagerOnFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vectors, err := lsh.Build(fp.Matrix, params, 2)
+		vectors, err := lsh.BuildCtx(context.Background(), fp.Matrix, params, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

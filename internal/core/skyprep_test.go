@@ -300,7 +300,9 @@ func TestDomScoreCarriesThroughEveryPlane(t *testing.T) {
 		"SigGen-IF":            func() (*Fingerprint, error) { return SigGenIF(ds, in.Sky, fam) },
 		"SigGen-IF, 2 workers": func() (*Fingerprint, error) { return SigGenIFParallel(ds, in.Sky, fam, 2) },
 		"SigGen-IB":            func() (*Fingerprint, error) { return SigGenIB(in.Tree, ds, in.Sky, fam) },
-		"SigGen-IB, 2 workers": func() (*Fingerprint, error) { return SigGenIBParallel(in.Tree, ds, in.Sky, fam, 2) },
+		"SigGen-IB, 2 workers": func() (*Fingerprint, error) {
+			return SigGenIBParallelCtx(context.Background(), in.Tree, ds, in.Sky, fam, 2)
+		},
 		"streaming pass": func() (*Fingerprint, error) {
 			return SigGenIFStreamCtx(context.Background(), ds.Source(), in.Sky, pts, fam)
 		},

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"skydiver/internal/pager"
@@ -48,12 +47,6 @@ func (s Stats) IOTime() time.Duration { return s.Model.IOTime(s.IO) }
 
 // Total returns CPU + simulated I/O time, the paper's "total time".
 func (s Stats) Total() time.Duration { return s.CPU() + s.IOTime() }
-
-// String formats the stats for experiment logs.
-func (s Stats) String() string {
-	return fmt.Sprintf("cpu=%v io=%v total=%v faults=%d mem=%dB",
-		s.CPU().Round(time.Microsecond), s.IOTime(), s.Total().Round(time.Microsecond), s.IO.Faults, s.MemoryBytes)
-}
 
 // Result is the outcome of one diversification run.
 type Result struct {

@@ -67,23 +67,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestHead(t *testing.T) {
-	ds := Independent(100, 3, 1)
-	h, err := ds.Head(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 10 || !geom.Equal(h.Point(5), ds.Point(5)) {
-		t.Error("Head broken")
-	}
-	if _, err := ds.Head(0); err == nil {
-		t.Error("expected error for head 0")
-	}
-	if _, err := ds.Head(101); err == nil {
-		t.Error("expected error for head beyond length")
-	}
-}
-
 func TestBounds(t *testing.T) {
 	ds, _ := FromRows("x", [][]float64{{1, 5}, {3, 2}, {2, 4}})
 	b := ds.Bounds()

@@ -148,15 +148,6 @@ func (ds *Dataset) Project(dims int) (*Dataset, error) {
 	return &Dataset{dims: dims, vals: vals, name: fmt.Sprintf("%s/%dD", ds.name, dims)}, nil
 }
 
-// Head returns a new dataset containing the first n points, used by the
-// experiment harness to scale cardinality sweeps down.
-func (ds *Dataset) Head(n int) (*Dataset, error) {
-	if n <= 0 || n > ds.Len() {
-		return nil, fmt.Errorf("data: head %d out of range [1, %d]", n, ds.Len())
-	}
-	return &Dataset{dims: ds.dims, vals: ds.vals[:n*ds.dims], name: fmt.Sprintf("%s/head%d", ds.name, n)}, nil
-}
-
 // Bounds returns the minimum bounding rectangle of all points.
 func (ds *Dataset) Bounds() geom.Rect {
 	r := geom.NewRect(ds.dims)

@@ -421,84 +421,3 @@ func BruteForceCtx(ctx context.Context, m, k int, dist DistFunc, obj Objective) 
 	copy(out, best)
 	return out, bestVal, ctxErr
 }
-
-// GreedyMaxSum is the standard greedy heuristic for k-MSDP: seed with the
-// globally farthest pair, then repeatedly add the item with the largest sum
-// of distances to the chosen set. Used by the Figure 2 comparison of the two
-// dispersion flavors.
-func GreedyMaxSum(m, k int, dist DistFunc) ([]int, error) {
-	return GreedyMaxSumCtx(context.Background(), m, k, dist)
-}
-
-// GreedyMaxSumCtx is GreedyMaxSum with cancellation, checked every
-// cancelCheckStride distance evaluations — the O(m²) farthest-pair seeding
-// scan included. Cancellation during seeding returns an empty selection;
-// later, the anytime prefix selected so far, in both cases alongside the
-// context's error.
-func GreedyMaxSumCtx(ctx context.Context, m, k int, dist DistFunc) ([]int, error) {
-	if k < 1 || k > m {
-		return nil, fmt.Errorf("dispersion: invalid k %d for %d items", k, m)
-	}
-	if err := ctx.Err(); err != nil {
-		return []int{}, err
-	}
-	if k == 1 || m == 1 {
-		return []int{0}, nil
-	}
-	bi, bj := 0, 1
-	bd := math.Inf(-1)
-	evals := 0
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if d := dist(i, j); d > bd {
-				bi, bj, bd = i, j, d
-			}
-			if evals++; evals%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return []int{}, err
-				}
-			}
-		}
-	}
-	selected := []int{bi, bj}
-	inSet := make([]bool, m)
-	inSet[bi], inSet[bj] = true, true
-	sumDist := make([]float64, m)
-	for i := 0; i < m; i++ {
-		if !inSet[i] {
-			sumDist[i] = dist(i, bi) + dist(i, bj)
-			if evals += 2; evals%cancelCheckStride < 2 {
-				if err := ctx.Err(); err != nil {
-					return selected, err
-				}
-			}
-		}
-	}
-	for len(selected) < k {
-		if err := ctx.Err(); err != nil {
-			return selected, err
-		}
-		best := -1
-		for i := 0; i < m; i++ {
-			if inSet[i] {
-				continue
-			}
-			if best == -1 || sumDist[i] > sumDist[best] {
-				best = i
-			}
-		}
-		selected = append(selected, best)
-		inSet[best] = true
-		for i := 0; i < m; i++ {
-			if !inSet[i] {
-				sumDist[i] += dist(i, best)
-				if evals++; evals%cancelCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return selected, err
-					}
-				}
-			}
-		}
-	}
-	return selected, nil
-}

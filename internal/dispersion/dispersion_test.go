@@ -243,33 +243,6 @@ func TestSelectDiverseSetFull(t *testing.T) {
 	}
 }
 
-func TestGreedyMaxSum(t *testing.T) {
-	pts := [][2]float64{{0, 0}, {10, 0}, {1, 0}, {5, 4}}
-	d := euclid(pts)
-	got, err := GreedyMaxSum(4, 2, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if got[0] != 0 || got[1] != 1 {
-		t.Errorf("GreedyMaxSum seed pair = %v, want the farthest pair [0 1]", got)
-	}
-	got, err = GreedyMaxSum(4, 3, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatal("wrong size")
-	}
-	if _, err := GreedyMaxSum(4, 0, d); err == nil {
-		t.Error("expected error for k=0")
-	}
-	one, err := GreedyMaxSum(1, 1, d)
-	if err != nil || len(one) != 1 {
-		t.Error("k=1 broken")
-	}
-}
-
 func TestSelectionOrderIsSelectionOrder(t *testing.T) {
 	// The first element of the result must be the seed even when it is not
 	// item 0, so callers can prefix-truncate for smaller k.

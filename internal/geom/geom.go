@@ -94,12 +94,6 @@ func DominatesOrEqual(a, b []float64) bool {
 	return true
 }
 
-// Incomparable reports whether neither point dominates the other and they are
-// not equal.
-func Incomparable(a, b []float64) bool {
-	return !Dominates(a, b) && !Dominates(b, a) && !Equal(a, b)
-}
-
 // Equal reports componentwise equality.
 func Equal(a, b []float64) bool {
 	if len(a) != len(b) {

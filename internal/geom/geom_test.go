@@ -41,18 +41,6 @@ func TestDominatesOrEqual(t *testing.T) {
 	}
 }
 
-func TestIncomparable(t *testing.T) {
-	if !Incomparable([]float64{1, 3}, []float64{3, 1}) {
-		t.Error("expected incomparable")
-	}
-	if Incomparable([]float64{1, 1}, []float64{2, 2}) {
-		t.Error("dominating pair reported incomparable")
-	}
-	if Incomparable([]float64{1, 1}, []float64{1, 1}) {
-		t.Error("equal pair reported incomparable")
-	}
-}
-
 // randPoint draws a point in [0,1)^d with coordinates quantized to a small
 // grid so that ties and equal points actually occur.
 func randPoint(r *rand.Rand, d int) []float64 {

@@ -99,19 +99,14 @@ type BitVectors struct {
 	zoneKeys []uint64
 }
 
-// buildCheckStride is how many columns Build encodes between two context
+// buildCheckStride is how many columns BuildCtx encodes between two context
 // checks — a shard-granularity bound on cancellation latency.
 const buildCheckStride = 256
 
-// Build hashes every signature of the matrix into bucket bit vectors. The
+// BuildCtx hashes every signature of the matrix into bucket bit vectors. The
 // per-zone hash functions are seeded deterministically from seed.
-func Build(m *minhash.Matrix, p Params, seed int64) (*BitVectors, error) {
-	return BuildCtx(context.Background(), m, p, seed)
-}
-
-// BuildCtx is Build with cancellation, checked every buildCheckStride
-// columns. A cancelled build returns the context's error; no partial bit
-// vectors are exposed.
+// Cancellation is checked every buildCheckStride columns; a cancelled build
+// returns the context's error, and no partial bit vectors are exposed.
 func BuildCtx(ctx context.Context, m *minhash.Matrix, p Params, seed int64) (*BitVectors, error) {
 	if err := p.Validate(m.T()); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,7 +121,7 @@ func TestBuildInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	m := buildMatrix(t, 100, randomSets(r, 30))
 	p := Params{Zones: 25, Rows: 4, Buckets: 16}
-	bv, err := Build(m, p, 3)
+	bv, err := BuildCtx(context.Background(), m, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestBuildInvariants(t *testing.T) {
 
 func TestBuildValidates(t *testing.T) {
 	m := minhash.NewMatrix(10, 2)
-	if _, err := Build(m, Params{Zones: 3, Rows: 3, Buckets: 4}, 1); err == nil {
+	if _, err := BuildCtx(context.Background(), m, Params{Zones: 3, Rows: 3, Buckets: 4}, 1); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -154,7 +155,7 @@ func TestHammingMatchesBucketDisagreement(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	m := buildMatrix(t, 60, randomSets(r, 20))
 	p := Params{Zones: 12, Rows: 5, Buckets: 8}
-	bv, err := Build(m, p, 5)
+	bv, err := BuildCtx(context.Background(), m, p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestHammingMatchesBucketDisagreement(t *testing.T) {
 func TestHammingMetricProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	m := buildMatrix(t, 60, randomSets(r, 15))
-	bv, err := Build(m, Params{Zones: 15, Rows: 4, Buckets: 10}, 9)
+	bv, err := BuildCtx(context.Background(), m, Params{Zones: 15, Rows: 4, Buckets: 10}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestIdenticalSignaturesCollide(t *testing.T) {
 		m.UpdateColumn(0, hv)
 		m.UpdateColumn(1, hv)
 	}
-	bv, err := Build(m, Params{Zones: 10, Rows: 4, Buckets: 8}, 2)
+	bv, err := BuildCtx(context.Background(), m, Params{Zones: 10, Rows: 4, Buckets: 8}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSimilarCloserThanDissimilar(t *testing.T) {
 		sets[2][x+10000] = true // disjoint
 	}
 	m := buildMatrix(t, 100, sets)
-	bv, err := Build(m, Params{Zones: 25, Rows: 4, Buckets: 32}, 4)
+	bv, err := BuildCtx(context.Background(), m, Params{Zones: 25, Rows: 4, Buckets: 32}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSimilarCloserThanDissimilar(t *testing.T) {
 
 func TestMemoryBytes(t *testing.T) {
 	m := minhash.NewMatrix(100, 50)
-	bv, err := Build(m, Params{Zones: 20, Rows: 5, Buckets: 10}, 1)
+	bv, err := BuildCtx(context.Background(), m, Params{Zones: 20, Rows: 5, Buckets: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestMemoryBytes(t *testing.T) {
 
 func BenchmarkHamming(b *testing.B) {
 	m := minhash.NewMatrix(100, 2)
-	bv, _ := Build(m, Params{Zones: 25, Rows: 4, Buckets: 20}, 1)
+	bv, _ := BuildCtx(context.Background(), m, Params{Zones: 25, Rows: 4, Buckets: 20}, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bv.Hamming(0, 1)
@@ -279,7 +280,7 @@ func BenchmarkBuild(b *testing.B) {
 	p := Params{Zones: 25, Rows: 4, Buckets: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(m, p, int64(i)); err != nil {
+		if _, err := BuildCtx(context.Background(), m, p, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

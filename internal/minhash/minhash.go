@@ -736,15 +736,3 @@ func FingerprintFits(t, m int) bool {
 // MemoryBytes returns the signature storage footprint (4 bytes per slot),
 // the quantity plotted in Figure 13(a)-(b).
 func (m *Matrix) MemoryBytes() int { return 4 * len(m.sig) }
-
-// SignatureSizeFor returns the signature size t = Θ(ε⁻³ β⁻¹ ln(1/δ))
-// sufficient for an (ε, δ)-approximation of Jaccard similarities at
-// precision β (Datar & Muthukrishnan, cited as [12] in Section 4.2.1). It is
-// a guideline; the paper's experiments use t between 20 and 400.
-func SignatureSizeFor(eps, beta, delta float64) (int, error) {
-	if eps <= 0 || eps >= 1 || beta <= 0 || beta >= 1 || delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("minhash: parameters out of (0,1): eps=%v beta=%v delta=%v", eps, beta, delta)
-	}
-	t := math.Ceil(math.Log(1/delta) / (eps * eps * eps * beta))
-	return int(t), nil
-}

@@ -325,21 +325,6 @@ func TestHashUniformity(t *testing.T) {
 	}
 }
 
-func TestSignatureSizeFor(t *testing.T) {
-	n, err := SignatureSizeFor(0.5, 0.5, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 10 || n > 100 {
-		t.Errorf("SignatureSizeFor = %d, implausible", n)
-	}
-	for _, bad := range [][3]float64{{0, 0.5, 0.5}, {0.5, 1, 0.5}, {0.5, 0.5, 0}} {
-		if _, err := SignatureSizeFor(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("expected error for %v", bad)
-		}
-	}
-}
-
 func BenchmarkHashAll100(b *testing.B) {
 	f, _ := NewFamily(100, 1)
 	dst := make([]uint32, 100)

@@ -373,16 +373,6 @@ func (bp *BufferPool) Put(id PageID, decoded any) {
 	bp.insert(id, decoded)
 }
 
-// Invalidate drops page id from the cache if present.
-func (bp *BufferPool) Invalidate(id PageID) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if el, ok := bp.entries[id]; ok {
-		bp.lru.Remove(el)
-		delete(bp.entries, id)
-	}
-}
-
 // Clear drops all cached pages, keeping the statistics.
 func (bp *BufferPool) Clear() {
 	bp.mu.Lock()

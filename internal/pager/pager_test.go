@@ -118,7 +118,7 @@ func TestBufferPoolLRUOrder(t *testing.T) {
 	}
 }
 
-func TestBufferPoolPutInvalidateClear(t *testing.T) {
+func TestBufferPoolPutClear(t *testing.T) {
 	ps := NewPageStore()
 	ps.Allocate()
 	bp := NewBufferPool(ps, 4)
@@ -132,11 +132,6 @@ func TestBufferPoolPutInvalidateClear(t *testing.T) {
 	if v.(uint32) != 8 {
 		t.Error("Put overwrite failed")
 	}
-	bp.Invalidate(0)
-	if bp.Len() != 0 {
-		t.Error("Invalidate failed")
-	}
-	bp.Put(0, uint32(9))
 	bp.Clear()
 	if bp.Len() != 0 {
 		t.Error("Clear failed")

@@ -12,10 +12,7 @@
 // paper prescribes for domains where multidimensional indexes cannot exist.
 package poset
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Poset is a finite partial order over named categorical values. Value a is
 // "preferred or equal" to b when a ≼ b (smaller is better, matching the
@@ -143,37 +140,6 @@ func (p *Poset) Comparable(a, b int) bool {
 func (p *Poset) Values() []string {
 	out := make([]string, len(p.names))
 	copy(out, p.names)
-	return out
-}
-
-// Chains returns the values sorted topologically (best first within ties of
-// depth), for display purposes.
-func (p *Poset) Chains() []string {
-	type depthName struct {
-		depth int
-		name  string
-	}
-	ds := make([]depthName, p.Len())
-	for i := range ds {
-		// depth = number of values strictly better than i.
-		d := 0
-		for j := 0; j < p.Len(); j++ {
-			if p.Strict(j, i) {
-				d++
-			}
-		}
-		ds[i] = depthName{d, p.names[i]}
-	}
-	sort.Slice(ds, func(a, b int) bool {
-		if ds[a].depth != ds[b].depth {
-			return ds[a].depth < ds[b].depth
-		}
-		return ds[a].name < ds[b].name
-	})
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = d.name
-	}
 	return out
 }
 

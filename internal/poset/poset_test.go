@@ -149,14 +149,6 @@ func TestPosetIsPartialOrder(t *testing.T) {
 	}
 }
 
-func TestChains(t *testing.T) {
-	p := diamond(t)
-	order := p.Chains()
-	if order[0] != "top" || order[3] != "bottom" {
-		t.Errorf("Chains = %v", order)
-	}
-}
-
 func marketplaceTable(t *testing.T) *Table {
 	t.Helper()
 	condition := mustChain(t, "new", "like-new", "used")

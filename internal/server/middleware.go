@@ -59,8 +59,7 @@ func classify(err error) (status int, class string) {
 		errors.Is(err, skydiver.ErrDatasetClosed),
 		errors.Is(err, skydiver.ErrCircuitOpen),
 		errors.Is(err, skydiver.ErrTransientFault),
-		errors.Is(err, skydiver.ErrPermanentFault),
-		errors.Is(err, skydiver.ErrRemoteUnavailable):
+		errors.Is(err, skydiver.ErrPermanentFault):
 		return http.StatusServiceUnavailable, ClassUnavailable
 	case errors.Is(err, skydiver.ErrInvalidOptions):
 		return http.StatusBadRequest, ClassBadRequest

@@ -31,6 +31,18 @@ func startShardWorkers(t *testing.T, n int) ([]*cluster.Worker, []string) {
 	return workers, urls
 }
 
+// allShardsServed reports an error unless res is a remote result whose every
+// shard was served, by the fleet or by the coordinator.
+func allShardsServed(res *Result) error {
+	switch {
+	case res.Remote == nil:
+		return errors.New("Result.Remote is nil on a remote query")
+	case res.Remote.Remote+res.Remote.Local != res.Remote.Shards:
+		return fmt.Errorf("remote stats %+v: remote + local != shards", res.Remote)
+	}
+	return nil
+}
+
 // TestRemoteMatchesSharded is the acceptance pin: for shard counts {1, 2, 4}
 // a query dispatched to the worker fleet selects the same points with the
 // same objective, and charges the same I/O, as the unsharded in-process run,
@@ -85,14 +97,11 @@ func TestRemoteMatchesSharded(t *testing.T) {
 					if err := sameAnswer(got, want); err != nil {
 						t.Errorf("%v-%d: %v", spec.dist, spec.n, err)
 					}
-					if got.Remote == nil {
-						t.Fatal("Result.Remote is nil on a remote query")
+					if err := allShardsServed(got); err != nil {
+						t.Fatal(err)
 					}
 					if got.Remote.Shards != shards || got.Remote.Remote != shards {
 						t.Errorf("remote stats = %+v, want all %d shards remote", got.Remote, shards)
-					}
-					if len(got.Remote.Missing) != 0 || got.Remote.Local != 0 {
-						t.Errorf("unexpected missing/local shards: %+v", got.Remote)
 					}
 				}
 			})
@@ -130,7 +139,10 @@ func TestRemoteShardsBeyondPages(t *testing.T) {
 		if err := sameAnswer(got, want); err != nil {
 			t.Errorf("n=%d s%d: %v", c.n, c.shards, err)
 		}
-		if got.Remote == nil || got.Remote.Remote != c.shards {
+		if err := allShardsServed(got); err != nil {
+			t.Fatalf("n=%d s%d: %v", c.n, c.shards, err)
+		}
+		if got.Remote.Remote != c.shards {
 			t.Errorf("n=%d s%d: remote stats = %+v, want all shards served by the fleet", c.n, c.shards, got.Remote)
 		}
 	}
@@ -169,7 +181,10 @@ func TestRemoteOneFoldPerShard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Remote == nil || res.Remote.Remote != shards {
+		if err := allShardsServed(res); err != nil {
+			t.Fatalf("s%d: %v", shards, err)
+		}
+		if res.Remote.Remote != shards {
 			t.Fatalf("s%d: remote stats = %+v", shards, res.Remote)
 		}
 		if n := folds() - before; n != int64(shards) {
@@ -202,8 +217,11 @@ func TestRemoteFingerprintCacheSkipsFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.FingerprintCached || first.Remote == nil {
-		t.Fatalf("first query: cached=%v remote=%v", first.FingerprintCached, first.Remote)
+	if first.FingerprintCached {
+		t.Fatal("first query was served from the fingerprint cache")
+	}
+	if err := allShardsServed(first); err != nil {
+		t.Fatal(err)
 	}
 	folds := workers[0].Stats().Folds + workers[1].Stats().Folds
 	second, err := ds.Diversify(opts)
@@ -226,7 +244,8 @@ func TestRemoteFingerprintCacheSkipsFleet(t *testing.T) {
 
 // TestRemoteDeadFleetFallsBackLocally: with the entire fleet unreachable the
 // coordinator recomputes every shard itself and the answer is still exact,
-// I/O included.
+// I/O included. AllowDegraded changes nothing: a remote answer is never
+// degraded.
 func TestRemoteDeadFleetFallsBackLocally(t *testing.T) {
 	dead := httptest.NewServer(nil)
 	dead.Close()
@@ -242,72 +261,22 @@ func TestRemoteDeadFleetFallsBackLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ds2.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2,
-		Remote: &RemoteOptions{Workers: []string{dead.URL}, MaxRetries: 1}})
+	res, err := ds2.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2, AllowDegraded: true,
+		Remote: &RemoteOptions{Workers: []string{dead.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameAnswer(res, want); err != nil {
 		t.Error(err)
 	}
-	if res.Degraded {
-		t.Error("local fallback must not be marked degraded")
+	if res.Degraded || res.DegradedReason != "" {
+		t.Errorf("local fallback marked degraded (%q)", res.DegradedReason)
 	}
-	if res.Remote == nil || res.Remote.Local != 2 || res.Remote.Remote != 0 {
+	if err := allShardsServed(res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Remote.Local != 2 || res.Remote.Remote != 0 {
 		t.Errorf("remote stats = %+v, want 2 local shards", res.Remote)
-	}
-}
-
-// TestRemoteUnavailableAndDegraded covers the explicit opt-outs: with
-// NoLocalFallback a dead fleet fails the query with ErrRemoteUnavailable;
-// adding AllowDegraded serves the labeled degraded answer instead.
-func TestRemoteUnavailableAndDegraded(t *testing.T) {
-	dead := httptest.NewServer(nil)
-	dead.Close()
-	ds, err := Generate(Independent, 300, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro := &RemoteOptions{Workers: []string{dead.URL}, MaxRetries: 0, NoLocalFallback: true}
-	_, err = ds.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2, Remote: ro})
-	if !errors.Is(err, ErrRemoteUnavailable) {
-		t.Fatalf("err = %v, want ErrRemoteUnavailable", err)
-	}
-
-	res, err := ds.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2,
-		AllowDegraded: true, Remote: ro})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || res.DegradedReason != DegradedRemoteShards {
-		t.Fatalf("degraded = %v reason = %q, want %q", res.Degraded, res.DegradedReason, DegradedRemoteShards)
-	}
-	if res.Remote == nil || len(res.Remote.Missing) != 2 {
-		t.Fatalf("remote stats = %+v, want 2 missing shards", res.Remote)
-	}
-	if len(res.Indexes) != 4 {
-		t.Fatalf("degraded answer has %d points, want K=4", len(res.Indexes))
-	}
-
-	// The degraded fold must not have poisoned the shared cache: the same
-	// query without Remote recomputes exactly.
-	want, err := Generate(Independent, 300, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wres, err := want.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lres, err := ds.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lres.FingerprintCached {
-		t.Error("exact query was served from the degraded query's cache entry")
-	}
-	if fmt.Sprint(lres.Indexes) != fmt.Sprint(wres.Indexes) {
-		t.Errorf("post-degraded exact query = %v, want %v", lres.Indexes, wres.Indexes)
 	}
 }
 

@@ -131,6 +131,110 @@ func TestAdmissionFailFast(t *testing.T) {
 	}
 }
 
+// TestOverloadStormInvariants drives one dataset through sustained
+// overload, storage faults and tight per-query budgets at once: a faulty
+// wave and then a healthy one, each of 400 mixed queries from 32 clients
+// against 4 admission slots. Every outcome must be a success, a flagged
+// degraded result, or an overloaded, budget or storage error, never an
+// unclassified failure or a partial result with a nil error; un-degraded,
+// unbudgeted successes must equal the healthy baseline; and afterwards the
+// limiter must be idle and, once the breaker's cooldown has passed, a plain
+// query must serve the baseline again.
+func TestOverloadStormInvariants(t *testing.T) {
+	ds, err := Generate(Anticorrelated, 20000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.SetAdmissionPolicy(AdmissionPolicy{MaxInFlight: 4, MaxQueue: 8, QueueWait: 25 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	const cooldown = 50 * time.Millisecond
+	if err := ds.SetBreakerPolicy(BreakerPolicy{Window: 32, MinSamples: 8, TripRatio: 0.5, Cooldown: cooldown, Probes: 2}); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{K: 5, SignatureSize: 64, Seed: 1, UseIndex: true}
+	want, err := ds.Diversify(opts) // on a healthy, unloaded store
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := ParseFaultPolicy("rate=0.6,latency=0,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ok, degraded, shed, budget, storage atomic.Int64
+	for _, policy := range []FaultPolicy{faulty, {}} {
+		if err := ds.InjectFaults(policy); err != nil {
+			t.Fatal(err)
+		}
+		sem := make(chan struct{}, 32)
+		var wg sync.WaitGroup
+		for q := range 400 {
+			// Three traffic classes: cold queries budgeted below Phase 1's
+			// page reads that may degrade, cold NoCache queries that redo
+			// Phase 1 against the store, and cached plain queries.
+			qopts := opts
+			switch q % 3 {
+			case 0:
+				qopts.Budget = Budget{MaxPageReads: 64, MaxWall: 5 * time.Second}
+				qopts.AllowDegraded, qopts.NoCache = true, true
+			case 1:
+				qopts.NoCache = true
+			}
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				res, err := ds.DiversifyContext(context.Background(), qopts)
+				switch {
+				case err == nil && res.Degraded:
+					degraded.Add(1)
+				case err == nil && res.Partial:
+					t.Errorf("partial result with a nil error: %v", res.Indexes)
+				case err == nil:
+					ok.Add(1)
+					if !qopts.Budget.Enabled() && !sameSelection(res, want) {
+						t.Errorf("plain query diverged: %v, want %v", res.Indexes, want.Indexes)
+					}
+				case errors.Is(err, ErrOverloaded):
+					shed.Add(1)
+				case errors.Is(err, ErrBudgetExceeded):
+					budget.Add(1)
+					if res != nil && !res.Partial {
+						t.Errorf("budget error with an unflagged result: %v", res.Indexes)
+					}
+				case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrTransientFault), errors.Is(err, ErrPermanentFault):
+					storage.Add(1)
+				default:
+					t.Errorf("unclassified error: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	t.Logf("ok=%d degraded=%d overloaded=%d budget=%d storage=%d",
+		ok.Load(), degraded.Load(), shed.Load(), budget.Load(), storage.Load())
+	if shed.Load() == 0 {
+		t.Error("the storm shed no query")
+	}
+	if degraded.Load()+storage.Load() == 0 {
+		t.Error("the storm degraded no query and failed none on storage")
+	}
+
+	if s := ds.AdmissionStats(); s.InFlight != 0 || s.Waiting != 0 {
+		t.Errorf("limiter not drained: %+v", s)
+	}
+	time.Sleep(cooldown + 10*time.Millisecond)
+	res, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatalf("post-storm query: %v", err)
+	}
+	if !sameSelection(res, want) {
+		t.Errorf("post-storm query = %v, want %v", res.Indexes, want.Indexes)
+	}
+}
+
 // TestBreakerTripsAndRecovers is the tentpole breaker test: a high-rate
 // transient FaultPolicy trips the breaker, subsequent queries fail fast with
 // ErrCircuitOpen instead of burning retry sleeps, and once the fault rate

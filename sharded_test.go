@@ -130,7 +130,10 @@ func TestShardedGolden(t *testing.T) {
 				if got := fmt.Sprintf("%.6f", res.ObjectiveValue); got != r.obj {
 					t.Errorf("objective = %s, want %s", got, r.obj)
 				}
-				if res.Remote == nil || res.Remote.Remote != shards {
+				if err := allShardsServed(res); err != nil {
+					t.Fatal(err)
+				}
+				if res.Remote.Remote != shards {
 					t.Errorf("remote stats = %+v, want all %d shards served by the fleet", res.Remote, shards)
 				}
 			})
@@ -189,7 +192,10 @@ func TestShardedAfterMutations(t *testing.T) {
 		if err := sameAnswer(res, want); err != nil {
 			t.Errorf("s%d after mutations: %v", shards, err)
 		}
-		if res.Remote == nil || res.Remote.Local != shards || res.Remote.Remote != 0 {
+		if err := allShardsServed(res); err != nil {
+			t.Fatalf("s%d after mutations: %v", shards, err)
+		}
+		if res.Remote.Local != shards || res.Remote.Remote != 0 {
 			t.Errorf("s%d after mutations: remote stats = %+v, want all %d shards local", shards, res.Remote, shards)
 		}
 	}
@@ -232,7 +238,10 @@ func TestShardedFaultInjection(t *testing.T) {
 	if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
 		t.Errorf("faulted remote indexes = %v, want %v", res.Indexes, want.Indexes)
 	}
-	if res.Remote == nil || res.Remote.Remote != 4 {
+	if err := allShardsServed(res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Remote.Remote != 4 {
 		t.Errorf("remote stats = %+v, want all 4 shards served by the fleet", res.Remote)
 	}
 	if injected, retries := ds.FaultStats(); injected != injectedBefore || retries != retriesBefore {
@@ -259,7 +268,11 @@ func TestShardedCancelledContext(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// The dataset stays healthy: a live context succeeds afterwards.
-	if _, err := ds.Diversify(opts); err != nil {
+	res, err := ds.Diversify(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := allShardsServed(res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -292,6 +305,9 @@ func TestShardedConcurrent(t *testing.T) {
 			}
 			if fmt.Sprint(res.Indexes) != fmt.Sprint(want.Indexes) {
 				errs <- fmt.Errorf("s%d: indexes = %v, want %v", shards, res.Indexes, want.Indexes)
+			}
+			if err := allShardsServed(res); err != nil {
+				errs <- fmt.Errorf("s%d: %v", shards, err)
 			}
 		}()
 	}

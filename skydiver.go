@@ -181,7 +181,9 @@ type Options struct {
 	// dead pages) or the budget is spent: serve from a resident fingerprint,
 	// fall back to index-free fingerprinting, or return the budget-bounded
 	// partial prefix. Degraded answers set Result.Degraded and a
-	// machine-readable Result.DegradedReason.
+	// machine-readable Result.DegradedReason. Ignored with Remote: every
+	// shard is served by the fleet or recomputed locally, so a remote
+	// answer is exact or an error.
 	AllowDegraded bool
 	// Shards partitions remote execution: with Remote set, it is the
 	// number of contiguous page ranges of rows the signature fold is cut
@@ -190,7 +192,10 @@ type Options struct {
 	// min-merges the folds. Results are bit-identical to the unsharded path
 	// — same skyline, same signatures, same selection, same I/O — for any
 	// shard count, including more shards than the data has pages (the
-	// surplus ranges are empty).
+	// surplus ranges are empty). The coordinator holds every shard's fold
+	// until the merge, so the count is clamped to the folds that fit the
+	// fingerprint memory cap beside the merged one; Result.Remote.Shards
+	// reports the clamped count.
 	//
 	// Without Remote the option changes nothing: the dataset's skyline is
 	// already resident, so a query's answers, I/O and cached fingerprint
@@ -207,9 +212,9 @@ type Options struct {
 	// its generator spec, each request carries a digest of the rows the
 	// fold reads (a worker whose replica differs refuses the shard), each
 	// reply is checksummed, and any shard the fleet cannot serve is
-	// recomputed locally (unless NoLocalFallback). Only datasets built by
-	// Generate are remotable. Greedy and Exact ignore the setting; Budget
-	// is not supported on the remote path.
+	// recomputed locally. Only datasets built by Generate are remotable.
+	// Greedy and Exact ignore the setting; Budget is not supported on the
+	// remote path.
 	Remote *RemoteOptions
 }
 
@@ -818,9 +823,10 @@ func finish(res *core.Result, err error, public func(*core.Result) *Result) (*Re
 // before any allocation they size. Besides K it bounds what a client could
 // otherwise turn into an out-of-memory crash: a fingerprint (t×m matrix plus
 // hash family) or LSH bit-vectors (m·ζ·B bits) beyond
-// minhash.MaxFingerprintBytes, and a shard count above the live row count
-// (the partitioner allocates per shard). Callers hold qmu, so the row count
-// is the one the query runs on.
+// minhash.MaxFingerprintBytes, and a shard count above the live row count.
+// A remote query's shard count is clamped further, to the folds that fit
+// the same cap (cluster.Executor.Fingerprint). Callers hold qmu, so the row
+// count is the one the query runs on.
 func (d *Dataset) validateQuery(opts Options, m int) error {
 	if opts.K < 1 {
 		return fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
