@@ -10,7 +10,7 @@ BENCH_OUT ?= .
 # fast paths and accidental O(n²), not scheduler noise.
 BENCH_TOL ?= 3.0
 
-.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke fuzz repobench verify bench benchgate bench-full bench-storage storage-smoke
+.PHONY: build vet test race concurrency resilience serve serve-smoke cluster cluster-smoke fuzz repobench verify bench benchgate bench-full bench-storage storage-smoke unlinked
 
 build:
 	$(GO) build ./...
@@ -59,9 +59,10 @@ serve-smoke:
 # The multi-node suite on its own: race-enabled remote-executor ladder tests
 # (retry/hedge/failover/breaker against in-process worker fleets), the shard
 # worker's protocol and fault-injection surface, the grid sharder's edge
-# cases, and the root-level remote-vs-local bit-identity pins.
+# cases, the root-level remote-vs-local bit-identity pins, and the daemon
+# lifecycle both skyserved and skyshardd run (httpx.Serve, in process).
 cluster:
-	$(GO) test -race -shuffle=on -run 'Remote|Worker|GridEdge|Matrix|DatasetSpec|WireFault' . ./internal/cluster ./internal/httpx ./internal/shard
+	$(GO) test -race -shuffle=on -run 'Remote|Worker|GridEdge|Matrix|DatasetSpec|WireFault|Serve' . ./internal/cluster ./internal/httpx ./internal/shard
 
 # End-to-end smoke of multi-node shard execution: boot a two-worker skyshardd
 # fleet plus skyserved -shard-workers, replay mixed waves including ?remote=1,
@@ -179,6 +180,13 @@ storage-smoke:
 # binary into the source tree, unlike `go build`.
 repobench:
 	cd repobench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
+
+# The unlinked-function sweep: list the exported functions and methods
+# under internal/ that no main package and no repobench build links, and
+# count them on stderr. A report for a reader to check against the tests,
+# not a gate: exported API, test oracles and seams stay (ROADMAP item 9).
+unlinked:
+	sh scripts/unlinked.sh
 
 # Tier-1 verification: static checks, build, the full suite under the race
 # detector, the concurrent-serving, resilience, serving-tier and multi-node

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"skydiver/internal/data"
 )
@@ -81,25 +82,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// source builds the streaming generator for a distribution; nothing is
-// materialized, so -n 10000000 costs one row of memory.
+// source builds the streaming generator for a distribution, in any case
+// (data.GenerateSource, plus clust); nothing is materialized, so
+// -n 10000000 costs one row of memory.
 func source(dist string, n, d, k int, seed int64) (data.Source, error) {
-	switch dist {
-	case "ind":
-		return data.IndependentSource(n, d, seed), nil
-	case "ant":
-		return data.AnticorrelatedSource(n, d, seed), nil
-	case "corr":
-		return data.CorrelatedSource(n, d, seed), nil
+	switch strings.ToLower(dist) {
 	case "clust":
 		return data.ClusteredSource(n, d, k, seed), nil
-	case "fc":
-		return data.ForestCoverSource(n, seed), nil
-	case "rec":
-		return data.RecipesSource(n, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", dist)
+	case "fc", "rec":
+		d = 0 // 7-dimensional: -d is ignored
 	}
+	if !data.IsGenerator(dist) {
+		return nil, fmt.Errorf("unknown distribution %q (want ind, ant, corr, clust, fc or rec)", dist)
+	}
+	return data.GenerateSource(dist, n, d, seed)
 }
 
 // writeJSON streams the source as one JSON array per line.

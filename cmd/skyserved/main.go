@@ -18,12 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,6 +28,7 @@ import (
 	"time"
 
 	"skydiver"
+	"skydiver/internal/httpx"
 	"skydiver/internal/server"
 )
 
@@ -180,43 +178,12 @@ func run(rc runConfig) int {
 		return 2
 	}
 
-	ln, err := net.Listen("tcp", rc.addr)
-	if err != nil {
-		log.Printf("listen %s: %v", rc.addr, err)
-		return 1
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	up := func(a net.Addr) {
+		log.Printf("serving %q (n=%d d=%d gen=%s) on %s chaos=%v", rc.name, ds.Len(), ds.Dims(), rc.gen, a, rc.chaos)
 	}
-	// The parseable startup line smoke tests and load clients wait for.
-	fmt.Printf("skyserved listening on %s\n", ln.Addr())
-	log.Printf("serving %q (n=%d d=%d gen=%s) on %s chaos=%v",
-		rc.name, ds.Len(), ds.Dims(), rc.gen, ln.Addr(), rc.chaos)
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-
-	select {
-	case err := <-serveErr:
-		log.Printf("serve: %v", err)
-		return 1
-	case s := <-sig:
-		log.Printf("received %v, draining (deadline %v)", s, rc.drain)
-	}
-
-	// Drain sequence: flip unready and shed new queries immediately, let
-	// in-flight ones finish, close every dataset, then stop the listener.
-	ctx, cancel := context.WithTimeout(context.Background(), rc.drain)
-	defer cancel()
-	drainErr := srv.Drain(ctx)
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
-	}
-	if drainErr != nil {
-		log.Printf("drain: %v", drainErr)
-		return 3
-	}
-	log.Print("drained cleanly")
-	return 0
+	// The drain flips unready and sheds new queries at once, lets in-flight
+	// ones finish and closes every dataset; then the listener stops.
+	return httpx.Serve(ctx, "skyserved", rc.addr, srv.Handler(), os.Stdout, up, rc.drain, srv.Drain)
 }

@@ -12,12 +12,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -25,6 +23,7 @@ import (
 
 	"skydiver/internal/admission"
 	"skydiver/internal/cluster"
+	"skydiver/internal/httpx"
 )
 
 func main() {
@@ -70,40 +69,13 @@ func run(addr string, maxInFl, maxQ int, queueW, defTimeout, maxTimeout, retryAf
 		return 2
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Printf("listen %s: %v", addr, err)
-		return 1
-	}
-	// The parseable startup line smoke tests wait for.
-	fmt.Printf("skyshardd listening on %s\n", ln.Addr())
-	log.Printf("worker up on %s (maxn=%d, faults=%q)", ln.Addr(), maxN, faultPolicy.String())
-
-	httpSrv := &http.Server{Handler: worker.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-
-	select {
-	case err := <-serveErr:
-		log.Printf("serve: %v", err)
-		return 1
-	case s := <-sig:
-		log.Printf("received %v, draining (deadline %v)", s, drain)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	left := worker.Drain(ctx)
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
-	}
-	if left > 0 {
-		log.Printf("drain: %d shard requests still in flight", left)
-		return 3
-	}
-	log.Print("drained cleanly")
-	return 0
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	up := func(a net.Addr) { log.Printf("worker up on %s (maxn=%d, faults=%q)", a, maxN, faultPolicy.String()) }
+	return httpx.Serve(ctx, "skyshardd", addr, worker.Handler(), os.Stdout, up, drain, func(ctx context.Context) error {
+		if left := worker.Drain(ctx); left > 0 {
+			return fmt.Errorf("%d shard requests still in flight", left)
+		}
+		return nil
+	})
 }

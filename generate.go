@@ -112,30 +112,9 @@ func Generate(dist Distribution, n, dims int, seed int64) (*Dataset, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("skydiver: non-positive cardinality %d", n)
 	}
-	var ds *data.Dataset
-	switch dist {
-	case Independent:
-		ds = data.Independent(n, dims, seed)
-	case Anticorrelated:
-		ds = data.Anticorrelated(n, dims, seed)
-	case Correlated:
-		ds = data.Correlated(n, dims, seed)
-	case ForestCover:
-		full := data.SyntheticForestCover(n, seed)
-		var err error
-		ds, err = full.Project(dims)
-		if err != nil {
-			return nil, err
-		}
-	case Recipes:
-		full := data.SyntheticRecipes(n, seed)
-		var err error
-		ds, err = full.Project(dims)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("skydiver: unknown distribution %d", dist)
+	ds, err := data.Generate(dist.String(), n, dims, seed)
+	if err != nil {
+		return nil, err
 	}
 	out, err := fromInternal(ds, nil)
 	if err != nil {

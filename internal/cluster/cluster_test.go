@@ -22,8 +22,10 @@ import (
 	"skydiver/internal/skyline"
 )
 
+// testSpec is ANT-600-3D: 5 data pages, so a query cuts up to 5 shards
+// and the tests' 4 shards are 4 non-empty page ranges.
 func testSpec() DatasetSpec {
-	return DatasetSpec{Gen: GenAnticorrelated, N: 300, Dims: 3, Seed: 11}
+	return DatasetSpec{Gen: "ANT", N: 600, Dims: 3, Seed: 11}
 }
 
 // buildLocal regenerates the coordinator-side dataset and its skyline the
@@ -34,7 +36,7 @@ func buildLocal(t *testing.T, spec DatasetSpec) (*data.Dataset, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, skyline.Compute(ds, skyline.SFS)
+	return ds, skyline.ComputeSFS(ds)
 }
 
 // startWorkers brings up n in-process workers on httptest servers.
@@ -662,13 +664,13 @@ func TestParseWireFaultPolicyRoundTrip(t *testing.T) {
 
 // TestDatasetSpecValidate pins spec validation and key stability.
 func TestDatasetSpecValidate(t *testing.T) {
-	if err := (DatasetSpec{Gen: GenIndependent, N: 10, Dims: 2}).Validate(); err != nil {
+	if err := (DatasetSpec{Gen: "IND", N: 10, Dims: 2}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []DatasetSpec{
 		{Gen: "XYZ", N: 10, Dims: 2},
-		{Gen: GenIndependent, N: 0, Dims: 2},
-		{Gen: GenIndependent, N: 10, Dims: 0},
+		{Gen: "IND", N: 0, Dims: 2},
+		{Gen: "IND", N: 10, Dims: 0},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("%+v: want error", bad)

@@ -259,9 +259,11 @@ func (e *Executor) replica(shard int) *node {
 // coordinator's canonical dataset: the source of each request's replica
 // digest and of the ladder's local rung.
 //
-// The coordinator holds every shard's fold until the merge, so the shard
-// count is first clamped to core.MaxRangeFolds(q.T, len(sky)); the outcome
-// reports the clamped count, and the page ranges and wire requests use it.
+// The shard count is first clamped to the data's pages (core.DataPages), as
+// a shard beyond them would fold an empty range, and to
+// core.MaxRangeFolds(q.T, len(sky)), as the coordinator holds every shard's
+// fold until the merge; the outcome reports the clamped count, and the
+// page ranges and wire requests use it.
 //
 // The returned fingerprint is bit-identical to the unsharded SigGen-IF
 // pass: same slots, same scores, and the same I/O, SigGen-IF's scan of the
@@ -274,7 +276,7 @@ func (e *Executor) Fingerprint(ctx context.Context, q Query, ds *data.Dataset, s
 		return nil, Outcome{Shards: q.Shards}, err
 	}
 	m := len(sky)
-	q.Shards = min(q.Shards, core.MaxRangeFolds(q.T, m))
+	q.Shards = min(q.Shards, core.DataPages(ds), core.MaxRangeFolds(q.T, m))
 	out := Outcome{Shards: q.Shards}
 	if q.Epoch != 0 {
 		// Workers regenerate pristine datasets; a mutated coordinator copy

@@ -27,17 +27,6 @@ import (
 	"fmt"
 
 	"skydiver/internal/data"
-	"skydiver/internal/geom"
-)
-
-// Generator names accepted in a DatasetSpec, matching the String() forms of
-// the library's Distribution enum.
-const (
-	GenIndependent    = "IND"
-	GenAnticorrelated = "ANT"
-	GenCorrelated     = "CORR"
-	GenForestCover    = "FC"
-	GenRecipes        = "REC"
 )
 
 // DatasetSpec identifies a synthetic dataset by its generation parameters.
@@ -46,7 +35,8 @@ const (
 // be named this way; ad-hoc datasets (NewDataset, LoadDataset) have no spec
 // and cannot be executed remotely.
 type DatasetSpec struct {
-	// Gen is the generator name: IND, ANT, CORR, FC or REC.
+	// Gen is the generator name (data.Generate): IND, ANT, CORR, FC or REC,
+	// the String forms of the library's Distribution enum.
 	Gen string `json:"gen"`
 	// N is the cardinality.
 	N int `json:"n"`
@@ -58,9 +48,7 @@ type DatasetSpec struct {
 
 // Validate checks the spec's ranges.
 func (s DatasetSpec) Validate() error {
-	switch s.Gen {
-	case GenIndependent, GenAnticorrelated, GenCorrelated, GenForestCover, GenRecipes:
-	default:
+	if !data.IsGenerator(s.Gen) {
 		return fmt.Errorf("cluster: unknown generator %q", s.Gen)
 	}
 	if s.N < 1 {
@@ -80,36 +68,12 @@ func (s DatasetSpec) Key() string {
 	return fmt.Sprintf("%s/n=%d/d=%d/seed=%d", s.Gen, s.N, s.Dims, s.Seed)
 }
 
-// Build regenerates the dataset in the coordinator's canonical (min-
-// preferred) orientation. The generators already emit min-preferred values,
-// so canonicalization is a value-identity copy and the worker's rows equal
-// the coordinator's bit-for-bit.
+// Build regenerates the dataset (data.Generate). The generators emit
+// min-preferred values, the coordinator's canonical orientation, so the
+// worker's rows equal the coordinator's bit for bit without a copy.
 func (s DatasetSpec) Build() (*data.Dataset, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var ds *data.Dataset
-	switch s.Gen {
-	case GenIndependent:
-		ds = data.Independent(s.N, s.Dims, s.Seed)
-	case GenAnticorrelated:
-		ds = data.Anticorrelated(s.N, s.Dims, s.Seed)
-	case GenCorrelated:
-		ds = data.Correlated(s.N, s.Dims, s.Seed)
-	case GenForestCover:
-		full := data.SyntheticForestCover(s.N, s.Seed)
-		var err error
-		ds, err = full.Project(s.Dims)
-		if err != nil {
-			return nil, err
-		}
-	case GenRecipes:
-		full := data.SyntheticRecipes(s.N, s.Seed)
-		var err error
-		ds, err = full.Project(s.Dims)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ds.Canonicalize(geom.MinPrefs(ds.Dims()))
+	return data.Generate(s.Gen, s.N, s.Dims, s.Seed)
 }

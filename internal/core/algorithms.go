@@ -236,22 +236,6 @@ func chargeEstimations(ctx context.Context, dist dispersion.DistFunc) dispersion
 	}
 }
 
-// selectDiverse is the greedy selection of Fig. 6 over in's skyline,
-// served from picks when it holds at least k of them; the bool reports such
-// a hit, which the input's cache counts. Otherwise the selection runs, and
-// a completed one stores its order in picks.
-func selectDiverse(ctx context.Context, in Input, picks *pickOrder, k int, dist dispersion.DistFunc, score []float64) ([]int, bool, error) {
-	if selected := picks.prefix(k); selected != nil {
-		in.Cache.selectionHit()
-		return selected, true, nil
-	}
-	selected, err := dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), k, dist, score)
-	if err == nil {
-		picks.store(selected)
-	}
-	return selected, false, err
-}
-
 // partialResult packages the anytime prefix of a cancelled run: the greedy
 // rounds completed so far form a valid diverse selection, so the caller gets
 // them back (flagged Partial) instead of losing the work. selected may be
@@ -273,6 +257,69 @@ func partialResult(in Input, selected []int, dist dispersion.DistFunc, stats Sta
 	}
 }
 
+// distance builds a SkyDiver pipeline's selection distance over a
+// fingerprint's skyline positions. It also returns the memo slot of the
+// greedy's pick order under that distance (nil for a fingerprint the cache
+// does not hold) and the bytes the distance reads (Stats.MemoryBytes).
+type distance func(ctx context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error)
+
+// skyDiver is the SkyDiver pipeline of Sec. 4.2 under one distance. Phase 1
+// fingerprints the skyline, or reuses the cached fingerprint, and builds the
+// distance over it. Phase 2 is the greedy selection of Fig. 6, seeded with
+// the point of maximum domination score and breaking ties by score; it is
+// served from the stored pick order when that holds at least k picks (a
+// hit the input's cache counts), and a completed selection stores its
+// order. On context expiry the run returns the anytime Partial result with
+// the context's error: the prefix selected so far, or none when expiry
+// struck in Phase 1.
+func skyDiver(ctx context.Context, in Input, cfg Config, dist distance) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(len(in.Sky)); err != nil {
+		return nil, err
+	}
+	stats := Stats{Model: pager.DefaultCostModel()}
+	start := time.Now()
+	fp, cached, err := fingerprint(ctx, in, cfg)
+	var (
+		d     dispersion.DistFunc
+		picks *pickOrder
+	)
+	if err == nil {
+		stats.FingerprintCached, stats.IO = cached, fp.IO
+		d, picks, stats.MemoryBytes, err = dist(ctx, fp)
+	}
+	stats.Fingerprint = time.Since(start)
+	if err != nil {
+		if ctx.Err() != nil {
+			return partialResult(in, nil, nil, stats), ctx.Err()
+		}
+		return nil, err
+	}
+
+	start = time.Now()
+	d = chargeEstimations(ctx, d)
+	selected := picks.prefix(cfg.K)
+	if selected != nil {
+		in.Cache.selectionHit()
+		stats.SelectionCached = true
+	} else if selected, err = dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, d, fp.DomScore); err == nil {
+		picks.store(selected)
+	}
+	stats.Select = time.Since(start)
+	if err != nil {
+		if ctx.Err() != nil {
+			return partialResult(in, selected, d, stats), ctx.Err()
+		}
+		return nil, err
+	}
+	return &Result{
+		Selected:       selected,
+		DataIndexes:    in.dataIndexes(selected),
+		ObjectiveValue: dispersion.MinPairwise(selected, d),
+		Stats:          stats,
+	}, nil
+}
+
 // SkyDiverMH is the full MinHash pipeline (Section 4.2.1): fingerprint, then
 // greedily select k points under the estimated Jaccard distance, seeding
 // with the point of maximum domination score and breaking ties by score. A
@@ -289,47 +336,9 @@ func SkyDiverMH(in Input, cfg Config) (*Result, error) {
 // A read served from the stored pick order runs no selection, so it
 // completes and is charged only the objective's estimates.
 func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(len(in.Sky)); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	fp, cached, err := fingerprint(ctx, in, cfg)
-	fpTime := time.Since(start)
-	if err != nil {
-		if ctx.Err() != nil {
-			return partialResult(in, nil, nil, Stats{Fingerprint: fpTime, Model: pager.DefaultCostModel()}), ctx.Err()
-		}
-		return nil, err
-	}
-
-	start = time.Now()
-	dist := chargeEstimations(ctx, func(i, j int) float64 { return fp.Matrix.EstimateJd(i, j) })
-	selected, hit, err := selectDiverse(ctx, in, fp.picks, cfg.K, dist, fp.DomScore)
-	selTime := time.Since(start)
-	stats := Stats{
-		Fingerprint:       fpTime,
-		FingerprintCached: cached,
-		SelectionCached:   hit,
-		Select:            selTime,
-		IO:                fp.IO,
-		Model:             pager.DefaultCostModel(),
-		MemoryBytes:       fp.Matrix.MemoryBytes(),
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return partialResult(in, selected, dist, stats), ctx.Err()
-		}
-		return nil, err
-	}
-	obj := dispersion.MinPairwise(selected, dist)
-
-	return &Result{
-		Selected:       selected,
-		DataIndexes:    in.dataIndexes(selected),
-		ObjectiveValue: obj,
-		Stats:          stats,
-	}, nil
+	return skyDiver(ctx, in, cfg, func(_ context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error) {
+		return fp.Matrix.EstimateJd, fp.picks, fp.Matrix.MemoryBytes(), nil
+	})
 }
 
 // SkyDiverLSH is the LSH pipeline (Section 4.2.2): fingerprint, band the
@@ -342,60 +351,19 @@ func SkyDiverLSH(in Input, cfg Config) (*Result, error) {
 }
 
 // SkyDiverLSHCtx is SkyDiverLSH with cancellation and anytime semantics
-// (see SkyDiverMHCtx).
+// (see SkyDiverMHCtx). Banding the signatures counts as Phase 1.
 func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(len(in.Sky)); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	fp, cached, err := fingerprint(ctx, in, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			return partialResult(in, nil, nil, Stats{Fingerprint: time.Since(start), Model: pager.DefaultCostModel()}), ctx.Err()
+	return skyDiver(ctx, in, cfg, func(ctx context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error) {
+		params, err := cfg.LSHParams()
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		return nil, err
-	}
-	params, err := cfg.LSHParams()
-	if err != nil {
-		return nil, err
-	}
-	vectors, picks, err := fp.bitVectors(ctx, params, cfg.Seed+1)
-	fpTime := time.Since(start)
-	if err != nil {
-		if ctx.Err() != nil {
-			return partialResult(in, nil, nil, Stats{Fingerprint: fpTime, IO: fp.IO, Model: pager.DefaultCostModel()}), ctx.Err()
+		vectors, picks, err := fp.bitVectors(ctx, params, cfg.Seed+1)
+		if err != nil {
+			return nil, nil, 0, err
 		}
-		return nil, err
-	}
-
-	start = time.Now()
-	dist := chargeEstimations(ctx, func(i, j int) float64 { return float64(vectors.Hamming(i, j)) })
-	selected, hit, err := selectDiverse(ctx, in, picks, cfg.K, dist, fp.DomScore)
-	selTime := time.Since(start)
-	stats := Stats{
-		Fingerprint:       fpTime,
-		FingerprintCached: cached,
-		SelectionCached:   hit,
-		Select:            selTime,
-		IO:                fp.IO,
-		Model:             pager.DefaultCostModel(),
-		MemoryBytes:       vectors.MemoryBytes(),
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return partialResult(in, selected, dist, stats), ctx.Err()
-		}
-		return nil, err
-	}
-	obj := dispersion.MinPairwise(selected, dist)
-
-	return &Result{
-		Selected:       selected,
-		DataIndexes:    in.dataIndexes(selected),
-		ObjectiveValue: obj,
-		Stats:          stats,
-	}, nil
+		return func(i, j int) float64 { return float64(vectors.Hamming(i, j)) }, picks, vectors.MemoryBytes(), nil
+	})
 }
 
 // SimpleGreedy is the baseline of Section 3.2: the same greedy selection,
@@ -417,20 +385,10 @@ func SimpleGreedy(in Input, cfg Config) (*Result, error) {
 // pick's distances and stops at the next poll, so no pick it returns ever
 // depended on the refused read.
 func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(len(in.Sky)); err != nil {
+	oracle, stats, err := exactOracle(in, cfg, "Simple-Greedy")
+	if err != nil {
 		return nil, err
 	}
-	if in.Tree == nil {
-		return nil, fmt.Errorf("core: Simple-Greedy requires a tree")
-	}
-	r := in.reader()
-	before := r.Stats()
-	start := time.Now()
-	stats := func() Stats {
-		return Stats{Select: time.Since(start), IO: r.Stats().Sub(before), Model: pager.DefaultCostModel()}
-	}
-	oracle := NewExactOracle(r, in.Data, in.Sky)
 	scores, err := oracle.DomScores()
 	if err != nil {
 		if expired(ctx, err) {
@@ -476,6 +434,25 @@ func SimpleGreedyCtx(ctx context.Context, in Input, cfg Config) (*Result, error)
 	}, nil
 }
 
+// exactOracle is the prologue of the exact baselines, Simple-Greedy and
+// Brute-Force (named by baseline in the error): the config and tree checks,
+// the exact-distance oracle over the query's reader, and the run's Stats,
+// charged with the pages the reader reads from here on.
+func exactOracle(in Input, cfg Config, baseline string) (*ExactOracle, func() Stats, error) {
+	if err := cfg.validate(len(in.Sky)); err != nil {
+		return nil, nil, err
+	}
+	if in.Tree == nil {
+		return nil, nil, fmt.Errorf("core: %s requires a tree", baseline)
+	}
+	r := in.reader()
+	before, start := r.Stats(), time.Now()
+	stats := func() Stats {
+		return Stats{Select: time.Since(start), IO: r.Stats().Sub(before), Model: pager.DefaultCostModel()}
+	}
+	return NewExactOracle(r, in.Data, in.Sky), stats, nil
+}
+
 // abortCtx makes an error raised inside a distance callback look like a
 // cancellation to the polling loop around it, while delegating live checks
 // to the parent context unchanged (including custom poll-counting contexts
@@ -514,25 +491,11 @@ func BruteForce(in Input, cfg Config) (*Result, error) {
 // during matrix construction, including a read refused because ctx ended,
 // yields an empty Partial result.
 func BruteForceCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(len(in.Sky)); err != nil {
+	oracle, stats, err := exactOracle(in, cfg, "Brute-Force")
+	if err != nil {
 		return nil, err
 	}
-	if in.Tree == nil {
-		return nil, fmt.Errorf("core: Brute-Force requires a tree")
-	}
-	r := in.reader()
-	before := r.Stats()
-	start := time.Now()
-	oracle := NewExactOracle(r, in.Data, in.Sky)
 	m := len(in.Sky)
-	stats := func() Stats {
-		return Stats{
-			Select: time.Since(start),
-			IO:     r.Stats().Sub(before),
-			Model:  pager.DefaultCostModel(),
-		}
-	}
 	// Materialize the full distance matrix (the O(m²) cost of Section 3.2).
 	dmat := make([]float64, m*m)
 	for i := 0; i < m; i++ {

@@ -71,17 +71,23 @@ func newRowFold(ds *data.Dataset, sky []int, fam *minhash.Family) *rowFold {
 // recordsPerPage is how many fixed-size records of a dims-dimensional
 // dataset one data page holds under SigGen-IF's sequential-scan model.
 func recordsPerPage(dims int) int {
-	return pager.NewSequentialCounter(8*dims + 4).RecordsPerPage()
+	return pager.NewScanCounter(dims).RecordsPerPage()
+}
+
+// DataPages returns P, the number of data pages a sequential scan of ds
+// reads. PageRange cuts them into ranges, so P bounds both foldAll's
+// workers and a remote query's shards: a range beyond it would be empty.
+func DataPages(ds *data.Dataset) int {
+	return pager.NewScanCounter(ds.Dims()).PagesForRecords(ds.Len())
 }
 
 // PageRange returns the rows [lo, hi) of the i-th of s contiguous ranges
-// of whole data pages that cut ds: of the P pages a sequential scan reads,
-// range i spans pages ⌊i·P/s⌋ to ⌊(i+1)·P/s⌋. For i in [0, s) the ranges
-// are disjoint, cover [0, n) in order, and none is empty while s ≤ P. They
-// are foldAll's worker ranges and the cluster's remote shards.
+// of whole data pages that cut ds: of the P pages a sequential scan reads
+// (DataPages), range i spans pages ⌊i·P/s⌋ to ⌊(i+1)·P/s⌋. For i in [0, s)
+// the ranges are disjoint, cover [0, n) in order, and none is empty while
+// s ≤ P. They are foldAll's worker ranges and the cluster's remote shards.
 func PageRange(ds *data.Dataset, i, s int) (lo, hi int) {
-	n, page := ds.Len(), recordsPerPage(ds.Dims())
-	pages := (n + page - 1) / page
+	n, page, pages := ds.Len(), recordsPerPage(ds.Dims()), DataPages(ds)
 	return min(i*pages/s*page, n), min((i+1)*pages/s*page, n)
 }
 
@@ -197,11 +203,9 @@ func foldAll(ctx context.Context, ds *data.Dataset, sky []int, fam *minhash.Fami
 		return nil, err
 	}
 	f := newRowFold(ds, sky, fam)
-	n := ds.Len()
-	pages := (n + f.page - 1) / f.page
-	workers = min(workers, pages, privateFingerprints(fam.Size(), m))
+	workers = min(workers, DataPages(ds), privateFingerprints(fam.Size(), m))
 	if workers <= 1 {
-		return f.fold(ctx, 0, n)
+		return f.fold(ctx, 0, ds.Len())
 	}
 	parts := make([]*Fingerprint, workers)
 	errs := make([]error, workers)
@@ -289,7 +293,7 @@ func SigGenIFParallelCtx(ctx context.Context, ds *data.Dataset, sky []int, fam *
 // fingerprints with it, so remote and local results agree down to the I/O
 // counters.
 func SyntheticScanStats(dims, n int) pager.Stats {
-	counter := pager.NewSequentialCounter(8*dims + 4)
+	counter := pager.NewScanCounter(dims)
 	return pager.Stats{
 		Reads:  int64(n),
 		Faults: int64(counter.PagesForRecords(n)),

@@ -44,9 +44,15 @@ func shardTestDatasets() map[string]*data.Dataset {
 // BBS local skylines are BuildShardPlan's, pinned by
 // TestBuildShardPlanSkyline.
 func TestShardedSkylineIdentical(t *testing.T) {
-	algos := []skyline.Algorithm{skyline.Naive, skyline.BNL, skyline.SFS, skyline.DC}
+	algos := []struct {
+		name    string
+		compute func(*data.Dataset) []int
+	}{
+		{"naive", skyline.ComputeNaive}, {"bnl", skyline.ComputeBNL},
+		{"sfs", skyline.ComputeSFS}, {"dc", skyline.ComputeDC},
+	}
 	for name, ds := range shardTestDatasets() {
-		want := skyline.Compute(ds, skyline.SFS)
+		want := skyline.ComputeSFS(ds)
 		for _, n := range shardCounts {
 			parts, err := shard.Grid{}.Partition(ds, n)
 			if err != nil {
@@ -62,13 +68,13 @@ func TestShardedSkylineIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, l := range skyline.Compute(sub, algo) {
+					for _, l := range algo.compute(sub) {
 						locals[i] = append(locals[i], rows[l])
 					}
 				}
 				if got := MergeShardSkylines(ds, locals); !equalIntSlices(got, want) {
 					t.Errorf("%s/%v/n=%d: merged skyline %d points, want %d (diverged)",
-						name, algo, n, len(got), len(want))
+						name, algo.name, n, len(got), len(want))
 				}
 			}
 		}
@@ -91,7 +97,7 @@ func equalIntSlices(a, b []int) bool {
 // the whole dataset, for every shard count.
 func TestBuildShardPlanSkyline(t *testing.T) {
 	for name, ds := range shardTestDatasets() {
-		want := skyline.Compute(ds, skyline.SFS)
+		want := skyline.ComputeSFS(ds)
 		for _, n := range shardCounts {
 			plan, err := BuildShardPlan(context.Background(), ds, shard.Grid{}, n, 3, nil)
 			if err != nil {
@@ -113,7 +119,7 @@ func TestBuildShardPlanSkyline(t *testing.T) {
 // shard count, partitioning and worker count.
 func TestSigGenShardedIdentical(t *testing.T) {
 	for name, ds := range shardTestDatasets() {
-		sky := skyline.Compute(ds, skyline.SFS)
+		sky := skyline.ComputeSFS(ds)
 		fam, _ := minhash.NewFamily(64, 9)
 		want, err := SigGenIF(ds, sky, fam)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // that do and do not divide the data pages and for more shards than pages.
 func TestShardFingerprintMergesIdentical(t *testing.T) {
 	for name, ds := range shardTestDatasets() {
-		sky := skyline.Compute(ds, skyline.SFS)
+		sky := skyline.ComputeSFS(ds)
 		fam, _ := minhash.NewFamily(64, 9)
 		want, err := SigGenIF(ds, sky, fam)
 		if err != nil {

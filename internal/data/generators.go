@@ -1,9 +1,11 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 )
 
 // The synthetic generators follow the methodology of Börzsönyi, Kossmann and
@@ -29,6 +31,61 @@ const MaxGeneratedValues = 1 << 26
 // them on their own.
 func GeneratedFits(n, dims int) bool {
 	return n <= MaxGeneratedValues/max(dims, 1)
+}
+
+// generators is Table 4's generator table, the one place that says which
+// name means which generator. native is the attribute count of a generator
+// that always draws the same attributes (FC and REC: 7), and 0 for one that
+// draws any dims.
+var generators = map[string]struct {
+	native int
+	source func(n, dims int, seed int64) Source
+}{
+	"IND":  {0, IndependentSource},
+	"ANT":  {0, AnticorrelatedSource},
+	"CORR": {0, CorrelatedSource},
+	"FC":   {7, func(n, _ int, seed int64) Source { return ForestCoverSource(n, seed) }},
+	"REC":  {7, func(n, _ int, seed int64) Source { return RecipesSource(n, seed) }},
+}
+
+// IsGenerator reports whether name names a generator of Generate, in any
+// case.
+func IsGenerator(name string) bool {
+	_, ok := generators[strings.ToUpper(name)]
+	return ok
+}
+
+// Generate builds the dataset of the named generator, in any case: IND,
+// ANT, CORR, FC or REC. FC and REC draw their native 7 attributes and keep
+// the first dims, as the paper projects them to d = 4, 5 and 7. Each equals
+// its generator's constructor (Independent, ..., SyntheticRecipes and
+// Project) bit for bit.
+func Generate(name string, n, dims int, seed int64) (*Dataset, error) {
+	native := generators[strings.ToUpper(name)].native
+	src, err := GenerateSource(name, n, cmp.Or(native, dims), seed)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := materialize(src)
+	if err != nil || native == 0 {
+		return ds, err
+	}
+	return ds.Project(dims)
+}
+
+// GenerateSource is the streaming form of Generate. FC and REC stream their
+// native 7 attributes: dims must be 7, or at most 0 to accept them.
+func GenerateSource(name string, n, dims int, seed int64) (Source, error) {
+	g, ok := generators[strings.ToUpper(name)]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("data: unknown generator %q (want ind, ant, corr, fc or rec)", name)
+	case g.native == 0 && dims < 1:
+		return nil, fmt.Errorf("data: non-positive dimensionality %d", dims)
+	case g.native != 0 && dims > 0 && dims != g.native:
+		return nil, fmt.Errorf("data: %s streams its native %d attributes, not %d", strings.ToUpper(name), g.native, dims)
+	}
+	return g.source(n, dims, seed), nil
 }
 
 // Independent generates n points whose coordinates are drawn independently

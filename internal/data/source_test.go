@@ -2,9 +2,12 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -185,5 +188,95 @@ func TestDatasetSourceView(t *testing.T) {
 				t.Fatalf("row %d dim %d mismatch", i, j)
 			}
 		}
+	}
+}
+
+// TestGenerateByName pins the generator table: Generate and GenerateSource
+// equal each generator's own constructor bit for bit, for every name in
+// any case, with FC and REC projected to d = 4, 5 and 7. Unknown names are
+// rejected, and so are FC and REC streams at any d but 7 or d ≤ 0, and
+// other generators at d < 1.
+func TestGenerateByName(t *testing.T) {
+	const n, seed = 300, 5
+	fixed := map[string]func() *Dataset{
+		"fc":  func() *Dataset { return SyntheticForestCover(n, seed) },
+		"rec": func() *Dataset { return SyntheticRecipes(n, seed) },
+	}
+	free := map[string]func(d int) *Dataset{
+		"ind":  func(d int) *Dataset { return Independent(n, d, seed) },
+		"ant":  func(d int) *Dataset { return Anticorrelated(n, d, seed) },
+		"corr": func(d int) *Dataset { return Correlated(n, d, seed) },
+	}
+	same := func(tag string, got, want *Dataset) {
+		t.Helper()
+		if got.Name() != want.Name() || got.Dims() != want.Dims() || fmt.Sprint(got.Values()) != fmt.Sprint(want.Values()) {
+			t.Errorf("%s: %s %d-D differs from %s %d-D", tag, got.Name(), got.Dims(), want.Name(), want.Dims())
+		}
+	}
+	generate := func(name string, d int) (*Dataset, *Dataset) {
+		t.Helper()
+		ds, err := Generate(name, n, d, seed)
+		if err != nil {
+			t.Fatalf("Generate(%q, d=%d): %v", name, d, err)
+		}
+		native := d
+		if fixed[strings.ToLower(name)] != nil {
+			native = 0
+		}
+		src, err := GenerateSource(name, n, native, seed)
+		if err != nil {
+			t.Fatalf("GenerateSource(%q, d=%d): %v", name, native, err)
+		}
+		streamed, err := New(src.Name(), src.Dims(), slices.Concat(drain(t, src)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds, streamed
+	}
+	for base, build := range free {
+		for _, name := range []string{base, strings.ToUpper(base), strings.ToUpper(base[:1]) + base[1:]} {
+			for _, d := range []int{2, 4} {
+				ds, streamed := generate(name, d)
+				same(fmt.Sprintf("%s d=%d", name, d), ds, build(d))
+				same(fmt.Sprintf("%s d=%d stream", name, d), streamed, build(d))
+			}
+		}
+	}
+	for base, build := range fixed {
+		for _, name := range []string{base, strings.ToUpper(base), strings.ToUpper(base[:1]) + base[1:]} {
+			for _, d := range []int{4, 5, 7} {
+				ds, streamed := generate(name, d)
+				want, err := build().Project(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("%s d=%d", name, d), ds, want)
+				same(name+" stream", streamed, build())
+			}
+			if _, err := GenerateSource(name, n, 7, seed); err != nil {
+				t.Errorf("GenerateSource(%q, d=7): %v", name, err)
+			}
+			for _, d := range []int{4, 8} {
+				if _, err := GenerateSource(name, n, d, seed); err == nil {
+					t.Errorf("GenerateSource(%q, d=%d): no error", name, d)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"", "xyz", "clust", "ind "} {
+		if _, err := Generate(name, n, 3, seed); err == nil {
+			t.Errorf("Generate(%q): no error", name)
+		}
+		if _, err := GenerateSource(name, n, 3, seed); err == nil {
+			t.Errorf("GenerateSource(%q): no error", name)
+		}
+	}
+	for _, d := range []int{0, -1} {
+		if _, err := Generate("ind", n, d, seed); err == nil {
+			t.Errorf("Generate(ind, d=%d): no error", d)
+		}
+	}
+	if !IsGenerator("Corr") || IsGenerator("clust") {
+		t.Error("IsGenerator disagrees with the table")
 	}
 }

@@ -164,20 +164,37 @@ func SelectDiverseSetEagerCtx(ctx context.Context, m, k int, dist DistFunc, scor
 	if err := ctx.Err(); err != nil {
 		return []int{}, err
 	}
-	first := maxScore(m, score)
-	selected := make([]int, 0, k)
-	selected = append(selected, first)
+	return grow(ctx, m, k, dist, score, append(make([]int, 0, k), maxScore(m, score)), 0)
+}
+
+// grow is the eager greedy loop both seeding rules share: it extends the
+// seed picks selected to k items and returns the picks in order. Each
+// remaining item first takes its minimum distance to the seeds, evaluated
+// item by item in seed order; each round then picks the item that outranks
+// the others (larger minimum distance, then larger score, then lower index)
+// and lowers every remaining item's minimum by its distance to the new
+// pick. evals is the number of distance calls the seeding made. The context
+// is checked once per round and whenever the count of distance calls passes
+// a multiple of cancelCheckStride; on expiry the picks so far come back
+// with its error.
+func grow(ctx context.Context, m, k int, dist DistFunc, score []float64, selected []int, evals int) ([]int, error) {
 	inSet := make([]bool, m)
-	inSet[first] = true
+	for _, s := range selected {
+		inSet[s] = true
+	}
 	minDist := make([]float64, m)
-	evals := 0
+	seeds := len(selected)
 	for i := 0; i < m; i++ {
-		if !inSet[i] {
-			minDist[i] = dist(i, first)
-			if evals++; evals%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return selected, err
-				}
+		if inSet[i] {
+			continue
+		}
+		minDist[i] = dist(i, selected[0])
+		for _, s := range selected[1:] {
+			minDist[i] = math.Min(minDist[i], dist(i, s))
+		}
+		if evals += seeds; evals%cancelCheckStride < seeds {
+			if err := ctx.Err(); err != nil {
+				return selected, err
 			}
 		}
 	}
@@ -268,11 +285,8 @@ func SelectDiverseSetFarthestSeed(m, k int, dist DistFunc) ([]int, error) {
 // context's error; after seeding, the prefix selected so far (anytime, like
 // SelectDiverseSetCtx).
 func SelectDiverseSetFarthestSeedCtx(ctx context.Context, m, k int, dist DistFunc) ([]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("dispersion: non-positive k %d", k)
-	}
-	if k > m {
-		return nil, fmt.Errorf("dispersion: k %d exceeds item count %d", k, m)
+	if err := validateGreedy(m, k, nil); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return []int{}, err
@@ -295,49 +309,7 @@ func SelectDiverseSetFarthestSeedCtx(ctx context.Context, m, k int, dist DistFun
 			}
 		}
 	}
-	selected := []int{bi, bj}
-	inSet := make([]bool, m)
-	inSet[bi], inSet[bj] = true, true
-	minDist := make([]float64, m)
-	for i := 0; i < m; i++ {
-		if !inSet[i] {
-			minDist[i] = math.Min(dist(i, bi), dist(i, bj))
-			if evals += 2; evals%cancelCheckStride < 2 {
-				if err := ctx.Err(); err != nil {
-					return selected, err
-				}
-			}
-		}
-	}
-	for len(selected) < k {
-		if err := ctx.Err(); err != nil {
-			return selected, err
-		}
-		best := -1
-		for i := 0; i < m; i++ {
-			if inSet[i] {
-				continue
-			}
-			if best == -1 || minDist[i] > minDist[best] {
-				best = i
-			}
-		}
-		selected = append(selected, best)
-		inSet[best] = true
-		for i := 0; i < m; i++ {
-			if !inSet[i] {
-				if d := dist(i, best); d < minDist[i] {
-					minDist[i] = d
-				}
-				if evals++; evals%cancelCheckStride == 0 {
-					if err := ctx.Err(); err != nil {
-						return selected, err
-					}
-				}
-			}
-		}
-	}
-	return selected, nil
+	return grow(ctx, m, k, dist, nil, append(make([]int, 0, k), bi, bj), evals)
 }
 
 // MinPairwise returns the minimum pairwise distance within the set — the

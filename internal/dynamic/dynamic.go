@@ -122,7 +122,7 @@ func NewMonitor(dims, capacity, k, signatureSize int, seed int64) (*Monitor, err
 		return nil, fmt.Errorf("dynamic: k %d out of range [1, %d]", k, capacity)
 	}
 	if signatureSize <= 0 {
-		signatureSize = 100
+		signatureSize = core.DefaultSignatureSize
 	}
 	fam, err := minhash.NewFamily(signatureSize, seed)
 	if err != nil {

@@ -121,19 +121,7 @@ const (
 // generate builds the scaled dataset for a kind at the given cardinality
 // and dimensionality.
 func (e *Env) generate(kind datasetKind, paperN, dims int) (*data.Dataset, error) {
-	n := e.scaled(paperN)
-	switch kind {
-	case kindIND:
-		return data.Independent(n, dims, e.Seed), nil
-	case kindANT:
-		return data.Anticorrelated(n, dims, e.Seed), nil
-	case kindFC:
-		return data.SyntheticForestCover(n, e.Seed).Project(dims)
-	case kindREC:
-		return data.SyntheticRecipes(n, e.Seed).Project(dims)
-	default:
-		return nil, fmt.Errorf("exp: unknown dataset kind %d", int(kind))
-	}
+	return data.Generate(kind.String(), e.scaled(paperN), dims, e.Seed)
 }
 
 // Prepare generates (or fetches from cache) a dataset, its R*-tree and its

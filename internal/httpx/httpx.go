@@ -1,7 +1,8 @@
 // Package httpx holds the HTTP middleware shared by the serving tier
 // (internal/server) and the cluster shard worker (internal/cluster): panic
 // recovery, request-deadline derivation from ?timeout=, the drain gate used
-// for graceful shutdown, and JSON response writing. It sits below both
+// for graceful shutdown, JSON response writing, and the daemon lifecycle of
+// cmd/skyserved and cmd/skyshardd (Serve). It sits below both
 // packages so the worker daemon reuses the server's robustness stack without
 // importing the full serving tier (which would cycle through the root
 // package).
@@ -10,7 +11,11 @@ package httpx
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"log"
+	"net"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -186,6 +191,50 @@ func (g *DrainGate) IsDraining() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.draining
+}
+
+// Serve runs the lifecycle both daemons share. It listens on addr, prints
+// the parseable startup line "<name> listening on <addr>" to out (the bound
+// address, so port 0 names the port it picked), calls up with that address
+// for the daemon's own startup log, and serves h until ctx ends. It then
+// drains within deadline: drain sheds new work and waits for the work in
+// flight, and the HTTP server shuts down. Serve returns the
+// daemon's exit code: 1 when listening or serving fails, 3 when drain
+// reports work still in flight, and 0 after a clean drain. It logs through
+// the standard logger.
+func Serve(ctx context.Context, name, addr string, h http.Handler, out io.Writer, up func(net.Addr),
+	deadline time.Duration, drain func(context.Context) error) int {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Printf("listen %s: %v", addr, err)
+		return 1
+	}
+	fmt.Fprintf(out, "%s listening on %s\n", name, ln.Addr())
+	up(ln.Addr())
+
+	srv := &http.Server{Handler: h}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	select {
+	case err := <-serveErr:
+		log.Printf("serve: %v", err)
+		return 1
+	case <-ctx.Done():
+		log.Printf("stopping, draining (deadline %v)", deadline)
+	}
+
+	dctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	drainErr := drain(dctx)
+	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		log.Printf("http shutdown: %v", err)
+	}
+	if drainErr != nil {
+		log.Printf("drain: %v", drainErr)
+		return 3
+	}
+	log.Print("drained cleanly")
+	return 0
 }
 
 // WriteJSON writes an indented JSON body with the given status.

@@ -411,6 +411,11 @@ func NewSequentialCounter(recordSize int) *SequentialCounter {
 	return &SequentialCounter{recordsPerPage: rpp, lastPage: -1}
 }
 
+// NewScanCounter creates the counter of a sequential scan over a data file
+// of dims-dimensional rows, each stored as dims float64 coordinates and a
+// 4-byte row id.
+func NewScanCounter(dims int) *SequentialCounter { return NewSequentialCounter(8*dims + 4) }
+
 // RecordsPerPage returns how many records share one page.
 func (sc *SequentialCounter) RecordsPerPage() int { return sc.recordsPerPage }
 

@@ -37,7 +37,7 @@ func ComputeBNLExternal(ds *data.Dataset, windowCap int) *ExternalResult {
 		windowCap = 1
 	}
 	res := &ExternalResult{}
-	counter := pager.NewSequentialCounter(8*ds.Dims() + 4)
+	counter := pager.NewScanCounter(ds.Dims())
 	// input holds dataset indexes still unresolved; starts as the live rows
 	// of the file (tombstoned rows are resolved by definition).
 	input := make([]int, 0, ds.Len())

@@ -54,7 +54,7 @@ func ComputeBNLExternalSource(ctx context.Context, src data.Source, windowCap in
 		windowCap = 1
 	}
 	d := src.Dims()
-	counter := pager.NewSequentialCounter(8*d + 4)
+	counter := pager.NewScanCounter(d)
 	pageQuantum := counter.RecordsPerPage()
 	res := &ExternalStreamResult{}
 	if err := src.Reset(); err != nil {

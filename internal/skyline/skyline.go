@@ -21,57 +21,6 @@ import (
 	"skydiver/internal/rtree"
 )
 
-// Algorithm selects a skyline computation method.
-type Algorithm int
-
-// Supported skyline algorithms.
-const (
-	// Naive compares all pairs; O(n²), used as a test oracle.
-	Naive Algorithm = iota
-	// BNL is block-nested-loops with an in-memory window.
-	BNL
-	// SFS presorts by the L1 norm and filters in one pass.
-	SFS
-	// BBS is branch-and-bound on an aggregate R*-tree (progressive and
-	// I/O-optimal); requires an index.
-	BBS
-	// DC is divide-and-conquer on the first coordinate.
-	DC
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Naive:
-		return "naive"
-	case BNL:
-		return "bnl"
-	case SFS:
-		return "sfs"
-	case BBS:
-		return "bbs"
-	case DC:
-		return "dc"
-	default:
-		return "unknown"
-	}
-}
-
-// Compute runs the chosen index-free algorithm on the dataset. For BBS use
-// ComputeBBS with a pre-built tree.
-func Compute(ds *data.Dataset, algo Algorithm) []int {
-	switch algo {
-	case BNL:
-		return ComputeBNL(ds)
-	case SFS:
-		return ComputeSFS(ds)
-	case DC:
-		return ComputeDC(ds)
-	default:
-		return ComputeNaive(ds)
-	}
-}
-
 // ComputeNaive compares every pair of points. Quadratic; test oracle only.
 func ComputeNaive(ds *data.Dataset) []int {
 	n := ds.Len()

@@ -22,13 +22,11 @@ func mustBulkLoadT(tb testing.TB, ds *data.Dataset) *rtree.Tree {
 	return tr
 }
 
-func TestAlgorithmString(t *testing.T) {
-	for algo, want := range map[Algorithm]string{Naive: "naive", BNL: "bnl", SFS: "sfs", BBS: "bbs", Algorithm(99): "unknown"} {
-		if algo.String() != want {
-			t.Errorf("String() = %q, want %q", algo.String(), want)
-		}
-	}
-}
+// scans are the in-memory skyline algorithms the tests run side by side.
+var scans = []struct {
+	name    string
+	compute func(*data.Dataset) []int
+}{{"naive", ComputeNaive}, {"bnl", ComputeBNL}, {"sfs", ComputeSFS}}
 
 func TestKnown2DSkyline(t *testing.T) {
 	// Classic hotel example: minimize price (x) and distance (y).
@@ -43,10 +41,10 @@ func TestKnown2DSkyline(t *testing.T) {
 		{9, 9}, // 7: dominated by all
 	})
 	want := []int{0, 1, 2, 5}
-	for _, algo := range []Algorithm{Naive, BNL, SFS} {
-		got := Compute(ds, algo)
+	for _, algo := range scans {
+		got := algo.compute(ds)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%v: skyline = %v, want %v", algo, got, want)
+			t.Errorf("%v: skyline = %v, want %v", algo.name, got, want)
 		}
 	}
 	tr := mustBulkLoadT(t, ds)
@@ -61,15 +59,15 @@ func TestKnown2DSkyline(t *testing.T) {
 
 func TestSinglePointAndEmpty(t *testing.T) {
 	one, _ := data.FromRows("one", [][]float64{{1, 2}})
-	for _, algo := range []Algorithm{Naive, BNL, SFS} {
-		if got := Compute(one, algo); len(got) != 1 || got[0] != 0 {
-			t.Errorf("%v single point: %v", algo, got)
+	for _, algo := range scans {
+		if got := algo.compute(one); len(got) != 1 || got[0] != 0 {
+			t.Errorf("%v single point: %v", algo.name, got)
 		}
 	}
 	empty, _ := data.New("empty", 2, nil)
-	for _, algo := range []Algorithm{Naive, BNL, SFS} {
-		if got := Compute(empty, algo); len(got) != 0 {
-			t.Errorf("%v empty: %v", algo, got)
+	for _, algo := range scans {
+		if got := algo.compute(empty); len(got) != 0 {
+			t.Errorf("%v empty: %v", algo.name, got)
 		}
 	}
 	tr := mustBulkLoadT(t, empty)
@@ -89,10 +87,10 @@ func TestAllAlgorithmsAgreeContinuous(t *testing.T) {
 	for _, ds := range cases {
 		t.Run(ds.Name(), func(t *testing.T) {
 			want := ComputeNaive(ds)
-			for _, algo := range []Algorithm{BNL, SFS} {
-				got := Compute(ds, algo)
+			for _, algo := range scans[1:] {
+				got := algo.compute(ds)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("%v disagrees with naive: %d vs %d points", algo, len(got), len(want))
+					t.Fatalf("%v disagrees with naive: %d vs %d points", algo.name, len(got), len(want))
 				}
 			}
 			tr := mustBulkLoadT(t, ds)
@@ -218,10 +216,10 @@ func TestBBSProgressiveIO(t *testing.T) {
 
 func TestSortedOutput(t *testing.T) {
 	ds := data.Independent(5000, 3, 55)
-	for _, algo := range []Algorithm{Naive, BNL, SFS} {
-		got := Compute(ds, algo)
+	for _, algo := range scans {
+		got := algo.compute(ds)
 		if !sort.IntsAreSorted(got) {
-			t.Errorf("%v output not sorted", algo)
+			t.Errorf("%v output not sorted", algo.name)
 		}
 	}
 }

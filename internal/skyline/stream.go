@@ -46,7 +46,7 @@ func ComputeStreamRAND(ds *data.Dataset, window, maxPasses int, seed int64) *Str
 		window = 1
 	}
 	r := rand.New(rand.NewSource(seed))
-	counter := pager.NewSequentialCounter(8*ds.Dims() + 4)
+	counter := pager.NewScanCounter(ds.Dims())
 	res := &StreamResult{}
 	n := ds.Len()
 	confirmed := make([]int, 0, 64)

@@ -30,8 +30,8 @@ type RemoteOptions struct {
 // RemoteShardStats reports how a remote query's shards were served and what
 // the resilience envelope spent doing it (Result.Remote).
 type RemoteShardStats struct {
-	// Shards is the query's shard count after the memory clamp (see
-	// Options.Shards); Remote were answered by the fleet, and Local
+	// Shards is the query's shard count after the page and memory clamps
+	// (see Options.Shards); Remote were answered by the fleet, and Local
 	// recomputed by the coordinator (a dead fleet, a mutated dataset or a
 	// worker replica that holds other data). Remote + Local == Shards.
 	Shards int `json:"shards"`
@@ -70,68 +70,42 @@ func (d *Dataset) remoteExecutor(ro *RemoteOptions) (*cluster.Executor, error) {
 	return ex, nil
 }
 
-// diversifyRemote serves a MinHash/LSH query whose Phase 1 runs on the
-// worker fleet. The caller holds qmu's read side.
-func (d *Dataset) diversifyRemote(ctx context.Context, opts Options) (*Result, error) {
-	ro := opts.Remote
+// checkRemote checks a remote query's options before any skyline work: no
+// budget, a non-empty fleet, and a dataset built by Generate, whose spec
+// lets a worker regenerate its rows.
+func (d *Dataset) checkRemote(opts Options) error {
 	if opts.Budget.Enabled() {
-		return nil, fmt.Errorf("%w: Options.Budget is not supported with Options.Remote", ErrInvalidOptions)
+		return fmt.Errorf("%w: Options.Budget is not supported with Options.Remote", ErrInvalidOptions)
 	}
-	if len(ro.Workers) == 0 {
-		return nil, fmt.Errorf("%w: Options.Remote.Workers is empty", ErrInvalidOptions)
+	if len(opts.Remote.Workers) == 0 {
+		return fmt.Errorf("%w: Options.Remote.Workers is empty", ErrInvalidOptions)
 	}
 	if d.spec == nil {
-		return nil, fmt.Errorf("%w: only datasets built by Generate are remotable", ErrInvalidOptions)
+		return fmt.Errorf("%w: only datasets built by Generate are remotable", ErrInvalidOptions)
+	}
+	return nil
+}
+
+// remoteBuilder returns a remote query's Phase-1 builder over the skyline
+// sky, which folds the query's shards on the worker fleet under the
+// pipeline's hash family, and a function that reports how the builder's
+// shards were served (nil until it has run). The caller holds qmu's read
+// side and has run checkRemote.
+func (d *Dataset) remoteBuilder(opts Options, sky []int) (func(context.Context, *minhash.Family) (*core.Fingerprint, error), func() *RemoteShardStats, error) {
+	ex, err := d.remoteExecutor(opts.Remote)
+	if err != nil {
+		return nil, nil, err
 	}
 	shards := opts.Shards
 	if shards == 0 {
-		shards = len(ro.Workers)
+		shards = len(opts.Remote.Workers)
 	}
-	sky, sess, err := d.skylineSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.validateQuery(opts, len(sky)); err != nil {
-		return nil, err
-	}
-	ex, err := d.remoteExecutor(ro)
-	if err != nil {
-		return nil, err
-	}
-	cfg := coreConfig(opts)
-	if cfg.SignatureSize == 0 {
-		cfg.SignatureSize = 100 // the core default; the wire query must agree
-	}
-	q := cluster.Query{
-		Spec:     *d.spec,
-		Epoch:    d.epoch,
-		Shards:   shards,
-		T:        cfg.SignatureSize,
-		HashSeed: opts.Seed,
-	}
-	var outcome *cluster.Outcome
-	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch}
-	in.Builder = func(bctx context.Context, _ *minhash.Family) (*core.Fingerprint, error) {
-		fp, out, err := ex.Fingerprint(bctx, q, d.canon, sky)
-		outcome = &out
+	var served *RemoteShardStats
+	build := func(ctx context.Context, fam *minhash.Family) (*core.Fingerprint, error) {
+		q := cluster.Query{Spec: *d.spec, Epoch: d.epoch, Shards: shards, T: fam.Size(), HashSeed: opts.Seed}
+		fp, out, err := ex.Fingerprint(ctx, q, d.canon, sky)
+		served = (*RemoteShardStats)(&out)
 		return fp, err
 	}
-	res, err := runPipeline(ctx, opts.Algorithm, in, cfg)
-	return finish(res, err, func(res *core.Result) *Result { return d.remoteResult(res, outcome) })
-}
-
-func (d *Dataset) remoteResult(res *core.Result, out *cluster.Outcome) *Result {
-	pub := d.publicResult(res)
-	if out != nil {
-		pub.Remote = &RemoteShardStats{
-			Shards:    out.Shards,
-			Remote:    out.Remote,
-			Local:     out.Local,
-			Retries:   out.Retries,
-			Hedges:    out.Hedges,
-			Failovers: out.Failovers,
-			FastFails: out.FastFails,
-		}
-	}
-	return pub
+	return build, func() *RemoteShardStats { return served }, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"skydiver/internal/cluster"
+	"skydiver/internal/core"
 )
 
 // startShardWorkers brings up n in-process skyshardd-equivalent workers and
@@ -100,8 +101,10 @@ func TestRemoteMatchesSharded(t *testing.T) {
 					if err := allShardsServed(got); err != nil {
 						t.Fatal(err)
 					}
-					if got.Remote.Shards != shards || got.Remote.Remote != shards {
-						t.Errorf("remote stats = %+v, want all %d shards remote", got.Remote, shards)
+					// A query cuts no more shards than the data has pages.
+					cut := min(shards, core.DataPages(remote.canon))
+					if got.Remote.Shards != cut || got.Remote.Remote != cut {
+						t.Errorf("remote stats = %+v, want all %d shards remote", got.Remote, cut)
 					}
 				}
 			})
@@ -109,16 +112,37 @@ func TestRemoteMatchesSharded(t *testing.T) {
 	}
 }
 
-// TestRemoteShardsBeyondPages: a shard is a page range, so more shards than
-// data pages leaves some ranges empty (IND-300-3D has 3 pages), and a shard
-// count that does not divide the pages gives ranges of unequal length.
-// Either way every shard is one fold served by the fleet and the answer is
-// bit-identical to the in-process run.
+// sigfoldCalls sums the sigfold calls the workers' /stats report.
+func sigfoldCalls(t *testing.T, urls []string) int64 {
+	t.Helper()
+	var total int64
+	for _, u := range urls {
+		resp, err := http.Get(u + cluster.PathStats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st cluster.WorkerStats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Folds
+	}
+	return total
+}
+
+// TestRemoteShardsBeyondPages: a shard is a page range, so a query cuts no
+// more shards than the data has pages (IND-300-3D has 3, so 8 shards are
+// cut as 3, one sigfold call each), and a shard count that does not divide
+// the pages gives ranges of unequal length. Either way every shard is one
+// fold served by the fleet and the answer is bit-identical to the
+// in-process run.
 func TestRemoteShardsBeyondPages(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
 	for _, c := range []struct {
-		n, shards int
-	}{{300, 8}, {300, 2}, {2000, 3}} {
+		n, shards, cut int
+	}{{300, 8, 3}, {300, 2, 2}, {2000, 3, 3}} {
 		local, err := Generate(Independent, c.n, 3, 5)
 		if err != nil {
 			t.Fatal(err)
@@ -131,6 +155,7 @@ func TestRemoteShardsBeyondPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := sigfoldCalls(t, urls)
 		got, err := remote.Diversify(Options{K: 4, Seed: 3, SignatureSize: 16, Shards: c.shards,
 			Remote: &RemoteOptions{Workers: urls}})
 		if err != nil {
@@ -142,8 +167,11 @@ func TestRemoteShardsBeyondPages(t *testing.T) {
 		if err := allShardsServed(got); err != nil {
 			t.Fatalf("n=%d s%d: %v", c.n, c.shards, err)
 		}
-		if got.Remote.Remote != c.shards {
-			t.Errorf("n=%d s%d: remote stats = %+v, want all shards served by the fleet", c.n, c.shards, got.Remote)
+		if got.Remote.Shards != c.cut || got.Remote.Remote != c.cut {
+			t.Errorf("n=%d s%d: remote stats = %+v, want all %d shards served by the fleet", c.n, c.shards, got.Remote, c.cut)
+		}
+		if calls := sigfoldCalls(t, urls) - before; calls != int64(c.cut) {
+			t.Errorf("n=%d s%d: workers served %d sigfold calls, want %d", c.n, c.shards, calls, c.cut)
 		}
 	}
 }
@@ -153,24 +181,7 @@ func TestRemoteShardsBeyondPages(t *testing.T) {
 // other shard RPC (/shard/skyline is 404).
 func TestRemoteOneFoldPerShard(t *testing.T) {
 	_, urls := startShardWorkers(t, 2)
-	folds := func() int64 {
-		t.Helper()
-		var total int64
-		for _, u := range urls {
-			resp, err := http.Get(u + cluster.PathStats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st cluster.WorkerStats
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += st.Folds
-		}
-		return total
-	}
+	folds := func() int64 { return sigfoldCalls(t, urls) }
 	ds, err := Generate(Independent, 2000, 3, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +288,34 @@ func TestRemoteDeadFleetFallsBackLocally(t *testing.T) {
 	}
 	if res.Remote.Local != 2 || res.Remote.Remote != 0 {
 		t.Errorf("remote stats = %+v, want 2 local shards", res.Remote)
+	}
+}
+
+// TestRemoteNeverDegrades: AllowDegraded does not reach a remote query.
+// With every index page dead, the skyline read fails; the local query is
+// served by the index-free rung, and the remote one returns the storage
+// error, since every rung of the ladder would run it locally.
+func TestRemoteNeverDegrades(t *testing.T) {
+	_, urls := startShardWorkers(t, 2)
+	for _, remote := range []bool{false, true} {
+		ds, err := Generate(Independent, 2000, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.InjectFaults(FaultPolicy{Rate: 1, PermanentRate: 1}); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{K: 4, AllowDegraded: true}
+		if remote {
+			opts.Remote = &RemoteOptions{Workers: urls}
+		}
+		res, err := ds.Diversify(opts)
+		switch {
+		case remote && (res != nil || !errors.Is(err, ErrPermanentFault)):
+			t.Errorf("remote: res = %+v, err = %v; want no result and ErrPermanentFault", res, err)
+		case !remote && (err != nil || !res.Degraded || res.DegradedReason != DegradedIndexFree):
+			t.Errorf("local: err = %v, res = %+v; want a %s answer", err, res, DegradedIndexFree)
+		}
 	}
 }
 

@@ -238,7 +238,7 @@ func (d *Dataset) degrade(ctx context.Context, opts Options, tracker *budget.Tra
 	}
 	t := opts.SignatureSize
 	if t == 0 {
-		t = 100
+		t = core.DefaultSignatureSize
 	}
 	// The epoch pins substitution to fingerprints of the current dataset
 	// state: after a mutation, a stale-epoch signature's columns belong to a

@@ -191,11 +191,11 @@ type Options struct {
 	// folds its range against the dataset's skyline, and the coordinator
 	// min-merges the folds. Results are bit-identical to the unsharded path
 	// — same skyline, same signatures, same selection, same I/O — for any
-	// shard count, including more shards than the data has pages (the
-	// surplus ranges are empty). The coordinator holds every shard's fold
-	// until the merge, so the count is clamped to the folds that fit the
-	// fingerprint memory cap beside the merged one; Result.Remote.Shards
-	// reports the clamped count.
+	// shard count. The count is clamped to the data's page count, since a
+	// shard beyond it would fold an empty range, and to the folds that fit
+	// the fingerprint memory cap beside the merged one, since the
+	// coordinator holds every shard's fold until the merge;
+	// Result.Remote.Shards reports the clamped count.
 	//
 	// Without Remote the option changes nothing: the dataset's skyline is
 	// already resident, so a query's answers, I/O and cached fingerprint
@@ -764,8 +764,13 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 	// the selection run against one consistent epoch.
 	d.qmu.RLock()
 	defer d.qmu.RUnlock()
-	if opts.Remote != nil && (opts.Algorithm == MinHash || opts.Algorithm == LSH) {
-		return d.diversifyRemote(ctx, opts)
+	if opts.Algorithm != MinHash && opts.Algorithm != LSH {
+		opts.Remote = nil // the fleet runs Phase 1, which Greedy and Exact do not have
+	}
+	if opts.Remote != nil {
+		if err := d.checkRemote(opts); err != nil {
+			return nil, err
+		}
 	}
 	var tracker *budget.Tracker
 	if opts.Budget.Enabled() {
@@ -775,17 +780,21 @@ func (d *Dataset) DiversifyContext(ctx context.Context, opts Options) (*Result, 
 		defer cancel()
 	}
 	res, err := d.attempt(ctx, opts, tracker, nil)
-	if err != nil && opts.AllowDegraded {
+	// A remote answer is never degraded: the ladder's rungs run locally, so a
+	// remote query's failure is its answer.
+	if err != nil && opts.AllowDegraded && opts.Remote == nil {
 		return d.degrade(ctx, opts, tracker, res, err)
 	}
 	return res, err
 }
 
-// attempt runs one local pipeline attempt, the only one DiversifyContext and
-// its degradation ladder make: a fresh I/O session that charges tracker (when
+// attempt runs one pipeline attempt, the only one DiversifyContext and its
+// degradation ladder make: a fresh I/O session that charges tracker (when
 // there is one) for every page it reads and whose reads observe ctx, the
 // skyline, the query checks, and the algorithm. fp, when non-nil, is served
-// in place of Phase 1. A Partial result may accompany the error.
+// in place of Phase 1. With opts.Remote, Phase 1 is built on the worker
+// fleet (remoteBuilder) and the result reports how its shards were served.
+// A Partial result may accompany the error.
 func (d *Dataset) attempt(ctx context.Context, opts Options, tracker *budget.Tracker, fp *core.Fingerprint) (*Result, error) {
 	sess, err := d.newSession()
 	if err != nil {
@@ -805,8 +814,14 @@ func (d *Dataset) attempt(ctx context.Context, opts Options, tracker *budget.Tra
 		return nil, err
 	}
 	in := core.Input{Data: d.canon, Sky: sky, Tree: sess.Tree(), Session: sess, Cache: d.fpCache, Epoch: d.epoch, Fingerprint: fp}
+	served := func() *RemoteShardStats { return nil }
+	if opts.Remote != nil {
+		if in.Builder, served, err = d.remoteBuilder(opts, sky); err != nil {
+			return nil, err
+		}
+	}
 	res, err := runPipeline(ctx, opts.Algorithm, in, coreConfig(opts))
-	return finish(res, err, d.publicResult)
+	return finish(res, err, func(res *core.Result) *Result { return d.publicResult(res, served()) })
 }
 
 // finish converts a pipeline outcome into the public result. A failed run
@@ -824,9 +839,9 @@ func finish(res *core.Result, err error, public func(*core.Result) *Result) (*Re
 // otherwise turn into an out-of-memory crash: a fingerprint (t×m matrix plus
 // hash family) or LSH bit-vectors (m·ζ·B bits) beyond
 // minhash.MaxFingerprintBytes, and a shard count above the live row count.
-// A remote query's shard count is clamped further, to the folds that fit
-// the same cap (cluster.Executor.Fingerprint). Callers hold qmu, so the row
-// count is the one the query runs on.
+// A remote query's shard count is clamped further, to the data's pages and
+// to the folds that fit the same cap (cluster.Executor.Fingerprint).
+// Callers hold qmu, so the row count is the one the query runs on.
 func (d *Dataset) validateQuery(opts Options, m int) error {
 	if opts.K < 1 {
 		return fmt.Errorf("%w: Options.K must be at least 1", ErrInvalidOptions)
@@ -892,7 +907,9 @@ func runPipeline(ctx context.Context, algo Algorithm, in core.Input, cfg core.Co
 	}
 }
 
-func (d *Dataset) publicResult(res *core.Result) *Result {
+// publicResult converts a pipeline result into the public one; remote
+// reports how a remote query's shards were served, and is nil otherwise.
+func (d *Dataset) publicResult(res *core.Result, remote *RemoteShardStats) *Result {
 	out := &Result{
 		Indexes:           res.DataIndexes,
 		Partial:           res.Partial,
@@ -904,6 +921,7 @@ func (d *Dataset) publicResult(res *core.Result) *Result {
 		MemoryBytes:       res.Stats.MemoryBytes,
 		FingerprintCached: res.Stats.FingerprintCached,
 		SelectionCached:   res.Stats.SelectionCached,
+		Remote:            remote,
 	}
 	for i, idx := range res.DataIndexes {
 		out.Points[i] = d.reorient(d.canon.Point(idx))

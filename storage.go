@@ -176,26 +176,7 @@ func GenerateSource(dist Distribution, n, dims int, seed int64) (RowSource, erro
 	if n < 1 {
 		return nil, fmt.Errorf("skydiver: non-positive cardinality %d", n)
 	}
-	switch dist {
-	case Independent:
-		return data.IndependentSource(n, dims, seed), nil
-	case Anticorrelated:
-		return data.AnticorrelatedSource(n, dims, seed), nil
-	case Correlated:
-		return data.CorrelatedSource(n, dims, seed), nil
-	case ForestCover:
-		if dims > 0 && dims != 7 {
-			return nil, fmt.Errorf("skydiver: ForestCover streams its native 7 attributes, not %d", dims)
-		}
-		return data.ForestCoverSource(n, seed), nil
-	case Recipes:
-		if dims > 0 && dims != 7 {
-			return nil, fmt.Errorf("skydiver: Recipes streams its native 7 attributes, not %d", dims)
-		}
-		return data.RecipesSource(n, seed), nil
-	default:
-		return nil, fmt.Errorf("skydiver: unknown distribution %d", dist)
-	}
+	return data.GenerateSource(dist.String(), n, dims, seed)
 }
 
 // canonSource canonicalizes a row stream into the min-preferred orientation
