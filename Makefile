@@ -99,9 +99,12 @@ fuzz:
 #                        (MonitorAdd), steady-state refresh latency on a 100K
 #                        window incremental vs wholesale (the acceptance
 #                        criterion is a ≥5× gap; in practice it is orders of
-#                        magnitude), and public Dataset.Insert and
+#                        magnitude), public Dataset.Insert and
 #                        Dataset.Delete end to end (skyline maintenance +
-#                        signature patch + epoch migration).
+#                        signature patch + epoch migration), and a write
+#                        followed by a MinHash and an LSH read of each of
+#                        four resident keys (DatasetWriteRead: the patch
+#                        plus the post-write selections).
 #                        The incremental refresh runs 1000 steps: its costly
 #                        steps (promotions, slot repairs) are rare — the
 #                        first comes at step 32 of its stream — so a short
@@ -128,7 +131,7 @@ bench:
 	{ $(GO) test -run '^$$' -bench 'MonitorAdd$$' -benchmem -benchtime=10000x -count=5 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'RefreshIncremental100K' -benchmem -benchtime=1000x -count=5 ./internal/dynamic ; \
 	  $(GO) test -run '^$$' -bench 'RefreshWholesale100K' -benchmem -benchtime=1x -count=5 ./internal/dynamic ; \
-	  $(GO) test -run '^$$' -bench 'Dataset(Insert|Delete)' -benchmem -benchtime=200x -count=5 . ; } \
+	  $(GO) test -run '^$$' -bench 'Dataset(Insert|Delete|WriteRead)' -benchmem -benchtime=200x -count=5 . ; } \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_dynamic.json
 	$(GO) test -run '^$$' -bench 'RemoteServing' -benchmem -benchtime=3x -count=5 . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)/BENCH_remote.json

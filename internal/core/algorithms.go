@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -166,11 +167,7 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		// signatures, report no I/O, count as a hit.
 		return &Fingerprint{Matrix: in.Fingerprint.Matrix, DomScore: in.Fingerprint.DomScore}, true, nil
 	}
-	build := func() (*Fingerprint, error) {
-		fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
+	generate := func(fam *minhash.Family) (*Fingerprint, error) {
 		if in.Builder != nil {
 			return in.Builder(ctx, fam)
 		}
@@ -188,13 +185,22 @@ func fingerprint(ctx context.Context, in Input, cfg Config) (*Fingerprint, bool,
 		}
 		return SigGenIFCtx(ctx, in.Data, in.Sky, fam)
 	}
+	build := func() (*Fingerprint, *minhash.Family, error) {
+		fam, err := minhash.NewFamily(cfg.SignatureSize, cfg.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		fp, err := generate(fam)
+		return fp, fam, err
+	}
 	if in.Cache == nil || cfg.NoCache {
-		fp, err := build()
+		fp, _, err := build()
 		return fp, false, err
 	}
 	cacheBuild := func() (*Fingerprint, error) {
-		fp, err := build()
+		fp, fam, err := build()
 		if fp != nil {
+			fp.fam = fam
 			fp.lsh = new(atomic.Pointer[lshVectors])
 			fp.picks = new(pickOrder)
 		}
@@ -259,17 +265,26 @@ func partialResult(in Input, selected []int, dist dispersion.DistFunc, stats Sta
 
 // distance builds a SkyDiver pipeline's selection distance over a
 // fingerprint's skyline positions. It also returns the memo slot of the
-// greedy's pick order under that distance (nil for a fingerprint the cache
-// does not hold) and the bytes the distance reads (Stats.MemoryBytes).
-type distance func(ctx context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error)
+// greedy's picks under that distance (nil for a fingerprint the cache does
+// not hold) and the bytes the distance reads (Stats.MemoryBytes).
+type distance func(ctx context.Context, fp *Fingerprint) (metric, *pickOrder, int, error)
+
+// metric is a selection distance as an exact count between two skyline
+// positions, the MinHash match count or the LSH Hamming count, and dist[c],
+// the distance count c stands for.
+type metric struct {
+	count func(i, j int) int
+	dist  []float64
+}
 
 // skyDiver is the SkyDiver pipeline of Sec. 4.2 under one distance. Phase 1
 // fingerprints the skyline, or reuses the cached fingerprint, and builds the
 // distance over it. Phase 2 is the greedy selection of Fig. 6, seeded with
 // the point of maximum domination score and breaking ties by score; it is
 // served from the stored pick order when that holds at least k picks (a
-// hit the input's cache counts), and a completed selection stores its
-// order. On context expiry the run returns the anytime Partial result with
+// hit the input's cache counts). Otherwise it reuses the distances the
+// slot keeps (rowDist), and a completed selection stores its order with
+// them. On context expiry the run returns the anytime Partial result with
 // the context's error: the prefix selected so far, or none when expiry
 // struck in Phase 1.
 func skyDiver(ctx context.Context, in Input, cfg Config, dist distance) (*Result, error) {
@@ -281,12 +296,12 @@ func skyDiver(ctx context.Context, in Input, cfg Config, dist distance) (*Result
 	start := time.Now()
 	fp, cached, err := fingerprint(ctx, in, cfg)
 	var (
-		d     dispersion.DistFunc
+		met   metric
 		picks *pickOrder
 	)
 	if err == nil {
 		stats.FingerprintCached, stats.IO = cached, fp.IO
-		d, picks, stats.MemoryBytes, err = dist(ctx, fp)
+		met, picks, stats.MemoryBytes, err = dist(ctx, fp)
 	}
 	stats.Fingerprint = time.Since(start)
 	if err != nil {
@@ -297,13 +312,20 @@ func skyDiver(ctx context.Context, in Input, cfg Config, dist distance) (*Result
 	}
 
 	start = time.Now()
-	d = chargeEstimations(ctx, d)
+	d := chargeEstimations(ctx, func(i, j int) float64 { return met.dist[met.count(i, j)] })
 	selected := picks.prefix(cfg.K)
 	if selected != nil {
 		in.Cache.selectionHit()
 		stats.SelectionCached = true
-	} else if selected, err = dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, d, fp.DomScore); err == nil {
-		picks.store(selected)
+	} else {
+		rd := newRowDist(ctx, met, picks, len(in.Sky), fp.Matrix.T())
+		selected, err = dispersion.SelectDiverseSetCtx(ctx, len(in.Sky), cfg.K, rd.dist, fp.DomScore)
+		if err == nil {
+			picks.store(selected, rd.kept())
+		}
+		if stats.EstimatesReused = rd.reused; rd.reused > 0 {
+			in.Cache.estimatesReused(rd.reused)
+		}
 	}
 	stats.Select = time.Since(start)
 	if err != nil {
@@ -318,6 +340,111 @@ func skyDiver(ctx context.Context, in Input, cfg Config, dist distance) (*Result
 		ObjectiveValue: dispersion.MinPairwise(selected, d),
 		Stats:          stats,
 	}, nil
+}
+
+// rowDist is one greedy selection's distance over a fingerprint, which
+// asks for the distance from a candidate to a pick. A count the pick-order
+// slot keeps for the pick is reused; any other is counted live, charged to
+// the query's budget, and kept in the selection's row for the pick, which
+// the slot stores once the selection completes. Concurrent readers share
+// the slot's rows and never write them: a stored row is copied before the
+// selection first writes it. Past limit rows (the signature size, so the
+// rows never outgrow the matrix) a pick's counts are not kept.
+type rowDist struct {
+	met     metric
+	tracker *budget.Tracker
+	stored  []countRow
+	rowOf   []int32 // column → 1 + its row in rows; 0 before it is a pick, -1 past the limit
+	rows    []countRow
+	owned   []bool // owned[r]: rows[r] is this selection's, not the slot's
+	limit   int
+	reused  int
+}
+
+// newRowDist reads the rows picks keeps over m skyline positions and
+// keeps at most t rows of its own; a nil picks keeps none.
+func newRowDist(ctx context.Context, met metric, picks *pickOrder, m, t int) *rowDist {
+	rd := &rowDist{met: met, tracker: budget.From(ctx), rowOf: make([]int32, m)}
+	if picks != nil {
+		rd.limit = t
+		if p := picks.load(); p != nil {
+			rd.stored = p.rows
+		}
+	}
+	return rd
+}
+
+// dist is the selection distance from item i to pick j.
+func (rd *rowDist) dist(i, j int) float64 {
+	r := rd.rowOf[j]
+	if r == 0 {
+		r = rd.open(j)
+	}
+	if r < 0 {
+		return rd.met.dist[rd.live(i, j)]
+	}
+	counts := rd.rows[r-1].counts
+	if c := counts[i]; c != unknownCount {
+		rd.reused++
+		return rd.met.dist[c]
+	}
+	c := rd.live(i, j)
+	if !rd.owned[r-1] {
+		counts = slices.Clone(counts)
+		rd.rows[r-1].counts, rd.owned[r-1] = counts, true
+	}
+	counts[i] = int32(c)
+	return rd.met.dist[c]
+}
+
+// open gives pick j its row: the stored one, or a new unknown row.
+func (rd *rowDist) open(j int) int32 {
+	if len(rd.rows) >= rd.limit {
+		rd.rowOf[j] = -1
+		return -1
+	}
+	row := countRow{col: j}
+	for _, s := range rd.stored {
+		if s.col == j {
+			row.counts = s.counts
+			break
+		}
+	}
+	owned := row.counts == nil
+	if owned {
+		row.counts = make([]int32, len(rd.rowOf))
+		for i := range row.counts {
+			row.counts[i] = unknownCount
+		}
+	}
+	rd.rows = append(rd.rows, row)
+	rd.owned = append(rd.owned, owned)
+	rd.rowOf[j] = int32(len(rd.rows))
+	return rd.rowOf[j]
+}
+
+// kept returns the rows to store with the selection's picks: its own,
+// then the stored rows of columns it never met as picks, up to the limit,
+// so a shorter selection does not drop distances a longer one reads.
+func (rd *rowDist) kept() []countRow {
+	rows := rd.rows
+	for _, s := range rd.stored {
+		if len(rows) >= rd.limit {
+			break
+		}
+		if rd.rowOf[s.col] == 0 {
+			rows = append(rows, s)
+		}
+	}
+	return rows
+}
+
+// live counts the distance between i and j, charging one estimate.
+func (rd *rowDist) live(i, j int) int {
+	if rd.tracker != nil {
+		rd.tracker.ChargeEstimations(1)
+	}
+	return rd.met.count(i, j)
 }
 
 // SkyDiverMH is the full MinHash pipeline (Section 4.2.1): fingerprint, then
@@ -336,8 +463,15 @@ func SkyDiverMH(in Input, cfg Config) (*Result, error) {
 // A read served from the stored pick order runs no selection, so it
 // completes and is charged only the objective's estimates.
 func SkyDiverMHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	return skyDiver(ctx, in, cfg, func(_ context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error) {
-		return fp.Matrix.EstimateJd, fp.picks, fp.Matrix.MemoryBytes(), nil
+	return skyDiver(ctx, in, cfg, func(_ context.Context, fp *Fingerprint) (metric, *pickOrder, int, error) {
+		t := fp.Matrix.T()
+		// 1 − c/t is the expression EstimateJd evaluates, so a count gives
+		// the estimate bit for bit.
+		jd := make([]float64, t+1)
+		for c := range jd {
+			jd[c] = 1 - float64(c)/float64(t)
+		}
+		return metric{count: fp.Matrix.Matches, dist: jd}, fp.picks, fp.Matrix.MemoryBytes(), nil
 	})
 }
 
@@ -353,16 +487,22 @@ func SkyDiverLSH(in Input, cfg Config) (*Result, error) {
 // SkyDiverLSHCtx is SkyDiverLSH with cancellation and anytime semantics
 // (see SkyDiverMHCtx). Banding the signatures counts as Phase 1.
 func SkyDiverLSHCtx(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	return skyDiver(ctx, in, cfg, func(ctx context.Context, fp *Fingerprint) (dispersion.DistFunc, *pickOrder, int, error) {
+	return skyDiver(ctx, in, cfg, func(ctx context.Context, fp *Fingerprint) (metric, *pickOrder, int, error) {
 		params, err := cfg.LSHParams()
 		if err != nil {
-			return nil, nil, 0, err
+			return metric{}, nil, 0, err
 		}
 		vectors, picks, err := fp.bitVectors(ctx, params, cfg.Seed+1)
 		if err != nil {
-			return nil, nil, 0, err
+			return metric{}, nil, 0, err
 		}
-		return func(i, j int) float64 { return float64(vectors.Hamming(i, j)) }, picks, vectors.MemoryBytes(), nil
+		// Every vector has one bit set per zone, so two differ in at most
+		// 2ζ bits.
+		hamming := make([]float64, 2*params.Zones+1)
+		for c := range hamming {
+			hamming[c] = float64(c)
+		}
+		return metric{count: vectors.Hamming, dist: hamming}, picks, vectors.MemoryBytes(), nil
 	})
 }
 

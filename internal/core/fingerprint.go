@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"skydiver/internal/data"
@@ -21,21 +22,27 @@ type Fingerprint struct {
 	DomScore []float64
 	// IO is the I/O incurred while generating the signatures.
 	IO pager.Stats
+	// fam is the hash family a fingerprint the cache holds was built with,
+	// kept so a write that patches the entry draws none; nil for every
+	// other fingerprint (migrateFingerprints draws one for an entry
+	// installed without it).
+	fam *minhash.Family
 	// lsh memoizes the LSH bit-vectors of Matrix (Sec. 4.2.2) for a
 	// fingerprint the cache holds; it is nil for every other fingerprint.
-	// Cache hits share it with the entry, and a write that migrates the
-	// entry carries its vectors to the patched matrix (migrateFingerprints).
+	// Cache hits share it with the entry, and a write that patches the
+	// entry patches its vectors too (migrateFingerprints).
 	lsh *atomic.Pointer[lshVectors]
-	// picks memoizes the greedy's pick order under the MinHash estimate for
-	// a fingerprint the cache holds, and is nil exactly when lsh is. Cache
-	// hits share it; a write migrates the entry with an empty one.
+	// picks memoizes the greedy's picks and distances under the MinHash
+	// estimate for a fingerprint the cache holds, and is nil exactly when
+	// lsh is. Cache hits share it; a write empties its order and carries
+	// its distances.
 	picks *pickOrder
 }
 
 // lshVectors is one memo value: the bit-vectors of a fingerprint's matrix
-// under one banding and zone seed, immutable apart from the greedy's pick
-// order under their Hamming distance, which a migrated value starts
-// without.
+// under one banding and zone seed, and the greedy's picks and distances
+// under their Hamming distance. Readers only read it; a write, which
+// excludes every reader, patches the vectors in place with the matrix.
 type lshVectors struct {
 	params  lsh.Params
 	seed    int64
@@ -52,12 +59,11 @@ func (fp *Fingerprint) lshMemo() *lshVectors {
 }
 
 // bitVectors returns the LSH bit-vectors of fp's matrix under params and
-// zone seed, and the memo slot of the greedy's pick order under their
-// Hamming distance (nil for a fingerprint the cache does not hold): the
-// memoized vectors when their key matches, else a fresh build, which then
-// replaces the memo. Queries hold only the dataset's read lock, so two
-// readers may build at once; both builds are bit-identical and either
-// store may win.
+// zone seed, and the memo slot of the greedy's picks under their Hamming
+// distance (nil for a fingerprint the cache does not hold): the memoized
+// vectors when their key matches, else a fresh build, which then replaces
+// the memo. Queries hold only the dataset's read lock, so two readers may
+// build at once; both builds are bit-identical and either store may win.
 func (fp *Fingerprint) bitVectors(ctx context.Context, params lsh.Params, seed int64) (*lsh.BitVectors, *pickOrder, error) {
 	if v := fp.lshMemo(); v != nil && v.params == params && v.seed == seed {
 		return v.vectors, &v.picks, nil
@@ -71,41 +77,126 @@ func (fp *Fingerprint) bitVectors(ctx context.Context, params lsh.Params, seed i
 	return vectors, &v.picks, nil
 }
 
-// pickOrder memoizes the picks of the greedy selection (Fig. 6) over one
-// fingerprint under one distance. The selection is a pure function of the
-// distance and the domination scores, and it never revisits a pick, so its
-// picks for k are the first k of its picks for any larger k: one stored
-// order answers every k up to its length. A stored order is immutable and
-// shared by every reader; a nil *pickOrder memoizes nothing.
+// pickOrder memoizes the greedy selection (Fig. 6) over one fingerprint
+// under one distance. The selection is a pure function of the distance and
+// the domination scores, and it never revisits a pick, so its picks for k
+// are the first k of its picks for any larger k: one stored order answers
+// every k up to its length. Beside the order it keeps the distances the
+// selection computed from its picks, which a later selection reads before
+// it estimates. A stored value is shared by every reader and never written
+// while a query runs; a write empties the order and carries the distances
+// to the patched columns (carry). A nil *pickOrder memoizes nothing.
 type pickOrder struct {
-	p atomic.Pointer[[]int]
+	p atomic.Pointer[pickMemo]
+}
+
+// pickMemo is one stored value of a pickOrder: the picks of a completed
+// selection in order (none after a write), and at most t rows of the
+// distances selections computed from their picks, one row per pick.
+type pickMemo struct {
+	order []int
+	rows  []countRow
+}
+
+// countRow holds the distances from skyline column col to every column as
+// exact counts (metric), unknownCount where none was computed.
+type countRow struct {
+	col    int
+	counts []int32
+}
+
+// unknownCount marks a distance no selection has computed.
+const unknownCount = -1
+
+// load returns the stored value, or nil.
+func (o *pickOrder) load() *pickMemo {
+	if o == nil {
+		return nil
+	}
+	return o.p.Load()
 }
 
 // prefix returns a copy of the first k stored picks, or nil when fewer
 // than k are stored.
 func (o *pickOrder) prefix(k int) []int {
-	if o == nil {
-		return nil
-	}
-	if p := o.p.Load(); p != nil && len(*p) >= k {
-		return append([]int(nil), (*p)[:k]...)
+	if p := o.load(); p != nil && len(p.order) >= k {
+		return append([]int(nil), p.order[:k]...)
 	}
 	return nil
 }
 
-// store records a copy of a completed selection's picks unless at least as
-// many are stored already: a racing store never replaces a longer order
-// with a shorter one.
-func (o *pickOrder) store(picks []int) {
+// store records a copy of a completed selection's picks, with its rows of
+// distances, unless at least as many picks are stored already: a racing
+// store never replaces a longer order with a shorter one. The rows are
+// handed over; a row the selection took from the slot unchanged is
+// stored again, as it stays unwritten until a write carries it.
+func (o *pickOrder) store(picks []int, rows []countRow) {
 	if o == nil {
 		return
 	}
-	next := append([]int(nil), picks...)
-	for cur := o.p.Load(); cur == nil || len(*cur) < len(next); cur = o.p.Load() {
-		if o.p.CompareAndSwap(cur, &next) {
+	next := &pickMemo{order: append([]int(nil), picks...), rows: rows}
+	for cur := o.p.Load(); cur == nil || len(cur.order) < len(next.order); cur = o.p.Load() {
+		if o.p.CompareAndSwap(cur, next) {
 			return
 		}
 	}
+}
+
+// carry readies o for its fingerprint's patched columns, cols of them:
+// runs are the columns the write kept (columnRuns), and fresh lists the
+// new columns whose signatures it changed or that joined. The order is
+// emptied, since the greedy's order depends on every score and column,
+// which a write moves. Each row moves to its pick's new column, or goes
+// with a pick whose column changed or left, and forgets its counts at the
+// fresh columns; every other count is a function of two unchanged
+// signatures, so it stays exact. Rows are rewritten in place: the caller
+// excludes every reader.
+func (o *pickOrder) carry(runs []colRun, fresh []int, cols int) {
+	cur := o.p.Load()
+	if cur == nil {
+		return
+	}
+	rows := cur.rows[:0]
+	for _, r := range cur.rows {
+		col := -1
+		for _, run := range runs {
+			if run.src <= r.col && r.col < run.src+run.n {
+				col = run.dst + r.col - run.src
+			}
+		}
+		if col < 0 || slices.Contains(fresh, col) {
+			continue
+		}
+		r.col, r.counts = col, moveCounts(r.counts, runs, fresh, cols)
+		rows = append(rows, r)
+	}
+	o.p.Store(&pickMemo{rows: rows})
+}
+
+// moveCounts rewrites, in place, a row of counts over the old columns as
+// one over cols new columns: each run of kept columns moves as a block,
+// and the fresh columns, the joined ones among them, read unknownCount. The runs are ascending in both positions, so the blocks
+// that move left are copied in ascending order and those that move right
+// in descending order, and none is overwritten before it is read.
+func moveCounts(counts []int32, runs []colRun, fresh []int, cols int) []int32 {
+	if cols > len(counts) {
+		counts = slices.Grow(counts, cols-len(counts))[:cols]
+	}
+	for _, r := range runs {
+		if r.src > r.dst {
+			copy(counts[r.dst:r.dst+r.n], counts[r.src:r.src+r.n])
+		}
+	}
+	for k := len(runs) - 1; k >= 0; k-- {
+		if r := runs[k]; r.src < r.dst {
+			copy(counts[r.dst:r.dst+r.n], counts[r.src:r.src+r.n])
+		}
+	}
+	counts = counts[:cols]
+	for _, c := range fresh {
+		counts[c] = unknownCount
+	}
+	return counts
 }
 
 // SigGenIF is the index-free signature generator (Figure 3): a single

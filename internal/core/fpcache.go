@@ -51,6 +51,10 @@ type FingerprintCacheStats struct {
 	// SelectionHits is the number of MinHash or LSH selections served from
 	// the pick order memoized with a resident fingerprint.
 	SelectionHits int64
+	// EstimatesReused is the number of distances selections read from the
+	// rows kept with a resident fingerprint's pick orders instead of
+	// estimating them (Stats.EstimatesReused, summed).
+	EstimatesReused int64
 }
 
 // defaultFingerprintCacheCap bounds a cache constructed with a non-positive
@@ -67,8 +71,9 @@ const defaultFingerprintCacheCap = 16
 // maintain.go, or dropped via Drop). Capacity is a bounded LRU; failed
 // builds are not cached.
 //
-// Cached *Fingerprint values are shared between queries and must be treated
-// as immutable by every consumer (the pipelines only read them).
+// Cached *Fingerprint values are shared between queries, which only read
+// them. A write, which the dataset runs only while no query does, patches
+// them in place (migrateFingerprints).
 type FingerprintCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -108,6 +113,13 @@ func (c *FingerprintCache) Stats() FingerprintCacheStats {
 func (c *FingerprintCache) selectionHit() {
 	c.mu.Lock()
 	c.stats.SelectionHits++
+	c.mu.Unlock()
+}
+
+// estimatesReused counts n distances a selection read from kept rows.
+func (c *FingerprintCache) estimatesReused(n int) {
+	c.mu.Lock()
+	c.stats.EstimatesReused += int64(n)
 	c.mu.Unlock()
 }
 

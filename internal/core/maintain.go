@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"skydiver/internal/data"
 	"skydiver/internal/geom"
+	"skydiver/internal/lsh"
 	"skydiver/internal/minhash"
 	"skydiver/internal/rtree"
 )
@@ -41,8 +43,9 @@ type rowSource interface {
 	region(p []float64, visit func(row int, q []float64)) error
 	// repair recomputes, in the columns cols of mx (positions in the
 	// skyline sky), the slots a departed row with hash values hv held,
-	// from the rows each column still dominates.
-	repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int) error
+	// from the rows each column still dominates, and calls changed for
+	// each column whose slots it changed.
+	repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int, changed func(c int)) error
 }
 
 // treeSource is a Dataset's live rows, found by bounded range queries over
@@ -67,7 +70,7 @@ func (s *treeSource) region(p []float64, visit func(row int, q []float64)) error
 
 // repair refolds each column's held slots over the column's Γ, found by
 // one range query per column (Matrix.RemoveRow).
-func (s *treeSource) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int) error {
+func (s *treeSource) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int, changed func(c int)) error {
 	for _, c := range cols {
 		gamma, ok := s.gammas[sky[c]]
 		if !ok {
@@ -80,7 +83,9 @@ func (s *treeSource) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32
 			}
 			s.gammas[sky[c]] = gamma
 		}
-		mx.RemoveRow(c, hv, fam, gamma)
+		if mx.RemoveRow(c, hv, fam, gamma) {
+			changed(c)
+		}
 	}
 	return nil
 }
@@ -141,8 +146,8 @@ type promotion struct {
 // the skyline incrementally (one dominance test per skyline member, plus one
 // bounded range query for a point that joins), migrates every resident
 // index-free fingerprint to newEpoch by patching — not rebuilding — its
-// matrix, and returns the new skyline and the new points' row ids. The
-// per-point patches are composed in order on one clone of each resident
+// matrix in place, and returns the new skyline and the new points' row
+// ids. The per-point patches are composed in order on each resident
 // fingerprint, which is exactly equivalent to chaining per-point migrations
 // (min-folds commute and every patch transforms the matrix from the state
 // the previous one left), so a batch of one is a single insert.
@@ -177,9 +182,9 @@ func ApplyInsertBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 		rows = append(rows, row)
 		patches = append(patches, ins)
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(p *fpPatch) error {
 		for _, ins := range patches {
-			patchInsert(fam, fp, hv, ins)
+			p.insert(ins)
 		}
 		return nil
 	})
@@ -295,9 +300,9 @@ func ApplyDeleteBatch(ds *data.Dataset, tr *rtree.Tree, sky []int, cache *Finger
 		cur = next
 		patches = append(patches, del)
 	}
-	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error {
+	migrateFingerprints(cache, oldEpoch, newEpoch, sky, cur, func(p *fpPatch) error {
 		for _, del := range patches {
-			if err := patchDelete(fam, fp, hv, del); err != nil {
+			if err := p.delete(del); err != nil {
 				return err
 			}
 		}
@@ -415,26 +420,26 @@ func miniSkylineRows(src rowSource, cands []int) []int {
 }
 
 // migrateFingerprints walks the resident cache entries: completed index-free
-// fingerprints from oldEpoch are cloned, patched, and re-installed at
-// newEpoch; everything else from oldEpoch (index-based entries, whose
-// traversal-order row ids a structural mutation invalidates, and any
-// in-flight build) is dropped. Entries from other epochs are already
-// unreachable and are dropped too. A patch that fails (a refold's range
-// query hit a storage fault) just drops its entry — a cache miss is safe,
-// a half-patched matrix would not be.
+// fingerprints from oldEpoch are patched in place and re-keyed to newEpoch;
+// everything else from oldEpoch (index-based entries, whose traversal-order
+// row ids a structural mutation invalidates, and any in-flight build) is
+// dropped. Entries from other epochs are already unreachable and are
+// dropped too. A patch that fails (a refold's range query hit a storage
+// fault) just drops its entry — a cache miss is safe, a half-patched
+// matrix would not be. Patching in place needs no copy: every query holds
+// the dataset's read lock for its whole run and a write holds the write
+// lock, so no query sees an entry while it is patched.
 //
-// An entry's memoized LSH bit-vectors are carried to the patched matrix
-// (lsh.BitVectors.Carry): the patched column of row newSky[j] descends from
-// the old column holding the same row, if any, so unchanged zones keep their
-// buckets and only changed zones and joined columns are hashed. Pick orders
-// are not carried: the greedy's order depends on every domination score and
-// column, which a write moves, so the patched entry and its carried vectors
-// start with empty ones.
-func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, oldSky, newSky []int, patch func(fam *minhash.Family, fp *Fingerprint, hv []uint32) error) {
+// An entry's memoized LSH bit-vectors and its pick orders' distance rows
+// follow its columns (fpPatch): the bit-vectors of changed and joined
+// columns are hashed again, and the rows keep every count between two
+// columns the write left unchanged. The orders are emptied: the greedy's
+// order depends on every domination score and column, which a write moves.
+func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, oldSky, newSky []int, patch func(p *fpPatch) error) {
 	if cache == nil {
 		return
 	}
-	var from []int // column origins, computed for the first carry
+	var runs []colRun // the columns the write kept, computed for the first entry
 	for _, key := range cache.CompletedEntries() {
 		if key.Epoch != oldEpoch || key.Mode != IndexFree {
 			cache.Drop(key)
@@ -445,124 +450,206 @@ func migrateFingerprints(cache *FingerprintCache, oldEpoch, newEpoch uint64, old
 			continue
 		}
 		cache.Drop(key)
-		fam, err := minhash.NewFamily(key.T, key.Seed)
-		if err != nil {
+		if fp.fam == nil {
+			fam, err := minhash.NewFamily(key.T, key.Seed)
+			if err != nil {
+				continue
+			}
+			fp.fam = fam
+		}
+		p := newFPPatch(fp)
+		if err := patch(p); err != nil {
 			continue
 		}
-		patched := &Fingerprint{
-			Matrix:   fp.Matrix.Clone(),
-			DomScore: append([]float64(nil), fp.DomScore...),
-			IO:       fp.IO,
-			lsh:      new(atomic.Pointer[lshVectors]),
-			picks:    new(pickOrder),
+		if runs == nil {
+			runs = columnRuns(oldSky, newSky)
 		}
-		hv := make([]uint32, key.T)
-		if err := patch(fam, patched, hv); err != nil {
-			continue
-		}
-		if v := fp.lshMemo(); v != nil {
-			if from == nil {
-				from = columnOrigins(oldSky, newSky)
-			}
-			if vectors, err := v.vectors.Carry(fp.Matrix, patched.Matrix, from); err == nil {
-				patched.lsh.Store(&lshVectors{params: v.params, seed: v.seed, vectors: vectors})
-			}
-		}
+		p.finish(runs)
 		newKey := key
 		newKey.Epoch = newEpoch
-		cache.Install(newKey, patched)
+		cache.Install(newKey, fp)
 	}
 	// In-flight builds at the old epoch publish to their waiters and age out
 	// of the LRU; they can never be hit again because Get keys on the epoch.
 }
 
-// columnOrigins maps each column of newSky to the column of oldSky that
-// holds the same row, or -1 for a row that joined the skyline. Both lists
-// are ascending row ids, so one merge covers single writes and batches,
-// demotions and promotions alike.
-func columnOrigins(oldSky, newSky []int) []int {
-	from := make([]int, len(newSky))
+// colRun is a run of n consecutive skyline columns a write kept, in order:
+// old columns src.. are new columns dst...
+type colRun struct{ src, dst, n int }
+
+// columnRuns lists the maximal runs of consecutive columns of newSky that
+// hold the same rows as consecutive columns of oldSky; a column outside
+// every run joined the skyline or left it. Both lists are ascending row
+// ids, so one merge covers single writes and batches, demotions and
+// promotions alike, and the runs are ascending in both positions.
+func columnRuns(oldSky, newSky []int) []colRun {
+	runs := []colRun{}
 	i := 0
 	for j, row := range newSky {
 		for i < len(oldSky) && oldSky[i] < row {
 			i++
 		}
-		from[j] = -1
-		if i < len(oldSky) && oldSky[i] == row {
-			from[j] = i
+		if i == len(oldSky) || oldSky[i] != row {
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].src+runs[k].n == i && runs[k].dst+runs[k].n == j {
+			runs[k].n++
+		} else {
+			runs = append(runs, colRun{src: i, dst: j, n: 1})
 		}
 	}
-	return from
+	return runs
 }
 
-// patchInsert repairs one fingerprint for an insert: an excluded point folds
+// fpPatch is one fingerprint under a write's patches, which change its
+// matrix and scores in place. For a cache entry it also moves what the
+// entry keeps beside the matrix in step with the columns: changed records,
+// per current column, whether a patch changed its slots or it joined, and
+// the entry's LSH bit-vectors gain and lose columns with the matrix; finish
+// then rehashes the changed columns' vectors and carries the pick orders.
+// A stream monitor's fingerprint keeps nothing beside its matrix, and its
+// changed is nil.
+type fpPatch struct {
+	fp      *Fingerprint
+	fam     *minhash.Family
+	hv      []uint32 // the hash values of the row being folded
+	changed []bool
+	vectors *lsh.BitVectors
+}
+
+// newFPPatch readies a cache entry for a write's patches.
+func newFPPatch(fp *Fingerprint) *fpPatch {
+	if fp.lsh == nil {
+		fp.lsh = new(atomic.Pointer[lshVectors])
+	}
+	if fp.picks == nil {
+		fp.picks = new(pickOrder)
+	}
+	p := &fpPatch{fp: fp, fam: fp.fam, hv: make([]uint32, fp.fam.Size()), changed: make([]bool, fp.Matrix.Cols())}
+	if v := fp.lshMemo(); v != nil {
+		p.vectors = v.vectors
+	}
+	return p
+}
+
+// finish ends a cache entry's patches: runs are the columns the write
+// kept (columnRuns).
+func (p *fpPatch) finish(runs []colRun) {
+	var fresh []int // the columns whose signatures changed or that joined
+	for c, ch := range p.changed {
+		if ch {
+			fresh = append(fresh, c)
+		}
+	}
+	if v := p.fp.lshMemo(); v != nil {
+		for _, c := range fresh {
+			v.vectors.Rehash(c, p.fp.Matrix.Column(c))
+		}
+		v.picks.carry(runs, fresh, len(p.changed))
+	}
+	p.fp.picks.carry(runs, fresh, len(p.changed))
+}
+
+// mark records that column c's slots changed.
+func (p *fpPatch) mark(c int) {
+	if p.changed != nil {
+		p.changed[c] = true
+	}
+}
+
+// fold folds the hash values in hv, whose minimum is minHv, into column c.
+func (p *fpPatch) fold(c int, minHv uint32) {
+	if p.fp.Matrix.UpdateColumnBounded(c, p.hv, minHv) {
+		p.mark(c)
+	}
+}
+
+// insertColumn adds an empty column of score score at position at.
+func (p *fpPatch) insertColumn(at int, score float64) {
+	p.fp.Matrix.InsertColumn(at)
+	p.fp.DomScore = slices.Insert(p.fp.DomScore, at, score)
+	if p.changed != nil {
+		p.changed = slices.Insert(p.changed, at, true)
+	}
+	if p.vectors != nil {
+		p.vectors.InsertColumn(at)
+	}
+}
+
+// removeColumns drops the columns at the ascending positions at.
+func (p *fpPatch) removeColumns(at []int) {
+	p.fp.Matrix.RemoveColumns(at)
+	p.fp.DomScore = removePositions(p.fp.DomScore, at)
+	if p.changed != nil {
+		p.changed = removePositions(p.changed, at)
+	}
+	if p.vectors != nil {
+		p.vectors.RemoveColumns(at)
+	}
+}
+
+// insert repairs the fingerprint for an insert: an excluded point folds
 // into its dominators' columns; a joining point drops the demoted columns
 // and gains a column built from its Γ fold set.
-func patchInsert(fam *minhash.Family, fp *Fingerprint, hv []uint32, ins skyInsertion) {
+func (p *fpPatch) insert(ins skyInsertion) {
+	fam, fp := p.fam, p.fp
 	if !ins.joined {
 		if len(ins.domCols) == 0 {
 			return
 		}
-		minHv := fam.HashAllMin(hv, uint64(ins.row))
+		minHv := fam.HashAllMin(p.hv, uint64(ins.row))
 		for _, c := range ins.domCols {
-			fp.Matrix.UpdateColumnBounded(c, hv, minHv)
+			p.fold(c, minHv)
 			fp.DomScore[c]++
 		}
 		return
 	}
 	if len(ins.demoted) > 0 {
-		fp.Matrix.RemoveColumns(ins.demoted)
-		fp.DomScore = removeScores(fp.DomScore, ins.demoted)
+		p.removeColumns(ins.demoted)
 	}
 	at := fp.Matrix.Cols() // largest row id ⇒ last column
-	fp.Matrix.InsertColumn(at)
-	fp.DomScore = append(fp.DomScore, float64(len(ins.gamma)))
+	p.insertColumn(at, float64(len(ins.gamma)))
 	for _, r := range ins.gamma {
-		minHv := fam.HashAllMin(hv, uint64(r))
-		fp.Matrix.UpdateColumnBounded(at, hv, minHv)
+		p.fold(at, fam.HashAllMin(p.hv, uint64(r)))
 	}
 }
 
-// patchDelete repairs one fingerprint for a delete. A departed non-member
+// delete repairs the fingerprint for a delete. A departed non-member
 // decrements its dominators' scores and, in every column where its hashes
 // held a slot minimum, recomputes just those slots over the column's
 // remaining rows; a departed member's column is removed and each promoted
 // row gains a freshly folded column at its skyline position.
-func patchDelete(fam *minhash.Family, fp *Fingerprint, hv []uint32, del *skyDeletion) error {
+func (p *fpPatch) delete(del *skyDeletion) error {
+	fam, fp := p.fam, p.fp
 	if !del.wasSky {
 		if len(del.domCols) == 0 {
 			return nil
 		}
-		fam.HashAll(hv, uint64(del.row))
+		fam.HashAll(p.hv, uint64(del.row))
 		var held []int
 		for _, c := range del.domCols {
 			fp.DomScore[c]--
-			if fp.Matrix.ColumnMatchesAny(c, hv) {
+			if fp.Matrix.ColumnMatchesAny(c, p.hv) {
 				held = append(held, c)
 			}
 		}
 		if len(held) == 0 {
 			return nil
 		}
-		return del.src.repair(fam, fp.Matrix, hv, del.oldSky, held)
+		return del.src.repair(fam, fp.Matrix, p.hv, del.oldSky, held, p.mark)
 	}
-	fp.Matrix.RemoveColumns([]int{del.skyPos})
-	fp.DomScore = removeScores(fp.DomScore, []int{del.skyPos})
+	p.removeColumns([]int{del.skyPos})
 	for _, pr := range del.promoted {
-		fp.Matrix.InsertColumn(pr.at)
-		fp.DomScore = append(fp.DomScore, 0)
-		copy(fp.DomScore[pr.at+1:], fp.DomScore[pr.at:])
-		fp.DomScore[pr.at] = float64(len(pr.gamma))
+		p.insertColumn(pr.at, float64(len(pr.gamma)))
 		for _, r := range pr.gamma {
-			mh := fam.HashAllMin(hv, uint64(r))
-			fp.Matrix.UpdateColumnBounded(pr.at, hv, mh)
+			p.fold(pr.at, fam.HashAllMin(p.hv, uint64(r)))
 		}
 	}
 	return nil
 }
 
-// removeScores drops the given ascending positions from a score vector.
-func removeScores(s []float64, at []int) []float64 {
+// removePositions drops the given ascending positions from s.
+func removePositions[T any](s []T, at []int) []T {
 	w, r := at[0], 0
 	for c := at[0]; c < len(s); c++ {
 		if r < len(at) && at[r] == c {

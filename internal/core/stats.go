@@ -28,6 +28,11 @@ type Stats struct {
 	// order memoized with a cached fingerprint: no greedy round ran, and
 	// Select covers only the lookup.
 	SelectionCached bool
+	// EstimatesReused counts the selection's distances read from those a
+	// selection over the same cached fingerprint computed before, earlier
+	// in its epoch or carried across writes that left both columns
+	// unchanged, instead of estimated again.
+	EstimatesReused int
 	// Select is the CPU time of the selection phase.
 	Select time.Duration
 	// IO accumulates page accesses (R-tree probes and/or sequential scan).

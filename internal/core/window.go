@@ -44,7 +44,7 @@ func (w *Window) region(p []float64, visit func(row int, q []float64)) error {
 // row is hashed at the held slots only, and each of those columns lowers
 // its held slots' running minima. No column's Γ is listed, and the slots
 // the departed row did not hold are never hashed and keep their values.
-func (w *Window) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int) error {
+func (w *Window) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sky, cols []int, changed func(c int)) error {
 	t := mx.T()
 	// Column cols[j] holds the slots slots[start[j]:start[j+1]]; minv holds
 	// their running minima. union lists every held slot once.
@@ -94,12 +94,17 @@ func (w *Window) repair(fam *minhash.Family, mx *minhash.Matrix, hv []uint32, sk
 	col := make([]uint32, t)
 	for j, c := range cols {
 		copy(col, mx.Column(c))
+		same := true
 		for k := start[j]; k < start[j+1]; k++ {
+			same = same && col[slots[k]] == minv[k]
 			col[slots[k]] = minv[k]
 		}
 		// Rewrite the column so its screen bounds are recomputed exactly.
 		mx.ResetColumn(c)
 		mx.UpdateColumn(c, col)
+		if !same {
+			changed(c)
+		}
 	}
 	return nil
 }
@@ -145,7 +150,7 @@ func (w *Window) Insert(fam *minhash.Family, sky []int, fp *Fingerprint) ([]int,
 	if err != nil {
 		return nil, err
 	}
-	patchInsert(fam, fp, make([]uint32, fam.Size()), ins)
+	(&fpPatch{fp: fp, fam: fam, hv: make([]uint32, fam.Size())}).insert(ins)
 	return newSky, nil
 }
 
@@ -157,5 +162,5 @@ func (w *Window) Evict(fam *minhash.Family, sky []int, fp *Fingerprint, pt []flo
 	if err != nil {
 		return nil, err
 	}
-	return newSky, patchDelete(fam, fp, make([]uint32, fam.Size()), del)
+	return newSky, (&fpPatch{fp: fp, fam: fam, hv: make([]uint32, fam.Size())}).delete(del)
 }

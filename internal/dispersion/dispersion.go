@@ -81,6 +81,9 @@ func SelectDiverseSetCtx(ctx context.Context, m, k int, dist DistFunc, score []f
 	if err := ctx.Err(); err != nil {
 		return []int{}, err
 	}
+	if score == nil {
+		score = make([]float64, m) // every score 0
+	}
 	selected := make([]int, 0, k)
 	selected = append(selected, maxScore(m, score))
 	// ub[i] is item i's minimum distance to selected[:seen[i]] (+Inf before
@@ -93,56 +96,78 @@ func SelectDiverseSetCtx(ctx context.Context, m, k int, dist DistFunc, score []f
 	}
 	seen[selected[0]] = -1
 	evals := 0
-	best, bd, bs := -1, 0.0, 0.0 // the round's best item, its distance and score
-	// refresh folds the picks item i has not seen into its bound, in
-	// selection order. With cutoff it stops once the bound no longer
-	// outranks the round's best: the item cannot win this round, and the
-	// bound stays valid for later ones.
-	refresh := func(i int, cutoff bool) error {
-		s := int(seen[i])
-		for s < len(selected) {
-			if d := dist(i, selected[s]); d < ub[i] {
-				ub[i] = d
-			}
-			s++
-			if evals++; evals%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if cutoff && !outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
-				break
-			}
-		}
-		seen[i] = int32(s)
-		return nil
-	}
+	// next is the round's best bound, found by the previous round's pass 2;
+	// -1 in the first round. The scans below inline outranks: item i with
+	// distance d and score s ranks before item b with bd and bs when
+	// d > bd || d == bd && (s > bs || s == bs && i < b).
+	next := -1
 	for len(selected) < k {
 		if err := ctx.Err(); err != nil {
 			return selected, err
 		}
-		// Pass 1: the best bound, brought up to date.
-		best = -1
-		for i := 0; i < m; i++ {
-			if seen[i] >= 0 && (best == -1 || outranks(ub[i], scoreAt(score, i), i, ub[best], scoreAt(score, best), best)) {
-				best = i
+		// Pass 1: the best bound, brought up to date. After the first round
+		// the previous pass 2 found it; a scan takes items in index order,
+		// so a tie never ranks a later item first.
+		best := next
+		if best < 0 {
+			bd, bs := 0.0, 0.0
+			for i, d := range ub {
+				if seen[i] >= 0 {
+					if s := score[i]; best < 0 || d > bd || d == bd && s > bs {
+						best, bd, bs = i, d, s
+					}
+				}
 			}
 		}
-		if err := refresh(best, false); err != nil {
-			return selected, err
+		for p := int(seen[best]); p < len(selected); p++ {
+			if d := dist(best, selected[p]); d < ub[best] {
+				ub[best] = d
+			}
+			if evals++; evals%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return selected, err
+				}
+			}
 		}
+		seen[best] = int32(len(selected))
 		// Pass 2: only an item whose bound still ranks before the best exact
-		// value can win; refresh it and take it if it still does.
-		bd, bs = ub[best], scoreAt(score, best)
-		for i := 0; i < m; i++ {
-			if seen[i] < 0 || i == best || !outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
+		// value can win. Refresh it, folding the picks it has not seen into
+		// its bound in selection order, until the bound no longer ranks
+		// first (the bound stays valid for later rounds), and take it if it
+		// still does. Every other item's bound is final for the round, so the
+		// best of them is the next round's pass 1.
+		bd, bs := ub[best], score[best]
+		next = -1
+		nd, ns := 0.0, 0.0
+		for j := 0; j < m; j++ {
+			if seen[j] < 0 || j == best {
 				continue
 			}
-			if err := refresh(i, true); err != nil {
-				return selected, err
+			i, d, s := j, ub[j], score[j]
+			if d > bd || d == bd && (s > bs || s == bs && i < best) {
+				p := int(seen[i])
+				for p < len(selected) {
+					if e := dist(i, selected[p]); e < d {
+						d = e
+					}
+					p++
+					if evals++; evals%cancelCheckStride == 0 {
+						if err := ctx.Err(); err != nil {
+							return selected, err
+						}
+					}
+					if !(d > bd || d == bd && (s > bs || s == bs && i < best)) {
+						break
+					}
+				}
+				ub[i], seen[i] = d, int32(p)
+				if d > bd || d == bd && (s > bs || s == bs && i < best) {
+					// i takes the lead; the item it displaces runs for next.
+					i, best, d, bd, s, bs = best, i, bd, d, bs, s
+				}
 			}
-			if outranks(ub[i], scoreAt(score, i), i, bd, bs, best) {
-				best, bd, bs = i, ub[i], scoreAt(score, i)
+			if next < 0 || d > nd || d == nd && (s > ns || s == ns && i < next) {
+				next, nd, ns = i, d, s
 			}
 		}
 		selected = append(selected, best)

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 
 	"skydiver/internal/minhash"
 )
@@ -95,7 +94,7 @@ type BitVectors struct {
 	wordsPerCol int
 	words       []uint64
 	// zoneKeys[z] is zone z's 64-bit mixing key, drawn from the build seed;
-	// Carry hashes changed zones with the same keys.
+	// Rehash hashes a changed column with the same keys.
 	zoneKeys []uint64
 }
 
@@ -127,10 +126,7 @@ func BuildCtx(ctx context.Context, m *minhash.Matrix, p Params, seed int64) (*Bi
 				return nil, err
 			}
 		}
-		sig := m.Column(c)
-		for z := 0; z < p.Zones; z++ {
-			bv.setZone(c, z, sig)
-		}
+		bv.Rehash(c, m.Column(c))
 	}
 	return bv, nil
 }
@@ -147,55 +143,62 @@ func newBitVectors(p Params, zoneKeys []uint64, cols int) *BitVectors {
 	}
 }
 
-// setZone hashes zone z's fragment of signature sig into its bucket and
-// sets that bucket's bit in point c's vector. It is the one per-zone
-// hashing routine of BuildCtx and Carry.
-func (bv *BitVectors) setZone(c, z int, sig []uint32) {
+// Rehash sets point c's vector from its signature sig, every zone hashed
+// afresh: a zone's bucket is a function of its fragment and zone key
+// alone, so the vector is BuildCtx's for that signature. BuildCtx sets
+// every column with it, and a write that patches the matrix in place
+// rehashes each column it changed or joined.
+func (bv *BitVectors) Rehash(c int, sig []uint32) {
 	p := bv.params
-	frag := sig[z*p.Rows : (z+1)*p.Rows]
-	bit := z*p.Buckets + int(hashFragment(frag, bv.zoneKeys[z])%uint64(p.Buckets))
-	bv.words[c*bv.wordsPerCol+bit/64] |= 1 << (bit % 64)
+	row := bv.words[c*bv.wordsPerCol : (c+1)*bv.wordsPerCol]
+	clear(row)
+	for z := 0; z < p.Zones; z++ {
+		frag := sig[z*p.Rows : (z+1)*p.Rows]
+		bit := z*p.Buckets + int(hashFragment(frag, bv.zoneKeys[z])%uint64(p.Buckets))
+		row[bit/64] |= 1 << (bit % 64)
+	}
 }
 
-// Carry returns the bit vectors of next, a patched successor of prev, the
-// matrix bv encodes: next's column j holds the signature that prev's column
-// from[j] was patched into, or a new one where from[j] < 0. A zone's bucket
-// is a function of its fragment and zone key alone, so a zone whose
-// fragment did not change keeps its bucket; only changed zones and new
-// columns are hashed. Every kept zone is compared first, so the result is
-// bit-identical to BuildCtx of next with bv's parameters and seed.
-func (bv *BitVectors) Carry(prev, next *minhash.Matrix, from []int) (*BitVectors, error) {
-	if prev.Cols() != bv.cols || next.T() != prev.T() || len(from) != next.Cols() {
-		return nil, fmt.Errorf("lsh: carry from %d columns of t=%d to %d columns of t=%d with %d origins",
-			prev.Cols(), prev.T(), next.Cols(), next.T(), len(from))
+// InsertColumn grows bv by one empty vector at position at (vectors at and
+// beyond shift right), as minhash.Matrix.InsertColumn grows the matrix bv
+// encodes; Rehash then sets it. Like the matrix, the vectors are patched in
+// place for as long as their fingerprint is cached, so a reallocation
+// leaves room for a few more vectors, not append's quarter.
+func (bv *BitVectors) InsertColumn(at int) {
+	if at < 0 || at > bv.cols {
+		panic("lsh: InsertColumn position out of range")
 	}
-	p := bv.params
-	out := newBitVectors(p, bv.zoneKeys, next.Cols())
 	w := bv.wordsPerCol
-	for j, i := range from {
-		sig := next.Column(j)
-		if i < 0 {
-			for z := 0; z < p.Zones; z++ {
-				out.setZone(j, z, sig)
-			}
-			continue
-		}
-		copy(out.words[j*w:(j+1)*w], bv.words[i*w:(i+1)*w])
-		if next.ColumnEqual(j, prev, i) {
-			continue
-		}
-		old := prev.Column(i)
-		for z := 0; z < p.Zones; z++ {
-			lo, hi := z*p.Rows, (z+1)*p.Rows
-			if slices.Equal(sig[lo:hi], old[lo:hi]) {
-				continue
-			}
-			bit := z*p.Buckets + out.Bucket(j, z)
-			out.words[j*w+bit/64] &^= 1 << (bit % 64)
-			out.setZone(j, z, sig)
-		}
+	if n := (bv.cols + 1) * w; n > cap(bv.words) {
+		bv.words = append(make([]uint64, 0, n+16*w), bv.words...)
 	}
-	return out, nil
+	bv.words = bv.words[:(bv.cols+1)*w]
+	copy(bv.words[(at+1)*w:], bv.words[at*w:bv.cols*w])
+	bv.cols++
+	clear(bv.words[at*w : (at+1)*w])
+}
+
+// RemoveColumns drops the vectors at the given positions (sorted ascending
+// and in range), compacting the rest left, as minhash.Matrix.RemoveColumns
+// does to the matrix bv encodes.
+func (bv *BitVectors) RemoveColumns(at []int) {
+	if len(at) == 0 {
+		return
+	}
+	w, kept, r := bv.wordsPerCol, at[0], 0
+	for c := at[0]; c < bv.cols; c++ {
+		if r < len(at) && at[r] == c {
+			r++
+			continue
+		}
+		copy(bv.words[kept*w:(kept+1)*w], bv.words[c*w:(c+1)*w])
+		kept++
+	}
+	if r != len(at) {
+		panic("lsh: RemoveColumns positions not sorted ascending in range")
+	}
+	bv.cols = kept
+	bv.words = bv.words[:kept*w]
 }
 
 // hashFragment mixes a signature fragment with a zone key (FNV-1a over the

@@ -17,7 +17,6 @@
 package minhash
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -275,10 +274,10 @@ func (m *Matrix) Column(c int) []uint32 {
 }
 
 // UpdateColumn folds one row's hash values hv into column c's signature,
-// keeping the per-slot minima (Figure 3, UpdateMatrix). hv may be shorter
-// than t (the untouched tail keeps its values); the column's slot-max
-// bounds are refreshed either way.
-func (m *Matrix) UpdateColumn(c int, hv []uint32) {
+// keeping the per-slot minima (Figure 3, UpdateMatrix), and reports
+// whether any slot changed. hv may be shorter than t (the untouched tail
+// keeps its values); the column's slot-max bounds are refreshed either way.
+func (m *Matrix) UpdateColumn(c int, hv []uint32) bool {
 	col := m.sig[c*m.t : (c+1)*m.t]
 	n := len(hv)
 	if n > len(col) {
@@ -294,9 +293,10 @@ func (m *Matrix) UpdateColumn(c int, hv []uint32) {
 	if !changed {
 		// Untouched column, bounds still exact — and the common case even for
 		// folds that pass the slot-max screen, so it skips the max recompute.
-		return
+		return false
 	}
 	m.refreshBounds(c)
+	return true
 }
 
 // refreshBounds recomputes column c's group maxima and whole-column maximum
@@ -314,12 +314,12 @@ func (m *Matrix) refreshBounds(c int) {
 // the signature generators, which compute it once per row via HashAllMin.
 // When that minimum cannot beat the column's current worst slot the fold is
 // skipped entirely; the resulting matrix is bit-identical to folding every
-// row unconditionally.
-func (m *Matrix) UpdateColumnBounded(c int, hv []uint32, minHv uint32) {
+// row unconditionally. It reports whether any slot changed.
+func (m *Matrix) UpdateColumnBounded(c int, hv []uint32, minHv uint32) bool {
 	if minHv >= m.colMax[c] {
-		return
+		return false
 	}
-	m.UpdateColumn(c, hv)
+	return m.UpdateColumn(c, hv)
 }
 
 // ColMax returns column c's slot maximum, the bound FoldRow screens a row's
@@ -519,28 +519,6 @@ func maxOf(s []uint32) uint32 {
 	return max(a, b)
 }
 
-// Clone returns a deep copy of the matrix: the incremental-maintenance path
-// patches a private copy of a cached signature matrix (copy-on-write), so the
-// original — shared by pointer with every query that already holds it — is
-// never mutated.
-func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{t: m.t, cols: m.cols, groups: m.groups, bound: m.bound}
-	c.sig = append([]uint32(nil), m.sig...)
-	c.colMax = append([]uint32(nil), m.colMax...)
-	c.groupMax = append([]uint32(nil), m.groupMax...)
-	return c
-}
-
-// ColumnEqual reports whether column c of m holds the same slots as column
-// oc of o. The columns are compared as bytes, one memequal instead of a
-// slot loop: the LSH carry compares every column of a migrated matrix with
-// its origin, and most are unchanged.
-func (m *Matrix) ColumnEqual(c int, o *Matrix, oc int) bool {
-	a, b := m.Column(c), o.Column(oc)
-	return bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), 4*len(a)),
-		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), 4*len(b)))
-}
-
 // ResetColumn empties column c: all slots and its screen bounds return to the
 // ∞ sentinel, as if no row had ever been folded into it. The incremental
 // delete path resets a column before re-folding its surviving rows.
@@ -565,14 +543,29 @@ func (m *Matrix) InsertColumn(at int) {
 		panic("minhash: InsertColumn position out of range")
 	}
 	t, g := m.t, m.groups
-	m.sig = append(m.sig, make([]uint32, t)...)
+	m.sig = growColumn(m.sig, t)
 	copy(m.sig[(at+1)*t:], m.sig[at*t:m.cols*t])
-	m.colMax = append(m.colMax, 0)
+	m.colMax = growColumn(m.colMax, 1)
 	copy(m.colMax[at+1:], m.colMax[at:m.cols])
-	m.groupMax = append(m.groupMax, make([]uint32, g)...)
+	m.groupMax = growColumn(m.groupMax, g)
 	copy(m.groupMax[(at+1)*g:], m.groupMax[at*g:m.cols*g])
 	m.cols++
 	m.ResetColumn(at)
+}
+
+// spareColumns is the room growColumn leaves when it reallocates. A cached
+// matrix is patched in place for as long as it lives, so append's growth
+// by a quarter would hold that much idle heap per matrix; a few columns
+// make reallocation rare when joins and departures alternate.
+const spareColumns = 16
+
+// growColumn extends s by one column of n values, reallocating with room
+// for spareColumns more when s is full.
+func growColumn(s []uint32, n int) []uint32 {
+	if len(s)+n > cap(s) {
+		s = append(make([]uint32, 0, len(s)+(1+spareColumns)*n), s...)
+	}
+	return s[:len(s)+n]
 }
 
 // RemoveColumns drops the columns at the given positions (which must be
@@ -626,9 +619,11 @@ func (m *Matrix) ColumnMatchesAny(c int, hv []uint32) bool {
 // other slot's minimum belongs to a remaining row — and each is recomputed
 // as the minimum of its hash function over rest. The column ends up exactly
 // as a refold of rest would leave it, at |rest| hashes per held slot
-// instead of t.
-func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
+// instead of t. It reports whether any slot changed: a held slot keeps its
+// value only when a remaining row ties it.
+func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) bool {
 	col := m.sig[c*m.t : (c+1)*m.t]
+	changed := false
 	for i, v := range hv {
 		if col[i] != v {
 			continue
@@ -637,9 +632,11 @@ func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
 		for _, r := range rest {
 			nv = min(nv, fam.Hash(i, uint64(r)))
 		}
+		changed = changed || nv != v
 		col[i] = nv
 	}
 	m.refreshBounds(c)
+	return changed
 }
 
 // EstimateJs returns the estimated Jaccard similarity between columns i and
@@ -650,8 +647,14 @@ func (m *Matrix) RemoveRow(c int, hv []uint32, fam *Family, rest []int) {
 // The agreement count runs through the SWAR kernel countEqual; the result is
 // exactly the scalar count (integer arithmetic, no reordering hazard).
 func (m *Matrix) EstimateJs(i, j int) float64 {
-	a, b := m.Column(i), m.Column(j)
-	return float64(countEqual(a, b)) / float64(m.t)
+	return float64(m.Matches(i, j)) / float64(m.t)
+}
+
+// Matches returns the number of slots on which the signatures of columns i
+// and j agree: EstimateJs is Matches/t, and a selection that keeps the
+// count recovers the estimate bit for bit.
+func (m *Matrix) Matches(i, j int) int {
+	return countEqual(m.Column(i), m.Column(j))
 }
 
 // swarMinSlots is the signature size below which countEqual dispatches to

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"skydiver/internal/geom"
@@ -136,28 +137,55 @@ var (
 // chooseSubtree implements the R* subtree choice: minimal overlap
 // enlargement when the children are leaves, minimal area enlargement
 // otherwise; ties broken by smaller area.
+//
+// The overlap test skips work it can prove moot, and picks what the full
+// O(M²) test picks. Growing a rect never shrinks its intersection with
+// another, also in floating point, so every overlap term is ≥ 0 and a
+// candidate's partial sum never falls: once it exceeds the best sum so
+// far, the candidate has lost. An entry that contains r has overlap
+// enlargement and area enlargement both exactly 0, so when one does, only
+// entries of zero area enlargement can win or tie, and only they are
+// summed. That second rule also needs every area finite (an infinite one
+// makes a term NaN), which the node's bounding area being finite ensures.
 func chooseSubtree(n *Node, r geom.Rect, childrenAreLeaves bool) int {
 	best := 0
 	if childrenAreLeaves {
-		bestOverlap, bestEnlarge, bestArea := 0.0, 0.0, 0.0
 		enlarged := geom.NewRect(r.Dims()) // each entry's rect grown to cover r
+		enlarged.Set(r)
+		contained := false
+		for i := range n.Entries {
+			enlarged.ExpandRect(n.Entries[i].Rect)
+			contained = contained || n.Entries[i].Rect.ContainsRect(r)
+		}
+		if a := enlarged.Area(); math.IsInf(a, 0) || math.IsNaN(a) {
+			contained = false
+		}
+		first := true
+		bestOverlap, bestEnlarge, bestArea := 0.0, 0.0, 0.0
 		for i := range n.Entries {
 			e := &n.Entries[i]
 			enlarged.Set(e.Rect)
 			enlarged.ExpandRect(r)
+			area := e.Rect.Area()
+			enlarge := enlarged.Area() - area
+			if contained && enlarge != 0 {
+				continue
+			}
 			overlapDelta := 0.0
 			for j := range n.Entries {
 				if j == i {
 					continue
 				}
 				overlapDelta += enlarged.OverlapArea(n.Entries[j].Rect) - e.Rect.OverlapArea(n.Entries[j].Rect)
+				if !first && overlapDelta > bestOverlap {
+					break
+				}
 			}
-			area := e.Rect.Area()
-			enlarge := enlarged.Area() - area
-			if i == 0 || overlapDelta < bestOverlap ||
+			if first || overlapDelta < bestOverlap ||
 				(overlapDelta == bestOverlap && enlarge < bestEnlarge) ||
 				(overlapDelta == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
 				best, bestOverlap, bestEnlarge, bestArea = i, overlapDelta, enlarge, area
+				first = false
 			}
 		}
 		return best

@@ -173,6 +173,7 @@ type QueryResponse struct {
 	PageFaults        int64    `json:"page_faults"`
 	FingerprintCached bool     `json:"fingerprint_cached"`
 	SelectionCached   bool     `json:"selection_cached"`
+	EstimatesReused   int      `json:"estimates_reused"`
 	// Remote reports how a ?remote=1 query's shards were served and what
 	// the failover envelope spent; omitted for local queries.
 	Remote *skydiver.RemoteShardStats `json:"remote,omitempty"`
@@ -304,6 +305,7 @@ func buildResponse(name string, opts skydiver.Options, res *skydiver.Result, cla
 		PageFaults:        res.PageFaults,
 		FingerprintCached: res.FingerprintCached,
 		SelectionCached:   res.SelectionCached,
+		EstimatesReused:   res.EstimatesReused,
 	}
 	if v := res.ObjectiveValue; !math.IsInf(v, 0) && !math.IsNaN(v) {
 		out.Objective = &v

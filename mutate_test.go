@@ -426,6 +426,49 @@ func BenchmarkDatasetDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkDatasetWriteRead times a write together with the reads it makes
+// select again, in the serving shape: ANT-20K-4D with four resident
+// fingerprint keys (t = 100, hash seeds 1–4). Each op applies an insert of
+// a fresh anticorrelated point or a delete of an original row, in turn,
+// and then reads every key at k = 10 under MinHash and under LSH, so it
+// pays the fingerprint patch and eight post-write selections.
+func BenchmarkDatasetWriteRead(b *testing.B) {
+	d, err := Generate(Anticorrelated, 20000, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	fresh, err := Generate(Anticorrelated, b.N/2+1, 4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := rand.New(rand.NewSource(3)).Perm(d.Len())
+	if b.N/2 > len(rows) {
+		b.Fatalf("%d deletes exceed the %d rows", b.N/2, len(rows))
+	}
+	read := func() {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, algo := range []Algorithm{MinHash, LSH} {
+				if _, err := d.Diversify(Options{K: 10, SignatureSize: 100, Seed: seed, Algorithm: algo}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	read()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			if _, err := d.Insert(fresh.Point(i / 2)); err != nil {
+				b.Fatal(err)
+			}
+		} else if err := d.Delete(rows[i/2]); err != nil {
+			b.Fatal(err)
+		}
+		read()
+	}
+}
+
 // benchWarmDataset builds the write benchmarks' 20K-row 3-D dataset and
 // warms one fingerprint key with a query run by algo. It returns the
 // dataset and the random stream, positioned after the rows.

@@ -254,6 +254,15 @@ type Result struct {
 	// answer a fresh selection would give, and CPUTime then includes no
 	// selection. Always false for Greedy/Exact and under Options.NoCache.
 	SelectionCached bool
+	// EstimatesReused counts the distances a MinHash or LSH selection over
+	// the cached fingerprint read from those an earlier selection under the
+	// same key and distance computed, instead of estimating them again:
+	// earlier in the epoch, or before writes that left both columns'
+	// signatures unchanged. The answer is the one a fresh selection gives,
+	// and budgets (Budget.MaxEstimations) are charged only the estimates
+	// made. Always 0 for Greedy/Exact, under Options.NoCache and for a
+	// read with SelectionCached.
+	EstimatesReused int
 	// Degraded reports that the answer came from the graceful-degradation
 	// ladder (Options.AllowDegraded) rather than the requested full
 	// pipeline; DegradedReason says which rung served it.
@@ -921,6 +930,7 @@ func (d *Dataset) publicResult(res *core.Result, remote *RemoteShardStats) *Resu
 		MemoryBytes:       res.Stats.MemoryBytes,
 		FingerprintCached: res.Stats.FingerprintCached,
 		SelectionCached:   res.Stats.SelectionCached,
+		EstimatesReused:   res.Stats.EstimatesReused,
 		Remote:            remote,
 	}
 	for i, idx := range res.DataIndexes {
